@@ -16,6 +16,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/routing"
 )
@@ -53,65 +56,128 @@ const maxSwitches = 1 << 16
 
 // Compile builds the FIB for a routing function from its table. Every
 // (destination, input port) pair at every switch gets the exact set of
-// shortest legal output ports the table would offer.
+// shortest legal output ports the table would offer (Table.NextChannels).
+//
+// Turn legality does not depend on the destination, so it is evaluated
+// once per switch: legal[v][row] is the mask of output ports a header
+// arriving on that row's input may take (every port on the injection row).
+// An entry is then legal[v][row] restricted to the ports whose out-channel
+// is one hop nearer dst than the row's state, or 0 if dst is unreachable
+// from that state. Destinations are processed in blocks of compileBlock,
+// handed to GOMAXPROCS goroutines through an atomic counter, so a worker
+// reads only compileBlock rows of the distance table at a time and writes
+// one contiguous run per FIB row. Each entry depends only on the table,
+// so the FIB is identical for any GOMAXPROCS.
 func Compile(tb *routing.Table) (*FIB, error) {
+	return compileN(tb, runtime.GOMAXPROCS(0))
+}
+
+// compileBlock is how many consecutive destinations one unit of Compile's
+// work covers. The block's rows of the distance table are what a worker
+// reads while it sweeps every switch, so they should stay in a core's
+// private cache: eight rows of a 4096-switch, 4-port table are 640 KB. On
+// a 2-core Xeon, 8 beat 2, 4, 16, 32 and 64 at 1024 and 4096 switches.
+const compileBlock = 8
+
+// compileN is Compile with an explicit worker count, kept internal so tests
+// can compare worker counts against each other and the reference loop.
+func compileN(tb *routing.Table, workers int) (*FIB, error) {
 	fn := tb.Function()
 	cg := fn.CG()
 	n := cg.N()
+	for v, out := range cg.Out {
+		if len(out) > maxPorts {
+			return nil, fmt.Errorf("fib: switch %d has %d ports; the format supports %d",
+				v, len(out), maxPorts)
+		}
+	}
 	f := &FIB{
 		n:         n,
 		neighbors: make([][]int32, n),
 		table:     make([][]uint16, n),
 		algorithm: fn.AlgorithmName,
 	}
-	// Port maps: channel id -> local output port at its From switch, and
-	// -> local input port at its To switch. cg.Out[v] and cg.In[v] are both
-	// ascending by peer id, so output port k and input port k face the same
-	// neighbor.
-	outPort := make([]int, cg.NumChannels())
-	inPort := make([]int, cg.NumChannels())
+	// Port k at switch v is the k-th entry of cg.Out[v] (and of cg.In[v]:
+	// both are ascending by peer id, so output port k and input port k face
+	// the same neighbor); input port k is FIB row k+1.
+	legal := make([][]uint16, n)
 	for v := 0; v < n; v++ {
-		if len(cg.Out[v]) > maxPorts {
-			return nil, fmt.Errorf("fib: switch %d has %d ports; the format supports %d",
-				v, len(cg.Out[v]), maxPorts)
-		}
-		f.neighbors[v] = make([]int32, len(cg.Out[v]))
-		for k, c := range cg.Out[v] {
-			outPort[c] = k
+		out := cg.Out[v]
+		f.neighbors[v] = make([]int32, len(out))
+		for k, c := range out {
 			f.neighbors[v][k] = int32(cg.Channels[c].To)
 		}
-		for k, c := range cg.In[v] {
-			inPort[c] = k
+		rows := make([]uint16, len(cg.In[v])+1)
+		rows[0] = uint16(1<<len(out) - 1)
+		for i, cIn := range cg.In[v] {
+			for k, c := range out {
+				if fn.Sys.TurnAllowed(cIn, c) {
+					rows[i+1] |= 1 << k
+				}
+			}
 		}
+		legal[v] = rows
+		f.table[v] = make([]uint16, len(rows)*n)
 	}
 
-	var buf []int
+	blocks := (n + compileBlock - 1) / compileBlock
+	workers = max(1, min(workers, blocks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				b := int(next.Add(1)) - 1
+				if b >= blocks {
+					return
+				}
+				f.fillBlock(tb, legal, b*compileBlock, min((b+1)*compileBlock, n))
+			}
+		}()
+	}
+	wg.Wait()
+	return f, nil
+}
+
+// fillBlock fills every switch's entries for destinations lo..hi-1.
+func (f *FIB) fillBlock(tb *routing.Table, legal [][]uint16, lo, hi int) {
+	cg := tb.Function().CG()
+	n := f.n
+	var dOut [maxPorts]int
 	for v := 0; v < n; v++ {
-		rows := len(cg.In[v]) + 1
-		f.table[v] = make([]uint16, rows*n)
-		for dst := 0; dst < n; dst++ {
+		out, rows, tbl := cg.Out[v], legal[v], f.table[v]
+		for dst := lo; dst < hi; dst++ {
 			if dst == v {
 				continue // headers for the local processor never consult the FIB
 			}
-			// Injection row.
-			buf = tb.NextChannels(dst, routing.InjectionState(v), buf[:0])
-			var mask uint16
-			for _, c := range buf {
-				mask |= 1 << uint(outPort[c])
+			for k, c := range out {
+				dOut[k] = tb.DistFrom(dst, c)
 			}
-			f.table[v][dst] = mask
-			// One row per input channel.
-			for _, cIn := range cg.In[v] {
-				buf = tb.NextChannels(dst, cIn, buf[:0])
-				mask = 0
-				for _, c := range buf {
-					mask |= 1 << uint(outPort[c])
-				}
-				f.table[v][(inPort[cIn]+1)*n+dst] = mask
+			near := dOut[:len(out)]
+			tbl[dst] = rows[0] & nearer(near, tb.DistFrom(dst, routing.InjectionState(v)))
+			for i, cIn := range cg.In[v] {
+				tbl[(i+1)*n+dst] = rows[i+1] & nearer(near, tb.DistFrom(dst, cIn))
 			}
 		}
 	}
-	return f, nil
+}
+
+// nearer returns the mask of ports k with dOut[k] == d-1: the ports one hop
+// nearer the destination than a state at distance d. An unreachable state
+// (d < 0) gets 0.
+func nearer(dOut []int, d int) uint16 {
+	if d <= 0 {
+		return 0
+	}
+	var mask uint16
+	for k, dk := range dOut {
+		if dk == d-1 {
+			mask |= 1 << k
+		}
+	}
+	return mask
 }
 
 // N returns the switch count.
@@ -170,42 +236,35 @@ var magic = [8]byte{'I', 'R', 'N', 'E', 'T', 'F', 'I', 'B'}
 
 const formatVersion = 1
 
-// WriteTo serializes the FIB. It implements io.WriterTo.
+// WriteTo serializes the FIB. It implements io.WriterTo. Each switch is
+// encoded into one reused little-endian scratch buffer and handed to a
+// bufio.Writer in a single write.
 func (f *FIB) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
+	le := binary.LittleEndian
 	count := int64(0)
-	write := func(data any) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
-		}
-		count += int64(binary.Size(data))
-		return nil
+	write := func(p []byte) error {
+		k, err := bw.Write(p)
+		count += int64(k)
+		return err
 	}
-	if err := write(magic); err != nil {
-		return count, err
-	}
-	if err := write(uint16(formatVersion)); err != nil {
-		return count, err
-	}
-	if err := write(uint32(f.n)); err != nil {
-		return count, err
-	}
-	if err := write(uint16(len(f.algorithm))); err != nil {
-		return count, err
-	}
-	if err := write([]byte(f.algorithm)); err != nil {
+	buf := append([]byte(nil), magic[:]...)
+	buf = le.AppendUint16(buf, formatVersion)
+	buf = le.AppendUint32(buf, uint32(f.n))
+	buf = le.AppendUint16(buf, uint16(len(f.algorithm)))
+	buf = append(buf, f.algorithm...)
+	if err := write(buf); err != nil {
 		return count, err
 	}
 	for v := 0; v < f.n; v++ {
-		if err := write(uint16(len(f.neighbors[v]))); err != nil {
-			return count, err
-		}
+		buf = le.AppendUint16(buf[:0], uint16(len(f.neighbors[v])))
 		for _, nb := range f.neighbors[v] {
-			if err := write(uint32(nb)); err != nil {
-				return count, err
-			}
+			buf = le.AppendUint32(buf, uint32(nb))
 		}
-		if err := write(f.table[v]); err != nil {
+		for _, mask := range f.table[v] {
+			buf = le.AppendUint16(buf, mask)
+		}
+		if err := write(buf); err != nil {
 			return count, err
 		}
 	}

@@ -252,8 +252,14 @@ func TestFIBWalkReachesDestination(t *testing.T) {
 	}
 }
 
-func BenchmarkCompile128x8(b *testing.B) {
-	tb := buildTable(b, 1, 128, 8, core.DownUp{})
+func BenchmarkCompile128x8(b *testing.B) { benchmarkCompile(b, 128, 8) }
+
+// BenchmarkCompile1024x4 is the compile at the control plane's scale, where
+// the distance table (about 20 MB) no longer fits the caches.
+func BenchmarkCompile1024x4(b *testing.B) { benchmarkCompile(b, 1024, 4) }
+
+func benchmarkCompile(b *testing.B, switches, ports int) {
+	tb := buildTable(b, 1, switches, ports, core.DownUp{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(tb); err != nil {

@@ -36,9 +36,16 @@ type Table struct {
 const unreachable = int32(math.MaxInt32)
 
 // NewTable computes the table with one backward BFS per destination,
-// fanning destinations across GOMAXPROCS goroutines. Each destination's
-// row of dist is computed in isolation, so the result is identical for
-// any goroutine count (pinned by TestNewTableParallelIdentical).
+// fanning destinations across GOMAXPROCS goroutines.
+//
+// Turn legality does not depend on the destination, so before any BFS the
+// reversed channel dependency graph is built once, in CSR form (depGraph):
+// for every channel c, the in-channels p of c.From with
+// Sys.TurnAllowed(p, c). Each BFS then walks those lists instead of asking
+// TurnAllowed again, and its per-destination working set is one row of
+// dist plus the compact lists. Each destination's row of dist is computed
+// in isolation, so the result is identical for any GOMAXPROCS (pinned by
+// TestNewTableParallelIdentical and TestNewTableMatchesReference).
 func NewTable(f *Function) *Table {
 	return newTableN(f, runtime.GOMAXPROCS(0))
 }
@@ -54,13 +61,14 @@ func newTableN(f *Function, workers int) *Table {
 		stride: cg.NumChannels() + cg.N(),
 	}
 	t.dist = make([]int32, t.n*t.stride)
+	deps := newDepGraph(f)
 	if workers > t.n {
 		workers = t.n
 	}
 	if workers <= 1 {
 		queue := make([]int32, 0, t.stride)
 		for dst := 0; dst < t.n; dst++ {
-			queue = t.bfsTo(dst, queue)
+			queue = t.bfsTo(dst, deps, queue)
 		}
 		return t
 	}
@@ -79,7 +87,7 @@ func newTableN(f *Function, workers int) *Table {
 				if dst >= t.n {
 					return
 				}
-				queue = t.bfsTo(dst, queue)
+				queue = t.bfsTo(dst, deps, queue)
 			}
 		}()
 	}
@@ -87,11 +95,39 @@ func newTableN(f *Function, workers int) *Table {
 	return t
 }
 
-// bfsTo fills destination dst's row of dist with a backward BFS, reusing
-// queue as scratch (returned for the next call). It touches only that row,
-// which is what makes per-destination parallelism safe.
-func (t *Table) bfsTo(dst int, queue []int32) []int32 {
-	cg := t.f.Sys.CG
+// depGraph is the reversed channel dependency graph of a function in CSR
+// form: the channels a packet may arrive on before taking channel c (the
+// in-channels p of c.From with Sys.TurnAllowed(p, c), in cg.In order) are
+// pred[start[c]:start[c+1]], and from[c] is c's start node.
+type depGraph struct {
+	start []int32
+	pred  []int32
+	from  []int32
+}
+
+func newDepGraph(f *Function) depGraph {
+	cg := f.Sys.CG
+	g := depGraph{
+		start: make([]int32, cg.NumChannels()+1),
+		from:  make([]int32, cg.NumChannels()),
+	}
+	for c := range cg.Channels {
+		from := cg.Channels[c].From
+		g.from[c] = int32(from)
+		for _, p := range cg.In[from] {
+			if f.Sys.TurnAllowed(p, c) {
+				g.pred = append(g.pred, int32(p))
+			}
+		}
+		g.start[c+1] = int32(len(g.pred))
+	}
+	return g
+}
+
+// bfsTo fills destination dst's row of dist with a backward BFS over deps,
+// reusing queue as scratch (returned for the next call). It touches only
+// that row, which is what makes per-destination parallelism safe.
+func (t *Table) bfsTo(dst int, deps depGraph, queue []int32) []int32 {
 	d := t.dist[dst*t.stride : (dst+1)*t.stride]
 	for i := range d {
 		d[i] = unreachable
@@ -100,25 +136,24 @@ func (t *Table) bfsTo(dst int, queue []int32) []int32 {
 	// Base cases: arriving at dst via any of its in-channels takes zero
 	// further hops; a packet born at dst is already there.
 	d[t.numCh+dst] = 0
-	for _, c := range cg.In[dst] {
+	for _, c := range t.f.Sys.CG.In[dst] {
 		d[c] = 0
 		queue = append(queue, int32(c))
 	}
 	// Backward BFS over reversed state-graph edges. Predecessors of a
-	// channel state c are (a) the injection state of c.From and (b) any
-	// in-channel of c.From whose turn onto c is allowed. Injection
-	// states have no predecessors.
+	// channel state c are (a) the injection state of c.From and (b) the
+	// in-channels of c.From whose turn onto c is allowed, listed in deps.
+	// Injection states have no predecessors.
 	for head := 0; head < len(queue); head++ {
-		c := int(queue[head])
+		c := queue[head]
 		nd := d[c] + 1
-		from := cg.Channels[c].From
-		if inj := t.numCh + from; d[inj] > nd {
+		if inj := t.numCh + int(deps.from[c]); d[inj] > nd {
 			d[inj] = nd
 		}
-		for _, p := range cg.In[from] {
-			if d[p] > nd && t.f.Sys.TurnAllowed(p, c) {
+		for _, p := range deps.pred[deps.start[c]:deps.start[c+1]] {
+			if d[p] > nd {
 				d[p] = nd
-				queue = append(queue, int32(p))
+				queue = append(queue, p)
 			}
 		}
 	}
@@ -151,21 +186,22 @@ func (t *Table) Function() *Function { return t.f }
 // Distance returns the legal shortest path length (in channels) from src to
 // dst, or -1 if dst is unreachable from src. Distance(v, v) is 0.
 func (t *Table) Distance(src, dst int) int {
-	d := t.dist[dst*t.stride+t.numCh+src]
-	if d == unreachable {
-		return -1
-	}
-	return int(d)
+	return t.DistFrom(dst, InjectionState(src))
 }
 
-// distFrom returns the remaining distance to dst from a routing state:
-// state < 0 encodes the injection state of node ^state (bitwise complement),
-// otherwise state is the channel arrived on.
-func (t *Table) distFrom(dst, state int) int32 {
+// DistFrom returns the remaining legal distance (in channels) to dst from a
+// routing state, or -1 if dst is unreachable from it. state is either a
+// channel id (the channel the packet arrived on) or InjectionState(src);
+// DistFrom(dst, InjectionState(src)) is Distance(src, dst).
+func (t *Table) DistFrom(dst, state int) int {
+	i := dst*t.stride + state
 	if state < 0 {
-		return t.dist[dst*t.stride+t.numCh+(^state)]
+		i = dst*t.stride + t.numCh + (^state)
 	}
-	return t.dist[dst*t.stride+state]
+	if d := t.dist[i]; d != unreachable {
+		return int(d)
+	}
+	return -1
 }
 
 // InjectionState encodes node v's "not yet departed" routing state for use
@@ -188,15 +224,15 @@ func (t *Table) NextChannels(dst, state int, buf []int) []int {
 	if here == dst {
 		return buf
 	}
-	d := t.distFrom(dst, state)
-	if d == unreachable {
+	d := t.DistFrom(dst, state)
+	if d < 0 {
 		return buf
 	}
 	for _, c := range cg.Out[here] {
 		if state >= 0 && !t.f.Sys.TurnAllowed(state, c) {
 			continue
 		}
-		if t.dist[dst*t.stride+c] == d-1 {
+		if t.dist[dst*t.stride+c] == int32(d-1) {
 			buf = append(buf, c)
 		}
 	}

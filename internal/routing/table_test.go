@@ -230,9 +230,9 @@ func TestNextChannelsConsistency(t *testing.T) {
 			if len(buf) == 0 {
 				t.Fatalf("dead end %d->%d at %d", src, dst, here)
 			}
-			d := tb.distFrom(dst, state)
+			d := tb.DistFrom(dst, state)
 			for _, c := range buf {
-				if tb.distFrom(dst, c) != d-1 {
+				if tb.DistFrom(dst, c) != d-1 {
 					t.Fatalf("candidate does not decrease distance")
 				}
 			}
@@ -356,8 +356,15 @@ func TestSamplePathProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkNewTable128x8UpDown(b *testing.B) {
-	cg := randomCG(b, 1, 128, 8)
+func BenchmarkNewTable128x8UpDown(b *testing.B) { benchmarkNewTable(b, 128, 8) }
+
+// BenchmarkNewTable1024x4 is the table build at the control plane's scale,
+// where one destination's row of the table is 20 KB and the whole table
+// about 20 MB.
+func BenchmarkNewTable1024x4(b *testing.B) { benchmarkNewTable(b, 1024, 4) }
+
+func benchmarkNewTable(b *testing.B, switches, ports int) {
+	cg := randomCG(b, 1, switches, ports)
 	f, err := UpDown{}.Build(cg)
 	if err != nil {
 		b.Fatal(err)

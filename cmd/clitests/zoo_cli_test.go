@@ -63,10 +63,10 @@ func TestIrzooSmoke(t *testing.T) {
 func TestIrtopoFamilySVG(t *testing.T) {
 	dir := t.TempDir()
 	for spec, switches := range map[string]string{
-		"fullmesh:6":      "switches    6",
-		"dragonfly:3x2x1": "switches    12",
+		"fullmesh:6":       "switches    6",
+		"dragonfly:3x2x1":  "switches    12",
 		"circulant:12:1:3": "switches    12",
-		"fbfly:4x2":       "switches    16",
+		"fbfly:4x2":        "switches    16",
 	} {
 		svgFile := filepath.Join(dir, strings.ReplaceAll(spec, ":", "_")+".svg")
 		out := run(t, "irtopo", "-family", spec, "-svg", svgFile)
@@ -95,10 +95,10 @@ func TestZooBadFlagsFail(t *testing.T) {
 		{"irzoo", "-scale", "bogus"},
 		{"irzoo", "-engine", "bogus"},
 		{"irzoo", "-scale", "quick", "-collective", "no-such-collective"},
-		{"irtopo", "-family", "dragonfly:3x2"},   // needs AxPxH
-		{"irtopo", "-family", "circulant:12"},    // needs at least one generator
+		{"irtopo", "-family", "dragonfly:3x2"},    // needs AxPxH
+		{"irtopo", "-family", "circulant:12"},     // needs at least one generator
 		{"irtopo", "-family", "circulant:12:2:4"}, // disconnected
-		{"irtopo", "-family", "fbfly:1x2"},       // radix too small
+		{"irtopo", "-family", "fbfly:1x2"},        // radix too small
 		{"irtopo", "-family", "fullmesh:1"},
 	}
 	for _, c := range cases {

@@ -418,15 +418,19 @@ func TestDownUpShorterAvgPathsThanNoRelease(t *testing.T) {
 	}
 }
 
-func BenchmarkDownUpBuild128x8(b *testing.B) {
-	cg := randomCG(b, 1, 128, 8, ctree.M1)
+func BenchmarkDownUpBuild128x8(b *testing.B) { benchmarkDownUpBuild(b, 128, 8) }
+
+// BenchmarkDownUpBuild1024x8 is the build at the control plane's scale,
+// where the Phase 3 release checks are most of its time.
+func BenchmarkDownUpBuild1024x8(b *testing.B) { benchmarkDownUpBuild(b, 1024, 8) }
+
+func benchmarkDownUpBuild(b *testing.B, switches, ports int) {
+	cg := randomCG(b, 1, switches, ports, ctree.M1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := DownUp{}.Build(cg)
-		if err != nil {
+		if _, err := (DownUp{}).Build(cg); err != nil {
 			b.Fatal(err)
 		}
-		_ = f
 	}
 }
 

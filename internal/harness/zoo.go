@@ -79,7 +79,7 @@ type ZooOptions struct {
 	MeasureCycles int
 	// SatIters is the golden-section iteration count of each saturation
 	// search over [SatLow, SatHigh] offered flits/clock/node.
-	SatIters       int
+	SatIters        int
 	SatLow, SatHigh float64
 	// LatencyRate is the offered rate of the low-load latency probe.
 	LatencyRate float64

@@ -4,3 +4,7 @@ package routing
 // external test package, whose tests may import packages (core) that
 // import routing.
 var CheckTableMatchesReference = checkTableMatchesReference
+
+// CheckVerifyMatchesReference exports the Verify differential the same
+// way.
+var CheckVerifyMatchesReference = checkVerifyMatchesReference

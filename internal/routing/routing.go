@@ -52,12 +52,17 @@ func (f *Function) CG() *cgraph.CG { return f.Sys.CG }
 //     allowed turns is acyclic (no turn cycle, Definition 7).
 //  2. Connectivity — every ordered pair of distinct nodes is joined by at
 //     least one path legal under the allowed turns.
+//
+// Connectivity is checked only once the dependency graph is known to be
+// acyclic, which lets one sinks-first pass over it propagate reachable
+// destinations 64 at a time; no routing table is built. The error names
+// the same pair, in the same words, as NewTable(f).FullyConnected().
 func (f *Function) Verify() error {
 	if cyc := f.Sys.FindTurnCycle(); cyc != nil {
 		return fmt.Errorf("routing: %s is not deadlock-free: turn cycle %s",
 			f.AlgorithmName, f.Sys.DescribeCycle(cyc))
 	}
-	return NewTable(f).FullyConnected()
+	return checkConnected(f)
 }
 
 // CertifyBase proves the function's base configuration — the turns allowed

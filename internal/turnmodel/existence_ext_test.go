@@ -42,7 +42,9 @@ func extMask(scheme turnmodel.Scheme, bits uint64) turnmodel.Mask {
 // TestExistenceConnectivityMatchesTable checks the native connectivity
 // sweep against the established implementation: the routing table's
 // all-pairs reachability (FullyConnected) must agree with
-// ExistenceCheck.Connected for every mask, deadlock-free or not.
+// ExistenceCheck.Connected for every mask, deadlock-free or not. Where the
+// mask is deadlock-free, Verify's table-free connectivity verdict must
+// agree too.
 func TestExistenceConnectivityMatchesTable(t *testing.T) {
 	r := rng.New(9)
 	for trial := 0; trial < 25; trial++ {
@@ -50,9 +52,16 @@ func TestExistenceConnectivityMatchesTable(t *testing.T) {
 		for _, scheme := range []turnmodel.Scheme{turnmodel.EightDir{}, turnmodel.SixDir{}, turnmodel.UpDownDir{}} {
 			mask := extMask(scheme, r.Uint64())
 			ec := turnmodel.ExistenceCheck(turnmodel.NewSystem(cg, scheme, mask))
-			tb := routing.NewTable(routing.FromMask(cg, scheme, mask, ""))
-			if got := tb.FullyConnected() == nil; got != ec.Connected {
+			fn := routing.FromMask(cg, scheme, mask, "")
+			if got := routing.NewTable(fn).FullyConnected() == nil; got != ec.Connected {
 				t.Fatalf("trial %d scheme %s: table connected=%v, existence connected=%v",
+					trial, scheme.Name(), got, ec.Connected)
+			}
+			if !ec.DeadlockFree {
+				continue
+			}
+			if got := fn.Verify() == nil; got != ec.Connected {
+				t.Fatalf("trial %d scheme %s: Verify connected=%v, existence connected=%v",
 					trial, scheme.Name(), got, ec.Connected)
 			}
 		}
@@ -90,9 +99,9 @@ func TestExistenceKnownAlgorithms(t *testing.T) {
 // FuzzExistenceCheck closes the oracle triangle on arbitrary inputs: for
 // every random (topology, scheme, mask) the Kahn verdict must match the
 // DFS, its witness must verify, a deadlock-free verdict must agree with
-// the routing table's reachability, and a cyclic verdict must be
-// realizable — the adversarial workload compiled from the cycle witness
-// must deadlock an actual simulated network.
+// the routing table's reachability and with Verify, and a cyclic verdict
+// must be realizable — the adversarial workload compiled from the cycle
+// witness must deadlock an actual simulated network.
 func FuzzExistenceCheck(f *testing.F) {
 	f.Add(uint64(1), byte(10), byte(3), byte(0), uint64(0))
 	f.Add(uint64(2), byte(16), byte(4), byte(0), ^uint64(0))
@@ -126,6 +135,9 @@ func FuzzExistenceCheck(f *testing.F) {
 		if ec.DeadlockFree {
 			if got := routing.NewTable(fn).FullyConnected() == nil; got != ec.Connected {
 				t.Fatalf("table connected=%v, existence connected=%v", got, ec.Connected)
+			}
+			if got := fn.Verify() == nil; got != ec.Connected {
+				t.Fatalf("Verify connected=%v, existence connected=%v", got, ec.Connected)
 			}
 			return
 		}

@@ -21,9 +21,16 @@ package turnmodel
 // The paper's pseudocode expresses the same intent with an explicit DFS and
 // stacks; see DESIGN.md §8 for the (cosmetic) differences.
 //
+// The searches run over a successor list per channel, built once per call
+// and kept current: allowing or re-forbidding (d1, d2) at v changes the
+// continuations of v's d1 in-channels only, so only their lists are
+// rebuilt. Each search stops at the first e1 it reaches and reuses its
+// visit marks across searches.
+//
 // It returns the number of (node, turn-type) releases performed.
 func Release(sys *System, candidates []Turn) int {
 	released := 0
+	rs := newReleaseSearch(sys)
 	var ins, outs []int
 	for v := range sys.Allowed {
 		for _, t := range candidates {
@@ -48,8 +55,10 @@ func Release(sys *System, candidates []Turn) int {
 				continue
 			}
 			sys.Allowed[v] = sys.Allowed[v].Allow(t.From, t.To)
-			if releaseCreatesCycle(sys, ins, outs) {
+			rs.refresh(ins)
+			if rs.createsCycle(ins, outs) {
 				sys.Allowed[v] = sys.Allowed[v].Forbid(t.From, t.To)
+				rs.refresh(ins)
 			} else {
 				released++
 			}
@@ -58,17 +67,99 @@ func Release(sys *System, candidates []Turn) int {
 	return released
 }
 
-func releaseCreatesCycle(sys *System, ins, outs []int) bool {
-	for _, e2 := range outs {
-		reach := sys.ReachableChannels(e2)
-		for _, e1 := range ins {
-			if e1 == sys.CG.Reverse(e2) {
-				continue // the U-turn pair stays forbidden regardless
-			}
-			if reach[e1] {
-				return true
-			}
+// releaseSearch holds Release's view of the channel dependency graph: the
+// channels that may follow channel c under the current masks are
+// succ[start[c]:end[c]], in a slot sized for every out-channel of c's sink.
+type releaseSearch struct {
+	sys        *System
+	start, end []int32
+	succ       []int32
+	// seen[c] == visitGen marks c visited by the current search, and
+	// target[c] == targetGen marks c as one of the current check's ins.
+	seen, target        []uint32
+	visitGen, targetGen uint32
+	stack               []int32
+}
+
+func newReleaseSearch(sys *System) *releaseSearch {
+	cg := sys.CG
+	numCh := cg.NumChannels()
+	rs := &releaseSearch{
+		sys:    sys,
+		start:  make([]int32, numCh),
+		end:    make([]int32, numCh),
+		seen:   make([]uint32, numCh),
+		target: make([]uint32, numCh),
+	}
+	slots := 0
+	for c := range cg.Channels {
+		rs.start[c] = int32(slots)
+		slots += len(cg.Out[cg.Channels[c].To])
+	}
+	rs.succ = make([]int32, slots)
+	for c := range cg.Channels {
+		rs.refreshChannel(c)
+	}
+	return rs
+}
+
+// refresh rebuilds the successor lists of the given channels.
+func (rs *releaseSearch) refresh(chans []int) {
+	for _, c := range chans {
+		rs.refreshChannel(c)
+	}
+}
+
+func (rs *releaseSearch) refreshChannel(c int) {
+	k := rs.start[c]
+	for _, nxt := range rs.sys.CG.Out[rs.sys.CG.Channels[c].To] {
+		if rs.sys.TurnAllowed(c, nxt) {
+			rs.succ[k] = int32(nxt)
+			k++
 		}
 	}
+	rs.end[c] = k
+}
+
+// createsCycle reports whether some e1 in ins is reachable from some e2 in
+// outs, the U-turn pair e1 == Reverse(e2) excepted.
+func (rs *releaseSearch) createsCycle(ins, outs []int) bool {
+	tgen := nextGen(&rs.targetGen, rs.target)
+	for _, e1 := range ins {
+		rs.target[e1] = tgen
+	}
+	for _, e2 := range outs {
+		skip := int32(rs.sys.CG.Reverse(e2))
+		gen := nextGen(&rs.visitGen, rs.seen)
+		rs.seen[e2] = gen
+		stack := append(rs.stack[:0], int32(e2))
+		for len(stack) > 0 {
+			c := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if rs.target[c] == tgen && c != skip {
+				rs.stack = stack
+				return true
+			}
+			for _, nxt := range rs.succ[rs.start[c]:rs.end[c]] {
+				if rs.seen[nxt] != gen {
+					rs.seen[nxt] = gen
+					stack = append(stack, nxt)
+				}
+			}
+		}
+		rs.stack = stack
+	}
 	return false
+}
+
+// nextGen advances a generation counter and returns the new stamp,
+// clearing marks on the (practically unreachable) wrap to zero so that a
+// stale stamp can never match.
+func nextGen(gen *uint32, marks []uint32) uint32 {
+	*gen++
+	if *gen == 0 {
+		clear(marks)
+		*gen = 1
+	}
+	return *gen
 }

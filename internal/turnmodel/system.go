@@ -136,29 +136,6 @@ func (s *System) FindTurnCycle() []int {
 // Acyclic reports whether the configuration is turn-cycle-free.
 func (s *System) Acyclic() bool { return s.FindTurnCycle() == nil }
 
-// ReachableChannels returns, as a bitset indexed by channel id, every
-// channel reachable from start (inclusive) by following allowed transitions.
-// The DOWN/UP Phase 3 release check is built on this: a prohibited turn
-// (e1 -> e2) at a node can be released iff e1 is not reachable from e2.
-func (s *System) ReachableChannels(start int) []bool {
-	seen := make([]bool, len(s.Dirs))
-	seen[start] = true
-	stack := []int{start}
-	var succBuf []int
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		succBuf = s.successors(c, succBuf[:0])
-		for _, nxt := range succBuf {
-			if !seen[nxt] {
-				seen[nxt] = true
-				stack = append(stack, nxt)
-			}
-		}
-	}
-	return seen
-}
-
 // DescribeCycle renders a turn cycle found by FindTurnCycle for error
 // messages and test diagnostics.
 func (s *System) DescribeCycle(cycle []int) string {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	irperf [-switches 128,1024] [-ports 4,8] [-rates 0.02,0.05,0.1]
+//	irperf [-switches 128,1024] [-ports 4,8] [-rates 0.02,0.05,0.1,0.45]
 //	       [-plen 128] [-warm 2000] [-cycles 20000] [-seed 1]
 //	       [-workers 0] [-json results/BENCH_wormsim.json]
 //
@@ -77,7 +77,7 @@ func main() {
 	var (
 		switchesArg = flag.String("switches", "128,1024", "comma-separated switch counts per network")
 		portsArg    = flag.String("ports", "4,8", "comma-separated port counts")
-		ratesArg    = flag.String("rates", "0.02,0.05,0.1", "comma-separated injection rates")
+		ratesArg    = flag.String("rates", "0.02,0.05,0.1,0.45", "comma-separated injection rates")
 		plen        = flag.Int("plen", 128, "packet length in flits")
 		warm        = flag.Int("warm", 2000, "untimed warmup cycles per run")
 		cycles      = flag.Int("cycles", 20000, "timed cycles per run")

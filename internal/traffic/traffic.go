@@ -7,6 +7,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -186,9 +187,26 @@ func (t *Transpose) Dest(src int, r *rng.Rng) int {
 // Generator produces packets clock by clock: Tick returns a destination
 // and true when a new packet starts this clock. Source (Bernoulli) and
 // BurstySource (ON/OFF) implement it.
+//
+// Next is the draw-ahead form of Tick: it returns how many clocks from now
+// the next packet starts (wait >= 1, the clock of the wait-th Tick call)
+// and its destination, consuming exactly the randomness those wait Tick
+// calls would. A generator with no packet within MaxWait clocks returns
+// (MaxWait, NoPacket) after consuming the draws of that many silent Ticks;
+// the caller asks again when they have elapsed. Tick and Next may be mixed
+// on one generator: the stream stays the same clock by clock.
 type Generator interface {
 	Tick() (dst int, ok bool)
+	Next() (wait, dst int)
 }
+
+// NoPacket is the destination Next reports when no packet starts within
+// the returned wait.
+const NoPacket = -1
+
+// MaxWait bounds how many clocks one Next call draws ahead, so that a
+// generator with a vanishing rate costs no more than polling it would.
+const MaxWait = 1 << 10
 
 // Source is the Bernoulli packet generator attached to one switch: each
 // clock it starts a new packet with probability rate/packetLen, so the
@@ -196,6 +214,7 @@ type Generator interface {
 type Source struct {
 	node      int
 	pPacket   float64
+	thresh    uint64 // bernoulliThreshold(pPacket), Next's integer form of the trial
 	packetLen int
 	pattern   Pattern
 	r         *rng.Rng
@@ -215,7 +234,20 @@ func NewSource(node int, rate float64, packetLen int, pattern Pattern, r *rng.Rn
 	if p > 1 {
 		return nil, fmt.Errorf("traffic: rate %v flits/clock exceeds 1 packet/clock at length %d", rate, packetLen)
 	}
-	return &Source{node: node, pPacket: p, packetLen: packetLen, pattern: pattern, r: r}, nil
+	return &Source{node: node, pPacket: p, thresh: bernoulliThreshold(p), packetLen: packetLen, pattern: pattern, r: r}, nil
+}
+
+// bernoulliThreshold returns T such that, for the 53-bit draw x =
+// Uint64()>>11 that rng.Float64 scales by 2^-53, x < T exactly when
+// Float64() < p. Scaling by a power of two is exact, and an integer is
+// below a real number iff it is below the number's ceiling, so T =
+// ceil(p * 2^53); p outside (0, 1) (NaN included) yields 0, for which the
+// comparison never succeeds.
+func bernoulliThreshold(p float64) uint64 {
+	if !(p > 0 && p < 1) {
+		return 0
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Tick returns (dst, true) if a new packet is generated this clock.
@@ -224,6 +256,24 @@ func (s *Source) Tick() (int, bool) {
 		return 0, false
 	}
 	return s.pattern.Dest(s.node, s.r), true
+}
+
+// Next implements Generator. It repeats Tick's Bernoulli trial on the raw
+// 53-bit draw against the precomputed threshold, which decides exactly as
+// Float64() < p does without the float conversion.
+func (s *Source) Next() (int, int) {
+	switch {
+	case s.pPacket >= 1:
+		return 1, s.pattern.Dest(s.node, s.r)
+	case s.pPacket <= 0: // Tick draws nothing and never fires
+		return MaxWait, NoPacket
+	}
+	for wait := 1; wait <= MaxWait; wait++ {
+		if s.r.Uint64()>>11 < s.thresh {
+			return wait, s.pattern.Dest(s.node, s.r)
+		}
+	}
+	return MaxWait, NoPacket
 }
 
 var _ Generator = (*Source)(nil)
@@ -290,6 +340,16 @@ func (s *BurstySource) Tick() (int, bool) {
 	}
 	s.cooldown = s.packetLen - 1 // back-to-back packets while ON
 	return s.pattern.Dest(s.node, s.r), true
+}
+
+// Next implements Generator by running Tick until it fires.
+func (s *BurstySource) Next() (int, int) {
+	for wait := 1; wait <= MaxWait; wait++ {
+		if dst, ok := s.Tick(); ok {
+			return wait, dst
+		}
+	}
+	return MaxWait, NoPacket
 }
 
 var _ Generator = (*BurstySource)(nil)

@@ -41,6 +41,11 @@ func DefaultGates() []Gate {
 			Origin: "PR 4 CI floor: event engine ≥1.3x scan at the paper's 4-port scale",
 		},
 		{
+			Source: "wormsim", Metric: "speedup_event_scan", Scenario: "128sw/4port/r0.45",
+			Min: 1.5, Max: unbounded,
+			Origin: "PR 15 CI floor: parking keeps the event engine ≥1.5x scan on the saturated 4-port network (1.22x before parking)",
+		},
+		{
 			Source: "wormsim", Metric: "speedup_parallel_event", Scenario: "1024sw/8port/r0.1",
 			Min: 2.0, Max: unbounded, MinCores: 4,
 			Origin: "PR 6 CI floor: parallel ≥2x event at 1024sw under load (multi-core hosts only)",

@@ -58,6 +58,8 @@ func regressedDir(t *testing.T) string {
   "configs": [
     {"switches": 128, "ports": 4, "rate": 0.1,
      "engines": {"event": {"cycles_per_sec": 1e6}}, "speedup": 0.9, "speedup_parallel": 1.1},
+    {"switches": 128, "ports": 4, "rate": 0.45,
+     "engines": {"event": {"cycles_per_sec": 1e6}}, "speedup": 1.2, "speedup_parallel": 1.1},
     {"switches": 1024, "ports": 8, "rate": 0.1,
      "engines": {"event": {"cycles_per_sec": 1e5}}, "speedup": 1.5, "speedup_parallel": 1.2}
   ]}`)

@@ -7,9 +7,12 @@ package wormsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
+	"repro/internal/routing"
 )
 
 // benchConfigs are the network shapes the perf pipeline tracks: the paper's
@@ -113,14 +116,48 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// TestSteadyStateAllocs pins the event engine's no-allocation guarantee:
+// fixedPaths is a PathSource answering SamplePath with one precomputed
+// path per pair, so that a source-routed packet allocates nothing but the
+// simulator's own route slice.
+type fixedPaths struct {
+	*routing.Table
+	n     int
+	paths [][]int // src*n + dst
+}
+
+func newFixedPaths(t testing.TB, tb *routing.Table, n int) *fixedPaths {
+	fp := &fixedPaths{Table: tb, n: n, paths: make([][]int, n*n)}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			p, err := tb.FixedPath(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp.paths[src*n+dst] = p
+		}
+	}
+	return fp
+}
+
+// SamplePath implements routing.PathSource without drawing or allocating.
+func (fp *fixedPaths) SamplePath(src, dst int, _ *rng.Rng) ([]int, error) {
+	return fp.paths[src*fp.n+dst], nil
+}
+
+// TestSteadyStateAllocs pins the event engines' no-allocation guarantee:
 // once the network is warm and the unbounded ledgers (the packet table, the
 // latency sample, the source queues) have been given room, a simulation
-// cycle allocates nothing. Adaptive mode is used because source-routed
-// packets intrinsically allocate their route slice at creation. The
-// closed-loop subtest runs the same check over the Workload injection path
-// (poll + delivery notification), with a fixed-capacity token-circulation
-// source.
+// cycle allocates nothing beyond the route slice every source-routed
+// packet intrinsically gets at creation (its path comes from fixedPaths,
+// which allocates nothing itself). The adaptive cases allocate nothing at
+// all; the closed-loop subtest runs the check over the Workload injection
+// path (poll + delivery notification), with a fixed-capacity
+// token-circulation source; the saturated source-routed cases keep lanes
+// and sources parked and waking, and on four workers defer wakes across
+// partitions, so they cover the parking and wake-list paths.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -158,6 +195,20 @@ func TestSteadyStateAllocs(t *testing.T) {
 			Engine:        EngineParallel,
 			Workers:       4,
 		}},
+		{name: "source-routed-saturated", switches: 64, cfg: Config{
+			InjectionRate: 0.45,
+			WarmupCycles:  NoWarmup,
+			MeasureCycles: 1 << 30,
+			Seed:          5,
+		}},
+		{name: "parallel-source-routed-saturated", switches: 256, cfg: Config{
+			InjectionRate: 0.45,
+			WarmupCycles:  NoWarmup,
+			MeasureCycles: 1 << 30,
+			Seed:          5,
+			Engine:        EngineParallel,
+			Workers:       4,
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,9 +217,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 				switches = 32
 			}
 			f, tb := randomFn(t, 21, switches, 4, core.DownUp{})
-			sim, err := New(f, tb, tc.cfg)
+			sim, err := New(f, newFixedPaths(t, tb, switches), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			defer sim.Finish()
+			if tc.cfg.Workers > 0 && sim.Workers() != tc.cfg.Workers {
+				t.Fatalf("Workers() = %d, want %d", sim.Workers(), tc.cfg.Workers)
 			}
 			if err := sim.RunCycles(5000); err != nil {
 				t.Fatal(err)
@@ -182,13 +237,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 				copy(q, sim.queues[v])
 				sim.queues[v] = q
 			}
-			avg := testing.AllocsPerRun(500, func() {
-				if err := sim.RunCycles(1); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg > 0 {
-				t.Fatalf("steady-state cycle allocates: %v allocs/cycle, want 0", avg)
+			const cycles = 500
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			spawned := len(sim.packets)
+			if err := sim.RunCycles(cycles); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			routes := uint64(len(sim.packets) - spawned)
+			if sim.cfg.Mode == Adaptive {
+				routes = 0 // adaptive packets carry no route
+			}
+			// The count is process-wide; like testing.AllocsPerRun, which
+			// floors it to a per-cycle average, tolerate stray runtime
+			// allocations below one per cycle. A per-cycle allocation in
+			// the engine (hundreds of parks and wakes per cycle here)
+			// would exceed that.
+			if allocs := m1.Mallocs - m0.Mallocs; allocs >= routes+cycles {
+				t.Fatalf("steady-state cycles allocate: %d allocations over %d cycles beyond the %d route slices",
+					allocs-routes, cycles, routes)
+			}
+			if sim.cfg.Mode == Adaptive {
+				return
+			}
+			// The saturated cases must really have exercised parking and,
+			// on several workers, the deferred wake lists.
+			if pc := checkParking(t, sim); pc.header+pc.body == 0 || pc.sources == 0 {
+				t.Fatalf("nothing parked at saturation: %+v", pc)
+			}
+			deferred := sim.Workers() == 1
+			for k := range sim.wk {
+				deferred = deferred || cap(sim.wk[k].wakes[0])+cap(sim.wk[k].wakes[1]) > 0
+			}
+			if !deferred {
+				t.Fatal("no worker ever deferred a wake across partitions")
 			}
 		})
 	}

@@ -81,6 +81,13 @@ func TestEnginesByteIdentical(t *testing.T) {
 			return randomFn(t, seed, 256, ports, alg)
 		}
 	}
+	// midNet is big enough for 128-flit worms to span long credit chains,
+	// so parked heads wake through many hops of pops and tails.
+	midNet := func(seed uint64, alg routing.Algorithm) func(t *testing.T) (*routing.Function, *routing.Table) {
+		return func(t *testing.T) (*routing.Function, *routing.Table) {
+			return randomFn(t, seed, 64, 4, alg)
+		}
+	}
 	recoverRing := recoveringRingConfig()
 
 	scenarios := []struct {
@@ -165,10 +172,33 @@ func TestEnginesByteIdentical(t *testing.T) {
 			c.MeasureCycles = 2000
 			c.Workers = 4
 		})},
+		// Parking scenarios: saturated long worms park headers, body flits
+		// and sources for long stretches; kills, DropInFlight and the
+		// resumed feed land on parked lanes and sources; and at 256
+		// switches the parallel engine's wakes cross partitions.
+		{name: "parking/downup-128flit", build: midNet(23, core.DownUp{}), cfg: at(func(c *Config) {
+			c.PacketLength = 128
+			c.InjectionRate = 0.4
+			c.MeasureCycles = 3000
+		})},
+		{name: "parking/lturn-128flit", build: midNet(24, routing.LTurn{}), cfg: at(func(c *Config) {
+			c.PacketLength = 128
+			c.InjectionRate = 0.4
+			c.MeasureCycles = 3000
+		})},
+		{name: "parking/kills-saturated", build: net(25, 4, core.DownUp{}), cfg: at(func(c *Config) { c.InjectionRate = 0.6 }),
+			drive: driveKills(base.WarmupCycles + base.MeasureCycles)},
+		{name: "parking/kills-saturated-2vc", build: net(26, 4, core.DownUp{}), cfg: at(func(c *Config) { c.InjectionRate = 0.6; c.VirtualChannels = 2 }),
+			drive: driveKills(base.WarmupCycles + base.MeasureCycles)},
+		{name: "parking/256sw-parallel", build: bigNet(27, 4, core.DownUp{}), cfg: at(func(c *Config) {
+			c.InjectionRate = 0.45
+			c.MeasureCycles = 2000
+			c.Workers = 4
+		})},
 	}
 
-	if len(scenarios) < 26 {
-		t.Fatalf("differential matrix shrank to %d scenarios; keep it at >= 26", len(scenarios))
+	if len(scenarios) < 32 {
+		t.Fatalf("differential matrix shrank to %d scenarios; keep it at >= 32", len(scenarios))
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

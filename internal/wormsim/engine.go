@@ -1,9 +1,10 @@
 package wormsim
 
 // The event-driven engine (Config.Engine == EngineEvent). The scan engine
-// walks every virtual-channel lane of every switch on every cycle; almost
-// all of those visits find an empty buffer and do nothing. This engine
-// tracks exactly the places where work can happen and visits only those:
+// walks every virtual-channel lane of every switch and ticks every source
+// on every cycle; almost all of those visits find an empty buffer, a head
+// flit that cannot move, or no new packet. This engine tracks exactly the
+// places where work can happen and visits only those:
 //
 //   - filled-wire worklists: a wire holds a flit for exactly one cycle
 //     (credit-based flow control reserves the downstream buffer before the
@@ -14,24 +15,57 @@ package wormsim
 //     the order switchStage fills them in), one for everything else —
 //     replace the O(channels) wire scans.
 //
-//   - active-lane bitmasks: a per-switch bitmask over its input lanes
-//     (set on buffer push, cleared when a visit finds the buffer empty)
-//     plus a bitmask over switches with any active lane replace the
-//     O(channels x VCs) crossbar scan. Blocked lanes stay active — a head
-//     flit waiting on credit must be retried every cycle — so the cost is
-//     O(occupied lanes), the quantity the paper's own saturation story is
-//     about.
+//   - three lane states: every crossbar input lane is idle (empty buffer),
+//     active (its bit is set in the switch's lane mask and it is visited
+//     every cycle), or parked (its head flit waits for one specific wire's
+//     state to change). A bitmask over switches with any active lane
+//     replaces the O(channels x VCs) crossbar scan. A visit parks the lane
+//     only when the wire its head needs is itself free and alive and the
+//     head is blocked by ownership or buffer space: a header at its
+//     destination whose ejection lane is owned, a source-routed or
+//     deterministic header whose route channel has no virtual channel that
+//     is both unowned and has space, or a body flit whose output lane's
+//     downstream buffer is full. The wait is keyed by that physical wire
+//     (a per-wire mask over the waiting switch's lanes). A full or dead
+//     wire (it drains next cycle, or never), an adaptive header (several
+//     candidate channels) and a flit that arrived this cycle stay active.
 //
-//   - an active-source bitmask: nodes whose source queue holds a packet.
+//   - wake rules, each reproducing the first cycle in which the scan
+//     engine could succeed: a tail leaving switch v on output lane o wakes
+//     v's lanes parked on o's wire for the next cycle (the tail has just
+//     filled that wire); a pop from a switch-to-switch input lane at u
+//     wakes the upstream switch's lanes parked on that channel — this
+//     cycle when the upstream id is above u (so the crossbar stage re-reads
+//     the active-switch word after every switch), the next cycle otherwise;
+//     a flit landing behind a parked head leaves the lane parked. The rare
+//     between-cycle mutations that can unblock an arbitrary head (packet
+//     removal by faults, DropInFlight or recovery aborts; KillChannel,
+//     KillSwitch, Rewire) wake every parked lane and source.
+//
+//   - an active-source bitmask: nodes whose source queue holds a packet. A
+//     source whose injection buffer is full parks instead, and the switch's
+//     pop of that injection lane re-marks it in the same cycle (the feed
+//     stage runs after the crossbar). Paused sources, sources backing off
+//     and sources whose wire is dead stay active.
+//
+//   - an arrival calendar: Generator.Next draws each node's next open-loop
+//     packet ahead (its cycle and destination), and a min-heap keyed by
+//     (cycle, node) hands generation exactly the nodes that create a
+//     packet this cycle, in ascending node order. Per-node arrival streams
+//     are private and patterns are stateless, so drawing ahead leaves every
+//     packet, id and route unchanged; the scan engine still ticks every
+//     source every cycle and so checks the schedule differentially.
 //
 // Everything is flat slice-backed — no maps, no per-cycle allocation in
 // steady state (enforced by TestSteadyStateAllocs).
 //
-// Determinism is the hard constraint (the differential tests compare both
+// Determinism is the hard constraint (the differential tests compare the
 // engines byte for byte). The invariants that make the engines identical:
 //
-//   - Visiting an idle resource in the scan engine has no side effects and
-//     draws no randomness, so skipping it cannot change the schedule.
+//   - Visiting an idle or blocked resource in the scan engine has no side
+//     effects and draws no randomness (a blocked adaptive header draws
+//     nothing either, and never parks), so skipping it cannot change the
+//     schedule.
 //   - Active resources are visited in the scan engine's order: lanes in
 //     each switch's round-robin order (the round-robin pointer advances
 //     once per cycle unconditionally in the scan engine, so it equals
@@ -39,12 +73,19 @@ package wormsim
 //     and sources in ascending order, ejection wires in ascending node
 //     order.
 //   - Membership is conservative: a lane/wire/source may be listed with
-//     nothing to do (the shared per-item bodies re-check and no-op, which
-//     also absorbs fault injection and recovery aborts that drain
-//     resources between cycles), but anything with work to do is always
-//     listed.
+//     nothing to do (the shared per-item bodies re-check and no-op, and a
+//     woken lane that is still blocked simply parks again), but anything
+//     with work to do is always listed — a parked lane is woken no later
+//     than the first cycle its head could move.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/traffic"
+)
+
+// noWire is tryForward's "nothing to park on" answer.
+const noWire = int32(-1)
 
 // evState is the event-driven engine's scheduling state. It lives beside
 // the Simulator's physics state and never influences it — only which
@@ -56,14 +97,28 @@ type evState struct {
 	laneSwitch []int32
 	lanePos    []int32
 	// laneWords[v] is the active-lane bitmask of switch v, one bit per
-	// entry of inVCLs[v]: set when the lane's buffer may be non-empty.
+	// entry of inVCLs[v]: set when the lane's buffer may be non-empty and
+	// its head is not parked.
 	laneWords [][]uint64
+	// parkedWords[v] marks v's parked lanes; never overlaps laneWords[v].
+	parkedWords [][]uint64
+	// wireSwitch[w] is the switch whose lanes can park on wire w (the
+	// channel's upstream switch, or the node of an ejection wire; -1 for
+	// injection wires). parkMask[parkOff[w]:][:len(laneWords[wireSwitch[w]])]
+	// holds the positions of the lanes parked on w; every parked lane is
+	// in exactly one wire's mask.
+	wireSwitch []int32
+	parkOff    []int32
+	parkMask   []uint64
 	// switchWords is the active-switch bitmask: set while any lane bit of
 	// the switch is set.
 	switchWords []uint64
 	// srcWords is the active-source bitmask: set while the node's source
-	// queue may hold a packet.
+	// queue may hold a packet and its injection buffer has room.
 	srcWords []uint64
+	// srcParked marks sources parked on a full injection buffer; never
+	// overlaps srcWords.
+	srcParked []uint64
 	// readyEject/readyOther are last cycle's filled-wire lists, consumed by
 	// the delivery and link stages (the current cycle's fills collect in
 	// wctx, and stepEvent swaps the pairs). Ejection fills happen in
@@ -78,41 +133,156 @@ type evState struct {
 // newEvState builds the scheduling state for s; all sets start empty to
 // match the empty network.
 func newEvState(s *Simulator) *evState {
+	words := (s.n + 63) / 64
 	ev := &evState{
 		laneSwitch:  make([]int32, s.vcls),
 		lanePos:     make([]int32, s.vcls),
 		laneWords:   make([][]uint64, s.n),
-		switchWords: make([]uint64, (s.n+63)/64),
-		srcWords:    make([]uint64, (s.n+63)/64),
+		parkedWords: make([][]uint64, s.n),
+		wireSwitch:  make([]int32, s.wires),
+		parkOff:     make([]int32, s.wires),
+		switchWords: make([]uint64, words),
+		srcWords:    make([]uint64, words),
+		srcParked:   make([]uint64, words),
 	}
 	for i := range ev.laneSwitch {
 		ev.laneSwitch[i] = -1
 		ev.lanePos[i] = -1
 	}
-	for v := 0; v < s.n; v++ {
-		lanes := s.inVCLs[v]
-		ev.laneWords[v] = make([]uint64, (len(lanes)+63)/64)
+	total := 0
+	for _, lanes := range s.inVCLs {
+		total += (len(lanes) + 63) / 64
+	}
+	backing := make([]uint64, 2*total) // both per-switch mask sets, one allocation
+	for v, lanes := range s.inVCLs {
+		k := (len(lanes) + 63) / 64
+		ev.laneWords[v], ev.parkedWords[v], backing = backing[:k:k], backing[k:2*k:2*k], backing[2*k:]
 		for p, li := range lanes {
 			ev.laneSwitch[li] = int32(v)
 			ev.lanePos[li] = int32(p)
 		}
 	}
+	off := 0
+	for w := range ev.wireSwitch {
+		v := -1
+		switch {
+		case w < s.nCh:
+			v = s.cg.Channels[w].From
+		case w >= s.nCh+s.n:
+			v = w - s.nCh - s.n
+		}
+		ev.wireSwitch[w] = int32(v)
+		ev.parkOff[w] = int32(off)
+		if v >= 0 {
+			off += len(ev.laneWords[v])
+		}
+	}
+	ev.parkMask = make([]uint64, off)
 	return ev
 }
 
 // markLane wakes the input lane li (its buffer just received a flit) and
-// the switch owning it.
+// the switch owning it. A lane whose head is parked stays parked: the
+// flit landed behind the head, which has not changed.
 func (ev *evState) markLane(li int32) {
 	v := ev.laneSwitch[li]
 	p := ev.lanePos[li]
-	ev.laneWords[v][p>>6] |= 1 << (uint(p) & 63)
+	bit := uint64(1) << (uint(p) & 63)
+	if ev.parkedWords[v][p>>6]&bit != 0 {
+		return
+	}
+	ev.laneWords[v][p>>6] |= bit
 	ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
 }
 
+// park moves lane position p of switch v from the active set to the set of
+// lanes waiting on wire w.
+func (ev *evState) park(v int, p int32, w int32) {
+	bit := uint64(1) << (uint(p) & 63)
+	ev.laneWords[v][p>>6] &^= bit
+	ev.parkedWords[v][p>>6] |= bit
+	ev.parkMask[ev.parkOff[w]+p>>6] |= bit
+}
+
+// wake returns the lanes parked on wire w to their switch's active set.
+// The caller must own that switch's masks (see Simulator.wakeWire).
+func (ev *evState) wake(w int32) {
+	v := ev.wireSwitch[w]
+	lw := ev.laneWords[v]
+	m := ev.parkMask[ev.parkOff[w]:][:len(lw)]
+	pw := ev.parkedWords[v]
+	woke := false
+	for i, b := range m {
+		if b != 0 {
+			lw[i] |= b
+			pw[i] &^= b
+			m[i] = 0
+			woke = true
+		}
+	}
+	if woke {
+		ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
+	}
+}
+
+// wakeAll returns every parked lane and source to its active set. The
+// between-cycle mutations that can unblock an arbitrary head call it;
+// they are rare, and a visit re-parks whatever is still blocked.
+func (ev *evState) wakeAll() {
+	for v, pw := range ev.parkedWords {
+		lw := ev.laneWords[v]
+		for i, b := range pw {
+			if b != 0 {
+				lw[i] |= b
+				pw[i] = 0
+				ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
+			}
+		}
+	}
+	clear(ev.parkMask)
+	for i, b := range ev.srcParked {
+		ev.srcWords[i] |= b
+		ev.srcParked[i] = 0
+	}
+}
+
 // markSource wakes node v's injection feed (its queue just received a
-// packet).
+// packet). A source parked on a full injection buffer stays parked: the
+// new packet queues behind the one waiting for room.
 func (ev *evState) markSource(v int) {
-	ev.srcWords[v>>6] |= 1 << (uint(v) & 63)
+	bit := uint64(1) << (uint(v) & 63)
+	if ev.srcParked[v>>6]&bit == 0 {
+		ev.srcWords[v>>6] |= bit
+	}
+}
+
+// wakeSource re-activates node v's feed if it is parked on a full
+// injection buffer; the crossbar calls it after popping that buffer.
+func (ev *evState) wakeSource(v int) {
+	bit := uint64(1) << (uint(v) & 63)
+	if ev.srcParked[v>>6]&bit != 0 {
+		ev.srcParked[v>>6] &^= bit
+		ev.srcWords[v>>6] |= bit
+	}
+}
+
+// wakeAll wakes every parked lane and source (a no-op under EngineScan).
+func (s *Simulator) wakeAll() {
+	if s.ev != nil {
+		s.ev.wakeAll()
+	}
+}
+
+// wakeWire wakes the lanes parked on wire w. A worker applies the wake
+// directly when it owns the waiting switch; otherwise (EngineParallel, a
+// pop next to a partition boundary) it defers it to the owner through its
+// wake list for the current wavefront level.
+func (s *Simulator) wakeWire(wx *wctx, w int32) {
+	if v := s.ev.wireSwitch[w]; v < wx.ownLo || v >= wx.ownHi {
+		wx.wakes[wx.parity] = append(wx.wakes[wx.parity], w)
+		return
+	}
+	s.ev.wake(w)
 }
 
 // stepEvent runs one cycle under the event-driven engine: the same stage
@@ -131,29 +301,33 @@ func (s *Simulator) stepEvent() {
 		s.linkWire(wx, int(w))
 	}
 	s.switchStageEvent(wx)
-	s.feedInjectionEvent(wx)
+	s.feedInjectionEvent(wx, 0, len(ev.srcWords))
 	s.generate()
 }
 
 // switchStageEvent visits every switch with at least one active input
-// lane, in ascending order.
+// lane, in ascending order. It re-reads the active-switch word after each
+// switch, because a pop can wake a higher-numbered upstream switch for
+// this very cycle.
 func (s *Simulator) switchStageEvent(wx *wctx) {
-	ev := s.ev
-	for wi, word := range ev.switchWords {
+	sw := s.ev.switchWords
+	for wi := range sw {
 		base := wi << 6
-		for word != 0 {
-			v := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if s.switchEvent(wx, v) {
-				ev.switchWords[wi] &^= 1 << (uint(v) & 63)
+		for word := sw[wi]; word != 0; {
+			b := uint(bits.TrailingZeros64(word))
+			if s.switchEvent(wx, base+int(b)) {
+				sw[wi] &^= 1 << b
 			}
+			word = sw[wi] &^ (2<<b - 1) // only switches above this one
 		}
 	}
 }
 
 // switchEvent runs the crossbar stage of one switch over its active lanes
-// in round-robin order, pruning lanes whose buffers turn out (or end up)
-// empty. It reports whether the switch went fully idle.
+// in round-robin order, retiring lanes whose buffers turn out (or end up)
+// empty and parking lanes whose heads wait on one wire. It reports whether
+// the switch has no active lane left (a tail that left this cycle may
+// have woken some for the next).
 func (s *Simulator) switchEvent(wx *wctx, v int) bool {
 	ev := s.ev
 	lanes := s.inVCLs[v]
@@ -162,30 +336,38 @@ func (s *Simulator) switchEvent(wx *wctx, v int) bool {
 	ord := appendSetBits(wx.ord[:0], words, start, len(lanes))
 	ord = appendSetBits(ord, words, 0, start)
 	wx.ord = ord
-	idle := true
 	for _, p := range ord {
 		li := lanes[p]
-		s.tryForward(wx, v, li)
+		w := s.tryForward(wx, v, li)
 		if s.bufs[li].empty() {
 			words[p>>6] &^= 1 << (uint(p) & 63)
-		} else {
-			idle = false
+		} else if w != noWire {
+			ev.park(v, p, w)
 		}
 	}
-	return idle
+	for _, word := range words {
+		if word != 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// feedInjectionEvent visits every node with a (possibly) non-empty source
-// queue, in ascending order, retiring nodes that have nothing to inject.
-func (s *Simulator) feedInjectionEvent(wx *wctx) {
+// feedInjectionEvent visits every node with an active source in the
+// source-mask words [lo, hi), in ascending order, retiring nodes that
+// have nothing to inject and parking nodes whose injection buffer is full.
+func (s *Simulator) feedInjectionEvent(wx *wctx, lo, hi int) {
 	ev := s.ev
-	for wi, word := range ev.srcWords {
+	for wi := lo; wi < hi; wi++ {
 		base := wi << 6
-		for word != 0 {
-			v := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if s.feedNode(wx, v) {
-				ev.srcWords[wi] &^= 1 << (uint(v) & 63)
+		for word := ev.srcWords[wi]; word != 0; word &= word - 1 {
+			b := uint(bits.TrailingZeros64(word))
+			switch s.feedNode(wx, base+int(b)) {
+			case feedIdle:
+				ev.srcWords[wi] &^= 1 << b
+			case feedFull:
+				ev.srcWords[wi] &^= 1 << b
+				ev.srcParked[wi] |= 1 << b
 			}
 		}
 	}
@@ -213,4 +395,79 @@ func appendSetBits(dst []int32, words []uint64, lo, hi int) []int32 {
 		}
 	}
 	return dst
+}
+
+// arrival is one node's next open-loop packet start, drawn ahead by
+// traffic.Generator.Next: the cycle whose Tick would fire and the
+// destination it would draw (traffic.NoPacket when the draw-ahead window
+// elapsed silently and the node must draw again at that cycle).
+type arrival struct {
+	cycle int
+	node  int32
+	dst   int32
+}
+
+// before orders the arrival calendar by cycle, then node, so one cycle's
+// arrivals leave the heap in ascending node order — the order the scan
+// engine ticks the sources in, which fixes packet ids.
+func (a arrival) before(b arrival) bool {
+	return a.cycle < b.cycle || (a.cycle == b.cycle && a.node < b.node)
+}
+
+// initArrivals draws the first arrival of every node in [lo, hi) (relative
+// to cycle 0, before the first RunCycles) into a calendar heap.
+func (s *Simulator) initArrivals(lo, hi int) []arrival {
+	h := make([]arrival, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		wait, dst := s.sources[v].Next()
+		h = append(h, arrival{cycle: wait, node: int32(v), dst: int32(dst)})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	return h
+}
+
+// dueArrival returns the next node in wx's calendar whose packet starts
+// this cycle and that packet's destination, drawing the node's following
+// arrival first; ok=false when no arrival is due. Dead nodes leave the
+// calendar (the scan engine stops ticking them).
+func (s *Simulator) dueArrival(wx *wctx) (v, dst int, ok bool) {
+	h := wx.arrivals
+	for len(h) > 0 && h[0].cycle == s.cycle {
+		a := h[0]
+		v = int(a.node)
+		if s.deadNode[v] {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftDown(h, 0)
+			wx.arrivals = h
+			continue
+		}
+		wait, next := s.sources[v].Next()
+		h[0] = arrival{cycle: s.cycle + wait, node: a.node, dst: int32(next)}
+		siftDown(h, 0)
+		if a.dst != traffic.NoPacket {
+			return v, int(a.dst), true
+		}
+	}
+	return 0, 0, false
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []arrival, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

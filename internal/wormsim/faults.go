@@ -9,7 +9,9 @@ package wormsim
 //
 // All operations here are deterministic: packets are dropped in ascending
 // id order, and every count flows into the Result so the conservation law
-// (Result.CheckConservation) stays checkable.
+// (Result.CheckConservation) stays checkable. Each one wakes every lane and
+// source the event engines have parked (engine.go): a kill, a rewire or a
+// removed packet can change what any waiting head is blocked on.
 
 import (
 	"fmt"
@@ -49,6 +51,7 @@ func (s *Simulator) KillChannel(ch int) int {
 	}
 	s.faulted = true
 	s.deadWire[ch] = true
+	s.wakeAll()
 	victims := make(map[int32]struct{})
 	// Packets physically on the channel: owners of its lanes, flits in its
 	// lane buffers, the flit on its wire.
@@ -126,6 +129,7 @@ func (s *Simulator) KillSwitch(v int) int {
 	// The node's injection/ejection wires go dead with it.
 	s.deadWire[s.vclWire(s.injVCL(v))] = true
 	s.deadWire[s.vclWire(s.ejectVCL(v))] = true
+	s.wakeAll()
 	return dropped + s.dropAll(victims)
 }
 
@@ -143,6 +147,7 @@ func (s *Simulator) KillSwitch(v int) int {
 func (s *Simulator) Rewire(tb routing.PathSource) int {
 	s.faulted = true
 	s.tb = tb
+	s.wakeAll()
 	unroutable := 0
 	for v := 0; v < s.n; v++ {
 		if s.deadNode[v] {
@@ -318,6 +323,7 @@ func (s *Simulator) removePacketFlits(pid int32) int {
 		}
 	}
 	s.inFlight -= removed
+	s.wakeAll()
 	if want := int(p.sentFlits - p.delivered); removed != want {
 		panic(fmt.Sprintf("wormsim: removing packet %d removed %d flits, expected %d (accounting broken)",
 			pid, removed, want))

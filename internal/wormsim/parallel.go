@@ -26,6 +26,20 @@ package wormsim
 //     lifetime (faults only flag resources dead; Rewire swaps the path
 //     source), so the schedule is computed once.
 //
+//   - deferred wakes across partitions: a crossbar pop wakes the lanes
+//     parked upstream on its channel (engine.go). A worker wakes its own
+//     switches directly; a wake for another worker's switch goes into the
+//     waker's list for the level's parity, and after each level barrier
+//     every worker applies the previous level's wakes that target its own
+//     switches (the last level's, in the next cycle's link phase).
+//     Adjacent switches never share a level, and between neighbors the
+//     level order is the id order, so a wake for a higher-numbered
+//     neighbor still lands before that neighbor's level runs — the
+//     sequential engine's "this cycle" — and one for a lower-numbered
+//     neighbor lands after its level ran, the sequential "next cycle".
+//     Lists alternate by parity because a level's lists are read during
+//     the next level, while the workers write the other parity's.
+//
 //   - deterministic merge order: per-worker filled-wire lists, counter
 //     deltas, and staged packet spawns are drained in ascending worker
 //     order. Ejection fills are sorted within each worker; since ranges
@@ -43,16 +57,21 @@ package wormsim
 // Everything between cycles — recovery scans, fault injection, the
 // watchdog — already runs on the caller goroutine and needs no change.
 //
-// The pool is W-1 goroutines parked on a channel; within a cycle the
-// phases synchronize on a generation-counting spin barrier (spinners yield
-// to the scheduler, so single-core machines make progress, just without
-// speedup). Workers never root the Simulator while parked: they receive it
-// anew each cycle, so an abandoned simulator stays collectable, and a
-// finalizer backstop closes the pool if Finish is never called (error
-// paths in drivers). A panic on any worker marks the run broken, every
-// spin loop drains, and the coordinator re-panics with the original value
-// on the caller goroutine — exactly what the harness's panic guard
-// expects.
+// The pool is W-1 goroutines. Between back-to-back cycles a worker spins on
+// a cycle counter, so a cycle starts without waking a goroutine; once the
+// coordinator stays quiet it parks on a channel and the next cycle comes
+// as a token. Within a cycle the phases synchronize on a
+// generation-counting spin barrier (spinners yield to the scheduler, so
+// single-core machines make progress, just without speedup). Only the
+// phases that read another worker's writes are separated by one: nothing
+// waits behind the last crossbar level or the feed phase, whose effects
+// stay within the worker until the next cycle. Workers never root the
+// Simulator while parked: they receive it anew with each token, so an
+// abandoned simulator stays collectable, and a finalizer backstop closes
+// the pool if Finish is never called (error paths in drivers). A panic on
+// any worker marks the run broken, every spin loop drains, and the
+// coordinator re-panics with the original value on the caller goroutine —
+// exactly what the harness's panic guard expects.
 
 import (
 	"math/bits"
@@ -91,7 +110,9 @@ type parState struct {
 	// workers wake, constant within a cycle.
 	seqSwitch, seqFeed, seqGen bool
 
-	work     chan *Simulator // wakes parked workers, one token per worker per cycle
+	work     chan *Simulator // wakes parked workers, one token per parked worker per cycle
+	cycleGen atomic.Uint32   // bumped as each cycle starts; spinning workers watch it
+	parked   []atomic.Bool   // per worker: parked on work rather than spinning on cycleGen
 	barCount atomic.Int32    // spin-barrier arrival count
 	barGen   atomic.Uint32   // spin-barrier generation
 	done     atomic.Int32    // workers finished with the current cycle
@@ -168,7 +189,9 @@ func newParState(s *Simulator, requested int) *parState {
 	par.readyOther = make([][]int32, w)
 	if w > 1 {
 		par.work = make(chan *Simulator, w-1)
+		par.parked = make([]atomic.Bool, w)
 		for k := 1; k < w; k++ {
+			par.parked[k].Store(true)
 			go par.workerLoop(k)
 		}
 		// Drivers abandon simulators on error paths without calling
@@ -196,12 +219,42 @@ func (s *Simulator) releaseWorkers() {
 	s.par.stop.Do(func() { close(s.par.work) })
 }
 
-// workerLoop parks worker k between cycles; each received token is one
-// cycle of work on the sending simulator.
+// workerLoop runs worker k's cycles: one on each token received while
+// parked, then as many as the coordinator starts while it spins.
 func (par *parState) workerLoop(k int) {
 	for s := range par.work {
-		s.parCycleWorker(k)
+		for {
+			gen := par.cycleGen.Load()
+			s.parCycleWorker(k)
+			if !par.awaitCycle(k, gen) {
+				break
+			}
+		}
 	}
+}
+
+// parkAfterSpins bounds how long (in polls, most of them scheduler yields)
+// an idle worker waits for the next cycle before parking.
+const parkAfterSpins = 1 << 12
+
+// awaitCycle waits, as worker k after the cycle numbered gen, for the next
+// cycle: true once it has started, false when the worker parks instead
+// (the next cycle then sends it a token). The worker announces parking
+// before its last look at the counter, and the coordinator bumps the
+// counter before it looks at the announcement, so a cycle starting in
+// between is either seen here (and claimed back) or sent as a token —
+// never both, never neither.
+func (par *parState) awaitCycle(k int, gen uint32) bool {
+	for i := 0; i < parkAfterSpins && !par.broken.Load(); i++ {
+		if par.cycleGen.Load() != gen {
+			return true
+		}
+		if i > 32 {
+			runtime.Gosched()
+		}
+	}
+	par.parked[k].Store(true)
+	return par.cycleGen.Load() != gen && par.parked[k].CompareAndSwap(true, false)
 }
 
 // parCycleWorker runs one cycle's phases as worker k, converting a panic
@@ -291,8 +344,11 @@ func (s *Simulator) stepParallel() {
 		}
 	}
 	par.done.Store(0)
+	par.cycleGen.Add(1)
 	for k := 1; k < par.workers; k++ {
-		par.work <- s
+		if par.parked[k].CompareAndSwap(true, false) {
+			par.work <- s
+		}
 	}
 	s.parCycle(0)
 	par.awaitWorkers()
@@ -336,6 +392,10 @@ func (s *Simulator) parCycle(k int) {
 			}
 		}
 	}
+	// The wakes deferred during the previous cycle's last crossbar level,
+	// which no barrier followed (all are next-cycle wakes). Their lists are
+	// not rewritten before this phase's barrier.
+	s.applyWakes(k, (par.nLevels-1)&1)
 	if !par.barrier() {
 		return
 	}
@@ -344,17 +404,24 @@ func (s *Simulator) parCycle(k int) {
 	// Same-level switches are mutually non-adjacent, so concurrent
 	// processing commutes; the barrier between levels reproduces the
 	// sequential engines' same-cycle credit visibility between adjacent
-	// switches.
+	// switches. The sequential fallback owns, and so wakes, every switch.
 	if par.seqSwitch {
 		if k == 0 {
+			wx.ownLo, wx.ownHi = 0, int32(s.n)
 			s.switchStageEvent(wx)
 		}
 		if !par.barrier() {
 			return
 		}
 	} else {
+		wx.ownLo, wx.ownHi = lo, hi
 		sw := s.ev.switchWords
 		for l := 0; l < par.nLevels; l++ {
+			if l > 0 {
+				s.applyWakes(k, (l-1)&1)
+			}
+			wx.parity = l & 1
+			wx.wakes[wx.parity] = wx.wakes[wx.parity][:0]
 			mask := par.levelMasks[l]
 			for wi := par.wordLo[k]; wi < par.wordHi[k]; wi++ {
 				word := mask[wi] & sw[wi]
@@ -367,7 +434,7 @@ func (s *Simulator) parCycle(k int) {
 					}
 				}
 			}
-			if !par.barrier() {
+			if l < par.nLevels-1 && !par.barrier() {
 				return
 			}
 		}
@@ -378,47 +445,54 @@ func (s *Simulator) parCycle(k int) {
 	// coordinator consumes next cycle.
 	slices.Sort(wx.fillEject)
 
-	// Feed phase: per-node state, partitioned by owner.
+	// Feed phase: per-node state, partitioned by owner. It reads only what
+	// the owner's own crossbar turn wrote (the node's injection lane), so
+	// it needs no barrier behind the last level; the sequential feed
+	// follows the sequential crossbar's barrier.
 	if par.seqFeed {
 		if k == 0 {
-			s.feedInjectionEvent(wx)
+			s.feedInjectionEvent(wx, 0, len(s.ev.srcWords))
 		}
 	} else {
-		for wi := par.wordLo[k]; wi < par.wordHi[k]; wi++ {
-			word := s.ev.srcWords[wi]
-			base := wi << 6
-			for word != 0 {
-				v := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if s.feedNode(wx, v) {
-					s.ev.srcWords[wi] &^= 1 << (uint(v) & 63)
-				}
-			}
-		}
-	}
-	if !par.barrier() {
-		return
+		s.feedInjectionEvent(wx, par.wordLo[k], par.wordHi[k])
 	}
 
-	// Generate phase: tick the owned sources and sample routes into the
-	// staging list; the coordinator commits after the cycle. Under a
-	// closed-loop workload the ClosedLoop contract (single goroutine,
-	// ascending node order) forces the sequential path.
+	// Generate phase: take the owned nodes whose arrival is due and sample
+	// routes into the staging list; the coordinator commits after the
+	// cycle. Under a closed-loop workload the ClosedLoop contract (single
+	// goroutine, ascending node order) forces the sequential path, after
+	// every feed (spawning writes any node's queue).
 	if par.seqGen {
+		if !par.barrier() {
+			return
+		}
 		if k == 0 {
 			s.generate()
 		}
 		return
 	}
-	for v := par.lo[k]; v < par.hi[k]; v++ {
-		if s.deadNode[v] {
-			continue
-		}
-		dst, ok := s.sources[v].Tick()
+	for {
+		v, dst, ok := s.dueArrival(wx)
 		if !ok {
-			continue
+			return
 		}
 		route, rok := s.sampleRoute(wx, v, dst)
 		wx.spawns = append(wx.spawns, spawnRec{v: int32(v), dst: int32(dst), ok: rok, route: route})
+	}
+}
+
+// applyWakes applies, as worker k, the wakes the other workers deferred
+// during the last level of the given parity that target k's switches.
+func (s *Simulator) applyWakes(k, parity int) {
+	lo, hi := int32(s.par.lo[k]), int32(s.par.hi[k])
+	for j := range s.wk {
+		if j == k {
+			continue
+		}
+		for _, w := range s.wk[j].wakes[parity] {
+			if v := s.ev.wireSwitch[w]; v >= lo && v < hi {
+				s.ev.wake(w)
+			}
+		}
 	}
 }

@@ -54,10 +54,11 @@ type Engine int
 
 const (
 	// EngineEvent (the default) is the event-driven fast path: per-switch
-	// active-lane worklists, an active-source set, and per-cycle filled-wire
-	// lists let every stage iterate O(active) instead of O(channels x
-	// virtual channels). Flat slice-backed bitmask scheduling — no maps on
-	// the hot path.
+	// active-lane worklists that park blocked heads on the wire they wait
+	// for, an active-source set, per-cycle filled-wire lists, and an
+	// arrival calendar drawn ahead let every stage iterate only what can
+	// make progress instead of O(channels x virtual channels) or O(nodes).
+	// Flat slice-backed bitmask scheduling — no maps on the hot path.
 	EngineEvent Engine = iota
 	// EngineScan is the original engine: every stage scans every lane of
 	// every switch each cycle. It is kept as the independently-implemented
@@ -561,6 +562,18 @@ type wctx struct {
 	freeBuf []int32
 	ord     []int32
 
+	// ownLo/ownHi is the switch range whose parked lanes this worker wakes
+	// directly; a wake outside it goes to wakes[parity] for the owner to
+	// apply after the wavefront level (parity) ends. The sequential engines
+	// own every switch.
+	ownLo, ownHi int32
+	wakes        [2][]int32
+	parity       int
+
+	// arrivals is the calendar heap of the open-loop arrivals drawn ahead
+	// for the nodes this worker generates for (event and parallel engines).
+	arrivals []arrival
+
 	// spawns stages the packets sampled by the parallel generate phase;
 	// the coordinator commits them in worker order (== ascending source
 	// node order) so packet ids match the sequential engines.
@@ -783,8 +796,17 @@ func New(fn *routing.Function, tb routing.PathSource, cfg Config) (*Simulator, e
 	}
 	s.wk = make([]wctx, workers)
 	for i := range s.wk {
-		s.wk[i].events = cfg.Engine != EngineScan
-		s.wk[i].ejBase = nCh + n
+		wx := &s.wk[i]
+		wx.events = cfg.Engine != EngineScan
+		wx.ejBase = nCh + n
+		wx.ownHi = int32(n)
+		if s.ev != nil && cfg.Workload == nil {
+			lo, hi := 0, n
+			if s.par != nil {
+				lo, hi = s.par.lo[i], s.par.hi[i]
+			}
+			wx.arrivals = s.initArrivals(lo, hi)
+		}
 	}
 	return s, nil
 }
@@ -1065,34 +1087,60 @@ func (s *Simulator) canAccept(out int32) bool {
 	return !s.bufs[out].full()
 }
 
+// parkOn reports the wire a blocked head waiting on wire w may park on:
+// w itself when it is free and alive, so that only ownership or buffer
+// space can be in the way; noWire when it is full (it drains next cycle)
+// or dead (it never does), which keeps the lane polling.
+func (s *Simulator) parkOn(w int32) int32 {
+	if s.wireFull[w] || s.deadWire[w] {
+		return noWire
+	}
+	return w
+}
+
 // tryForward attempts to advance the head flit of input vclane li at
-// switch v. Under EngineParallel it runs on the worker owning v; every
-// resource it touches — v's input lanes, the lanes and wires of channels
-// leaving v, the header packet's hop fields — is written only during v's
-// crossbar turn, and the wavefront schedule sequences adjacent switches.
-func (s *Simulator) tryForward(wx *wctx, v int, li int32) {
+// switch v. When the head stays blocked on a single wire by ownership or
+// buffer space it returns that wire, on which the event engines park the
+// lane; otherwise noWire. Under EngineParallel it runs on the worker
+// owning v; every resource it touches — v's input lanes, the lanes and
+// wires of channels leaving v, the header packet's hop fields — is written
+// only during v's crossbar turn, and the wavefront schedule sequences
+// adjacent switches.
+func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
 	b := &s.bufs[li]
 	if b.empty() {
-		return
+		return noWire
 	}
 	f := b.front()
 	if f.arrived >= s.now {
-		return
+		return noWire
 	}
 	out := s.nextOut[li]
 	if f.idx == 0 {
 		// Header: needs routing + output allocation (its one clock through
 		// the switch is the routing/arbitration clock).
-		out = s.routeHeader(wx, v, li, f)
-		if out == noVCL {
-			return // blocked: desired output(s) busy
+		var park int32
+		if out, park = s.routeHeader(wx, v, li, f); out == noVCL {
+			return park // blocked: desired output(s) busy
 		}
 	}
-	if out == noVCL || !s.canAccept(out) {
-		return
+	if out == noVCL {
+		return noWire
+	}
+	if !s.canAccept(out) {
+		return s.parkOn(s.vclWire(out))
 	}
 	p := &s.packets[f.pkt]
 	fl := b.pop()
+	if wx.events {
+		// The pop frees a credit: wake the upstream lanes waiting for this
+		// channel's buffer space, or the node's source feed.
+		if ch := s.vclChannel(li); ch >= 0 {
+			s.wakeWire(wx, int32(ch))
+		} else {
+			s.ev.wakeSource(v)
+		}
+	}
 	fl.arrived = s.now
 	w := s.vclWire(out)
 	s.wire[w] = fl
@@ -1116,33 +1164,40 @@ func (s *Simulator) tryForward(wx *wctx, v int, li int32) {
 	}
 	if fl.idx == p.length-1 {
 		// Tail transmitted: release the output virtual channel and the
-		// input lane's packet binding.
+		// input lane's packet binding. The lanes waiting for the channel
+		// may try again next cycle, once the tail has left its wire.
 		s.owner[out] = noOwner
 		s.nextOut[li] = noVCL
+		if wx.events {
+			s.wakeWire(wx, w)
+		}
 	}
+	return noWire
 }
 
 // routeHeader picks and allocates an output vclane for a header flit at
-// switch v that arrived on vclane li, or returns noVCL if it must wait.
-func (s *Simulator) routeHeader(wx *wctx, v int, li int32, f *flit) int32 {
+// switch v that arrived on vclane li, or returns noVCL and the wire the
+// header may park on (noWire for adaptive headers, which have several
+// candidate channels) if it must wait.
+func (s *Simulator) routeHeader(wx *wctx, v int, li int32, f *flit) (out, park int32) {
 	p := &s.packets[f.pkt]
 	if int32(v) == p.dst {
 		out := s.ejectVCL(v)
 		if s.owner[out] != noOwner || !s.canAccept(out) {
-			return noVCL
+			return noVCL, s.parkOn(s.vclWire(out))
 		}
 		s.owner[out] = f.pkt
-		return out
+		return out, noWire
 	}
 	switch s.cfg.Mode {
 	case SourceRouted, Deterministic:
 		ch := p.route[p.hop]
 		out := s.allocVC(int(ch), f.pkt)
 		if out == noVCL {
-			return noVCL
+			return noVCL, s.parkOn(ch)
 		}
 		p.hop++
-		return out
+		return out, noWire
 	default: // Adaptive
 		state := routing.InjectionState(v)
 		if ch := s.vclChannel(li); ch >= 0 {
@@ -1160,11 +1215,11 @@ func (s *Simulator) routeHeader(wx *wctx, v int, li int32, f *flit) int32 {
 			}
 		}
 		if len(wx.freeBuf) == 0 {
-			return noVCL
+			return noVCL, noWire
 		}
 		out := s.selectVCL(wx.freeBuf)
 		s.owner[out] = f.pkt
-		return out
+		return out, noWire
 	}
 }
 
@@ -1216,16 +1271,26 @@ func (s *Simulator) feedInjection() {
 	}
 }
 
+// feedStatus is feedNode's verdict on a source, which the event engines
+// use to keep, retire or park it.
+type feedStatus int8
+
+const (
+	feedBusy feedStatus = iota // more to inject, or waiting on a pause, a backoff or a dead wire
+	feedIdle                   // nothing left to inject: dead node or empty queue
+	feedFull                   // injection buffer full: nothing moves until the crossbar pops it
+)
+
 // feedNode advances node v's source queue by at most one flit. It is the
-// per-node body shared by all engines; the returned bool reports whether
-// the node has nothing left to inject (dead, or its queue is empty), which
-// the event engine uses to retire the node from its active-source set.
-// Under EngineParallel it runs on the worker owning v: the injection wire,
-// the source queue, and the streaming packet's injection fields belong to v
+// per-node body shared by all engines; the returned status tells the
+// event engines whether to keep the node in their active-source set,
+// retire it, or park it until its injection buffer has room. Under
+// EngineParallel it runs on the worker owning v: the injection wire, the
+// source queue, and the streaming packet's injection fields belong to v
 // alone.
-func (s *Simulator) feedNode(wx *wctx, v int) bool {
+func (s *Simulator) feedNode(wx *wctx, v int) feedStatus {
 	if s.deadNode[v] {
-		return true
+		return feedIdle
 	}
 	q := s.queues[v]
 	// Skip packets dropped by fault injection while queued.
@@ -1234,12 +1299,15 @@ func (s *Simulator) feedNode(wx *wctx, v int) bool {
 	}
 	h := s.qHead[v]
 	if h >= len(q) {
-		return true
+		return feedIdle
 	}
 	l := s.injVCL(v)
 	w := s.vclWire(l)
-	if s.wireFull[w] || s.deadWire[w] || s.bufs[l].full() {
-		return false
+	if s.wireFull[w] || s.deadWire[w] {
+		return feedBusy
+	}
+	if s.bufs[l].full() {
+		return feedFull
 	}
 	pid := q[h]
 	p := &s.packets[pid]
@@ -1247,10 +1315,10 @@ func (s *Simulator) feedNode(wx *wctx, v int) bool {
 		if s.paused {
 			// Static draining: packets already streaming finish, new
 			// ones wait for the reconfiguration to complete.
-			return false
+			return feedBusy
 		}
 		if p.notBefore > s.now {
-			return false // aborted packet still backing off before its retry
+			return feedBusy // aborted packet still backing off before its retry
 		}
 		p.injected = s.now
 		if p.firstInjected < 0 {
@@ -1276,13 +1344,17 @@ func (s *Simulator) feedNode(wx *wctx, v int) bool {
 			s.qHead[v] = 0
 		}
 	}
-	return s.qHead[v] >= len(s.queues[v])
+	if s.qHead[v] >= len(s.queues[v]) {
+		return feedIdle
+	}
+	return feedBusy
 }
 
 // generate creates new packets: from the open-loop arrival processes, or,
 // under Config.Workload, by polling the closed-loop source. Both branches
 // funnel into spawnPacket, so path selection, unroutable accounting, and
-// event-engine wakeups are identical.
+// event-engine wakeups are identical. The scan engine ticks every source;
+// the event engine takes only the nodes its arrival calendar has due.
 func (s *Simulator) generate() {
 	wx := &s.wk[0]
 	if s.cfg.Workload != nil {
@@ -1297,6 +1369,15 @@ func (s *Simulator) generate() {
 			s.spawnPacket(wx, v, dst, tag)
 		}
 		return
+	}
+	if s.ev != nil {
+		for {
+			v, dst, ok := s.dueArrival(wx)
+			if !ok {
+				return
+			}
+			s.spawnPacket(wx, v, dst, noTag)
+		}
 	}
 	for v := 0; v < s.n; v++ {
 		if s.deadNode[v] {

@@ -29,12 +29,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Engine performance comparison: time the event-driven fast path, the
-# full-scan baseline, and the partitioned parallel engine on 128- and
-# 1024-switch networks and write the report (cycles/sec, ns/flit-hop,
-# allocs/cycle, event/scan and parallel/event speedups, host core count)
-# to results/BENCH_wormsim.json. The engines are byte-identical (see
-# TestEnginesByteIdentical), so this is purely a speed measurement.
+# Engine performance comparison: time the event-driven fast path and the
+# full-scan baseline on 128- and 1024-switch networks and write the report
+# (cycles/sec, ns/flit-hop, allocs/cycle, event/scan speedup, host core
+# count) to results/BENCH_wormsim.json. The engines are byte-identical
+# (see TestEnginesByteIdentical), so this is purely a speed measurement.
 bench:
 	mkdir -p results
 	$(GO) run ./cmd/irperf -json results/BENCH_wormsim.json
@@ -50,7 +49,7 @@ lint-docs:
 	$(GO) run ./cmd/doclint
 
 # Co-simulation smoke: replay a canonical session through irserve -stdio on
-# the event and parallel engines and require byte-identical replies — the
+# the event and scan engines and require byte-identical replies — the
 # transport/engine determinism contract of docs/COSIM.md, end to end.
 serve-smoke:
 	mkdir -p results/.bin
@@ -58,8 +57,8 @@ serve-smoke:
 	@set -e; \
 	script='{"type":"hello","hello":{"v":1}}\n{"type":"query","id":1,"op":"advance","query":{"cycles":500}}\n{"type":"query","id":2,"op":"latency","query":{"src":0,"dst":17,"bytes":256}}\n{"type":"query","id":3,"op":"stats"}\n{"type":"query","id":4,"op":"bye"}'; \
 	printf "$$script\n" | results/.bin/irserve -stdio -switches 24 -seed 7 -engine event > results/.bin/cosim_event.out; \
-	printf "$$script\n" | results/.bin/irserve -stdio -switches 24 -seed 7 -engine parallel -workers 4 > results/.bin/cosim_par.out; \
-	cmp results/.bin/cosim_event.out results/.bin/cosim_par.out; \
+	printf "$$script\n" | results/.bin/irserve -stdio -switches 24 -seed 7 -engine scan > results/.bin/cosim_scan.out; \
+	cmp results/.bin/cosim_event.out results/.bin/cosim_scan.out; \
 	echo "serve-smoke: engines byte-identical over stdio"
 
 # Cross-PR perf-regression gate: normalize the four results/BENCH_*.json

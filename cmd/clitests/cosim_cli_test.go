@@ -41,15 +41,13 @@ func runServeStdio(t *testing.T, extra ...string) string {
 }
 
 // TestIrserveStdioByteIdentity replays the same session twice per engine:
-// each run must be byte-identical to the last — and to every other
-// engine/worker combination, the cross-engine determinism contract.
+// each run must be byte-identical to the last — and to the other engine,
+// the cross-engine determinism contract.
 func TestIrserveStdioByteIdentity(t *testing.T) {
 	var ref string
 	for _, variant := range [][]string{
 		{"-engine", "event"},
 		{"-engine", "scan"},
-		{"-engine", "parallel", "-workers", "1"},
-		{"-engine", "parallel", "-workers", "4"},
 	} {
 		out := runServeStdio(t, variant...)
 		if again := runServeStdio(t, variant...); again != out {

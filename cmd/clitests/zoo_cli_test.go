@@ -47,7 +47,7 @@ func TestIrzooSmoke(t *testing.T) {
 	// Determinism across engines and parallelism, through the real binary.
 	json2 := filepath.Join(dir, "zoo2.json")
 	again := run(t, "irzoo", append(args[:len(args)-1],
-		json2, "-engine", "event", "-workers", "2", "-parallelism", "1")...)
+		json2, "-engine", "scan", "-parallelism", "1")...)
 	if again != out {
 		t.Fatalf("irzoo output not deterministic across engines:\n%s\n---\n%s", out, again)
 	}

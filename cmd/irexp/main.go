@@ -46,8 +46,7 @@ func main() {
 		rates    = flag.String("rates", "", "override injection-rate sweep (comma-separated)")
 		policies = flag.String("policies", "", "override tree policies (e.g. M1,M3)")
 		adaptive = flag.Bool("adaptive", false, "use per-hop adaptive routing")
-		engine   = flag.String("engine", "event", "simulation engine: event (fast path), scan (baseline), or parallel (multi-worker); results are byte-identical")
-		workers  = flag.Int("workers", 0, "worker pool size per simulation for -engine parallel (0 = GOMAXPROCS; never affects results)")
+		engine   = flag.String("engine", "event", "simulation engine: event (fast path) or scan (baseline); results are byte-identical")
 		csvPath  = flag.String("csv", "", "also write raw observations to this CSV file")
 		svgDir   = flag.String("svg", "", "also write figure8-<ports>port.svg charts to this directory")
 		quiet    = flag.Bool("quiet", false, "suppress progress lines")
@@ -103,9 +102,6 @@ func main() {
 		opts.Engine = irnet.EngineEvent
 	case "scan":
 		opts.Engine = irnet.EngineScan
-	case "parallel":
-		opts.Engine = irnet.EngineParallel
-		opts.Workers = *workers
 	default:
 		log.Fatalf("unknown engine %q", *engine)
 	}

@@ -6,20 +6,16 @@
 //
 //	irperf [-switches 128,1024] [-ports 4,8] [-rates 0.02,0.05,0.1,0.45]
 //	       [-plen 128] [-warm 2000] [-cycles 20000] [-seed 1]
-//	       [-workers 0] [-json results/BENCH_wormsim.json]
+//	       [-json results/BENCH_wormsim.json]
 //
 // For every (switches, ports, rate) configuration irperf builds one random
 // irregular network, warms a simulator to steady state, and times the same
-// span of cycles under the scan baseline (Engine=scan), the event-driven
-// fast path (Engine=event), and the partitioned multi-worker engine
-// (Engine=parallel; -workers bounds its pool, 0 = GOMAXPROCS). All engines
-// are proven byte-identical by the differential tests, so the report is
-// purely about speed: cycles/sec, ns/cycle, ns/flit-hop (channel
-// traversals + ejections in the timed window), allocations per cycle, the
-// event/scan speedup, and the parallel/event speedup. The report records
-// the GOMAXPROCS it ran under ("cores"): the parallel engine's speedup is
-// meaningless on a single-core host (CI only enforces its floor on
-// multi-core runners).
+// span of cycles under the scan baseline (Engine=scan) and the event-driven
+// fast path (Engine=event). The engines are proven byte-identical by the
+// differential tests, so the report is purely about speed: cycles/sec,
+// ns/cycle, ns/flit-hop (channel traversals + ejections in the timed
+// window), allocations per cycle, and the event/scan speedup. The report
+// records the GOMAXPROCS it ran under ("cores").
 package main
 
 import (
@@ -50,12 +46,11 @@ type engineStats struct {
 
 // configReport compares the engines at one (switches, ports, rate) point.
 type configReport struct {
-	Switches        int                    `json:"switches"`
-	Ports           int                    `json:"ports"`
-	Rate            float64                `json:"rate"`
-	Engines         map[string]engineStats `json:"engines"`
-	Speedup         float64                `json:"speedup"`          // event cycles/sec over scan
-	SpeedupParallel float64                `json:"speedup_parallel"` // parallel cycles/sec over event
+	Switches int                    `json:"switches"`
+	Ports    int                    `json:"ports"`
+	Rate     float64                `json:"rate"`
+	Engines  map[string]engineStats `json:"engines"`
+	Speedup  float64                `json:"speedup"` // event cycles/sec over scan
 }
 
 // report is the whole BENCH_wormsim.json document.
@@ -82,7 +77,6 @@ func main() {
 		warm        = flag.Int("warm", 2000, "untimed warmup cycles per run")
 		cycles      = flag.Int("cycles", 20000, "timed cycles per run")
 		seed        = flag.Uint64("seed", 1, "network and traffic seed")
-		workers     = flag.Int("workers", 0, "parallel-engine worker pool (0 = GOMAXPROCS; never affects results)")
 		jsonPath    = flag.String("json", "results/BENCH_wormsim.json", "output path")
 	)
 	flag.Parse()
@@ -120,7 +114,7 @@ func main() {
 					Rate:     rate,
 					Engines:  map[string]engineStats{},
 				}
-				for _, engine := range []irnet.SimEngine{irnet.EngineScan, irnet.EngineEvent, irnet.EngineParallel} {
+				for _, engine := range []irnet.SimEngine{irnet.EngineScan, irnet.EngineEvent} {
 					st, err := measure(fn, tb, irnet.SimConfig{
 						PacketLength:  *plen,
 						InjectionRate: rate,
@@ -128,7 +122,6 @@ func main() {
 						MeasureCycles: 1 << 30,
 						Seed:          *seed,
 						Engine:        engine,
-						Workers:       *workers,
 					}, *warm, *cycles)
 					if err != nil {
 						log.Fatalf("%dsw/%dport rate %v engine %v: %v", n, p, rate, engine, err)
@@ -136,11 +129,9 @@ func main() {
 					cr.Engines[engine.String()] = st
 				}
 				cr.Speedup = cr.Engines["event"].CyclesPerSec / cr.Engines["scan"].CyclesPerSec
-				cr.SpeedupParallel = cr.Engines["parallel"].CyclesPerSec / cr.Engines["event"].CyclesPerSec
 				rep.Configs = append(rep.Configs, cr)
-				fmt.Printf("%4dsw %dport rate %-5v  scan %10.0f cyc/s  event %10.0f cyc/s  parallel %10.0f cyc/s  event/scan %.2fx  parallel/event %.2fx\n",
-					n, p, rate, cr.Engines["scan"].CyclesPerSec, cr.Engines["event"].CyclesPerSec,
-					cr.Engines["parallel"].CyclesPerSec, cr.Speedup, cr.SpeedupParallel)
+				fmt.Printf("%4dsw %dport rate %-5v  scan %10.0f cyc/s  event %10.0f cyc/s  event/scan %.2fx\n",
+					n, p, rate, cr.Engines["scan"].CyclesPerSec, cr.Engines["event"].CyclesPerSec, cr.Speedup)
 			}
 		}
 	}

@@ -11,7 +11,7 @@
 //	irserve -stdio
 //	        [-topo random] [-switches 32] [-ports 4] [-seed 1]
 //	        [-policy M1] [-alg DOWN/UP]
-//	        [-rate 0.05] [-plen 128] [-engine event] [-workers 0]
+//	        [-rate 0.05] [-plen 128] [-engine event]
 //	        [-flit-bytes 4] [-probe-limit 300000]
 //
 //	irserve [-listen :8381] [-addr-file PATH] [-drain 10s]
@@ -19,8 +19,8 @@
 //	        [-retry-after 1s] ...same oracle flags...
 //
 // Determinism contract: the same frame sequence against the same flags
-// produces byte-identical replies under both transports and any -workers
-// value (the parallel engine never changes results). The server hello
+// produces byte-identical replies under both transports and either
+// -engine (the engines never change results). The server hello
 // carries a fingerprint of the served network and oracle parameters so a
 // client can verify it is talking to the session it expects.
 //
@@ -64,10 +64,9 @@ func main() {
 		policy   = flag.String("policy", "M1", "coordinated tree policy (M1, M2, M3)")
 		algName  = flag.String("alg", "DOWN/UP", `routing algorithm ("DOWN/UP", "L-turn", "up*/down*", "right/left", ...)`)
 
-		rate    = flag.Float64("rate", 0.05, "background injection rate (packets/node/cycle)")
-		plen    = flag.Int("plen", 128, "background packet length in flits")
-		engine  = flag.String("engine", "event", "cycle engine: event, scan, or parallel (byte-identical; speed only)")
-		workers = flag.Int("workers", 0, "parallel-engine worker pool (0 = GOMAXPROCS; never affects results)")
+		rate   = flag.Float64("rate", 0.05, "background injection rate (packets/node/cycle)")
+		plen   = flag.Int("plen", 128, "background packet length in flits")
+		engine = flag.String("engine", "event", "cycle engine: event or scan (byte-identical; speed only)")
 
 		flitBytes  = flag.Int("flit-bytes", 4, "bytes per flit for the bytes→flits conversion of latency queries")
 		probeLimit = flag.Int("probe-limit", 300000, "cycle budget per latency query before probe-timeout")
@@ -85,10 +84,8 @@ func main() {
 		eng = wormsim.EngineEvent
 	case "scan":
 		eng = wormsim.EngineScan
-	case "parallel":
-		eng = wormsim.EngineParallel
 	default:
-		cliutil.Usagef("irserve", "unknown engine %q (want event, scan, or parallel)", *engine)
+		cliutil.Usagef("irserve", "unknown engine %q (want event or scan)", *engine)
 	}
 	alg := irnet.AlgorithmByName(*algName)
 	if alg == nil {
@@ -122,7 +119,6 @@ func main() {
 		InjectionRate: *rate,
 		Seed:          *seed,
 		Engine:        eng,
-		Workers:       *workers,
 	}, cosim.Options{
 		Spec:       spec,
 		FlitBytes:  *flitBytes,

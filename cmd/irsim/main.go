@@ -7,14 +7,13 @@
 //	      [-alg DOWN/UP] [-rate 0.1] [-plen 128] [-warmup 4000]
 //	      [-measure 16000] [-adaptive] [-pattern uniform] [-util]
 //	      [-recover] [-detect-interval 512] [-max-retries 4] [-backoff 64]
-//	      [-livelock 0] [-engine event] [-workers 0]
+//	      [-livelock 0] [-engine event]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -engine selects the cycle-loop implementation: the event-driven fast
-// path (default), the full-scan baseline, or the multi-worker parallel
-// engine for large fabrics (-workers bounds its pool; 0 = GOMAXPROCS).
-// All engines are byte-identical in output — at every worker count — so
-// the flag exists for speed, benchmarking, and differential debugging.
+// path (default) or the full-scan baseline. Both are byte-identical in
+// output, so the flag exists for speed, benchmarking, and differential
+// debugging.
 // -cpuprofile/-memprofile capture pprof profiles of the simulation for
 // `go tool pprof`.
 //
@@ -65,8 +64,7 @@ func main() {
 		util     = flag.Bool("util", false, "print per-node utilization")
 		profile  = flag.Bool("profile", false, "print the per-tree-level utilization profile")
 
-		engine     = flag.String("engine", "event", "simulation engine: event (fast path), scan (baseline), or parallel (multi-worker); results are byte-identical")
-		workers    = flag.Int("workers", 0, "worker pool size for -engine parallel (0 = GOMAXPROCS; never affects results)")
+		engine     = flag.String("engine", "event", "simulation engine: event (fast path) or scan (baseline); results are byte-identical")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (taken after the simulation) to this file")
 		recovered  = flag.Bool("recover", false, "enable online deadlock recovery (abort-and-retry); also permits simulating unverified routing functions")
@@ -124,9 +122,6 @@ func main() {
 		cfg.Engine = irnet.EngineEvent
 	case "scan":
 		cfg.Engine = irnet.EngineScan
-	case "parallel":
-		cfg.Engine = irnet.EngineParallel
-		cfg.Workers = *workers
 	default:
 		log.Fatalf("unknown engine %q", *engine)
 	}

@@ -14,9 +14,8 @@
 // The default run is the CI gate (`make trend`): it prints each gate's
 // verdict and exits 0 when every gate holds, 1 on any violation (including
 // a gate that matched no records — a renamed metric or missing artifact
-// must not pass silently), and 2 on usage or I/O errors. Gates measured on
-// under-provisioned hosts (e.g. the parallel-engine floor on a single-core
-// runner) are reported as skipped, not failed.
+// must not pass silently), and 2 on usage or I/O errors. Every gate is
+// enforced on every host.
 //
 // -record appends the freshly normalized records to the trend history
 // under -label, in deterministic key order, after the gates pass. History
@@ -87,14 +86,10 @@ func main() {
 	}
 
 	rep := trend.Evaluate(recs, trend.DefaultGates())
-	for _, s := range rep.Skipped {
-		fmt.Printf("irtrend: skipped: %s\n", s)
-	}
 	for _, v := range rep.Violations {
 		fmt.Printf("irtrend: FAIL: %s\n", v.Why)
 	}
-	fmt.Printf("irtrend: %d gate checks, %d violations, %d skipped\n",
-		rep.Checked, len(rep.Violations), len(rep.Skipped))
+	fmt.Printf("irtrend: %d gate checks, %d violations\n", rep.Checked, len(rep.Violations))
 	if !rep.OK() {
 		os.Exit(cliutil.ExitFailure)
 	}

@@ -13,12 +13,12 @@
 //
 //	irzoo [-scale paper] [-seed 20040815] [-plen 32] [-warmup 1500]
 //	      [-measure 6000] [-sat-iters 7] [-rate 0.03] [-collective allreduce]
-//	      [-parallelism 0] [-engine scan] [-workers 0] [-compare-engines]
+//	      [-parallelism 0] [-engine event] [-compare-engines]
 //	      [-json results/BENCH_zoo.json] [-progress]
 //
 // The output is deterministic in the flags: two invocations with the same
 // flags print byte-identical text and write byte-identical JSON, at any
-// -engine, -workers, or -parallelism value.
+// -engine or -parallelism value.
 package main
 
 import (
@@ -42,8 +42,7 @@ func main() {
 		rate       = flag.Float64("rate", 0, "offered rate of the latency probe (0 = scale default)")
 		collective = flag.String("collective", "", "closed-loop collective workload (empty = scale default)")
 		par        = flag.Int("parallelism", 0, "concurrent rows (0 = GOMAXPROCS; never changes results)")
-		engine     = flag.String("engine", "", "simulator engine: scan, event, or parallel (empty = scan; never changes results)")
-		workers    = flag.Int("workers", 0, "parallel-engine workers (never changes results)")
+		engine     = flag.String("engine", "event", "simulator engine: event or scan (never changes results)")
 		compare    = flag.Bool("compare-engines", false, "re-run latency probes and collectives on every engine and fail on divergence")
 		jsonPath   = flag.String("json", "", "also write the machine-readable report to this file")
 		progress   = flag.Bool("progress", false, "print per-row progress to stderr")
@@ -84,20 +83,17 @@ func main() {
 		opts.Collective = *collective
 	}
 	opts.Parallelism = *par
-	opts.Workers = *workers
 	opts.CompareEngines = *compare
 	if *progress {
 		opts.Progress = os.Stderr
 	}
 	switch *engine {
-	case "", "scan":
-		opts.Engine = wormsim.EngineScan
 	case "event":
 		opts.Engine = wormsim.EngineEvent
-	case "parallel":
-		opts.Engine = wormsim.EngineParallel
+	case "scan":
+		opts.Engine = wormsim.EngineScan
 	default:
-		cliutil.Usagef("irzoo", "bad -engine %q (want scan, event, or parallel)", *engine)
+		cliutil.Usagef("irzoo", "bad -engine %q (want event or scan)", *engine)
 	}
 
 	res, err := irnet.RunZooStudy(opts)

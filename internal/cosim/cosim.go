@@ -13,7 +13,7 @@
 //
 // Determinism is the load-bearing guarantee: the same frame sequence
 // against the same seed produces byte-identical replies under both
-// transports and any Config.Workers count. It rests on three mechanisms:
+// transports and both engines. It rests on three mechanisms:
 // the oracle handles frames strictly sequentially against one simulator;
 // probe path sampling draws from a dedicated RNG stream so queries never
 // perturb the background traffic's randomness (wormsim.InjectProbe); and

@@ -38,9 +38,9 @@ func testNet(t testing.TB) (*routing.Function, *routing.Table) {
 	return f, routing.NewTable(f)
 }
 
-// testOracle builds the canonical test oracle; cfg tweaks (engine,
-// workers) apply on top of the fixed background load.
-func testOracle(t testing.TB, engine wormsim.Engine, workers int) *Oracle {
+// testOracle builds the canonical test oracle; the engine choice applies on
+// top of the fixed background load.
+func testOracle(t testing.TB, engine wormsim.Engine) *Oracle {
 	t.Helper()
 	f, tb := testNet(t)
 	o, err := NewOracle(f, tb, wormsim.Config{
@@ -48,7 +48,6 @@ func testOracle(t testing.TB, engine wormsim.Engine, workers int) *Oracle {
 		InjectionRate: 0.05,
 		Seed:          7,
 		Engine:        engine,
-		Workers:       workers,
 	}, Options{Spec: "cosim-test/24sw/4port"})
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package cosim
 
 // The transport byte-identity contract: the same frame sequence against
 // the same seed produces byte-identical replies under direct Handle calls,
-// the stdio transport, and the HTTP transport, for every engine and any
-// worker count — and the latency replies agree with a direct in-process
-// simulation driving the probe hooks itself.
+// the stdio transport, and the HTTP transport, for every engine — and the
+// latency replies agree with a direct in-process simulation driving the
+// probe hooks itself.
 
 import (
 	"bytes"
@@ -88,35 +88,24 @@ func replayHTTP(t *testing.T, o *Oracle) []string {
 }
 
 // TestTransportByteIdentity is the acceptance criterion: same frames, same
-// seed → byte-identical replies across transports, engines, and worker
-// counts.
+// seed → byte-identical replies across transports and engines.
 func TestTransportByteIdentity(t *testing.T) {
-	type variant struct {
-		name    string
-		engine  wormsim.Engine
-		workers int
-	}
-	variants := []variant{
-		{"event", wormsim.EngineEvent, 0},
-		{"scan", wormsim.EngineScan, 0},
-		{"parallel-1w", wormsim.EngineParallel, 1},
-		{"parallel-4w", wormsim.EngineParallel, 4},
-	}
+	engines := wormsim.Engines()
 	var ref []string
-	for _, v := range variants {
-		direct := replayDirect(t, testOracle(t, v.engine, v.workers))
-		stdio := replayStdio(t, testOracle(t, v.engine, v.workers))
-		httpOut := replayHTTP(t, testOracle(t, v.engine, v.workers))
+	for _, engine := range engines {
+		direct := replayDirect(t, testOracle(t, engine))
+		stdio := replayStdio(t, testOracle(t, engine))
+		httpOut := replayHTTP(t, testOracle(t, engine))
 		if len(direct) != len(stdio) || len(direct) != len(httpOut) {
 			t.Fatalf("%s: reply counts diverge: direct %d, stdio %d, http %d",
-				v.name, len(direct), len(stdio), len(httpOut))
+				engine, len(direct), len(stdio), len(httpOut))
 		}
 		for i := range direct {
 			if direct[i] != stdio[i] {
-				t.Fatalf("%s frame %d: stdio diverges from direct:\n%s%s", v.name, i, direct[i], stdio[i])
+				t.Fatalf("%s frame %d: stdio diverges from direct:\n%s%s", engine, i, direct[i], stdio[i])
 			}
 			if direct[i] != httpOut[i] {
-				t.Fatalf("%s frame %d: http diverges from direct:\n%s%s", v.name, i, direct[i], httpOut[i])
+				t.Fatalf("%s frame %d: http diverges from direct:\n%s%s", engine, i, direct[i], httpOut[i])
 			}
 		}
 		if ref == nil {
@@ -126,7 +115,7 @@ func TestTransportByteIdentity(t *testing.T) {
 		for i := range ref {
 			if direct[i] != ref[i] {
 				t.Fatalf("%s frame %d diverges from %s:\n%s%s",
-					v.name, i, variants[0].name, ref[i], direct[i])
+					engine, i, engines[0], ref[i], direct[i])
 			}
 		}
 	}
@@ -145,7 +134,7 @@ func TestTransportByteIdentity(t *testing.T) {
 // latency reply must report exactly the numbers the in-process run
 // measures, and the clocks must stay in lockstep.
 func TestOracleMatchesDirectSimulation(t *testing.T) {
-	o := testOracle(t, wormsim.EngineEvent, 0)
+	o := testOracle(t, wormsim.EngineEvent)
 
 	f, tb := testNet(t)
 	sim, err := wormsim.New(f, tb, wormsim.Config{
@@ -225,7 +214,7 @@ func TestOracleMatchesDirectSimulation(t *testing.T) {
 // TestVersionNegotiation: a client hello with the wrong version is
 // rejected with ErrCodeVersion; the right version echoes the server hello.
 func TestVersionNegotiation(t *testing.T) {
-	o := testOracle(t, wormsim.EngineEvent, 0)
+	o := testOracle(t, wormsim.EngineEvent)
 	for _, v := range []int{0, 2, -1, 99} {
 		reply, cont := o.Handle(&Frame{Type: TypeHello, Hello: &Hello{V: v}})
 		if !cont || reply.Type != TypeError || reply.Code != ErrCodeVersion {
@@ -241,7 +230,7 @@ func TestVersionNegotiation(t *testing.T) {
 // TestSessionLifecycle: bye ends the session, further frames earn
 // ErrCodeClosed (the HTTP transport outlives the session).
 func TestSessionLifecycle(t *testing.T) {
-	o := testOracle(t, wormsim.EngineEvent, 0)
+	o := testOracle(t, wormsim.EngineEvent)
 	reply, cont := o.Handle(&Frame{Type: TypeQuery, ID: 1, Op: OpBye})
 	if cont || reply.Type != TypeReply || reply.Op != OpBye {
 		t.Fatalf("bye: %+v cont=%v", reply, cont)
@@ -299,7 +288,7 @@ func TestProbeTimeoutKeepsSessionAlive(t *testing.T) {
 // TestStdioTerminatesOnOversizedLine: past an unscannable line the stream
 // cannot be resynchronized, so the session errors out instead of guessing.
 func TestStdioTerminatesOnOversizedLine(t *testing.T) {
-	o := testOracle(t, wormsim.EngineEvent, 0)
+	o := testOracle(t, wormsim.EngineEvent)
 	in := strings.NewReader(fmt.Sprintf("{\"pad\":%q}\n", strings.Repeat("x", MaxFrameBytes+10)))
 	var out bytes.Buffer
 	if err := ServeStdio(o, in, &out); err == nil {

@@ -13,7 +13,7 @@ import (
 
 func testHTTP(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer(testOracle(t, wormsim.EngineEvent, 0), metrics.NewRegistry())
+	s := NewServer(testOracle(t, wormsim.EngineEvent), metrics.NewRegistry())
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return s, srv

@@ -6,8 +6,7 @@ package fault
 // Results under every engine wormsim.Engines() lists. This complements the
 // in-package matrix in internal/wormsim by exercising the one mutation
 // path only fault.Run drives: Rewire with remapped channel ids between
-// stage calls. (The 16-switch graphs clamp the parallel engine to one
-// worker; what this covers is its plumbing through the runner.)
+// stage calls.
 
 import (
 	"bytes"

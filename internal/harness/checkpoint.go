@@ -55,10 +55,9 @@ type checkpointWriter struct {
 
 // fingerprint hashes every option that affects simulation outcomes (not
 // Parallelism, Progress, or the checkpoint path itself — those change how a
-// sweep runs, not what it computes). Engine and Workers are deliberately
-// excluded: the engines are proven byte-identical and worker-count
-// invariant, so a checkpoint written under one engine at any worker count
-// remains valid under every other (TestCheckpointResumesAcrossEngines).
+// sweep runs, not what it computes). Engine is deliberately excluded: the
+// engines are proven byte-identical, so a checkpoint written under one
+// engine remains valid under the other (TestCheckpointResumesAcrossEngines).
 func fingerprint(o Options) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "sw=%d|samples=%d|plen=%d|warm=%d|meas=%d|mode=%d|vc=%d|seed=%d",

@@ -61,14 +61,14 @@ type Options struct {
 	// Mode selects source-routed (paper) or adaptive simulation.
 	Mode wormsim.Mode
 	// Engine selects the simulator's cycle-loop implementation (default:
-	// the event-driven fast path). All engines are byte-identical in
-	// output; the scan baseline exists for benchmarking comparisons and
-	// the parallel engine for large fabrics.
+	// the event-driven fast path). Both engines are byte-identical in
+	// output; the scan baseline exists for benchmarking comparisons.
 	Engine wormsim.Engine
-	// Workers bounds the parallel engine's worker pool per simulation
-	// (0 = GOMAXPROCS; ignored by the sequential engines). Results never
-	// depend on it. For sweeps of small networks, per-simulation
-	// Parallelism is usually the better lever.
+	// Workers was the per-simulation worker pool of the removed multi-core
+	// engine.
+	//
+	// Deprecated: nothing reads it; it is kept only so existing callers
+	// still compile.
 	Workers int
 	// VirtualChannels per physical channel (0 or 1 = plain wormhole, the
 	// paper's configuration).
@@ -396,7 +396,6 @@ func Run(opts Options) (*Results, error) {
 			InjectionRate:   opts.Rates[ri],
 			Mode:            opts.Mode,
 			Engine:          opts.Engine,
-			Workers:         opts.Workers,
 			WarmupCycles:    opts.WarmupCycles,
 			MeasureCycles:   opts.MeasureCycles,
 			Seed:            deriveSeed(opts.Seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), uint64(cs.ai)+2, uint64(ri)+1),

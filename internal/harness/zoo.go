@@ -87,11 +87,10 @@ type ZooOptions struct {
 	// MessagePackets is its per-message size in packets.
 	Collective     string
 	MessagePackets int
-	// Engine and Workers select the simulator cycle loop. They never
-	// change results (the engines are byte-identical), so the artifact is
-	// independent of them.
-	Engine  wormsim.Engine
-	Workers int
+	// Engine selects the simulator cycle loop. It never changes results
+	// (the engines are byte-identical), so the artifact is independent of
+	// it.
+	Engine wormsim.Engine
 	// CompareEngines re-runs the latency probe and the collective of every
 	// row on all engines and fails the study on any divergence.
 	CompareEngines bool
@@ -242,7 +241,7 @@ type zooRow struct {
 
 // ZooStudy runs the cross-family shootout. Construction and every
 // simulation seed derive from Options.Seed by position, so reruns are
-// byte-identical regardless of Parallelism, Engine, or Workers.
+// byte-identical regardless of Parallelism or Engine.
 func ZooStudy(opts ZooOptions) (*ZooResults, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -422,7 +421,6 @@ func zooRunRow(opts ZooOptions, g *topology.Graph, row zooRow, fi, ri uint64) (Z
 		WarmupCycles:  opts.WarmupCycles,
 		MeasureCycles: opts.MeasureCycles,
 		Engine:        opts.Engine,
-		Workers:       opts.Workers,
 		Seed:          deriveSeed(opts.Seed, fi+1, ri+1, 1, 0, 0),
 	}
 	sat, err := FindSaturation(fn, ps, cfg, opts.SatLow, opts.SatHigh, opts.SatIters)
@@ -443,7 +441,6 @@ func zooRunRow(opts ZooOptions, g *topology.Graph, row zooRow, fi, ri uint64) (Z
 	colCfg := wormsim.Config{
 		PacketLength: opts.PacketLength,
 		Engine:       opts.Engine,
-		Workers:      opts.Workers,
 		Seed:         deriveSeed(opts.Seed, fi+1, ri+1, 3, 0, 0),
 	}
 	st, colRes, err := zooRunCollective(fn, ps, colCfg, opts)
@@ -610,7 +607,7 @@ func FormatZoo(r *ZooResults) string {
 }
 
 // ZooJSON renders the machine-readable artifact (results/BENCH_zoo.json),
-// byte-deterministic across reruns, engines, and worker counts.
+// byte-deterministic across reruns, engines, and row parallelism.
 func ZooJSON(r *ZooResults) ([]byte, error) {
 	r.Schema = trend.Schema
 	out, err := json.MarshalIndent(r, "", "  ")

@@ -14,10 +14,9 @@ import (
 	"repro/internal/wormsim"
 )
 
-// TestZooEnginesByteIdentical extends the PR-6 determinism contract to the
-// family-native routers: scan, event, and parallel engines (and two
-// parallel worker counts) must produce byte-identical results on one small
-// instance per zoo family.
+// TestZooEnginesByteIdentical extends the engine determinism contract to
+// the family-native routers: the scan and event engines must produce
+// byte-identical results on one small instance per zoo family.
 func TestZooEnginesByteIdentical(t *testing.T) {
 	type instance struct {
 		name  string
@@ -51,14 +50,13 @@ func TestZooEnginesByteIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		tb := routing.NewTable(fn)
-		run := func(engine wormsim.Engine, workers int) string {
+		run := func(engine wormsim.Engine) string {
 			sim, err := wormsim.New(fn, tb, wormsim.Config{
 				InjectionRate: 0.05,
 				WarmupCycles:  wormsim.NoWarmup,
 				MeasureCycles: 2000,
 				Seed:          7,
 				Engine:        engine,
-				Workers:       workers,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", in.name, err)
@@ -76,14 +74,11 @@ func TestZooEnginesByteIdentical(t *testing.T) {
 			}
 			return string(j)
 		}
-		ref := run(wormsim.EngineScan, 0)
+		ref := run(wormsim.EngineScan)
 		for _, engine := range wormsim.Engines()[1:] {
-			if got := run(engine, 0); got != ref {
+			if got := run(engine); got != ref {
 				t.Fatalf("%s: engine %v diverges from scan", in.name, engine)
 			}
-		}
-		if got := run(wormsim.EngineParallel, 2); got != ref {
-			t.Fatalf("%s: parallel/2 workers diverges", in.name)
 		}
 	}
 }

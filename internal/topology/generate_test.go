@@ -38,9 +38,8 @@ func TestRandomIrregularPaperConfigs(t *testing.T) {
 }
 
 // TestRandomIrregularScale pins that generation stays sound and fast at
-// the fabric sizes the parallel simulator engine targets — an order of
-// magnitude beyond the paper's 128 switches. 4096 switches is skipped in
-// short mode.
+// 1024 and 4096 switches — an order of magnitude beyond the paper's 128
+// switches. 4096 switches is skipped in short mode.
 func TestRandomIrregularScale(t *testing.T) {
 	sizes := []int{1024, 4096}
 	if testing.Short() {

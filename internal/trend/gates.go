@@ -21,9 +21,6 @@ type Gate struct {
 	Scenario string
 	// Min and Max bound the value inclusively; NaN disables a side.
 	Min, Max float64
-	// MinCores skips the gate for measurements taken on fewer cores (0 =
-	// always enforced). Skips are reported, not silent.
-	MinCores int
 	// Origin says which PR or CI job pinned the bound — the reviewer-facing
 	// provenance printed with every violation.
 	Origin string
@@ -44,11 +41,6 @@ func DefaultGates() []Gate {
 			Source: "wormsim", Metric: "speedup_event_scan", Scenario: "128sw/4port/r0.45",
 			Min: 1.5, Max: unbounded,
 			Origin: "PR 15 CI floor: parking keeps the event engine ≥1.5x scan on the saturated 4-port network (1.22x before parking)",
-		},
-		{
-			Source: "wormsim", Metric: "speedup_parallel_event", Scenario: "1024sw/8port/r0.1",
-			Min: 2.0, Max: unbounded, MinCores: 4,
-			Origin: "PR 6 CI floor: parallel ≥2x event at 1024sw under load (multi-core hosts only)",
 		},
 		{
 			Source: "netd", Metric: "achieved_qps", Scenario: "steady",
@@ -147,9 +139,6 @@ type Report struct {
 	// (zero records to check, so a rename or a missing artifact would
 	// otherwise pass silently) are violations too.
 	Violations []Violation
-	// Skipped lists gates bypassed for cause (e.g. too few cores), one
-	// line each.
-	Skipped []string
 }
 
 // OK reports whether the evaluation found no violations.
@@ -165,11 +154,6 @@ func Evaluate(recs []Record, gates []Gate) *Report {
 				continue
 			}
 			matched++
-			if g.MinCores > 0 && r.Cores > 0 && r.Cores < g.MinCores {
-				rep.Skipped = append(rep.Skipped, fmt.Sprintf(
-					"%s: measured on %d core(s), gate needs >= %d", g, r.Cores, g.MinCores))
-				continue
-			}
 			rep.Checked++
 			if !math.IsNaN(g.Min) && r.Value < g.Min {
 				rep.Violations = append(rep.Violations, Violation{Gate: g, Record: r,

@@ -49,8 +49,7 @@ type Record struct {
 	// "steady", "4port/M1", or "4port/M1/DOWN-UP/incast".
 	Scenario string `json:"scenario"`
 	// Cores is GOMAXPROCS of the measuring host where the artifact records
-	// it (0 where it does not): core-sensitive gates skip under-provisioned
-	// measurements.
+	// it (0 where it does not).
 	Cores int `json:"cores,omitempty"`
 	// Value is the observation.
 	Value float64 `json:"value"`
@@ -82,8 +81,7 @@ type benchWormsim struct {
 		Engines  map[string]struct {
 			CyclesPerSec float64 `json:"cycles_per_sec"`
 		} `json:"engines"`
-		Speedup         float64 `json:"speedup"`
-		SpeedupParallel float64 `json:"speedup_parallel"`
+		Speedup float64 `json:"speedup"`
 	} `json:"configs"`
 }
 
@@ -178,7 +176,6 @@ func IngestFile(path string) ([]Record, []string, error) {
 		for _, c := range d.Configs {
 			sc := fmt.Sprintf("%dsw/%dport/r%g", c.Switches, c.Ports, c.Rate)
 			add("wormsim", "speedup_event_scan", sc, d.Cores, c.Speedup)
-			add("wormsim", "speedup_parallel_event", sc, d.Cores, c.SpeedupParallel)
 			if e, ok := c.Engines["event"]; ok {
 				add("wormsim", "event_cycles_per_sec", sc, d.Cores, e.CyclesPerSec)
 			}

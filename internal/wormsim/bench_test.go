@@ -54,38 +54,33 @@ func BenchmarkRunCycles(b *testing.B) {
 	}
 }
 
-// BenchmarkRunCyclesScale times warmed cycles at the fabric scales the
-// parallel engine targets (1024 and 4096 switches), under enough load that
-// a cycle carries real work. The scan baseline is omitted — its full
-// rescan is exactly what these scales rule out.
+// BenchmarkRunCyclesScale times warmed event-engine cycles at 1024 and
+// 4096 switches, under enough load that a cycle carries real work. The
+// scan baseline is omitted — its full rescan is exactly what these scales
+// rule out.
 func BenchmarkRunCyclesScale(b *testing.B) {
 	for _, switches := range []int{1024, 4096} {
-		for _, engine := range []Engine{EngineEvent, EngineParallel} {
-			b.Run(fmt.Sprintf("%dsw/%s", switches, engine), func(b *testing.B) {
-				f, tb := randomFn(b, 1, switches, 4, core.DownUp{})
-				sim, err := New(f, tb, Config{
-					PacketLength:  32,
-					InjectionRate: 0.3,
-					WarmupCycles:  NoWarmup,
-					MeasureCycles: 1 << 30,
-					Seed:          1,
-					Engine:        engine,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := sim.RunCycles(500); err != nil {
-					b.Fatal(err) // warm the network to steady state
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				if err := sim.RunCycles(b.N); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				sim.Finish()
+		b.Run(fmt.Sprintf("%dsw/%s", switches, EngineEvent), func(b *testing.B) {
+			f, tb := randomFn(b, 1, switches, 4, core.DownUp{})
+			sim, err := New(f, tb, Config{
+				PacketLength:  32,
+				InjectionRate: 0.3,
+				WarmupCycles:  NoWarmup,
+				MeasureCycles: 1 << 30,
+				Seed:          1,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sim.RunCycles(500); err != nil {
+				b.Fatal(err) // warm the network to steady state
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := sim.RunCycles(b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -147,7 +142,7 @@ func (fp *fixedPaths) SamplePath(src, dst int, _ *rng.Rng) ([]int, error) {
 	return fp.paths[src*fp.n+dst], nil
 }
 
-// TestSteadyStateAllocs pins the event engines' no-allocation guarantee:
+// TestSteadyStateAllocs pins the event engine's no-allocation guarantee:
 // once the network is warm and the unbounded ledgers (the packet table, the
 // latency sample, the source queues) have been given room, a simulation
 // cycle allocates nothing beyond the route slice every source-routed
@@ -156,8 +151,9 @@ func (fp *fixedPaths) SamplePath(src, dst int, _ *rng.Rng) ([]int, error) {
 // all; the closed-loop subtest runs the check over the Workload injection
 // path (poll + delivery notification), with a fixed-capacity
 // token-circulation source; the saturated source-routed cases keep lanes
-// and sources parked and waking, and on four workers defer wakes across
-// partitions, so they cover the parking and wake-list paths.
+// and sources parked and waking, so they cover the parking and wake paths.
+// The 256-switch cases spread the active-switch and active-source masks
+// over several 64-bit words.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -180,11 +176,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			MeasureCycles: 1 << 30,
 			Seed:          5,
 		}},
-		// The parallel case runs four real workers (256 switches) with a
-		// deterministic selection so the multi-worker crossbar, feed, and
-		// generate phases — not the sequential fallbacks — are what is
-		// measured: no per-cycle heap allocation on any worker.
-		{name: "parallel", switches: 256, cfg: Config{
+		{name: "adaptive-first-256sw", switches: 256, cfg: Config{
 			Mode:          Adaptive,
 			Select:        SelectFirst,
 			PacketLength:  8,
@@ -192,8 +184,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 			WarmupCycles:  NoWarmup,
 			MeasureCycles: 1 << 30,
 			Seed:          5,
-			Engine:        EngineParallel,
-			Workers:       4,
 		}},
 		{name: "source-routed-saturated", switches: 64, cfg: Config{
 			InjectionRate: 0.45,
@@ -201,13 +191,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 			MeasureCycles: 1 << 30,
 			Seed:          5,
 		}},
-		{name: "parallel-source-routed-saturated", switches: 256, cfg: Config{
+		{name: "source-routed-saturated-256sw", switches: 256, cfg: Config{
 			InjectionRate: 0.45,
 			WarmupCycles:  NoWarmup,
 			MeasureCycles: 1 << 30,
 			Seed:          5,
-			Engine:        EngineParallel,
-			Workers:       4,
 		}},
 	}
 	for _, tc := range cases {
@@ -220,10 +208,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 			sim, err := New(f, newFixedPaths(t, tb, switches), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			defer sim.Finish()
-			if tc.cfg.Workers > 0 && sim.Workers() != tc.cfg.Workers {
-				t.Fatalf("Workers() = %d, want %d", sim.Workers(), tc.cfg.Workers)
 			}
 			if err := sim.RunCycles(5000); err != nil {
 				t.Fatal(err)
@@ -261,17 +245,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if sim.cfg.Mode == Adaptive {
 				return
 			}
-			// The saturated cases must really have exercised parking and,
-			// on several workers, the deferred wake lists.
+			// The saturated cases must really have exercised parking.
 			if pc := checkParking(t, sim); pc.header+pc.body == 0 || pc.sources == 0 {
 				t.Fatalf("nothing parked at saturation: %+v", pc)
-			}
-			deferred := sim.Workers() == 1
-			for k := range sim.wk {
-				deferred = deferred || cap(sim.wk[k].wakes[0])+cap(sim.wk[k].wakes[1]) > 0
-			}
-			if !deferred {
-				t.Fatal("no worker ever deferred a wake across partitions")
 			}
 		})
 	}

@@ -73,9 +73,8 @@ func TestEnginesByteIdentical(t *testing.T) {
 			return randomFn(t, seed, 32, ports, alg)
 		}
 	}
-	// bigNet crosses the parallel engine's one-worker-per-64-switches clamp,
-	// so its scenarios exercise real multi-worker execution (the 32-switch
-	// matrix clamps to a single worker).
+	// bigNet spreads the active-switch and active-source masks over several
+	// 64-bit words (the 32-switch matrix fits in one).
 	bigNet := func(seed uint64, ports int, alg routing.Algorithm) func(t *testing.T) (*routing.Function, *routing.Table) {
 		return func(t *testing.T) (*routing.Function, *routing.Table) {
 			return randomFn(t, seed, 256, ports, alg)
@@ -161,21 +160,19 @@ func TestEnginesByteIdentical(t *testing.T) {
 			c.DetectInterval = 128
 			c.Seed = 1
 		}), wantErr: true},
-		{name: "parallel/256sw", build: bigNet(21, 4, core.DownUp{}), cfg: at(func(c *Config) {
+		{name: "large/256sw", build: bigNet(21, 4, core.DownUp{}), cfg: at(func(c *Config) {
 			c.InjectionRate = 0.3
 			c.MeasureCycles = 2000
-			c.Workers = 4
 		})},
-		{name: "parallel/256sw-adaptive-first", build: bigNet(22, 4, core.DownUp{}), cfg: at(func(c *Config) {
+		{name: "large/256sw-adaptive-first", build: bigNet(22, 4, core.DownUp{}), cfg: at(func(c *Config) {
 			c.Mode = Adaptive
 			c.Select = SelectFirst
 			c.MeasureCycles = 2000
-			c.Workers = 4
 		})},
 		// Parking scenarios: saturated long worms park headers, body flits
 		// and sources for long stretches; kills, DropInFlight and the
 		// resumed feed land on parked lanes and sources; and at 256
-		// switches the parallel engine's wakes cross partitions.
+		// switches wakes reach switches in every mask word.
 		{name: "parking/downup-128flit", build: midNet(23, core.DownUp{}), cfg: at(func(c *Config) {
 			c.PacketLength = 128
 			c.InjectionRate = 0.4
@@ -190,10 +187,9 @@ func TestEnginesByteIdentical(t *testing.T) {
 			drive: driveKills(base.WarmupCycles + base.MeasureCycles)},
 		{name: "parking/kills-saturated-2vc", build: net(26, 4, core.DownUp{}), cfg: at(func(c *Config) { c.InjectionRate = 0.6; c.VirtualChannels = 2 }),
 			drive: driveKills(base.WarmupCycles + base.MeasureCycles)},
-		{name: "parking/256sw-parallel", build: bigNet(27, 4, core.DownUp{}), cfg: at(func(c *Config) {
+		{name: "parking/256sw", build: bigNet(27, 4, core.DownUp{}), cfg: at(func(c *Config) {
 			c.InjectionRate = 0.45
 			c.MeasureCycles = 2000
-			c.Workers = 4
 		})},
 	}
 
@@ -287,23 +283,23 @@ func TestEnginesByteIdentical(t *testing.T) {
 
 // TestEngineDefaultIsEvent pins the default: a zero Config selects the
 // event-driven engine, the scan engine stays reachable, and out-of-range
-// engines are rejected.
+// engines — including Engine(2), the removed multi-core engine — are
+// rejected.
 func TestEngineDefaultIsEvent(t *testing.T) {
 	if (Config{}).withDefaults().Engine != EngineEvent {
 		t.Fatal("zero Config no longer defaults to EngineEvent")
 	}
-	if EngineEvent.String() != "event" || EngineScan.String() != "scan" || EngineParallel.String() != "parallel" {
-		t.Fatalf("engine names changed: %v, %v, %v", EngineEvent, EngineScan, EngineParallel)
+	if EngineEvent.String() != "event" || EngineScan.String() != "scan" {
+		t.Fatalf("engine names changed: %v, %v", EngineEvent, EngineScan)
 	}
-	if got := Engines(); len(got) != 3 || got[0] != EngineScan {
-		t.Fatalf("Engines() = %v; want all three engines, scan baseline first", got)
+	if got := Engines(); len(got) != 2 || got[0] != EngineScan {
+		t.Fatalf("Engines() = %v; want both engines, scan baseline first", got)
 	}
 	f, tb := randomFn(t, 1, 8, 4, core.DownUp{})
-	if _, err := New(f, tb, Config{Engine: Engine(7)}); err == nil {
-		t.Fatal("Engine(7) accepted")
-	}
-	if _, err := New(f, tb, Config{Workers: -1}); err == nil {
-		t.Fatal("negative Workers accepted")
+	for _, e := range []Engine{2, 7} {
+		if _, err := New(f, tb, Config{Engine: e}); err == nil {
+			t.Fatalf("Engine(%d) accepted", int(e))
+		}
 	}
 	sim, err := New(f, tb, Config{Engine: EngineScan, MeasureCycles: 100, WarmupCycles: NoWarmup})
 	if err != nil {

@@ -119,15 +119,24 @@ type evState struct {
 	// srcParked marks sources parked on a full injection buffer; never
 	// overlaps srcWords.
 	srcParked []uint64
-	// readyEject/readyOther are last cycle's filled-wire lists, consumed by
-	// the delivery and link stages (the current cycle's fills collect in
-	// wctx, and stepEvent swaps the pairs). Ejection fills happen in
+	// fillEject/fillOther collect the wires filled during the current
+	// cycle, ejection wires (index >= ejBase) separately: their consumption
+	// order is the delivery order, which must be ascending by node.
+	// readyEject/readyOther are last cycle's lists, consumed by the delivery
+	// and link stages; stepEvent swaps the pairs. Ejection fills happen in
 	// ascending node order (switchStage processes switches in order and
 	// only switch v fills v's ejection wire), matching the scan engine's
-	// delivery order. The parallel engine keeps its per-worker ready lists
-	// in parState instead.
+	// delivery order.
+	fillEject  []int32
+	fillOther  []int32
 	readyEject []int32
 	readyOther []int32
+	ejBase     int32
+	// ord is switchEvent's per-switch round-robin scratch.
+	ord []int32
+	// arrivals is the calendar heap of the open-loop arrivals drawn ahead;
+	// empty under a closed-loop workload.
+	arrivals []arrival
 }
 
 // newEvState builds the scheduling state for s; all sets start empty to
@@ -144,6 +153,7 @@ func newEvState(s *Simulator) *evState {
 		switchWords: make([]uint64, words),
 		srcWords:    make([]uint64, words),
 		srcParked:   make([]uint64, words),
+		ejBase:      int32(s.nCh + s.n),
 	}
 	for i := range ev.laneSwitch {
 		ev.laneSwitch[i] = -1
@@ -178,7 +188,21 @@ func newEvState(s *Simulator) *evState {
 		}
 	}
 	ev.parkMask = make([]uint64, off)
+	if s.cfg.Workload == nil {
+		ev.arrivals = s.initArrivals()
+	}
 	return ev
+}
+
+// noteFill records that wire w was filled this cycle, scheduling its
+// consumption (delivery for ejection wires, link traversal otherwise) for
+// next cycle.
+func (ev *evState) noteFill(w int32) {
+	if w >= ev.ejBase {
+		ev.fillEject = append(ev.fillEject, w)
+	} else {
+		ev.fillOther = append(ev.fillOther, w)
+	}
 }
 
 // markLane wakes the input lane li (its buffer just received a flit) and
@@ -205,7 +229,6 @@ func (ev *evState) park(v int, p int32, w int32) {
 }
 
 // wake returns the lanes parked on wire w to their switch's active set.
-// The caller must own that switch's masks (see Simulator.wakeWire).
 func (ev *evState) wake(w int32) {
 	v := ev.wireSwitch[w]
 	lw := ev.laneWords[v]
@@ -273,35 +296,21 @@ func (s *Simulator) wakeAll() {
 	}
 }
 
-// wakeWire wakes the lanes parked on wire w. A worker applies the wake
-// directly when it owns the waiting switch; otherwise (EngineParallel, a
-// pop next to a partition boundary) it defers it to the owner through its
-// wake list for the current wavefront level.
-func (s *Simulator) wakeWire(wx *wctx, w int32) {
-	if v := s.ev.wireSwitch[w]; v < wx.ownLo || v >= wx.ownHi {
-		wx.wakes[wx.parity] = append(wx.wakes[wx.parity], w)
-		return
-	}
-	s.ev.wake(w)
-}
-
 // stepEvent runs one cycle under the event-driven engine: the same stage
 // order as the scan engine (deliver, link, switch, feed, generate), each
 // stage iterating its worklist instead of the whole network.
 func (s *Simulator) stepEvent() {
 	ev := s.ev
-	wx := &s.wk[0]
-	ev.readyEject, wx.fillEject = wx.fillEject, ev.readyEject[:0]
-	ev.readyOther, wx.fillOther = wx.fillOther, ev.readyOther[:0]
-	ejBase := s.nCh + s.n
+	ev.readyEject, ev.fillEject = ev.fillEject, ev.readyEject[:0]
+	ev.readyOther, ev.fillOther = ev.fillOther, ev.readyOther[:0]
 	for _, w := range ev.readyEject {
-		s.deliverEject(int(w) - ejBase)
+		s.deliverEject(int(w - ev.ejBase))
 	}
 	for _, w := range ev.readyOther {
-		s.linkWire(wx, int(w))
+		s.linkWire(int(w))
 	}
-	s.switchStageEvent(wx)
-	s.feedInjectionEvent(wx, 0, len(ev.srcWords))
+	s.switchStageEvent()
+	s.feedInjectionEvent()
 	s.generate()
 }
 
@@ -309,13 +318,13 @@ func (s *Simulator) stepEvent() {
 // lane, in ascending order. It re-reads the active-switch word after each
 // switch, because a pop can wake a higher-numbered upstream switch for
 // this very cycle.
-func (s *Simulator) switchStageEvent(wx *wctx) {
+func (s *Simulator) switchStageEvent() {
 	sw := s.ev.switchWords
 	for wi := range sw {
 		base := wi << 6
 		for word := sw[wi]; word != 0; {
 			b := uint(bits.TrailingZeros64(word))
-			if s.switchEvent(wx, base+int(b)) {
+			if s.switchEvent(base + int(b)) {
 				sw[wi] &^= 1 << b
 			}
 			word = sw[wi] &^ (2<<b - 1) // only switches above this one
@@ -328,17 +337,17 @@ func (s *Simulator) switchStageEvent(wx *wctx) {
 // empty and parking lanes whose heads wait on one wire. It reports whether
 // the switch has no active lane left (a tail that left this cycle may
 // have woken some for the next).
-func (s *Simulator) switchEvent(wx *wctx, v int) bool {
+func (s *Simulator) switchEvent(v int) bool {
 	ev := s.ev
 	lanes := s.inVCLs[v]
 	words := ev.laneWords[v]
 	start := (s.cycle - 1) % len(lanes) // == the scan engine's rr[v] this cycle
-	ord := appendSetBits(wx.ord[:0], words, start, len(lanes))
+	ord := appendSetBits(ev.ord[:0], words, start, len(lanes))
 	ord = appendSetBits(ord, words, 0, start)
-	wx.ord = ord
+	ev.ord = ord
 	for _, p := range ord {
 		li := lanes[p]
-		w := s.tryForward(wx, v, li)
+		w := s.tryForward(v, li)
 		if s.bufs[li].empty() {
 			words[p>>6] &^= 1 << (uint(p) & 63)
 		} else if w != noWire {
@@ -353,16 +362,16 @@ func (s *Simulator) switchEvent(wx *wctx, v int) bool {
 	return true
 }
 
-// feedInjectionEvent visits every node with an active source in the
-// source-mask words [lo, hi), in ascending order, retiring nodes that
-// have nothing to inject and parking nodes whose injection buffer is full.
-func (s *Simulator) feedInjectionEvent(wx *wctx, lo, hi int) {
+// feedInjectionEvent visits every node with an active source, in
+// ascending order, retiring nodes that have nothing to inject and parking
+// nodes whose injection buffer is full.
+func (s *Simulator) feedInjectionEvent() {
 	ev := s.ev
-	for wi := lo; wi < hi; wi++ {
+	for wi := range ev.srcWords {
 		base := wi << 6
 		for word := ev.srcWords[wi]; word != 0; word &= word - 1 {
 			b := uint(bits.TrailingZeros64(word))
-			switch s.feedNode(wx, base+int(b)) {
+			switch s.feedNode(base + int(b)) {
 			case feedIdle:
 				ev.srcWords[wi] &^= 1 << b
 			case feedFull:
@@ -414,11 +423,11 @@ func (a arrival) before(b arrival) bool {
 	return a.cycle < b.cycle || (a.cycle == b.cycle && a.node < b.node)
 }
 
-// initArrivals draws the first arrival of every node in [lo, hi) (relative
-// to cycle 0, before the first RunCycles) into a calendar heap.
-func (s *Simulator) initArrivals(lo, hi int) []arrival {
-	h := make([]arrival, 0, hi-lo)
-	for v := lo; v < hi; v++ {
+// initArrivals draws the first arrival of every node (relative to cycle 0,
+// before the first RunCycles) into a calendar heap.
+func (s *Simulator) initArrivals() []arrival {
+	h := make([]arrival, 0, s.n)
+	for v := 0; v < s.n; v++ {
 		wait, dst := s.sources[v].Next()
 		h = append(h, arrival{cycle: wait, node: int32(v), dst: int32(dst)})
 	}
@@ -428,12 +437,13 @@ func (s *Simulator) initArrivals(lo, hi int) []arrival {
 	return h
 }
 
-// dueArrival returns the next node in wx's calendar whose packet starts
+// dueArrival returns the next node in the calendar whose packet starts
 // this cycle and that packet's destination, drawing the node's following
 // arrival first; ok=false when no arrival is due. Dead nodes leave the
 // calendar (the scan engine stops ticking them).
-func (s *Simulator) dueArrival(wx *wctx) (v, dst int, ok bool) {
-	h := wx.arrivals
+func (s *Simulator) dueArrival() (v, dst int, ok bool) {
+	ev := s.ev
+	h := ev.arrivals
 	for len(h) > 0 && h[0].cycle == s.cycle {
 		a := h[0]
 		v = int(a.node)
@@ -441,7 +451,7 @@ func (s *Simulator) dueArrival(wx *wctx) (v, dst int, ok bool) {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 			siftDown(h, 0)
-			wx.arrivals = h
+			ev.arrivals = h
 			continue
 		}
 		wait, next := s.sources[v].Next()

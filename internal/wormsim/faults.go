@@ -10,7 +10,7 @@ package wormsim
 // All operations here are deterministic: packets are dropped in ascending
 // id order, and every count flows into the Result so the conservation law
 // (Result.CheckConservation) stays checkable. Each one wakes every lane and
-// source the event engines have parked (engine.go): a kill, a rewire or a
+// source the event engine has parked (engine.go): a kill, a rewire or a
 // removed packet can change what any waiting head is blocked on.
 
 import (
@@ -191,11 +191,9 @@ func (s *Simulator) reroute(v int, p *packet) bool {
 		}
 		p.hop = 0
 		return true
-	default: // Adaptive: no stored route; probe reachability. Rewire runs
-		// between cycles on the caller goroutine, so wk[0]'s scratch is free.
-		wx := &s.wk[0]
-		wx.candBuf = s.tb.NextChannels(int(p.dst), routing.InjectionState(v), wx.candBuf[:0])
-		return len(wx.candBuf) > 0
+	default: // Adaptive: no stored route; probe reachability.
+		s.candBuf = s.tb.NextChannels(int(p.dst), routing.InjectionState(v), s.candBuf[:0])
+		return len(s.candBuf) > 0
 	}
 }
 

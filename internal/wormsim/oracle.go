@@ -117,8 +117,7 @@ func (s *Simulator) InjectProbe(src, dst, flits int) (int64, error) {
 			route[i] = int32(c)
 		}
 	default: // Adaptive: no precomputed route, but refuse unreachable pairs.
-		wx := &s.wk[0]
-		if wx.candBuf = s.tb.NextChannels(dst, routing.InjectionState(src), wx.candBuf[:0]); len(wx.candBuf) == 0 {
+		if s.candBuf = s.tb.NextChannels(dst, routing.InjectionState(src), s.candBuf[:0]); len(s.candBuf) == 0 {
 			return 0, fmt.Errorf("wormsim: probe %d->%d unroutable", src, dst)
 		}
 	}

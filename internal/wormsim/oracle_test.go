@@ -12,8 +12,8 @@ import (
 
 // oracleScript drives one simulator through a fixed interleaving of
 // advances and probes and returns every probe's final status plus the
-// closing counters — the oracle-visible behaviour the invariance tests
-// compare across engines and worker counts.
+// closing counters — the oracle-visible behaviour the invariance test
+// compares across engines.
 func oracleScript(t *testing.T, cfg Config) ([]ProbeStatus, LiveCounters) {
 	t.Helper()
 	f, tb := randomFn(t, 7, 32, 4, core.DownUp{})
@@ -42,42 +42,32 @@ func oracleScript(t *testing.T, cfg Config) ([]ProbeStatus, LiveCounters) {
 	return out, sim.Counters()
 }
 
-// TestProbeInvariantAcrossEnginesAndWorkers is the oracle-side determinism
-// contract: the same probe script yields identical statuses and counters
-// under every engine and any worker count.
-func TestProbeInvariantAcrossEnginesAndWorkers(t *testing.T) {
+// TestProbeInvariantAcrossEngines is the oracle-side determinism contract:
+// the same probe script yields identical statuses and counters under every
+// engine.
+func TestProbeInvariantAcrossEngines(t *testing.T) {
 	base := Config{
 		InjectionRate: 0.05,
 		WarmupCycles:  NoWarmup,
 		MeasureCycles: 1 << 30,
 		Seed:          42,
 	}
-	type variant struct {
-		name string
-		cfg  Config
-	}
-	var variants []variant
-	for _, e := range Engines() {
+	withEngine := func(e Engine) Config {
 		c := base
 		c.Engine = e
-		variants = append(variants, variant{e.String(), c})
+		return c
 	}
-	for _, w := range []int{1, 2, 4} {
-		c := base
-		c.Engine = EngineParallel
-		c.Workers = w
-		variants = append(variants, variant{fmt.Sprintf("parallel-%dw", w), c})
-	}
-	ref, refCnt := oracleScript(t, variants[0].cfg)
-	for _, v := range variants[1:] {
-		got, cnt := oracleScript(t, v.cfg)
+	engines := Engines()
+	ref, refCnt := oracleScript(t, withEngine(engines[0]))
+	for _, e := range engines[1:] {
+		got, cnt := oracleScript(t, withEngine(e))
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Errorf("%s probe %d: got %+v, want %+v", v.name, i, got[i], ref[i])
+				t.Errorf("%s probe %d: got %+v, want %+v", e, i, got[i], ref[i])
 			}
 		}
 		if cnt != refCnt {
-			t.Errorf("%s counters: got %+v, want %+v", v.name, cnt, refCnt)
+			t.Errorf("%s counters: got %+v, want %+v", e, cnt, refCnt)
 		}
 	}
 	if ref[0].Delivered < 0 || ref[0].Latency() <= 0 || ref[0].Hops < 1 {

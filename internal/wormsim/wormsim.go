@@ -65,34 +65,21 @@ const (
 	// baseline the event engine is differentially tested (and benchmarked)
 	// against.
 	EngineScan
-	// EngineParallel is the multi-core engine: switches are partitioned
-	// across a fixed worker pool in contiguous 64-aligned index ranges, each
-	// cycle's stages run as a sequence of barrier-separated phases on the
-	// same double-buffered wire state the event engine uses, and a static
-	// wavefront schedule orders adjacent switches exactly as the sequential
-	// engines do. Results are byte-identical to EngineEvent for every seed
-	// and independent of the worker count; see parallel.go and DESIGN.md
-	// S26.
-	EngineParallel
 )
 
-// String names the engine: "event", "scan", or "parallel".
+// String names the engine: "event" or "scan".
 func (e Engine) String() string {
-	switch e {
-	case EngineScan:
+	if e == EngineScan {
 		return "scan"
-	case EngineParallel:
-		return "parallel"
-	default:
-		return "event"
 	}
+	return "event"
 }
 
 // Engines returns every cycle-evaluation engine, scan baseline first — the
 // order the differential suites compare them in. Byte-identity tests range
 // over this list so a newly added engine is picked up by every suite
 // automatically instead of being hand-listed per test.
-func Engines() []Engine { return []Engine{EngineScan, EngineEvent, EngineParallel} }
+func Engines() []Engine { return []Engine{EngineScan, EngineEvent} }
 
 // Mode selects how packets pick among legal shortest paths.
 type Mode int
@@ -209,15 +196,13 @@ type Config struct {
 	// packet; leave nil for performance runs.
 	Trace io.Writer
 	// Engine selects the cycle-evaluation strategy: EngineEvent (default,
-	// the O(active) fast path), EngineScan (the original full-scan
-	// baseline), or EngineParallel (the multi-core engine). All engines are
-	// byte-identical in results; see Engine.
+	// the O(active) fast path) or EngineScan (the original full-scan
+	// baseline). Both are byte-identical in results; see Engine.
 	Engine Engine
-	// Workers is the EngineParallel worker-pool size; 0 means GOMAXPROCS.
-	// The effective count is capped at one worker per 64 switches (the
-	// partition granularity), so small networks degrade gracefully to a
-	// single worker. Results never depend on Workers. Ignored by the other
-	// engines.
+	// Workers was the worker-pool size of the removed multi-core engine.
+	//
+	// Deprecated: nothing reads it; it is kept only so existing callers
+	// still compile.
 	Workers int
 }
 
@@ -366,11 +351,8 @@ func (c Config) validate(n int) error {
 	if c.LivelockThreshold < NoLivelockCheck {
 		return fmt.Errorf("wormsim: LivelockThreshold %d < %d", c.LivelockThreshold, NoLivelockCheck)
 	}
-	if c.Engine != EngineEvent && c.Engine != EngineScan && c.Engine != EngineParallel {
+	if c.Engine != EngineEvent && c.Engine != EngineScan {
 		return fmt.Errorf("wormsim: unknown Engine %d", c.Engine)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("wormsim: negative Workers %d", c.Workers)
 	}
 	if c.Workload != nil && (c.InjectionRate != 0 || c.Pattern != nil || c.MeanBurst != 0) {
 		return fmt.Errorf("wormsim: Workload is a closed-loop source; InjectionRate, Pattern, and MeanBurst must stay unset")
@@ -537,75 +519,6 @@ const (
 	noTag   = int64(-1)
 )
 
-// wctx is the per-worker context every stage body writes through instead of
-// shared Simulator fields: scratch buffers, the filled-wire worklists of the
-// current cycle, and the deltas of the three cycle-global scalars (progress,
-// in-flight count, injected count). The sequential engines run everything
-// through wk[0]; the parallel engine gives each worker its own, which keeps
-// the shared stage code single-writer, and mergeWorkers folds the deltas
-// back in deterministic worker order after every cycle.
-type wctx struct {
-	moved    bool  // some flit moved this cycle (folds into Simulator.lastMove)
-	inFlight int   // net change to the in-flight flit count this cycle
-	injected int64 // flits placed on injection wires this cycle
-
-	// fillEject/fillOther collect the wires filled during the current cycle
-	// (ejection wires separately: their consumption order is the delivery
-	// order, which must be ascending by node). Unused under EngineScan.
-	fillEject []int32
-	fillOther []int32
-
-	// candBuf/freeBuf are routing scratch (adaptive candidate channels and
-	// their free lanes); ord is the event-engine per-switch round-robin
-	// scratch.
-	candBuf []int
-	freeBuf []int32
-	ord     []int32
-
-	// ownLo/ownHi is the switch range whose parked lanes this worker wakes
-	// directly; a wake outside it goes to wakes[parity] for the owner to
-	// apply after the wavefront level (parity) ends. The sequential engines
-	// own every switch.
-	ownLo, ownHi int32
-	wakes        [2][]int32
-	parity       int
-
-	// arrivals is the calendar heap of the open-loop arrivals drawn ahead
-	// for the nodes this worker generates for (event and parallel engines).
-	arrivals []arrival
-
-	// spawns stages the packets sampled by the parallel generate phase;
-	// the coordinator commits them in worker order (== ascending source
-	// node order) so packet ids match the sequential engines.
-	spawns []spawnRec
-
-	events bool // engine keeps worklists (event/parallel): noteFill is live
-	ejBase int  // first ejection wire index (nCh + n)
-}
-
-// spawnRec is one staged packet: source, destination, and the sampled route
-// (nil in adaptive mode); ok=false marks an unroutable destination, counted
-// at commit time.
-type spawnRec struct {
-	v, dst int32
-	ok     bool
-	route  []int32
-}
-
-// noteFill records that wire w was filled this cycle, scheduling its
-// consumption (delivery for ejection wires, link traversal otherwise) for
-// next cycle. A no-op under EngineScan, which rescans everything anyway.
-func (wx *wctx) noteFill(w int) {
-	if !wx.events {
-		return
-	}
-	if w >= wx.ejBase {
-		wx.fillEject = append(wx.fillEject, int32(w))
-	} else {
-		wx.fillOther = append(wx.fillOther, int32(w))
-	}
-}
-
 // Simulator runs wormhole simulations for one routing function. Create one
 // with New and call Run; a Simulator is single-use.
 //
@@ -662,23 +575,16 @@ type Simulator struct {
 	probeRng *rng.Rng
 	probes   []probeRec // one record per injected probe, indexed by probe id
 
-	// wk holds the per-worker mutable contexts the stage bodies write
-	// through: filled-wire lists, routing scratch, and the cycle's progress
-	// and counter deltas (merged by mergeWorkers). The sequential engines
-	// use wk[0] only; EngineParallel sizes it to its worker count so every
-	// stage body stays single-writer without locks.
-	wk []wctx
+	// candBuf/freeBuf are routing scratch: adaptive candidate channels and
+	// their free lanes.
+	candBuf []int
+	freeBuf []int32
 
-	// ev holds the event-driven scheduling state (active-lane bitmasks and
-	// filled-wire worklists); nil under EngineScan, shared by EngineEvent
-	// and EngineParallel. Every mutation site that can wake a lane, wire,
-	// or source feeds it, so all engines share one implementation of the
-	// physics.
+	// ev holds the event-driven scheduling state (active-lane bitmasks,
+	// filled-wire worklists, the arrival calendar); nil under EngineScan.
+	// Every mutation site that can wake a lane, wire, or source feeds it, so
+	// both engines share one implementation of the physics.
 	ev *evState
-
-	// par holds the parallel engine's partition, wavefront schedule, and
-	// worker pool; nil except under EngineParallel.
-	par *parState
 
 	// TraceMove, if non-nil, is called whenever a flit is placed on a wire
 	// (switch output, injection, or ejection crossing), with the target
@@ -786,27 +692,8 @@ func New(fn *routing.Function, tb routing.PathSource, cfg Config) (*Simulator, e
 	s.deadWire = make([]bool, s.wires)
 	s.deadNode = make([]bool, n)
 	s.res.ChannelFlits = make([]int64, nCh)
-	if cfg.Engine != EngineScan {
+	if cfg.Engine == EngineEvent {
 		s.ev = newEvState(s)
-	}
-	workers := 1
-	if cfg.Engine == EngineParallel {
-		s.par = newParState(s, cfg.Workers)
-		workers = s.par.workers
-	}
-	s.wk = make([]wctx, workers)
-	for i := range s.wk {
-		wx := &s.wk[i]
-		wx.events = cfg.Engine != EngineScan
-		wx.ejBase = nCh + n
-		wx.ownHi = int32(n)
-		if s.ev != nil && cfg.Workload == nil {
-			lo, hi := 0, n
-			if s.par != nil {
-				lo, hi = s.par.lo[i], s.par.hi[i]
-			}
-			wx.arrivals = s.initArrivals(lo, hi)
-		}
 	}
 	return s, nil
 }
@@ -878,9 +765,7 @@ func (s *Simulator) RunCycles(k int) error {
 		s.cycle++
 		s.now++
 		s.measuring = s.cycle > s.cfg.WarmupCycles && s.cycle <= measureEnd
-		if s.par != nil {
-			s.stepParallel()
-		} else if s.ev != nil {
+		if s.ev != nil {
 			s.stepEvent()
 		} else {
 			s.deliver()
@@ -889,7 +774,6 @@ func (s *Simulator) RunCycles(k int) error {
 			s.feedInjection()
 			s.generate()
 		}
-		s.mergeWorkers()
 		if scanning && s.cycle%s.cfg.DetectInterval == 0 {
 			if err := s.recoveryScan(); err != nil {
 				return err
@@ -904,31 +788,11 @@ func (s *Simulator) RunCycles(k int) error {
 	return nil
 }
 
-// mergeWorkers folds the per-worker cycle deltas back into the shared
-// scalars, in ascending worker order. It runs between cycles on the caller
-// goroutine, before the recovery scan and the deadlock watchdog read
-// lastMove and inFlight — the same point the sequential engines had
-// finished updating them at.
-func (s *Simulator) mergeWorkers() {
-	for i := range s.wk {
-		wx := &s.wk[i]
-		if wx.moved {
-			s.lastMove = s.now
-			wx.moved = false
-		}
-		s.inFlight += wx.inFlight
-		wx.inFlight = 0
-		s.res.FlitsInjected += wx.injected
-		wx.injected = 0
-	}
-}
-
 // Finish computes the derived metrics and returns the final Result. It is
 // idempotent; Run calls it automatically.
 func (s *Simulator) Finish() *Result {
 	if !s.finished {
 		s.finished = true
-		s.releaseWorkers()
 		s.finish(s.cycle)
 	}
 	return &s.res
@@ -966,12 +830,10 @@ func (s *Simulator) deliver() {
 }
 
 // deliverEject consumes the flit on node v's ejection wire, if one arrived
-// before this cycle. It is the per-node body shared by all engines, and it
-// always runs on the coordinating goroutine in ascending node order: the
-// latency ledger, the float accumulations, the CSV trace, and the
-// closed-loop Delivered callbacks are all order-sensitive, so delivery is
-// the one stage the parallel engine never fans out. Its writes to the
-// shared scalars therefore stay direct.
+// before this cycle. It is the per-node body shared by both engines, which
+// call it in ascending node order: the latency ledger, the float
+// accumulations, the CSV trace, and the closed-loop Delivered callbacks are
+// all order-sensitive.
 func (s *Simulator) deliverEject(v int) {
 	w := s.vclWire(s.ejectVCL(v))
 	if !s.wireFull[w] || s.wire[w].arrived >= s.now {
@@ -1023,18 +885,15 @@ func (s *Simulator) deliverEject(v int) {
 // flit entered the wire (credit-based flow control), so the push cannot
 // fail.
 func (s *Simulator) linkStage() {
-	wx := &s.wk[0]
 	for w := 0; w < s.nCh+s.n; w++ { // ejection wires drain in deliver
-		s.linkWire(wx, w)
+		s.linkWire(w)
 	}
 }
 
 // linkWire completes the link traversal of the flit on wire w, if one
 // arrived before this cycle: it lands in the downstream virtual-channel
-// buffer, waking that lane. It is the per-wire body shared by all engines;
-// under EngineParallel it runs on the worker owning the downstream switch,
-// so the buffer push and the lane wakeup stay single-writer.
-func (s *Simulator) linkWire(wx *wctx, w int) {
+// buffer, waking that lane. It is the per-wire body shared by both engines.
+func (s *Simulator) linkWire(w int) {
 	if !s.wireFull[w] || s.wire[w].arrived >= s.now {
 		return
 	}
@@ -1048,7 +907,7 @@ func (s *Simulator) linkWire(wx *wctx, w int) {
 	f.arrived = s.now
 	b.push(f)
 	s.wireFull[w] = false
-	wx.moved = true
+	s.lastMove = s.now
 	if s.ev != nil {
 		s.ev.markLane(s.wireVCL[w])
 	}
@@ -1058,7 +917,6 @@ func (s *Simulator) linkWire(wx *wctx, w int) {
 // and allocate output virtual channels; body flits follow their packet's
 // channel.
 func (s *Simulator) switchStage() {
-	wx := &s.wk[0]
 	for v := 0; v < s.n; v++ {
 		lanes := s.inVCLs[v]
 		k := len(lanes)
@@ -1068,7 +926,7 @@ func (s *Simulator) switchStage() {
 		start := s.rr[v] % k
 		s.rr[v]++
 		for i := 0; i < k; i++ {
-			s.tryForward(wx, v, lanes[(start+i)%k])
+			s.tryForward(v, lanes[(start+i)%k])
 		}
 	}
 }
@@ -1100,13 +958,9 @@ func (s *Simulator) parkOn(w int32) int32 {
 
 // tryForward attempts to advance the head flit of input vclane li at
 // switch v. When the head stays blocked on a single wire by ownership or
-// buffer space it returns that wire, on which the event engines park the
-// lane; otherwise noWire. Under EngineParallel it runs on the worker
-// owning v; every resource it touches — v's input lanes, the lanes and
-// wires of channels leaving v, the header packet's hop fields — is written
-// only during v's crossbar turn, and the wavefront schedule sequences
-// adjacent switches.
-func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
+// buffer space it returns that wire, on which the event engine parks the
+// lane; otherwise noWire.
+func (s *Simulator) tryForward(v int, li int32) int32 {
 	b := &s.bufs[li]
 	if b.empty() {
 		return noWire
@@ -1120,7 +974,7 @@ func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
 		// Header: needs routing + output allocation (its one clock through
 		// the switch is the routing/arbitration clock).
 		var park int32
-		if out, park = s.routeHeader(wx, v, li, f); out == noVCL {
+		if out, park = s.routeHeader(v, li, f); out == noVCL {
 			return park // blocked: desired output(s) busy
 		}
 	}
@@ -1132,11 +986,11 @@ func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
 	}
 	p := &s.packets[f.pkt]
 	fl := b.pop()
-	if wx.events {
+	if s.ev != nil {
 		// The pop frees a credit: wake the upstream lanes waiting for this
 		// channel's buffer space, or the node's source feed.
 		if ch := s.vclChannel(li); ch >= 0 {
-			s.wakeWire(wx, int32(ch))
+			s.ev.wake(int32(ch))
 		} else {
 			s.ev.wakeSource(v)
 		}
@@ -1146,8 +1000,10 @@ func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
 	s.wire[w] = fl
 	s.wireVCL[w] = out
 	s.wireFull[w] = true
-	wx.moved = true
-	wx.noteFill(int(w))
+	s.lastMove = s.now
+	if s.ev != nil {
+		s.ev.noteFill(w)
+	}
 	if ch := s.vclChannel(out); ch >= 0 {
 		if s.measuring {
 			s.res.ChannelFlits[ch]++
@@ -1168,8 +1024,8 @@ func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
 		// may try again next cycle, once the tail has left its wire.
 		s.owner[out] = noOwner
 		s.nextOut[li] = noVCL
-		if wx.events {
-			s.wakeWire(wx, w)
+		if s.ev != nil {
+			s.ev.wake(w)
 		}
 	}
 	return noWire
@@ -1179,7 +1035,7 @@ func (s *Simulator) tryForward(wx *wctx, v int, li int32) int32 {
 // switch v that arrived on vclane li, or returns noVCL and the wire the
 // header may park on (noWire for adaptive headers, which have several
 // candidate channels) if it must wait.
-func (s *Simulator) routeHeader(wx *wctx, v int, li int32, f *flit) (out, park int32) {
+func (s *Simulator) routeHeader(v int, li int32, f *flit) (out, park int32) {
 	p := &s.packets[f.pkt]
 	if int32(v) == p.dst {
 		out := s.ejectVCL(v)
@@ -1203,21 +1059,21 @@ func (s *Simulator) routeHeader(wx *wctx, v int, li int32, f *flit) (out, park i
 		if ch := s.vclChannel(li); ch >= 0 {
 			state = ch
 		}
-		wx.candBuf = s.tb.NextChannels(int(p.dst), state, wx.candBuf[:0])
-		wx.freeBuf = wx.freeBuf[:0]
-		for _, c := range wx.candBuf {
+		s.candBuf = s.tb.NextChannels(int(p.dst), state, s.candBuf[:0])
+		s.freeBuf = s.freeBuf[:0]
+		for _, c := range s.candBuf {
 			for vc := 0; vc < s.nVC; vc++ {
 				out := int32(c*s.nVC + vc)
 				if s.owner[out] == noOwner && s.canAccept(out) {
-					wx.freeBuf = append(wx.freeBuf, out)
+					s.freeBuf = append(s.freeBuf, out)
 					break // one free VC per candidate channel is enough
 				}
 			}
 		}
-		if len(wx.freeBuf) == 0 {
+		if len(s.freeBuf) == 0 {
 			return noVCL, noWire
 		}
-		out := s.selectVCL(wx.freeBuf)
+		out := s.selectVCL(s.freeBuf)
 		s.owner[out] = f.pkt
 		return out, noWire
 	}
@@ -1265,14 +1121,13 @@ func (s *Simulator) allocVC(ch int, pkt int32) int32 {
 // feedInjection streams the head packet of each source queue into the
 // node's injection channel, one flit per clock.
 func (s *Simulator) feedInjection() {
-	wx := &s.wk[0]
 	for v := 0; v < s.n; v++ {
-		s.feedNode(wx, v)
+		s.feedNode(v)
 	}
 }
 
-// feedStatus is feedNode's verdict on a source, which the event engines
-// use to keep, retire or park it.
+// feedStatus is feedNode's verdict on a source, which the event engine
+// uses to keep, retire or park it.
 type feedStatus int8
 
 const (
@@ -1282,13 +1137,10 @@ const (
 )
 
 // feedNode advances node v's source queue by at most one flit. It is the
-// per-node body shared by all engines; the returned status tells the
-// event engines whether to keep the node in their active-source set,
-// retire it, or park it until its injection buffer has room. Under
-// EngineParallel it runs on the worker owning v: the injection wire, the
-// source queue, and the streaming packet's injection fields belong to v
-// alone.
-func (s *Simulator) feedNode(wx *wctx, v int) feedStatus {
+// per-node body shared by both engines; the returned status tells the
+// event engine whether to keep the node in its active-source set, retire
+// it, or park it until its injection buffer has room.
+func (s *Simulator) feedNode(v int) feedStatus {
 	if s.deadNode[v] {
 		return feedIdle
 	}
@@ -1328,10 +1180,12 @@ func (s *Simulator) feedNode(wx *wctx, v int) feedStatus {
 	s.wire[w] = flit{pkt: pid, idx: p.sentFlits, arrived: s.now}
 	s.wireVCL[w] = l
 	s.wireFull[w] = true
-	wx.inFlight++
-	wx.injected++
-	wx.moved = true
-	wx.noteFill(int(w))
+	s.inFlight++
+	s.res.FlitsInjected++
+	s.lastMove = s.now
+	if s.ev != nil {
+		s.ev.noteFill(w)
+	}
 	if s.TraceMove != nil {
 		s.TraceMove(l, pid, p.sentFlits)
 	}
@@ -1356,7 +1210,6 @@ func (s *Simulator) feedNode(wx *wctx, v int) feedStatus {
 // event-engine wakeups are identical. The scan engine ticks every source;
 // the event engine takes only the nodes its arrival calendar has due.
 func (s *Simulator) generate() {
-	wx := &s.wk[0]
 	if s.cfg.Workload != nil {
 		for v := 0; v < s.n; v++ {
 			if s.deadNode[v] {
@@ -1366,17 +1219,17 @@ func (s *Simulator) generate() {
 			if !ok {
 				continue
 			}
-			s.spawnPacket(wx, v, dst, tag)
+			s.spawnPacket(v, dst, tag)
 		}
 		return
 	}
 	if s.ev != nil {
 		for {
-			v, dst, ok := s.dueArrival(wx)
+			v, dst, ok := s.dueArrival()
 			if !ok {
 				return
 			}
-			s.spawnPacket(wx, v, dst, noTag)
+			s.spawnPacket(v, dst, noTag)
 		}
 	}
 	for v := 0; v < s.n; v++ {
@@ -1387,7 +1240,7 @@ func (s *Simulator) generate() {
 		if !ok {
 			continue
 		}
-		s.spawnPacket(wx, v, dst, noTag)
+		s.spawnPacket(v, dst, noTag)
 	}
 }
 
@@ -1395,8 +1248,8 @@ func (s *Simulator) generate() {
 // configured mode, and queues it at the source. It is the shared tail of
 // both injection processes; a packet to an unreachable destination (only
 // possible after faults) is discarded and counted in PacketsUnroutable.
-func (s *Simulator) spawnPacket(wx *wctx, v, dst int, tag int64) {
-	route, ok := s.sampleRoute(wx, v, dst)
+func (s *Simulator) spawnPacket(v, dst int, tag int64) {
+	route, ok := s.sampleRoute(v, dst)
 	if !ok {
 		s.res.PacketsUnroutable++
 		return
@@ -1408,10 +1261,8 @@ func (s *Simulator) spawnPacket(wx *wctx, v, dst int, tag int64) {
 // mode: the route channels (source-routed/deterministic), or nil with a
 // reachability probe (adaptive — so a packet to a dead switch never enters
 // the network and wanders forever). ok=false means no legal route exists.
-// All randomness comes from v's private path stream and the shared state it
-// reads is immutable during a cycle, so the parallel generate phase may
-// call it concurrently for distinct v.
-func (s *Simulator) sampleRoute(wx *wctx, v, dst int) (route []int32, ok bool) {
+// All randomness comes from v's private path stream.
+func (s *Simulator) sampleRoute(v, dst int) (route []int32, ok bool) {
 	switch s.cfg.Mode {
 	case SourceRouted:
 		path, err := s.tb.SamplePath(v, dst, s.pathRng[v])
@@ -1445,7 +1296,7 @@ func (s *Simulator) sampleRoute(wx *wctx, v, dst int) (route []int32, ok bool) {
 		return route, true
 	default: // Adaptive
 		if s.faulted {
-			if wx.candBuf = s.tb.NextChannels(dst, routing.InjectionState(v), wx.candBuf[:0]); len(wx.candBuf) == 0 {
+			if s.candBuf = s.tb.NextChannels(dst, routing.InjectionState(v), s.candBuf[:0]); len(s.candBuf) == 0 {
 				return nil, false
 			}
 		}
@@ -1455,9 +1306,7 @@ func (s *Simulator) sampleRoute(wx *wctx, v, dst int) (route []int32, ok bool) {
 
 // commitPacket appends one sampled packet to the simulation: the id it gets
 // is its position in the packet table, so commits must happen in ascending
-// source-node order — sequentially in generate, and in worker order (==
-// ascending node order, since workers own contiguous ranges) when the
-// parallel engine drains its staged spawns.
+// source-node order within a cycle.
 func (s *Simulator) commitPacket(v, dst int, tag int64, route []int32, length int32) {
 	p := packet{
 		src:           int32(v),

@@ -87,8 +87,7 @@ type (
 	// SimMode selects source-routed or adaptive path selection.
 	SimMode = wormsim.Mode
 	// SimEngine selects the cycle-loop implementation (event-driven fast
-	// path, full-scan baseline, or the multi-worker parallel engine); all
-	// produce byte-identical results.
+	// path or full-scan baseline); both produce byte-identical results.
 	SimEngine = wormsim.Engine
 	// Pattern chooses packet destinations.
 	Pattern = traffic.Pattern
@@ -118,10 +117,6 @@ const (
 	// EngineScan is the original engine scanning every lane every cycle;
 	// kept as the differential-testing and benchmarking baseline.
 	EngineScan = wormsim.EngineScan
-	// EngineParallel partitions switches across a worker pool for large
-	// fabrics; byte-identical to EngineEvent at every worker count (see
-	// SimConfig.Workers).
-	EngineParallel = wormsim.EngineParallel
 )
 
 // Evaluation (paper experiment) types.

@@ -247,6 +247,8 @@ func TestBadFlagsFail(t *testing.T) {
 		{"irfault", "-study", "recovery", "-recovery", "drop"},
 		{"irfault", "-study", "sweep", "-detect-interval", "10"},
 		{"irexp", "-deadline", "-1s", "-quiet"},
+		{"irsim", "-switches", "16", "-rate", "NaN"},
+		{"irexp", "-rates", "0.1,NaN", "-quiet"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(filepath.Join(dir, c[0]), c[1:]...)

@@ -148,12 +148,12 @@ func main() {
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
+	var tf *os.File // the trace file, closed and checked once the run ends
 	if *trace != "" {
-		tf, err := os.Create(*trace)
-		if err != nil {
+		var err error
+		if tf, err = os.Create(*trace); err != nil {
 			log.Fatal(err)
 		}
-		defer tf.Close()
 		cfg.Trace = tf
 	}
 	switch *pattern {
@@ -213,6 +213,11 @@ func main() {
 			os.Exit(1)
 		}
 		log.Fatal(err)
+	}
+	if tf != nil {
+		if err := tf.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	st, err := irnet.ComputeNodeStats(b.CG, res)
 	if err != nil {

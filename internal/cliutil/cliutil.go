@@ -4,6 +4,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -203,13 +204,16 @@ func ParsePolicies(s string) ([]ctree.Policy, error) {
 	return out, nil
 }
 
-// ParseRates parses a comma-separated float list.
+// ParseRates parses a comma-separated list of finite floats.
 func ParseRates(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, fmt.Errorf("cliutil: bad rate %q: %w", part, err)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("cliutil: rate %q is not finite", part)
 		}
 		out = append(out, f)
 	}

@@ -97,7 +97,9 @@ func TestParseRates(t *testing.T) {
 	if err != nil || len(rs) != 3 || rs[1] != 0.25 {
 		t.Fatalf("ParseRates = %v, %v", rs, err)
 	}
-	if _, err := ParseRates("0.1,zz"); err == nil {
-		t.Fatal("bad rate accepted")
+	for _, bad := range []string{"0.1,zz", "NaN", "0.2,+Inf", "-inf", "1e999"} {
+		if _, err := ParseRates(bad); err == nil {
+			t.Fatalf("bad rate list %q accepted", bad)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"testing"
 )
 
@@ -12,6 +13,8 @@ func FuzzParseTopology(f *testing.F) {
 		"tree:7", "star:5", "line:4", "complete:5", "petersen", "figure1",
 		"ring:", "mesh:axb", "file:/nonexistent", "ring:-3", "mesh:0x0",
 		"hypercube:30", "ring:999999",
+		"fullmesh:6", "dragonfly:4x2x1", "circulant:9:1:3", "fbfly:3x2",
+		"dragonfly:0x2x1", "circulant:5", "fbfly:1x1",
 	} {
 		f.Add(seed)
 	}
@@ -32,6 +35,29 @@ func FuzzParseTopology(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("ParseTopology(%q) produced invalid graph: %v", spec, err)
+		}
+	})
+}
+
+// FuzzParseRates checks that arbitrary rate lists never panic and that
+// every accepted rate is finite: a NaN or infinite rate must fail here,
+// not turn into a silent zero-load run downstream.
+func FuzzParseRates(f *testing.F) {
+	for _, seed := range []string{
+		"0.1", "0.1, 0.25,0.5", "", ",", "NaN", "nan,0.1", "Inf", "-Inf",
+		"+infinity", "1e999", "0x1p-2", " 0.5 ", "1_0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		rs, err := ParseRates(s)
+		if err != nil {
+			return
+		}
+		for _, r := range rs {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				t.Fatalf("ParseRates(%q) accepted non-finite rate %v", s, r)
+			}
 		}
 	})
 }

@@ -155,7 +155,7 @@ func (o Options) validate() error {
 		return fmt.Errorf("harness: Samples %d < 1", o.Samples)
 	}
 	for _, r := range o.Rates {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("harness: rate %v outside (0, 1]", r)
 		}
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -32,6 +33,8 @@ func TestValidation(t *testing.T) {
 		func(o *Options) { o.Rates = nil },
 		func(o *Options) { o.Rates = []float64{0} },
 		func(o *Options) { o.Rates = []float64{1.5} },
+		func(o *Options) { o.Rates = []float64{0.1, math.NaN()} },
+		func(o *Options) { o.Rates = []float64{math.Inf(1)} },
 		func(o *Options) { o.Samples = 0 },
 	}
 	for i, mutate := range bad {

@@ -4,16 +4,21 @@ package wormsim
 // walks every virtual-channel lane of every switch and ticks every source
 // on every cycle; almost all of those visits find an empty buffer, a head
 // flit that cannot move, or no new packet. This engine tracks exactly the
-// places where work can happen and visits only those:
+// places where work can happen and visits only those.
 //
-//   - filled-wire worklists: a wire holds a flit for exactly one cycle
-//     (credit-based flow control reserves the downstream buffer before the
-//     flit enters the wire, and processors always consume), so the wires
-//     filled during cycle t are precisely the wires the link stage and the
-//     delivery stage must touch at t+1. Two append-only lists per cycle —
-//     one for ejection wires (consumed in ascending-node order, which is
-//     the order switchStage fills them in), one for everything else —
-//     replace the O(channels) wire scans.
+// Both engines share the wire model of send (wormsim.go), which has no
+// link stage. A flit sent at cycle t lands in the downstream buffer at
+// once, stamped to rest there from t+1, and may leave at t+2: credit-based
+// flow control reserved the space, and a wire holds a flit for exactly one
+// cycle. The wire itself is only a stamp that makes it busy for the rest
+// of cycle t; a dead wire stays dead. Only ejection wires keep a register,
+// because delivery order, latency and the closed-loop callback belong to
+// the deliver stage of t+1.
+//
+//   - an ejection worklist: the nodes whose ejection register was filled
+//     during cycle t are exactly the nodes the deliver stage must touch at
+//     t+1, listed in ascending node order (the order switches fill them
+//     in). It replaces the O(nodes) ejection scan.
 //
 //   - three lane states: every crossbar input lane is idle (empty buffer),
 //     active (its bit is set in the switch's lane mask and it is visited
@@ -26,18 +31,21 @@ package wormsim
 //     deterministic header whose route channel has no virtual channel that
 //     is both unowned and has space, or a body flit whose output lane's
 //     downstream buffer is full. The wait is keyed by that physical wire
-//     (a per-wire mask over the waiting switch's lanes). A full or dead
-//     wire (it drains next cycle, or never), an adaptive header (several
-//     candidate channels) and a flit that arrived this cycle stay active.
+//     (a per-wire mask over the waiting switch's lanes, and a per-wire
+//     count of the lanes parked on it). A busy or dead wire (it frees next
+//     cycle, or never), an adaptive header (several candidate channels)
+//     and a head that has not come to rest (it was sent this cycle or the
+//     last) stay active.
 //
 //   - wake rules, each reproducing the first cycle in which the scan
 //     engine could succeed: a tail leaving switch v on output lane o wakes
 //     v's lanes parked on o's wire for the next cycle (the tail has just
-//     filled that wire); a pop from a switch-to-switch input lane at u
+//     made that wire busy); a pop from a switch-to-switch input lane at u
 //     wakes the upstream switch's lanes parked on that channel — this
 //     cycle when the upstream id is above u (so the crossbar stage re-reads
 //     the active-switch word after every switch), the next cycle otherwise;
-//     a flit landing behind a parked head leaves the lane parked. The rare
+//     a flit landing behind a parked head leaves the lane parked. Waking a
+//     wire with nothing parked on it reads its count and returns. The rare
 //     between-cycle mutations that can unblock an arbitrary head (packet
 //     removal by faults, DropInFlight or recovery aborts; KillChannel,
 //     KillSwitch, Rewire) wake every parked lane and source.
@@ -67,11 +75,13 @@ package wormsim
 //     nothing either, and never parks), so skipping it cannot change the
 //     schedule.
 //   - Active resources are visited in the scan engine's order: lanes in
-//     each switch's round-robin order (the round-robin pointer advances
-//     once per cycle unconditionally in the scan engine, so it equals
-//     (cycle-1) mod lanes and needs no per-switch state here), switches
-//     and sources in ascending order, ejection wires in ascending node
-//     order.
+//     each switch's round-robin order, switches and sources in ascending
+//     order, ejection registers in ascending node order. The scan engine's
+//     round-robin pointer advances once per cycle unconditionally, so a
+//     switch with k lanes starts at (cycle-1) mod k. This engine keeps
+//     that start once per distinct k, advances it once per cycle without
+//     a division, and walks the switch's lane words from it, wrapping
+//     around (switchEvent).
 //   - Membership is conservative: a lane/wire/source may be listed with
 //     nothing to do (the shared per-item bodies re-check and no-op, and a
 //     woken lane that is still blocked simply parks again), but anything
@@ -106,10 +116,12 @@ type evState struct {
 	// channel's upstream switch, or the node of an ejection wire; -1 for
 	// injection wires). parkMask[parkOff[w]:][:len(laneWords[wireSwitch[w]])]
 	// holds the positions of the lanes parked on w; every parked lane is
-	// in exactly one wire's mask.
+	// in exactly one wire's mask. parked[w] counts them, so waking a wire
+	// with nothing parked on it costs one load.
 	wireSwitch []int32
 	parkOff    []int32
 	parkMask   []uint64
+	parked     []int32
 	// switchWords is the active-switch bitmask: set while any lane bit of
 	// the switch is set.
 	switchWords []uint64
@@ -119,21 +131,18 @@ type evState struct {
 	// srcParked marks sources parked on a full injection buffer; never
 	// overlaps srcWords.
 	srcParked []uint64
-	// fillEject/fillOther collect the wires filled during the current
-	// cycle, ejection wires (index >= ejBase) separately: their consumption
-	// order is the delivery order, which must be ascending by node.
-	// readyEject/readyOther are last cycle's lists, consumed by the delivery
-	// and link stages; stepEvent swaps the pairs. Ejection fills happen in
-	// ascending node order (switchStage processes switches in order and
-	// only switch v fills v's ejection wire), matching the scan engine's
-	// delivery order.
+	// fillEject collects the nodes whose ejection register was filled
+	// during the current cycle; readyEject is last cycle's list, consumed
+	// by the deliver stage; stepEvent swaps the two. Ejection fills happen
+	// in ascending node order (switches run in order and only switch v
+	// fills v's register), which is the scan engine's delivery order.
 	fillEject  []int32
-	fillOther  []int32
 	readyEject []int32
-	readyOther []int32
-	ejBase     int32
-	// ord is switchEvent's per-switch round-robin scratch.
-	ord []int32
+	// rrPos[k] is (cycle-1) mod k for every lane count k in rrLens: the
+	// scan engine's round-robin start of a switch with k input lanes.
+	// stepEvent advances each once per cycle.
+	rrPos  []int32
+	rrLens []int32
 	// arrivals is the calendar heap of the open-loop arrivals drawn ahead;
 	// empty under a closed-loop workload.
 	arrivals []arrival
@@ -150,10 +159,10 @@ func newEvState(s *Simulator) *evState {
 		parkedWords: make([][]uint64, s.n),
 		wireSwitch:  make([]int32, s.wires),
 		parkOff:     make([]int32, s.wires),
+		parked:      make([]int32, s.wires),
 		switchWords: make([]uint64, words),
 		srcWords:    make([]uint64, words),
 		srcParked:   make([]uint64, words),
-		ejBase:      int32(s.nCh + s.n),
 	}
 	for i := range ev.laneSwitch {
 		ev.laneSwitch[i] = -1
@@ -170,6 +179,13 @@ func newEvState(s *Simulator) *evState {
 		for p, li := range lanes {
 			ev.laneSwitch[li] = int32(v)
 			ev.lanePos[li] = int32(p)
+		}
+		for len(ev.rrPos) <= len(lanes) {
+			ev.rrPos = append(ev.rrPos, -1)
+		}
+		if ev.rrPos[len(lanes)] < 0 {
+			ev.rrPos[len(lanes)] = 0
+			ev.rrLens = append(ev.rrLens, int32(len(lanes)))
 		}
 	}
 	off := 0
@@ -194,17 +210,6 @@ func newEvState(s *Simulator) *evState {
 	return ev
 }
 
-// noteFill records that wire w was filled this cycle, scheduling its
-// consumption (delivery for ejection wires, link traversal otherwise) for
-// next cycle.
-func (ev *evState) noteFill(w int32) {
-	if w >= ev.ejBase {
-		ev.fillEject = append(ev.fillEject, w)
-	} else {
-		ev.fillOther = append(ev.fillOther, w)
-	}
-}
-
 // markLane wakes the input lane li (its buffer just received a flit) and
 // the switch owning it. A lane whose head is parked stays parked: the
 // flit landed behind the head, which has not changed.
@@ -226,26 +231,25 @@ func (ev *evState) park(v int, p int32, w int32) {
 	ev.laneWords[v][p>>6] &^= bit
 	ev.parkedWords[v][p>>6] |= bit
 	ev.parkMask[ev.parkOff[w]+p>>6] |= bit
+	ev.parked[w]++
 }
 
 // wake returns the lanes parked on wire w to their switch's active set.
 func (ev *evState) wake(w int32) {
+	if ev.parked[w] == 0 {
+		return
+	}
+	ev.parked[w] = 0
 	v := ev.wireSwitch[w]
 	lw := ev.laneWords[v]
 	m := ev.parkMask[ev.parkOff[w]:][:len(lw)]
 	pw := ev.parkedWords[v]
-	woke := false
 	for i, b := range m {
-		if b != 0 {
-			lw[i] |= b
-			pw[i] &^= b
-			m[i] = 0
-			woke = true
-		}
+		lw[i] |= b
+		pw[i] &^= b
+		m[i] = 0
 	}
-	if woke {
-		ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
-	}
+	ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
 }
 
 // wakeAll returns every parked lane and source to its active set. The
@@ -263,6 +267,7 @@ func (ev *evState) wakeAll() {
 		}
 	}
 	clear(ev.parkMask)
+	clear(ev.parked)
 	for i, b := range ev.srcParked {
 		ev.srcWords[i] |= b
 		ev.srcParked[i] = 0
@@ -297,19 +302,20 @@ func (s *Simulator) wakeAll() {
 }
 
 // stepEvent runs one cycle under the event-driven engine: the same stage
-// order as the scan engine (deliver, link, switch, feed, generate), each
-// stage iterating its worklist instead of the whole network.
+// order as the scan engine (deliver, switch, feed, generate), each stage
+// iterating its worklist instead of the whole network.
 func (s *Simulator) stepEvent() {
 	ev := s.ev
 	ev.readyEject, ev.fillEject = ev.fillEject, ev.readyEject[:0]
-	ev.readyOther, ev.fillOther = ev.fillOther, ev.readyOther[:0]
-	for _, w := range ev.readyEject {
-		s.deliverEject(int(w - ev.ejBase))
-	}
-	for _, w := range ev.readyOther {
-		s.linkWire(int(w))
+	for _, v := range ev.readyEject {
+		s.deliverEject(int(v))
 	}
 	s.switchStageEvent()
+	for _, k := range ev.rrLens {
+		if ev.rrPos[k]++; ev.rrPos[k] == k {
+			ev.rrPos[k] = 0
+		}
+	}
 	s.feedInjectionEvent()
 	s.generate()
 }
@@ -337,21 +343,39 @@ func (s *Simulator) switchStageEvent() {
 // empty and parking lanes whose heads wait on one wire. It reports whether
 // the switch has no active lane left (a tail that left this cycle may
 // have woken some for the next).
+//
+// The walk starts in start's lane word and wraps around to it: positions
+// start..k-1, then 0..start-1. Each word is read when the walk reaches it,
+// so a lane woken during the walk may be visited at once. Only a tail
+// leaving this switch wakes its lanes, those parked on the wire the tail
+// just took, and that wire is busy for the rest of the cycle: the visit
+// moves nothing and the lane stays active, as under the scan engine.
 func (s *Simulator) switchEvent(v int) bool {
 	ev := s.ev
 	lanes := s.inVCLs[v]
 	words := ev.laneWords[v]
-	start := (s.cycle - 1) % len(lanes) // == the scan engine's rr[v] this cycle
-	ord := appendSetBits(ev.ord[:0], words, start, len(lanes))
-	ord = appendSetBits(ord, words, 0, start)
-	ev.ord = ord
-	for _, p := range ord {
-		li := lanes[p]
-		w := s.tryForward(v, li)
-		if s.bufs[li].empty() {
-			words[p>>6] &^= 1 << (uint(p) & 63)
-		} else if w != noWire {
-			ev.park(v, p, w)
+	start := ev.rrPos[len(lanes)] // == the scan engine's rr[v] this cycle
+	first, cut := int(start>>6), uint(start)&63
+	for i := 0; i <= len(words); i++ {
+		wi := first + i
+		if wi >= len(words) {
+			wi -= len(words)
+		}
+		m := words[wi]
+		if i == 0 {
+			m &= ^uint64(0) << cut
+		} else if i == len(words) {
+			m &= 1<<cut - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			p := wi<<6 | bits.TrailingZeros64(m)
+			li := lanes[p]
+			w := s.tryForward(v, li)
+			if s.bufs[li].empty() {
+				words[wi] &^= 1 << (uint(p) & 63)
+			} else if w != noWire {
+				ev.park(v, int32(p), w)
+			}
 		}
 	}
 	for _, word := range words {
@@ -380,30 +404,6 @@ func (s *Simulator) feedInjectionEvent() {
 			}
 		}
 	}
-}
-
-// appendSetBits appends to dst the positions of the set bits of words in
-// the half-open range [lo, hi), in ascending order.
-func appendSetBits(dst []int32, words []uint64, lo, hi int) []int32 {
-	if lo >= hi {
-		return dst
-	}
-	first, last := lo>>6, (hi-1)>>6
-	for wi := first; wi <= last; wi++ {
-		w := words[wi]
-		if wi == first {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == last && hi&63 != 0 {
-			w &= (1 << (uint(hi) & 63)) - 1
-		}
-		base := wi << 6
-		for w != 0 {
-			dst = append(dst, int32(base+bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // arrival is one node's next open-loop packet start, drawn ahead by

@@ -22,9 +22,9 @@ type parkCounts struct {
 // checkParking verifies the scheduling invariants between cycles and counts
 // what is parked: no lane or source is both active and parked; the per-wire
 // masks partition exactly the parked lanes, each on a wire its own switch
-// drives; a parked lane's head waits on that very wire; a lane bit implies
-// its switch bit; and a parked source has a queued packet and a full
-// injection buffer.
+// drives, and each wire's parked count matches its mask; a parked lane's
+// head waits on that very wire; a lane bit implies its switch bit; and a
+// parked source has a queued packet and a full injection buffer.
 func checkParking(t *testing.T, s *Simulator) parkCounts {
 	t.Helper()
 	ev := s.ev
@@ -35,9 +35,19 @@ func checkParking(t *testing.T, s *Simulator) parkCounts {
 	}
 	for w, v := range ev.wireSwitch {
 		if v < 0 {
+			if ev.parked[w] != 0 {
+				t.Fatalf("cycle %d: injection wire %d counts %d parked lanes", s.cycle, w, ev.parked[w])
+			}
 			continue
 		}
 		m := ev.parkMask[ev.parkOff[w]:][:len(union[v])]
+		count := 0
+		for _, b := range m {
+			count += bits.OnesCount64(b)
+		}
+		if int(ev.parked[w]) != count {
+			t.Fatalf("cycle %d: wire %d counts %d parked lanes, its mask holds %d", s.cycle, w, ev.parked[w], count)
+		}
 		for i, b := range m {
 			if union[v][i]&b != 0 {
 				t.Fatalf("cycle %d: a lane of switch %d is parked on two wires", s.cycle, v)

@@ -53,8 +53,8 @@ func (s *Simulator) KillChannel(ch int) int {
 	s.deadWire[ch] = true
 	s.wakeAll()
 	victims := make(map[int32]struct{})
-	// Packets physically on the channel: owners of its lanes, flits in its
-	// lane buffers, the flit on its wire.
+	// Packets physically on the channel: owners of its lanes and flits in
+	// its lane buffers (a flit crossing the wire has landed already).
 	for vc := 0; vc < s.nVC; vc++ {
 		l := int32(ch*s.nVC + vc)
 		if s.owner[l] != noOwner {
@@ -64,9 +64,6 @@ func (s *Simulator) KillChannel(ch int) int {
 		for i := 0; i < b.size; i++ {
 			victims[b.buf[(b.head+i)%len(b.buf)].pkt] = struct{}{}
 		}
-	}
-	if s.wireFull[ch] {
-		victims[s.wire[ch].pkt] = struct{}{}
 	}
 	// Source-routed packets whose remaining route crosses the channel:
 	// anything active in the network or still queued at a source.
@@ -235,12 +232,16 @@ func (s *Simulator) forEachActivePacket(fn func(pid int32)) {
 			visit(b.buf[(b.head+i)%len(b.buf)].pkt)
 		}
 	}
-	for w := 0; w < s.wires; w++ {
-		if s.wireFull[w] {
-			visit(s.wire[w].pkt)
+	for v := range s.eject {
+		if s.ejecting(v) {
+			visit(s.eject[v].pkt)
 		}
 	}
 }
+
+// ejecting reports, between cycles, whether node v's ejection register
+// holds a flit for the next deliver stage.
+func (s *Simulator) ejecting(v int) bool { return s.wireFree[s.nCh+s.n+v] > s.now }
 
 // dropAll drops a set of packets in ascending id order (determinism) and
 // returns how many were dropped.
@@ -275,15 +276,16 @@ func (s *Simulator) dropPacket(pid int32) bool {
 	removed := s.removePacketFlits(pid)
 	s.res.PacketsDropped++
 	s.res.FlitsDropped += int64(removed)
-	s.lastMove = s.now // topology change counts as progress for the watchdog
 	p.route = nil
 	return true
 }
 
 // removePacketFlits pulls every flit of one packet out of the network —
-// buffers, wires, virtual-channel allocations, streaming bindings — and
-// returns the number of flits removed. It is the shared core of fault
-// drops and recovery aborts; the caller owns the accounting.
+// buffers, ejection registers, virtual-channel allocations, streaming
+// bindings — and returns the number of flits removed. A flit sent this
+// cycle frees its wire again and no longer lands next cycle. The removal
+// counts as progress for the deadlock watchdog. It is the shared core of
+// fault drops and recovery aborts; the caller owns the accounting.
 func (s *Simulator) removePacketFlits(pid int32) int {
 	p := &s.packets[pid]
 	// Release input-lane streaming bindings before ownership: a lane whose
@@ -307,20 +309,25 @@ func (s *Simulator) removePacketFlits(pid int32) int {
 		n := b.size
 		for i := 0; i < n; i++ {
 			f := b.pop()
-			if f.pkt == pid {
-				removed++
-			} else {
+			if f.pkt != pid {
 				b.push(f)
+				continue
+			}
+			removed++
+			if f.arrived > s.now {
+				s.wireFree[s.vclWire(int32(l))] = s.now
+				s.landing--
 			}
 		}
 	}
-	for w := 0; w < s.wires; w++ {
-		if s.wireFull[w] && s.wire[w].pkt == pid {
-			s.wireFull[w] = false
+	for v := range s.eject {
+		if s.ejecting(v) && s.eject[v].pkt == pid {
+			s.wireFree[s.nCh+s.n+v] = s.now
 			removed++
 		}
 	}
 	s.inFlight -= removed
+	s.lastMove = s.now
 	s.wakeAll()
 	if want := int(p.sentFlits - p.delivered); removed != want {
 		panic(fmt.Sprintf("wormsim: removing packet %d removed %d flits, expected %d (accounting broken)",

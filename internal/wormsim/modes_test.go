@@ -1,6 +1,7 @@
 package wormsim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -102,6 +103,52 @@ func TestPacketTrace(t *testing.T) {
 	fields := strings.Split(lines[1], ",")
 	if len(fields) != 7 {
 		t.Fatalf("trace line %q", lines[1])
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write with errFull.
+type failingWriter struct{ limit int }
+
+var errFull = errors.New("device full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestTraceWriteErrorReturned checks that a trace write failing mid-run
+// ends the RunCycles call it happened in with the wrapped error, under
+// every engine, and that the run goes on untraced afterwards.
+func TestTraceWriteErrorReturned(t *testing.T) {
+	f, tb := randomFn(t, 67, 16, 4, routing.UpDown{})
+	for _, engine := range Engines() {
+		sim, err := New(f, tb, Config{
+			PacketLength:  8,
+			InjectionRate: 0.05,
+			WarmupCycles:  NoWarmup,
+			MeasureCycles: 4000,
+			Seed:          9,
+			Trace:         &failingWriter{limit: 200},
+			Engine:        engine,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sim.RunCycles(4000)
+		if !errors.Is(err, errFull) || !strings.HasPrefix(err.Error(), "wormsim: writing trace: ") {
+			t.Fatalf("%v: RunCycles = %v; want the wrapped write error", engine, err)
+		}
+		if sim.Cycle() == 0 || sim.Cycle() >= 4000 {
+			t.Fatalf("%v: the failing call ran to cycle %d; want it to stop at the failing cycle", engine, sim.Cycle())
+		}
+		if err := sim.RunCycles(4000 - sim.Cycle()); err != nil {
+			t.Fatalf("%v: the run after the failure: %v", engine, err)
+		}
 	}
 }
 

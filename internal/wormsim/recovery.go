@@ -142,7 +142,6 @@ func (s *Simulator) abortPacket(pid int32) {
 	removed := s.removePacketFlits(pid)
 	s.res.PacketsAborted++
 	s.res.FlitsAborted += int64(removed)
-	s.lastMove = s.now // the freed resources are progress for the watchdog
 	p.sentFlits = 0
 	p.delivered = 0
 	p.injected = -1
@@ -203,9 +202,9 @@ func (s *Simulator) livelockCheck() error {
 			check(b.buf[(b.head+i)%len(b.buf)].pkt)
 		}
 	}
-	for w := 0; w < s.wires; w++ {
-		if s.wireFull[w] {
-			check(s.wire[w].pkt)
+	for v := range s.eject {
+		if s.ejecting(v) {
+			check(s.eject[v].pkt)
 		}
 	}
 	live := s.retrying[:0]

@@ -37,6 +37,7 @@ package wormsim
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/cgraph"
@@ -55,7 +56,7 @@ type Engine int
 const (
 	// EngineEvent (the default) is the event-driven fast path: per-switch
 	// active-lane worklists that park blocked heads on the wire they wait
-	// for, an active-source set, per-cycle filled-wire lists, and an
+	// for, an active-source set, a per-cycle ejection worklist, and an
 	// arrival calendar drawn ahead let every stage iterate only what can
 	// make progress instead of O(channels x virtual channels) or O(nodes).
 	// Flat slice-backed bitmask scheduling — no maps on the hot path.
@@ -332,8 +333,8 @@ func (c Config) validate(n int) error {
 	if c.VirtualChannels < 1 || c.VirtualChannels > 8 {
 		return fmt.Errorf("wormsim: VirtualChannels %d outside [1,8]", c.VirtualChannels)
 	}
-	if c.InjectionRate < 0 {
-		return fmt.Errorf("wormsim: negative InjectionRate")
+	if c.InjectionRate < 0 || math.IsNaN(c.InjectionRate) || math.IsInf(c.InjectionRate, 0) {
+		return fmt.Errorf("wormsim: InjectionRate %v is negative or not finite", c.InjectionRate)
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("wormsim: bad cycle counts (warmup %d, measure %d)",
@@ -469,11 +470,11 @@ func (r *Result) CheckConservation() error {
 	return nil
 }
 
-// flit is one flow-control unit in a buffer or on a wire.
+// flit is one flow-control unit in a buffer or an ejection register.
 type flit struct {
 	pkt     int32
 	idx     int32
-	arrived int32 // cycle the flit entered its current resting place
+	arrived int32 // cycle the flit comes to rest in its buffer: the one after it was sent
 }
 
 // ring is a tiny fixed-capacity FIFO of flits.
@@ -538,10 +539,9 @@ type Simulator struct {
 	wires int // nCh + 2n physical transport resources
 	vcls  int // nCh*nVC + 2n virtual-channel lanes
 
-	bufs      []ring  // per vclane; ejection lanes have no buffer (nil buf)
-	wire      []flit  // one register per wire
-	wireVCL   []int32 // target vclane of the flit on each wire
-	wireFull  []bool
+	bufs      []ring    // per vclane; ejection lanes have no buffer (nil buf)
+	eject     []flit    // per node: its ejection wire's register, delivered next cycle
+	wireFree  []int32   // per wire: the first cycle it may take a flit again
 	owner     []int32   // output allocation per vclane
 	nextOut   []int32   // per input vclane: output vclane held by the packet streaming through
 	rr        []int     // per switch round-robin pointer
@@ -555,11 +555,13 @@ type Simulator struct {
 	latencies []int32 // per delivered packet in the window
 	now       int32
 	lastMove  int32
+	landing   int // flits sent into a buffer this cycle: they land (a movement) next cycle
 	inFlight  int // flits currently inside the network (not source queues)
 
 	measuring bool
-	cycle     int  // completed cycles (warmup + measurement so far)
-	started   bool // first RunCycles call happened (trace header written)
+	cycle     int   // completed cycles (warmup + measurement so far)
+	started   bool  // first RunCycles call happened (trace header written)
+	traceErr  error // a trace write failed this cycle; tracing has stopped
 	finished  bool
 	paused    bool   // injection of new packets suspended (draining)
 	faulted   bool   // at least one fault was injected
@@ -581,7 +583,7 @@ type Simulator struct {
 	freeBuf []int32
 
 	// ev holds the event-driven scheduling state (active-lane bitmasks,
-	// filled-wire worklists, the arrival calendar); nil under EngineScan.
+	// the ejection worklist, the arrival calendar); nil under EngineScan.
 	// Every mutation site that can wake a lane, wire, or source feeds it, so
 	// both engines share one implementation of the physics.
 	ev *evState
@@ -633,9 +635,8 @@ func New(fn *routing.Function, tb routing.PathSource, cfg Config) (*Simulator, e
 	for l := 0; l < nCh*nVC+n; l++ { // ejection lanes carry no buffer
 		s.bufs[l].buf = make([]flit, cfg.BufferDepth)
 	}
-	s.wire = make([]flit, s.wires)
-	s.wireVCL = make([]int32, s.wires)
-	s.wireFull = make([]bool, s.wires)
+	s.eject = make([]flit, n)
+	s.wireFree = make([]int32, s.wires)
 	s.owner = make([]int32, s.vcls)
 	s.nextOut = make([]int32, s.vcls)
 	for i := range s.owner {
@@ -746,7 +747,8 @@ func (s *Simulator) InFlight() int { return s.inFlight }
 // of Run, used by fault-injection drivers that interleave simulation with
 // topology changes: warmup/measurement bookkeeping is shared with Run, and
 // the deadlock watchdog stays armed. It returns a *DeadlockError if the
-// watchdog fires.
+// watchdog fires. A failed trace write ends the call with that error at
+// the end of its cycle; tracing stops there, and later calls run untraced.
 func (s *Simulator) RunCycles(k int) error {
 	if s.finished {
 		return fmt.Errorf("wormsim: RunCycles after Finish")
@@ -764,12 +766,15 @@ func (s *Simulator) RunCycles(k int) error {
 	for i := 0; i < k; i++ {
 		s.cycle++
 		s.now++
+		if s.landing > 0 { // last cycle's buffer sends come to rest now
+			s.lastMove = s.now
+			s.landing = 0
+		}
 		s.measuring = s.cycle > s.cfg.WarmupCycles && s.cycle <= measureEnd
 		if s.ev != nil {
 			s.stepEvent()
 		} else {
 			s.deliver()
-			s.linkStage()
 			s.switchStage()
 			s.feedInjection()
 			s.generate()
@@ -783,6 +788,10 @@ func (s *Simulator) RunCycles(k int) error {
 			info := s.deadlockInfo()
 			s.res.Deadlock = info
 			return &DeadlockError{Info: info}
+		}
+		if err := s.traceErr; err != nil {
+			s.traceErr = nil
+			return fmt.Errorf("wormsim: writing trace: %w", err)
 		}
 	}
 	return nil
@@ -829,18 +838,16 @@ func (s *Simulator) deliver() {
 	}
 }
 
-// deliverEject consumes the flit on node v's ejection wire, if one arrived
-// before this cycle. It is the per-node body shared by both engines, which
+// deliverEject consumes the flit in node v's ejection register, if one was
+// sent last cycle. It is the per-node body shared by both engines, which
 // call it in ascending node order: the latency ledger, the float
 // accumulations, the CSV trace, and the closed-loop Delivered callbacks are
 // all order-sensitive.
 func (s *Simulator) deliverEject(v int) {
-	w := s.vclWire(s.ejectVCL(v))
-	if !s.wireFull[w] || s.wire[w].arrived >= s.now {
+	if s.wireFree[s.nCh+s.n+v] != s.now { // nothing sent last cycle, or it was removed
 		return
 	}
-	f := s.wire[w]
-	s.wireFull[w] = false
+	f := s.eject[v]
 	s.inFlight--
 	s.lastMove = s.now
 	p := &s.packets[f.pkt]
@@ -864,8 +871,11 @@ func (s *Simulator) deliverEject(v int) {
 			s.latencies = append(s.latencies, int32(lat))
 		}
 		if s.cfg.Trace != nil && s.measuring {
-			fmt.Fprintf(s.cfg.Trace, "%d,%d,%d,%d,%d,%d,%d\n",
-				f.pkt, p.src, p.dst, p.created, p.injected, s.now, p.hops)
+			if _, err := fmt.Fprintf(s.cfg.Trace, "%d,%d,%d,%d,%d,%d,%d\n",
+				f.pkt, p.src, p.dst, p.created, p.injected, s.now, p.hops); err != nil {
+				s.traceErr = err
+				s.cfg.Trace = nil
+			}
 		}
 		p.route = nil // release path memory
 		if s.cfg.Workload != nil {
@@ -877,39 +887,6 @@ func (s *Simulator) deliverEject(v int) {
 			pr.deliveredAt = s.now
 			pr.hops = p.hops
 		}
-	}
-}
-
-// linkStage moves flits from wires into the downstream virtual-channel
-// buffers (one clock of link delay). Buffer space was reserved when the
-// flit entered the wire (credit-based flow control), so the push cannot
-// fail.
-func (s *Simulator) linkStage() {
-	for w := 0; w < s.nCh+s.n; w++ { // ejection wires drain in deliver
-		s.linkWire(w)
-	}
-}
-
-// linkWire completes the link traversal of the flit on wire w, if one
-// arrived before this cycle: it lands in the downstream virtual-channel
-// buffer, waking that lane. It is the per-wire body shared by both engines.
-func (s *Simulator) linkWire(w int) {
-	if !s.wireFull[w] || s.wire[w].arrived >= s.now {
-		return
-	}
-	b := &s.bufs[s.wireVCL[w]]
-	if b.full() {
-		// Credit accounting guarantees space; a full buffer here is a
-		// simulator bug, not a network condition.
-		panic("wormsim: wire delivered into a full buffer (credit accounting broken)")
-	}
-	f := s.wire[w]
-	f.arrived = s.now
-	b.push(f)
-	s.wireFull[w] = false
-	s.lastMove = s.now
-	if s.ev != nil {
-		s.ev.markLane(s.wireVCL[w])
 	}
 }
 
@@ -931,12 +908,15 @@ func (s *Simulator) switchStage() {
 	}
 }
 
+// wireBusy reports whether wire w can take no flit this cycle: a flit
+// already entered it, or a fault killed it.
+func (s *Simulator) wireBusy(w int32) bool { return s.wireFree[w] > s.now || s.deadWire[w] }
+
 // canAccept reports whether a flit may be placed on out's wire right now:
-// the wire register is free, not killed by a fault, and the downstream
-// buffer has space (ejection lanes have no buffer; the processor always
-// consumes).
+// the wire is not busy, and the downstream buffer has space (ejection lanes
+// have no buffer; the processor always consumes).
 func (s *Simulator) canAccept(out int32) bool {
-	if w := s.vclWire(out); s.wireFull[w] || s.deadWire[w] {
+	if s.wireBusy(s.vclWire(out)) {
 		return false
 	}
 	if int(out) >= s.nCh*s.nVC+s.n { // ejection
@@ -947,13 +927,41 @@ func (s *Simulator) canAccept(out int32) bool {
 
 // parkOn reports the wire a blocked head waiting on wire w may park on:
 // w itself when it is free and alive, so that only ownership or buffer
-// space can be in the way; noWire when it is full (it drains next cycle)
+// space can be in the way; noWire when it is busy (it frees next cycle)
 // or dead (it never does), which keeps the lane polling.
 func (s *Simulator) parkOn(w int32) int32 {
-	if s.wireFull[w] || s.deadWire[w] {
+	if s.wireBusy(w) {
 		return noWire
 	}
 	return w
+}
+
+// send puts flit f on lane l's wire, which is then busy for the rest of
+// the cycle. A switch-to-switch or injection flit lands in l's buffer at
+// once: credit-based flow control reserved the space, and a wire holds a
+// flit for exactly one cycle, so the flit rests there from next cycle and
+// may leave the cycle after. An ejection flit waits in the wire's register
+// for next cycle's deliver stage.
+func (s *Simulator) send(l int32, f flit) {
+	w := s.vclWire(l)
+	s.wireFree[w] = s.now + 1
+	s.lastMove = s.now
+	if v := int(w) - s.nCh - s.n; v >= 0 {
+		s.eject[v] = f
+		if s.ev != nil {
+			s.ev.fillEject = append(s.ev.fillEject, int32(v))
+		}
+	} else {
+		f.arrived = s.now + 1
+		s.bufs[l].push(f)
+		s.landing++
+		if s.ev != nil {
+			s.ev.markLane(l)
+		}
+	}
+	if s.TraceMove != nil {
+		s.TraceMove(l, f.pkt, f.idx)
+	}
 }
 
 // tryForward attempts to advance the head flit of input vclane li at
@@ -995,15 +1003,7 @@ func (s *Simulator) tryForward(v int, li int32) int32 {
 			s.ev.wakeSource(v)
 		}
 	}
-	fl.arrived = s.now
-	w := s.vclWire(out)
-	s.wire[w] = fl
-	s.wireVCL[w] = out
-	s.wireFull[w] = true
-	s.lastMove = s.now
-	if s.ev != nil {
-		s.ev.noteFill(w)
-	}
+	s.send(out, fl)
 	if ch := s.vclChannel(out); ch >= 0 {
 		if s.measuring {
 			s.res.ChannelFlits[ch]++
@@ -1011,9 +1011,6 @@ func (s *Simulator) tryForward(v int, li int32) int32 {
 		if fl.idx == 0 {
 			p.hops++
 		}
-	}
-	if s.TraceMove != nil {
-		s.TraceMove(out, fl.pkt, fl.idx)
 	}
 	if fl.idx == 0 {
 		s.nextOut[li] = out
@@ -1025,7 +1022,7 @@ func (s *Simulator) tryForward(v int, li int32) int32 {
 		s.owner[out] = noOwner
 		s.nextOut[li] = noVCL
 		if s.ev != nil {
-			s.ev.wake(w)
+			s.ev.wake(s.vclWire(out))
 		}
 	}
 	return noWire
@@ -1154,8 +1151,7 @@ func (s *Simulator) feedNode(v int) feedStatus {
 		return feedIdle
 	}
 	l := s.injVCL(v)
-	w := s.vclWire(l)
-	if s.wireFull[w] || s.deadWire[w] {
+	if s.wireBusy(s.vclWire(l)) {
 		return feedBusy
 	}
 	if s.bufs[l].full() {
@@ -1177,18 +1173,9 @@ func (s *Simulator) feedNode(v int) feedStatus {
 			p.firstInjected = s.now
 		}
 	}
-	s.wire[w] = flit{pkt: pid, idx: p.sentFlits, arrived: s.now}
-	s.wireVCL[w] = l
-	s.wireFull[w] = true
+	s.send(l, flit{pkt: pid, idx: p.sentFlits})
 	s.inFlight++
 	s.res.FlitsInjected++
-	s.lastMove = s.now
-	if s.ev != nil {
-		s.ev.noteFill(w)
-	}
-	if s.TraceMove != nil {
-		s.TraceMove(l, pid, p.sentFlits)
-	}
 	p.sentFlits++
 	if p.sentFlits == p.length {
 		s.qHead[v]++

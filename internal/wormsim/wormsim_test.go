@@ -59,6 +59,8 @@ func TestConfigValidation(t *testing.T) {
 		{PacketLength: -1},
 		{BufferDepth: -2},
 		{InjectionRate: -0.1},
+		{InjectionRate: math.NaN()},
+		{InjectionRate: math.Inf(1)},
 		{WarmupCycles: -2},
 		{MeasureCycles: -5},
 	}
@@ -301,6 +303,87 @@ func TestFlitConservation(t *testing.T) {
 	// Undelivered flits are in flight or waiting in source queues.
 	if res.FlitsDelivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// checkSentThisCycle verifies, between cycles, the bookkeeping of the
+// flits sent this cycle: s.landing counts exactly the buffered flits still
+// crossing their wire (arrived > now), a switch-to-switch or injection
+// wire is busy exactly when one of them crossed it, and an ejection
+// register holds only a live packet's flit.
+func checkSentThisCycle(t *testing.T, s *Simulator) {
+	t.Helper()
+	landing := 0
+	busy := make([]bool, s.wires)
+	for l := range s.bufs {
+		b := &s.bufs[l]
+		for i := 0; i < b.size; i++ {
+			if b.buf[(b.head+i)%len(b.buf)].arrived > s.now {
+				landing++
+				busy[s.vclWire(int32(l))] = true
+			}
+		}
+	}
+	if landing != s.landing {
+		t.Fatalf("cycle %d: %d flits still crossing their wire, landing counts %d", s.cycle, landing, s.landing)
+	}
+	for w := 0; w < s.nCh+s.n; w++ {
+		if got := s.wireFree[w] > s.now; got != busy[w] {
+			t.Fatalf("cycle %d: wire %d busy=%v, but a flit crossed it this cycle: %v", s.cycle, w, got, busy[w])
+		}
+	}
+	for v := range s.eject {
+		if s.ejecting(v) && s.packets[s.eject[v].pkt].dropped {
+			t.Fatalf("cycle %d: node %d's ejection register holds a flit of dropped packet %d", s.cycle, v, s.eject[v].pkt)
+		}
+	}
+}
+
+// TestRemovalTakesBackSends drops packets between cycles while some of
+// their flits are still crossing a wire. The removal must take back both
+// the flit's landing, which the watchdog would otherwise count as a
+// movement next cycle, and its wire's busy stamp, which the wait-for graph
+// of a recovery scan reads right after an abort.
+func TestRemovalTakesBackSends(t *testing.T) {
+	f, tb := randomFn(t, 31, 16, 4, core.DownUp{})
+	sim, err := New(f, tb, Config{
+		PacketLength:  8,
+		InjectionRate: 0.5,
+		WarmupCycles:  NoWarmup,
+		MeasureCycles: 1 << 20,
+		Seed:          3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for c := 0; c < 600; c++ {
+		if err := sim.RunCycles(1); err != nil {
+			t.Fatal(err)
+		}
+		checkSentThisCycle(t, sim)
+		for l := range sim.bufs {
+			b := &sim.bufs[l]
+			if c%2 != 0 || b.size == 0 {
+				continue
+			}
+			if last := b.buf[(b.head+b.size-1)%len(b.buf)]; last.arrived > sim.now {
+				sim.dropPacket(last.pkt)
+				dropped++
+				checkSentThisCycle(t, sim)
+				break
+			}
+		}
+		if c%50 == 49 {
+			sim.DropInFlight()
+			checkSentThisCycle(t, sim)
+		}
+	}
+	if dropped < 100 {
+		t.Fatalf("only %d packets dropped mid-crossing; the test no longer exercises removal", dropped)
+	}
+	if err := sim.Finish().CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -138,7 +138,7 @@ examples:
 # Regenerating reproduces results/fault_sweep.txt byte for byte.
 faults:
 	mkdir -p results
-	$(GO) run ./cmd/irfault > results/fault_sweep.txt
+	$(GO) run ./cmd/irexp -exp fault > results/fault_sweep.txt
 	@cat results/fault_sweep.txt
 
 # The deterministic recovery study: immediate (non-draining) live
@@ -147,19 +147,18 @@ faults:
 # results/recovery_sweep.txt byte for byte.
 recovery:
 	mkdir -p results
-	$(GO) run ./cmd/irfault -study recovery > results/recovery_sweep.txt
+	$(GO) run ./cmd/irexp -exp recovery > results/recovery_sweep.txt
 	@cat results/recovery_sweep.txt
 
 # The deterministic closed-loop collective study: makespan for all five
 # collectives (ring all-reduce, tree reduce+broadcast, all-gather,
 # all-to-all, incast) across {DOWN/UP, L-turn, up*/down*} × M1/M2/M3 at
-# 128 switches, 4- and 8-port. -compare-engines re-runs every simulation
-# on the scan engine and fails on any divergence. Regenerating reproduces
+# 128 switches, 4- and 8-port. Regenerating reproduces
 # results/collective_sweep.txt and results/BENCH_collective.json byte for
 # byte.
 collectives:
 	mkdir -p results
-	$(GO) run ./cmd/irexp -exp collective -scale paper -compare-engines \
+	$(GO) run ./cmd/irexp -exp collective -scale paper \
 		-json results/BENCH_collective.json > results/collective_sweep.txt
 	@cat results/collective_sweep.txt
 
@@ -171,7 +170,7 @@ collectives:
 # and results/BENCH_turnsearch.json byte for byte.
 turns:
 	mkdir -p results
-	$(GO) run ./cmd/irturns -differential 500 \
+	$(GO) run ./cmd/irexp -exp turns -scale paper -differential 500 \
 		-json results/BENCH_turnsearch.json > results/turnsearch_sweep.txt
 	@cat results/turnsearch_sweep.txt
 
@@ -182,7 +181,7 @@ turns:
 # worker counts.
 zoo:
 	mkdir -p results
-	$(GO) run ./cmd/irzoo -scale paper -compare-engines \
+	$(GO) run ./cmd/irexp -exp zoo -scale paper \
 		-json results/BENCH_zoo.json > results/zoo_sweep.txt
 	@cat results/zoo_sweep.txt
 

@@ -28,7 +28,7 @@ func binaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, cmd := range []string{"irtopo", "irroute", "irsim", "irexp", "irverify", "irtrace", "irfault", "irnetd", "irbench", "irturns", "irserve", "irtrend", "irzoo"} {
+		for _, cmd := range []string{"irtopo", "irroute", "irsim", "irexp", "irverify", "irtrace", "irnetd", "irbench", "irserve", "irtrend"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "repro/cmd/"+cmd).CombinedOutput()
 			if err != nil {
 				buildErr = err
@@ -199,61 +199,80 @@ func TestIrverifyExistenceJSON(t *testing.T) {
 }
 
 func TestIrturnsSmoke(t *testing.T) {
-	args := []string{"-switches", "24", "-ports", "4", "-policies", "M1",
+	args := []string{"-exp", "turns", "-quiet", "-switches", "24", "-ports", "4", "-policies", "M1",
 		"-samples", "1", "-restarts", "3", "-warmup", "300", "-measure", "1500",
 		"-differential", "20", "-sim-every", "7"}
-	out := run(t, "irturns", args...)
+	out := run(t, "irexp", args...)
 	for _, want := range []string{"0 disagreements", "smallest found sets:", "paper DOWN/UP prohibits 18 turns"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("irturns output missing %q:\n%s", want, out)
+			t.Fatalf("irexp -exp turns output missing %q:\n%s", want, out)
 		}
 	}
-	if again := run(t, "irturns", args...); again != out {
-		t.Fatalf("irturns output not deterministic:\n%s\n---\n%s", out, again)
+	if again := run(t, "irexp", args...); again != out {
+		t.Fatalf("irexp -exp turns output not deterministic:\n%s\n---\n%s", out, again)
 	}
 }
 
 func TestIrfaultSmoke(t *testing.T) {
-	args := []string{"-switches", "16", "-samples", "1", "-plen", "8",
+	args := []string{"-exp", "fault", "-quiet", "-switches", "16", "-samples", "1", "-plen", "8",
 		"-warmup", "300", "-measure", "2500", "-links", "0,2"}
-	out := run(t, "irfault", args...)
+	out := run(t, "irexp", args...)
 	for _, want := range []string{"Fault sweep", "recovery", "drain", "drop", "recoverCy"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("irfault output missing %q:\n%s", want, out)
+			t.Fatalf("irexp -exp fault output missing %q:\n%s", want, out)
 		}
 	}
 	// The acceptance bar for the fault subsystem: the sweep is byte-identical
 	// across invocations of the same flags.
-	if again := run(t, "irfault", args...); again != out {
-		t.Fatalf("irfault output not deterministic:\n%s\n---\n%s", out, again)
+	if again := run(t, "irexp", args...); again != out {
+		t.Fatalf("irexp -exp fault output not deterministic:\n%s\n---\n%s", out, again)
 	}
 }
 
 func TestBadFlagsFail(t *testing.T) {
 	dir := binaries(t)
+	ckpt := filepath.Join(t.TempDir(), "ck.jsonl")
 	cases := [][]string{
 		{"irroute", "-alg", "bogus"},
 		{"irtopo", "-topo", "nonsense"},
 		{"irsim", "-pattern", "bogus"},
-		{"irexp", "-exp", "bogus", "-quiet"},
 		{"irsim", "-mode", "bogus"},
-		{"irfault", "-recovery", "bogus"},
-		{"irfault", "-links", "1,x"},
 		{"irsim", "-topo", "ring:8", "-alg", "unrestricted"}, // refuses unverified without -recover
 		{"irsim", "-topo", "ring:8", "-recover", "-max-retries", "-1"},
 		{"irsim", "-topo", "ring:8", "-recover", "-detect-interval", "-1"},
 		{"irsim", "-topo", "ring:8", "-livelock", "-2"},
-		{"irfault", "-study", "bogus"},
-		{"irfault", "-study", "recovery", "-recovery", "drop"},
-		{"irfault", "-study", "sweep", "-detect-interval", "10"},
 		{"irexp", "-deadline", "-1s", "-quiet"},
 		{"irsim", "-switches", "16", "-rate", "NaN"},
 		{"irexp", "-rates", "0.1,NaN", "-quiet"},
+		{"irexp", "-exp", "fault", "-rates", "1.5"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(filepath.Join(dir, c[0]), c[1:]...)
 		if err := cmd.Run(); err == nil {
 			t.Errorf("%v exited zero", c)
 		}
+	}
+	// Usage errors exit 2, before any work starts: an unknown study, a flag
+	// the chosen study does not read, or a malformed value.
+	usage := [][]string{
+		{"irexp", "-exp", "bogus", "-quiet"},
+		{"irexp", "-exp", "bogus", "-checkpoint", ckpt},
+		{"irexp", "-exp", "hotspot", "-checkpoint", ckpt},
+		{"irexp", "-scale", "bogus"},
+		{"irexp", "-engine", "bogus"},
+		{"irexp", "-exp", "fault", "-recovery", "bogus"},
+		{"irexp", "-exp", "fault", "-links", "1,x"},
+		{"irexp", "-exp", "recovery", "-recovery", "drop"},
+		{"irexp", "-exp", "fault", "-detect-interval", "10"},
+		{"irexp", "-exp", "fault", "-ports", "4,8"},
+	}
+	for _, c := range usage {
+		err := exec.Command(filepath.Join(dir, c[0]), c[1:]...).Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Errorf("%v: got %v, want exit status 2", c, err)
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("rejected invocations wrote a checkpoint: %v", err)
 	}
 }

@@ -56,15 +56,15 @@ func TestIrsimLivelockDiagnostic(t *testing.T) {
 // TestIrfaultRecoveryStudy smoke-tests the immediate-reconfiguration study
 // and its byte determinism.
 func TestIrfaultRecoveryStudy(t *testing.T) {
-	args := []string{"-study", "recovery", "-samples", "1", "-links", "0,2"}
-	out := run(t, "irfault", args...)
+	args := []string{"-exp", "recovery", "-quiet", "-samples", "1", "-links", "0,2"}
+	out := run(t, "irexp", args...)
 	for _, want := range []string{"Recovery sweep", "immediate reconfiguration", "dlockRuns", "recovered", "delivered"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("irfault -study recovery output missing %q:\n%s", want, out)
+			t.Fatalf("irexp -exp recovery output missing %q:\n%s", want, out)
 		}
 	}
-	if again := run(t, "irfault", args...); again != out {
-		t.Fatalf("irfault -study recovery output not deterministic:\n%s\n---\n%s", out, again)
+	if again := run(t, "irexp", args...); again != out {
+		t.Fatalf("irexp -exp recovery output not deterministic:\n%s\n---\n%s", out, again)
 	}
 }
 

@@ -1,7 +1,7 @@
 package clitests
 
-// End-to-end tests for the topology-zoo surface: the irzoo shootout
-// binary and irtopo's -family/-svg rendering flags.
+// End-to-end tests for the topology-zoo surface: the irexp -exp zoo
+// shootout and irtopo's -family/-svg rendering flags.
 
 import (
 	"os"
@@ -14,9 +14,9 @@ import (
 func TestIrzooSmoke(t *testing.T) {
 	dir := t.TempDir()
 	jsonFile := filepath.Join(dir, "zoo.json")
-	args := []string{"-scale", "quick", "-warmup", "200", "-measure", "600",
+	args := []string{"-exp", "zoo", "-quiet", "-scale", "quick", "-warmup", "200", "-measure", "600",
 		"-sat-iters", "2", "-json", jsonFile}
-	out := run(t, "irzoo", args...)
+	out := run(t, "irexp", args...)
 	for _, want := range []string{
 		"Cross-family routing shootout",
 		"random-irregular", "dragonfly", "full-mesh", "circulant", "flattened-butterfly",
@@ -26,13 +26,13 @@ func TestIrzooSmoke(t *testing.T) {
 		"native router vs DOWN/UP at saturation",
 	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("irzoo output missing %q:\n%s", want, out)
+			t.Fatalf("irexp -exp zoo output missing %q:\n%s", want, out)
 		}
 	}
 	// Every row of the quick study must certify — an uncertified row would
 	// print a witness line.
 	if strings.Contains(out, "witness:") || strings.Contains(out, " NO ") {
-		t.Fatalf("irzoo quick study has uncertified rows:\n%s", out)
+		t.Fatalf("irexp -exp zoo quick study has uncertified rows:\n%s", out)
 	}
 	data, err := os.ReadFile(jsonFile)
 	if err != nil {
@@ -40,23 +40,22 @@ func TestIrzooSmoke(t *testing.T) {
 	}
 	for _, want := range []string{`"schema": 1`, `"families"`, `"native_over_downup_sat"`, `"certified": true`} {
 		if !strings.Contains(string(data), want) {
-			t.Fatalf("irzoo -json missing %q", want)
+			t.Fatalf("irexp -exp zoo -json missing %q", want)
 		}
 	}
 
-	// Determinism across engines and parallelism, through the real binary.
+	// Determinism across engines, through the real binary.
 	json2 := filepath.Join(dir, "zoo2.json")
-	again := run(t, "irzoo", append(args[:len(args)-1],
-		json2, "-engine", "scan", "-parallelism", "1")...)
+	again := run(t, "irexp", append(args[:len(args)-1], json2, "-engine", "scan")...)
 	if again != out {
-		t.Fatalf("irzoo output not deterministic across engines:\n%s\n---\n%s", out, again)
+		t.Fatalf("irexp -exp zoo output not deterministic across engines:\n%s\n---\n%s", out, again)
 	}
 	data2, err := os.ReadFile(json2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != string(data2) {
-		t.Fatal("irzoo JSON artifact differs across engines")
+		t.Fatal("irexp -exp zoo JSON artifact differs across engines")
 	}
 }
 
@@ -92,13 +91,14 @@ func TestIrtopoFamilySVG(t *testing.T) {
 func TestZooBadFlagsFail(t *testing.T) {
 	dir := binaries(t)
 	cases := [][]string{
-		{"irzoo", "-scale", "bogus"},
-		{"irzoo", "-engine", "bogus"},
-		{"irzoo", "-scale", "quick", "-collective", "no-such-collective"},
-		{"irtopo", "-family", "dragonfly:3x2"},    // needs AxPxH
-		{"irtopo", "-family", "circulant:12"},     // needs at least one generator
-		{"irtopo", "-family", "circulant:12:2:4"}, // disconnected
-		{"irtopo", "-family", "fbfly:1x2"},        // radix too small
+		{"irexp", "-exp", "zoo", "-scale", "bogus"},
+		{"irexp", "-exp", "zoo", "-engine", "bogus"},
+		{"irexp", "-exp", "zoo", "-collectives", "no-such-collective"},
+		{"irexp", "-exp", "zoo", "-collectives", "allreduce,incast"}, // zoo runs one collective
+		{"irtopo", "-family", "dragonfly:3x2"},                       // needs AxPxH
+		{"irtopo", "-family", "circulant:12"},                        // needs at least one generator
+		{"irtopo", "-family", "circulant:12:2:4"},                    // disconnected
+		{"irtopo", "-family", "fbfly:1x2"},                           // radix too small
 		{"irtopo", "-family", "fullmesh:1"},
 	}
 	for _, c := range cases {

@@ -11,18 +11,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/cgraph"
 	"repro/internal/core"
 	"repro/internal/ctree"
 	"repro/internal/metrics"
-	"repro/internal/rng"
 	"repro/internal/routing"
-	"repro/internal/topology"
 	"repro/internal/trend"
 	"repro/internal/workload"
 	"repro/internal/wormsim"
@@ -50,17 +45,11 @@ type CollectiveOptions struct {
 	Budget int
 	// Mode selects source-routed or adaptive simulation.
 	Mode wormsim.Mode
-	// Engine selects the simulator cycle loop.
+	// Engine selects the simulator cycle loop (the engines are
+	// byte-identical, so it never changes results).
 	Engine wormsim.Engine
-	// CompareEngines re-runs every simulation on every other engine and
-	// fails the study if any scenario's stats or counters diverge from the
-	// configured engine's — the study-level form of the byte-identity
-	// guarantee.
-	CompareEngines bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
-	Parallelism int
 	// Progress, if non-nil, receives one line per completed cell.
 	Progress io.Writer
 }
@@ -96,14 +85,11 @@ func QuickCollectiveOptions() CollectiveOptions {
 }
 
 func (o CollectiveOptions) validate() error {
-	if o.Switches < 2 {
-		return fmt.Errorf("harness: Switches %d < 2", o.Switches)
+	if err := checkShared("Switches", o.Switches, 2, o.Samples, ""); err != nil {
+		return err
 	}
 	if len(o.Ports) == 0 || len(o.Policies) == 0 || len(o.Algorithms) == 0 || len(o.Collectives) == 0 {
 		return fmt.Errorf("harness: empty Ports/Policies/Algorithms/Collectives")
-	}
-	if o.Samples < 1 {
-		return fmt.Errorf("harness: Samples %d < 1", o.Samples)
 	}
 	if o.MessagePackets < 1 {
 		return fmt.Errorf("harness: MessagePackets %d < 1", o.MessagePackets)
@@ -168,9 +154,10 @@ func (r *CollectiveResults) Cell(k CollectiveKey) *CollectiveCell {
 }
 
 // CollectiveStudy runs the sweep: collectives × algorithms × tree policies
-// × port counts, each aggregated over Samples random networks. Runs are
-// deterministic: every seed is derived from Options.Seed by position, so
-// results do not depend on goroutine scheduling.
+// × port counts, each aggregated over Samples random networks. It runs on
+// Run's grid of networks and routing functions, and every seed is derived
+// from Options.Seed by position, so results do not depend on goroutine
+// scheduling.
 func CollectiveStudy(opts CollectiveOptions) (*CollectiveResults, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -178,232 +165,90 @@ func CollectiveStudy(opts CollectiveOptions) (*CollectiveResults, error) {
 	if opts.PacketLength == 0 {
 		opts.PacketLength = 32
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	g := grid{opts.Seed, opts.Switches, opts.Ports, opts.Policies, opts.Algorithms, opts.Samples}
+	work, preps, err := g.prepare(0, false)
+	if err != nil {
+		return nil, err
 	}
 
-	// Topologies: one per (ports, sample), seeded identically to Run so
-	// the open-loop and closed-loop studies see the same networks.
-	type netKey struct{ pi, si int }
-	nets := make(map[netKey]*topology.Graph)
-	for pi, ports := range opts.Ports {
-		cfg := topology.IrregularConfig{Switches: opts.Switches, Ports: ports, Fill: 1}
-		for si := 0; si < opts.Samples; si++ {
-			seed := deriveSeed(opts.Seed, uint64(pi), uint64(si), 0, 0, 0)
-			g, err := topology.RandomIrregular(cfg, rng.New(seed))
-			if err != nil {
-				return nil, fmt.Errorf("harness: topology ports=%d sample=%d: %w", ports, si, err)
-			}
-			nets[netKey{pi, si}] = g
-		}
-	}
-
-	// Routing preparation, one per (ports, policy, algorithm, sample),
-	// shared across collectives.
-	type prepKey struct{ pi, poli, ai, si int }
-	type prep struct {
-		fn *routing.Function
-		tb *routing.Table
-	}
-	var preps sync.Map // prepKey -> prep
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for pi := range opts.Ports {
-		for poli := range opts.Policies {
-			for ai := range opts.Algorithms {
-				for si := 0; si < opts.Samples; si++ {
-					wg.Add(1)
-					sem <- struct{}{}
-					go func(pk prepKey) {
-						defer wg.Done()
-						defer func() { <-sem }()
-						err := func() (err error) {
-							defer guardPanic(&err)
-							var treeRng *rng.Rng
-							if opts.Policies[pk.poli] == ctree.M2 {
-								treeRng = rng.New(deriveSeed(opts.Seed, uint64(pk.pi), uint64(pk.si), uint64(pk.poli), 1, 0))
-							}
-							tr, err := ctree.Build(nets[netKey{pk.pi, pk.si}], opts.Policies[pk.poli], treeRng)
-							if err != nil {
-								return err
-							}
-							fn, err := opts.Algorithms[pk.ai].Build(cgraph.Build(tr))
-							if err != nil {
-								return err
-							}
-							if err := fn.Verify(); err != nil {
-								return err
-							}
-							preps.Store(pk, prep{fn, routing.NewTable(fn)})
-							return nil
-						}()
-						if err != nil {
-							fail(fmt.Errorf("harness: prepare %v/%v/%v sample %d: %w",
-								opts.Ports[pk.pi], opts.Policies[pk.poli], opts.Algorithms[pk.ai].Name(), pk.si, err))
-						}
-					}(prepKey{pi, poli, ai, si})
-				}
-			}
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// Simulations: one per (prep, collective); under CompareEngines each
-	// runs twice and the digests must agree byte for byte.
-	type cellKeyIdx struct{ pi, poli, ai, ci int }
+	// Simulations: one per (grid position, collective), outcome k = position
+	// × len(Collectives) + collective index.
 	type outcome struct {
 		st       workload.Stats
 		accepted float64
 	}
-	outcomes := make(map[cellKeyIdx][]outcome)
-	for pi := range opts.Ports {
-		for poli := range opts.Policies {
-			for ai := range opts.Algorithms {
-				for ci := range opts.Collectives {
-					outcomes[cellKeyIdx{pi, poli, ai, ci}] = make([]outcome, opts.Samples)
-				}
-			}
+	simulate := func(p prepared, cs cellSample, ci int) (outcome, error) {
+		dag, err := workload.ByName(opts.Collectives[ci], p.fn.CG().N(), opts.MessagePackets)
+		if err != nil {
+			return outcome{}, err
 		}
-	}
-	simulate := func(p prep, pk prepKey, ci int) (out outcome, err error) {
-		defer guardPanic(&err)
-		cfg := wormsim.Config{
+		st, res, err := workload.Run(p.fn, p.tb, dag, wormsim.Config{
 			PacketLength:  opts.PacketLength,
 			Mode:          opts.Mode,
 			Engine:        opts.Engine,
 			MeasureCycles: opts.Budget,
-			Seed:          deriveSeed(opts.Seed, uint64(pk.pi), uint64(pk.si), uint64(pk.poli), uint64(pk.ai)+2, uint64(ci)+1),
-		}
-		run := func(engine wormsim.Engine) (workload.Stats, *wormsim.Result, error) {
-			dag, err := workload.ByName(opts.Collectives[ci], p.fn.CG().N(), opts.MessagePackets)
-			if err != nil {
-				return workload.Stats{}, nil, err
-			}
-			c := cfg
-			c.Engine = engine
-			return workload.Run(p.fn, p.tb, dag, c)
-		}
-		st, res, err := run(opts.Engine)
+			Seed:          deriveSeed(opts.Seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), uint64(cs.ai)+2, uint64(ci)+1),
+		})
 		if err != nil {
-			return out, err
+			return outcome{}, err
 		}
 		if err := res.CheckConservation(); err != nil {
-			return out, err
+			return outcome{}, err
 		}
-		if opts.CompareEngines {
-			a, err := json.Marshal(struct {
-				St  workload.Stats
-				Res *wormsim.Result
-			}{st, res})
-			if err != nil {
-				return out, err
-			}
-			for _, other := range wormsim.Engines() {
-				if other == opts.Engine {
-					continue
-				}
-				st2, res2, err := run(other)
-				if err != nil {
-					return out, fmt.Errorf("%v engine: %w", other, err)
-				}
-				b, err := json.Marshal(struct {
-					St  workload.Stats
-					Res *wormsim.Result
-				}{st2, res2})
-				if err != nil {
-					return out, err
-				}
-				if string(a) != string(b) {
-					return out, fmt.Errorf("engines diverge:\n%v: %s\n%v: %s", opts.Engine, a, other, b)
-				}
-			}
-		}
-		accepted := float64(res.FlitsDelivered) / float64(st.Makespan) / float64(opts.Switches)
-		return outcome{st: st, accepted: accepted}, nil
+		return outcome{st, float64(res.FlitsDelivered) / float64(st.Makespan) / float64(opts.Switches)}, nil
 	}
-	for pi := range opts.Ports {
-		for poli := range opts.Policies {
-			for ai := range opts.Algorithms {
-				for si := 0; si < opts.Samples; si++ {
-					for ci := range opts.Collectives {
-						wg.Add(1)
-						sem <- struct{}{}
-						go func(pk prepKey, ci int) {
-							defer wg.Done()
-							defer func() { <-sem }()
-							v, _ := preps.Load(pk)
-							out, err := simulate(v.(prep), pk, ci)
-							if err != nil {
-								fail(fmt.Errorf("harness: collective %s sample %d: %w",
-									CollectiveKey{opts.Ports[pk.pi], opts.Policies[pk.poli],
-										opts.Algorithms[pk.ai].Name(), opts.Collectives[ci]}, pk.si, err))
-								return
-							}
-							mu.Lock()
-							outcomes[cellKeyIdx{pk.pi, pk.poli, pk.ai, ci}][pk.si] = out
-							mu.Unlock()
-						}(prepKey{pi, poli, ai, si}, ci)
-					}
-				}
-			}
+	nc := len(opts.Collectives)
+	outs := make([]outcome, len(work)*nc)
+	err = forEach(len(outs), 0, func(k int) error {
+		cs, ci := work[k/nc], k%nc
+		out, err := simulate(preps[k/nc], cs, ci)
+		if err != nil {
+			key := g.key(cs)
+			return fmt.Errorf("harness: collective %s sample %d: %w",
+				CollectiveKey{key.Ports, key.Policy, key.Algorithm, opts.Collectives[ci]}, cs.si, err)
 		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		outs[k] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Aggregate.
+	// Aggregate; a cell's samples are consecutive in work.
 	results := &CollectiveResults{Options: opts}
-	for pi, ports := range opts.Ports {
-		for poli, policy := range opts.Policies {
-			for ai, alg := range opts.Algorithms {
-				for ci, name := range opts.Collectives {
-					outs := outcomes[cellKeyIdx{pi, poli, ai, ci}]
-					cell := CollectiveCell{
-						Key:      CollectiveKey{ports, policy, alg.Name(), name},
-						Messages: outs[0].st.Messages,
-						Packets:  outs[0].st.Packets,
-					}
-					var acc metrics.MakespanAccum
-					var steps metrics.StepLatencies
-					var accepted metrics.Welford
-					for si := range outs {
-						st := &outs[si].st
-						acc.Add(st.Makespan, st.AvgMessageLatency, st.MaxMessageLatency)
-						accepted.Add(outs[si].accepted)
-						for s, c := range st.StepCompletion {
-							steps.Add(s, float64(c))
-						}
-					}
-					cell.Makespan = acc.Makespan.Mean()
-					cell.MakespanStd = acc.Makespan.Std()
-					cell.AvgMessageLatency = acc.AvgMessageLatency.Mean()
-					cell.MaxMessageLatency = acc.MaxMessageLatency.Mean()
-					cell.Accepted = accepted.Mean()
-					cell.StepCompletion = make([]float64, steps.Len())
-					for s := range cell.StepCompletion {
-						cell.StepCompletion[s] = steps.At(s).Mean()
-					}
-					results.Cells = append(results.Cells, cell)
-					if opts.Progress != nil {
-						fmt.Fprintf(opts.Progress, "done %-40s makespan=%.0f accepted=%.4f\n",
-							cell.Key, cell.Makespan, cell.Accepted)
-					}
+	for c := 0; c < len(work); c += opts.Samples {
+		key := g.key(work[c])
+		for ci, name := range opts.Collectives {
+			first := &outs[c*nc+ci].st
+			cell := CollectiveCell{
+				Key:      CollectiveKey{key.Ports, key.Policy, key.Algorithm, name},
+				Messages: first.Messages,
+				Packets:  first.Packets,
+			}
+			var acc metrics.MakespanAccum
+			var steps metrics.StepLatencies
+			var accepted metrics.Welford
+			for i := c; i < c+opts.Samples; i++ {
+				out := &outs[i*nc+ci]
+				acc.Add(out.st.Makespan, out.st.AvgMessageLatency, out.st.MaxMessageLatency)
+				accepted.Add(out.accepted)
+				for s, t := range out.st.StepCompletion {
+					steps.Add(s, float64(t))
 				}
+			}
+			cell.Makespan = acc.Makespan.Mean()
+			cell.MakespanStd = acc.Makespan.Std()
+			cell.AvgMessageLatency = acc.AvgMessageLatency.Mean()
+			cell.MaxMessageLatency = acc.MaxMessageLatency.Mean()
+			cell.Accepted = accepted.Mean()
+			cell.StepCompletion = make([]float64, steps.Len())
+			for s := range cell.StepCompletion {
+				cell.StepCompletion[s] = steps.At(s).Mean()
+			}
+			results.Cells = append(results.Cells, cell)
+			if opts.Progress != nil {
+				fmt.Fprintf(opts.Progress, "done %-40s makespan=%.0f accepted=%.4f\n",
+					cell.Key, cell.Makespan, cell.Accepted)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/routing"
 	"repro/internal/workload"
+	"repro/internal/wormsim"
 )
 
 // tinyCollectiveOptions is small enough for tests while still crossing two
@@ -79,17 +80,15 @@ func TestCollectiveStudy(t *testing.T) {
 	}
 }
 
-// TestCollectiveStudyDeterministicAndEngineIdentical runs the study twice
-// with CompareEngines on: the two runs must produce byte-identical text and
-// JSON artifacts, and every simulation must agree across engines (a
-// divergence fails CollectiveStudy itself).
+// TestCollectiveStudyDeterministicAndEngineIdentical runs the study on
+// the event engine and on the scan engine: the two runs must produce
+// byte-identical text and JSON artifacts.
 func TestCollectiveStudyDeterministicAndEngineIdentical(t *testing.T) {
 	var text [2]string
 	var js [2]string
-	for i := range text {
+	for i, engine := range []wormsim.Engine{wormsim.EngineEvent, wormsim.EngineScan} {
 		opts := tinyCollectiveOptions()
-		opts.CompareEngines = true
-		opts.Parallelism = 1 + i*3 // determinism must not depend on worker count
+		opts.Engine = engine
 		res, err := CollectiveStudy(opts)
 		if err != nil {
 			t.Fatal(err)

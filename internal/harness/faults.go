@@ -89,11 +89,15 @@ type FaultResults struct {
 	Points  []FaultPoint
 }
 
-// FaultStudy runs the sweep. Every run's conservation law is checked by
+// FaultStudy runs the sweep, one (sample, failure count, recovery policy)
+// run per unit of work. Every run's conservation law is checked by
 // fault.Run; a violation surfaces as an error here.
 func FaultStudy(opts FaultOptions) (*FaultResults, error) {
-	if opts.Switches < 4 || opts.Samples < 1 || len(opts.LinkFailures) == 0 {
-		return nil, fmt.Errorf("harness: bad fault options %+v", opts)
+	if err := checkShared("Switches", opts.Switches, 4, opts.Samples, "InjectionRate", opts.InjectionRate); err != nil {
+		return nil, err
+	}
+	if len(opts.LinkFailures) == 0 {
+		return nil, fmt.Errorf("harness: empty LinkFailures")
 	}
 	if opts.Algorithm == nil {
 		opts.Algorithm = core.DownUp{}
@@ -101,80 +105,85 @@ func FaultStudy(opts FaultOptions) (*FaultResults, error) {
 	if len(opts.Recoveries) == 0 {
 		opts.Recoveries = []fault.RecoveryPolicy{fault.Drain}
 	}
-	res := &FaultResults{Options: opts}
-	type acc struct {
-		accepted, latency, dropped, unroutable, recover_, delivered metrics.Welford
-	}
-	accs := make([]acc, len(opts.Recoveries)*len(opts.LinkFailures))
-
-	simCfg := wormsim.Config{
-		PacketLength:  opts.PacketLength,
-		InjectionRate: opts.InjectionRate,
-		WarmupCycles:  opts.WarmupCycles,
-		MeasureCycles: opts.MeasureCycles,
-	}
 	// Failures land in the first three quarters of the measurement window,
 	// leaving time for recovery to show up in the counters.
 	from := opts.WarmupCycles + 1
 	to := opts.WarmupCycles + 1 + (3*opts.MeasureCycles)/4
 
-	for si := 0; si < opts.Samples; si++ {
+	nf, nr := len(opts.LinkFailures), len(opts.Recoveries)
+	runs := make([]*fault.Result, opts.Samples*nf*nr)
+	err := forEach(len(runs), 0, func(u int) error {
+		si, fi, ri := u/(nf*nr), u/nr%nf, u%nr
+		links, rec := opts.LinkFailures[fi], opts.Recoveries[ri]
 		g, err := topology.RandomIrregular(
 			topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
 			rng.New(deriveSeed(opts.Seed, uint64(si), 7, 0, 0, 0)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for fi, nf := range opts.LinkFailures {
-			var sched *fault.Schedule
-			switches := 0
-			if nf >= 3 {
-				switches = 1
-			}
-			sched, err = fault.Random(g, fault.ScheduleConfig{
-				Links:    nf,
-				Switches: switches,
-				From:     from,
-				To:       to,
-			}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 0, 0, 0)))
-			if err != nil {
-				return nil, fmt.Errorf("harness: sample %d, %d failures: %w", si, nf, err)
-			}
-			for ri, rec := range opts.Recoveries {
-				cfg := simCfg
-				cfg.Seed = deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 0, 0)
-				out, err := fault.Run(g, sched, fault.Options{
-					Algorithm: opts.Algorithm,
-					Policy:    opts.Policy,
-					TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 1, 0),
-					Sim:       cfg,
-					Recovery:  rec,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := out.Sim.CheckConservation(); err != nil {
-					return nil, fmt.Errorf("harness: sample %d, %d failures, %s: %w", si, nf, rec, err)
-				}
-				a := &accs[ri*len(opts.LinkFailures)+fi]
-				a.accepted.Add(out.Sim.AcceptedTraffic)
-				a.latency.Add(out.Sim.AvgLatency)
-				a.dropped.Add(float64(out.Sim.PacketsDropped))
-				a.unroutable.Add(float64(out.Sim.PacketsUnroutable))
-				if out.Recovery.Faults > 0 {
-					a.recover_.Add(out.Recovery.CyclesToRecover.Mean())
-				}
-				if out.Sim.FlitsInjected > 0 {
-					a.delivered.Add(float64(out.Sim.FlitsDeliveredTotal) / float64(out.Sim.FlitsInjected))
-				}
-			}
+		switches := 0
+		if links >= 3 {
+			switches = 1
+		}
+		sched, err := fault.Random(g, fault.ScheduleConfig{
+			Links:    links,
+			Switches: switches,
+			From:     from,
+			To:       to,
+		}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 0, 0, 0)))
+		if err != nil {
+			return fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
+		}
+		out, err := fault.Run(g, sched, fault.Options{
+			Algorithm: opts.Algorithm,
+			Policy:    opts.Policy,
+			TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 1, 0),
+			Sim: wormsim.Config{
+				PacketLength:  opts.PacketLength,
+				InjectionRate: opts.InjectionRate,
+				WarmupCycles:  opts.WarmupCycles,
+				MeasureCycles: opts.MeasureCycles,
+				Seed:          deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 0, 0),
+			},
+			Recovery: rec,
+		})
+		if err != nil {
+			return err
+		}
+		if err := out.Sim.CheckConservation(); err != nil {
+			return fmt.Errorf("harness: sample %d, %d failures, %s: %w", si, links, rec, err)
+		}
+		runs[u] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	type acc struct {
+		accepted, latency, dropped, unroutable, recover_, delivered metrics.Welford
+	}
+	accs := make([]acc, nr*nf)
+	for u, out := range runs {
+		fi, ri := u/nr%nf, u%nr
+		a := &accs[ri*nf+fi]
+		a.accepted.Add(out.Sim.AcceptedTraffic)
+		a.latency.Add(out.Sim.AvgLatency)
+		a.dropped.Add(float64(out.Sim.PacketsDropped))
+		a.unroutable.Add(float64(out.Sim.PacketsUnroutable))
+		if out.Recovery.Faults > 0 {
+			a.recover_.Add(out.Recovery.CyclesToRecover.Mean())
+		}
+		if out.Sim.FlitsInjected > 0 {
+			a.delivered.Add(float64(out.Sim.FlitsDeliveredTotal) / float64(out.Sim.FlitsInjected))
 		}
 	}
+	res := &FaultResults{Options: opts}
 	for ri, rec := range opts.Recoveries {
-		for fi, nf := range opts.LinkFailures {
-			a := &accs[ri*len(opts.LinkFailures)+fi]
-			faults := nf
-			if nf >= 3 {
+		for fi, links := range opts.LinkFailures {
+			a := &accs[ri*nf+fi]
+			faults := links
+			if links >= 3 {
 				faults++
 			}
 			res.Points = append(res.Points, FaultPoint{

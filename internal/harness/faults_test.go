@@ -88,6 +88,12 @@ func TestFaultStudyValidation(t *testing.T) {
 	if _, err := FaultStudy(o); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
+	checkRateValidation(t, "InjectionRate", func(r float64) error {
+		o := tinyFaultOptions()
+		o.InjectionRate = r
+		_, err := FaultStudy(o)
+		return err
+	})
 }
 
 func TestFaultStudyDefaults(t *testing.T) {

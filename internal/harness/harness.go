@@ -12,18 +12,26 @@
 //   - Table 3 — degree of hot spots (levels 0-1 share);
 //   - Table 4 — leaves utilization.
 //
-// Runs are deterministic: every topology and simulation seed is derived
-// from Options.Seed by position, so results do not depend on goroutine
-// scheduling.
+// The package also holds the repository's six other studies: hot spots
+// (HotspotStudy), closed-loop collectives (CollectiveStudy), fault
+// recovery (FaultStudy), immediate reconfiguration (RecoveryStudy), the
+// minimal turn-set search (TurnSearchStudy) and the cross-family zoo
+// (ZooStudy). Every study validates the fields they share in one function
+// (checkShared) before any work starts, and runs its units of work through
+// one fan-out, forEach: units start in index order on a bounded number of
+// goroutines; a panicking unit fails with its stack as the error; once a
+// unit fails no further unit starts, and the lowest-index failure is
+// returned. Units write their outputs by index and each study aggregates
+// in a fixed order, so results do not depend on goroutine scheduling:
+// every topology and simulation seed is derived from the study's seed by
+// position. Run and CollectiveStudy share one grid of networks and
+// routing functions.
 package harness
 
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cgraph"
@@ -145,19 +153,11 @@ func QuickOptions() Options {
 }
 
 func (o Options) validate() error {
-	if o.Switches < 2 {
-		return fmt.Errorf("harness: Switches %d < 2", o.Switches)
+	if err := checkShared("Switches", o.Switches, 2, o.Samples, "Rates", o.Rates...); err != nil {
+		return err
 	}
 	if len(o.Ports) == 0 || len(o.Policies) == 0 || len(o.Algorithms) == 0 || len(o.Rates) == 0 {
 		return fmt.Errorf("harness: empty Ports/Policies/Algorithms/Rates")
-	}
-	if o.Samples < 1 {
-		return fmt.Errorf("harness: Samples %d < 1", o.Samples)
-	}
-	for _, r := range o.Rates {
-		if !(r > 0 && r <= 1) { // NaN fails both comparisons
-			return fmt.Errorf("harness: rate %v outside (0, 1]", r)
-		}
 	}
 	if o.CellDeadline < 0 {
 		return fmt.Errorf("harness: negative CellDeadline %v", o.CellDeadline)
@@ -257,13 +257,94 @@ type runOutcome struct {
 // within a fraction of a second.
 const deadlineChunk = 2048
 
-// guardPanic converts a panic in a worker into an error carrying the stack,
-// so one pathological configuration produces a record instead of killing
-// the whole sweep process.
-func guardPanic(err *error) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+// grid is the evaluation grid Run and CollectiveStudy share: ports × tree
+// policies × algorithms × samples, in that nesting order.
+type grid struct {
+	seed       uint64
+	switches   int
+	ports      []int
+	policies   []ctree.Policy
+	algorithms []routing.Algorithm
+	samples    int
+}
+
+// cellSample is one position of the grid.
+type cellSample struct{ pi, poli, ai, si int }
+
+func (g grid) key(cs cellSample) CellKey {
+	return CellKey{g.ports[cs.pi], g.policies[cs.poli], g.algorithms[cs.ai].Name()}
+}
+
+// prepared is one grid position's routing function and table. err is set
+// instead when preparation failed under keepGoing.
+type prepared struct {
+	fn  *routing.Function
+	tb  *routing.Table
+	err error
+}
+
+// prepare builds the grid's positions, in order, and the routing function
+// and table of each. Every network and tree seed derives from the grid's
+// seed by position, so Run and CollectiveStudy see the same networks and
+// functions. A failed position aborts, or under keepGoing is returned with
+// its error set.
+func (g grid) prepare(workers int, keepGoing bool) ([]cellSample, []prepared, error) {
+	// One topology per (ports, sample), deterministic by position.
+	nets := make([]*topology.Graph, len(g.ports)*g.samples)
+	for pi, ports := range g.ports {
+		cfg := topology.IrregularConfig{Switches: g.switches, Ports: ports, Fill: 1}
+		for si := 0; si < g.samples; si++ {
+			net, err := topology.RandomIrregular(cfg, rng.New(deriveSeed(g.seed, uint64(pi), uint64(si), 0, 0, 0)))
+			if err != nil {
+				return nil, nil, fmt.Errorf("harness: topology ports=%d sample=%d: %w", ports, si, err)
+			}
+			nets[pi*g.samples+si] = net
+		}
 	}
+	var work []cellSample
+	for pi := range g.ports {
+		for poli := range g.policies {
+			for ai := range g.algorithms {
+				for si := 0; si < g.samples; si++ {
+					work = append(work, cellSample{pi, poli, ai, si})
+				}
+			}
+		}
+	}
+	preps := make([]prepared, len(work))
+	err := forEach(len(work), workers, func(i int) error {
+		cs := work[i]
+		p, err := g.build(cs, nets[cs.pi*g.samples+cs.si])
+		if err != nil && !keepGoing {
+			return fmt.Errorf("harness: prepare %v sample %d: %w", g.key(cs), cs.si, err)
+		}
+		p.err = err
+		preps[i] = p
+		return nil
+	})
+	return work, preps, err
+}
+
+// build prepares one position: its coordinated tree (M2 draws its roots
+// from a position-derived seed), routing function and table.
+func (g grid) build(cs cellSample, net *topology.Graph) (p prepared, err error) {
+	defer guardPanic(&err)
+	var treeRng *rng.Rng
+	if g.policies[cs.poli] == ctree.M2 {
+		treeRng = rng.New(deriveSeed(g.seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), 1, 0))
+	}
+	tr, err := ctree.Build(net, g.policies[cs.poli], treeRng)
+	if err != nil {
+		return p, err
+	}
+	if p.fn, err = g.algorithms[cs.ai].Build(cgraph.Build(tr)); err != nil {
+		return p, err
+	}
+	if err := p.fn.Verify(); err != nil {
+		return p, err
+	}
+	p.tb = routing.NewTable(p.fn)
+	return p, nil
 }
 
 // Run executes the full evaluation.
@@ -274,101 +355,10 @@ func Run(opts Options) (*Results, error) {
 	if opts.PacketLength == 0 {
 		opts.PacketLength = 128
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
-	// Generate topologies: one per (ports, sample), deterministic by
-	// position.
-	type netKey struct{ pi, si int }
-	nets := make(map[netKey]*topology.Graph)
-	for pi, ports := range opts.Ports {
-		cfg := topology.IrregularConfig{Switches: opts.Switches, Ports: ports, Fill: 1}
-		for si := 0; si < opts.Samples; si++ {
-			seed := deriveSeed(opts.Seed, uint64(pi), uint64(si), 0, 0, 0)
-			g, err := topology.RandomIrregular(cfg, rng.New(seed))
-			if err != nil {
-				return nil, fmt.Errorf("harness: topology ports=%d sample=%d: %w", ports, si, err)
-			}
-			nets[netKey{pi, si}] = g
-		}
-	}
-
-	// Per-(cell, sample) prepared routing functions and tables.
-	type prep struct {
-		fn *routing.Function
-		tb *routing.Table
-	}
-	type cellSample struct {
-		pi, poli, ai, si int
-	}
-	var work []cellSample
-	for pi := range opts.Ports {
-		for poli := range opts.Policies {
-			for ai := range opts.Algorithms {
-				for si := 0; si < opts.Samples; si++ {
-					work = append(work, cellSample{pi, poli, ai, si})
-				}
-			}
-		}
-	}
-	preps := make(map[cellSample]prep, len(work))
-	released := make(map[cellSample]int, len(work))
-	pathLen := make(map[cellSample]float64, len(work))
-	var skips []SkipRecord
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for _, cs := range work {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(cs cellSample) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			err := func() (err error) {
-				defer guardPanic(&err)
-				g := nets[netKey{cs.pi, cs.si}]
-				var treeRng *rng.Rng
-				if opts.Policies[cs.poli] == ctree.M2 {
-					treeRng = rng.New(deriveSeed(opts.Seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), 1, 0))
-				}
-				tr, err := ctree.Build(g, opts.Policies[cs.poli], treeRng)
-				if err != nil {
-					return err
-				}
-				fn, err := opts.Algorithms[cs.ai].Build(cgraph.Build(tr))
-				if err != nil {
-					return err
-				}
-				if err := fn.Verify(); err != nil {
-					return err
-				}
-				tb := routing.NewTable(fn)
-				mu.Lock()
-				preps[cs] = prep{fn, tb}
-				released[cs] = fn.Released
-				pathLen[cs] = tb.AvgPathLength()
-				mu.Unlock()
-				return nil
-			}()
-			if err != nil {
-				key := CellKey{opts.Ports[cs.pi], opts.Policies[cs.poli], opts.Algorithms[cs.ai].Name()}
-				mu.Lock()
-				if opts.KeepGoing {
-					skips = append(skips, SkipRecord{Key: key, Sample: cs.si, Rate: -1,
-						Reason: fmt.Sprintf("prepare: %v", err)})
-				} else if firstErr == nil {
-					firstErr = fmt.Errorf("harness: prepare %v sample %d: %w", key, cs.si, err)
-				}
-				mu.Unlock()
-			}
-		}(cs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	g := grid{opts.Seed, opts.Switches, opts.Ports, opts.Policies, opts.Algorithms, opts.Samples}
+	work, preps, err := g.prepare(opts.Parallelism, opts.KeepGoing)
+	if err != nil {
+		return nil, err
 	}
 
 	// Resume state: simulations recorded by a prior interrupted run with
@@ -383,12 +373,12 @@ func Run(opts Options) (*Results, error) {
 		}
 		defer ckW.close()
 	}
-	resumed := 0
 
-	// Simulations: (cell, sample, rate). Each worker is panic-isolated and
-	// checks the flit conservation law on its result; failures abort the
-	// sweep, or degrade to skip records under KeepGoing.
-	simulate := func(p prep, cs cellSample, ri int) (out runOutcome, err error) {
+	// Simulations: (cell, sample, rate), outcome k = sample index ×
+	// len(Rates) + rate index. Each checks the flit conservation law on its
+	// result; failures abort the sweep, or degrade to skip records under
+	// KeepGoing.
+	simulate := func(p prepared, cs cellSample, ri int) (out runOutcome, err error) {
 		defer guardPanic(&err)
 		cfg := wormsim.Config{
 			PacketLength:    opts.PacketLength,
@@ -435,128 +425,130 @@ func Run(opts Options) (*Results, error) {
 		return runOutcome{ok: true, accepted: res.AcceptedTraffic, latency: res.AvgLatency, stats: st}, nil
 	}
 
-	outcomes := make(map[cellSample][]runOutcome)
-	for _, cs := range work {
-		outcomes[cs] = make([]runOutcome, len(opts.Rates))
-	}
-	for _, cs := range work {
-		if _, prepared := preps[cs]; !prepared {
-			continue // preparation failed; skip record already written
+	nr := len(opts.Rates)
+	outcomes := make([]runOutcome, len(work)*nr)
+	failures := make([]error, len(outcomes))
+	var pending []int
+	resumed := 0
+	for k := range outcomes {
+		cs, ri := work[k/nr], k%nr
+		if preps[k/nr].err != nil {
+			continue // preparation failed; skipped below
 		}
-		for ri := range opts.Rates {
-			if rec, hit := ckDone[ckptKey{cs.pi, cs.si, cs.poli, cs.ai, ri}]; hit {
-				outcomes[cs][ri] = runOutcome{
-					ok:       true,
-					accepted: rec.Accepted,
-					latency:  rec.Latency,
-					stats: metrics.NodeStats{
-						Mean:              rec.Util,
-						TrafficLoad:       rec.Load,
-						HotSpotDegree:     rec.Hot,
-						LeavesUtilization: rec.Leaves,
-					},
-				}
-				resumed++
-				continue
+		if rec, hit := ckDone[ckptKey{cs.pi, cs.si, cs.poli, cs.ai, ri}]; hit {
+			outcomes[k] = runOutcome{
+				ok:       true,
+				accepted: rec.Accepted,
+				latency:  rec.Latency,
+				stats: metrics.NodeStats{
+					Mean:              rec.Util,
+					TrafficLoad:       rec.Load,
+					HotSpotDegree:     rec.Hot,
+					LeavesUtilization: rec.Leaves,
+				},
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(cs cellSample, ri int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				out, err := simulate(preps[cs], cs, ri)
-				key := CellKey{opts.Ports[cs.pi], opts.Policies[cs.poli], opts.Algorithms[cs.ai].Name()}
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if opts.KeepGoing {
-						skips = append(skips, SkipRecord{Key: key, Sample: cs.si,
-							Rate: opts.Rates[ri], Reason: err.Error()})
-					} else if firstErr == nil {
-						firstErr = fmt.Errorf("harness: simulate %v sample %d rate %v: %w",
-							key, cs.si, opts.Rates[ri], err)
-					}
-					return
-				}
-				outcomes[cs][ri] = out
-				if ckW != nil {
-					if err := ckW.add(ckptRecord{
-						PI: cs.pi, SI: cs.si, PolI: cs.poli, AI: cs.ai, RI: ri,
-						Accepted: out.accepted, Latency: out.latency,
-						Util: out.stats.Mean, Load: out.stats.TrafficLoad,
-						Hot: out.stats.HotSpotDegree, Leaves: out.stats.LeavesUtilization,
-					}); err != nil && firstErr == nil {
-						firstErr = fmt.Errorf("harness: checkpoint: %w", err)
-					}
-				}
-			}(cs, ri)
+			resumed++
+			continue
 		}
+		pending = append(pending, k)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forEach(len(pending), opts.Parallelism, func(j int) error {
+		k := pending[j]
+		cs, ri := work[k/nr], k%nr
+		out, err := simulate(preps[k/nr], cs, ri)
+		if err != nil {
+			if opts.KeepGoing {
+				failures[k] = err
+				return nil
+			}
+			return fmt.Errorf("harness: simulate %v sample %d rate %v: %w", g.key(cs), cs.si, opts.Rates[ri], err)
+		}
+		outcomes[k] = out
+		if ckW != nil {
+			if err := ckW.add(ckptRecord{
+				PI: cs.pi, SI: cs.si, PolI: cs.poli, AI: cs.ai, RI: ri,
+				Accepted: out.accepted, Latency: out.latency,
+				Util: out.stats.Mean, Load: out.stats.TrafficLoad,
+				Hot: out.stats.HotSpotDegree, Leaves: out.stats.LeavesUtilization,
+			}); err != nil {
+				return fmt.Errorf("harness: checkpoint: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Aggregate into cells.
+	var skips []SkipRecord
+	for i, p := range preps {
+		if p.err != nil {
+			skips = append(skips, SkipRecord{Key: g.key(work[i]), Sample: work[i].si, Rate: -1,
+				Reason: fmt.Sprintf("prepare: %v", p.err)})
+		}
+	}
+	for k, err := range failures {
+		if err != nil {
+			cs := work[k/nr]
+			skips = append(skips, SkipRecord{Key: g.key(cs), Sample: cs.si, Rate: opts.Rates[k%nr], Reason: err.Error()})
+		}
+	}
+
+	// Aggregate into cells; a cell's samples are consecutive in work.
 	results := &Results{Options: opts}
-	for pi, ports := range opts.Ports {
-		for poli, policy := range opts.Policies {
-			for ai, alg := range opts.Algorithms {
-				cell := Cell{Key: CellKey{ports, policy, alg.Name()}}
-				var maxT, nodeU, load, hot, leaves, apl, rel metrics.Welford
-				curves := make([]metrics.Welford, 2*len(opts.Rates)) // accepted, latency
-				for si := 0; si < opts.Samples; si++ {
-					cs := cellSample{pi, poli, ai, si}
-					outs := outcomes[cs]
-					best := -1
-					for ri := range outs {
-						if !outs[ri].ok {
-							continue // skipped; the record is in Results.Skipped
-						}
-						curves[2*ri].Add(outs[ri].accepted)
-						curves[2*ri+1].Add(outs[ri].latency)
-						if best < 0 || outs[ri].accepted > outs[best].accepted {
-							best = ri
-						}
-					}
-					if best < 0 {
-						continue // every rate of this sample was skipped
-					}
-					maxT.Add(outs[best].accepted)
-					nodeU.Add(outs[best].stats.Mean)
-					load.Add(outs[best].stats.TrafficLoad)
-					hot.Add(outs[best].stats.HotSpotDegree)
-					leaves.Add(outs[best].stats.LeavesUtilization)
-					apl.Add(pathLen[cs])
-					rel.Add(float64(released[cs]))
+	for c := 0; c < len(work); c += opts.Samples {
+		cell := Cell{Key: g.key(work[c])}
+		var maxT, nodeU, load, hot, leaves, apl, rel metrics.Welford
+		curves := make([]metrics.Welford, 2*nr) // accepted, latency
+		for i := c; i < c+opts.Samples; i++ {
+			outs := outcomes[i*nr : (i+1)*nr]
+			best := -1
+			for ri := range outs {
+				if !outs[ri].ok {
+					continue // skipped; the record is in Results.Skipped
 				}
-				for ri, rate := range opts.Rates {
-					cell.Curve = append(cell.Curve, CurvePoint{
-						OfferedRate: rate,
-						Accepted:    curves[2*ri].Mean(),
-						AvgLatency:  curves[2*ri+1].Mean(),
-					})
-				}
-				cell.MaxThroughput = maxT.Mean()
-				cell.NodeUtilization = nodeU.Mean()
-				cell.TrafficLoad = load.Mean()
-				cell.HotSpotDegree = hot.Mean()
-				cell.LeavesUtilization = leaves.Mean()
-				cell.AvgPathLength = apl.Mean()
-				cell.ReleasedTurns = rel.Mean()
-				cell.Spread = CellSpread{
-					MaxThroughput:     maxT.Std(),
-					NodeUtilization:   nodeU.Std(),
-					TrafficLoad:       load.Std(),
-					HotSpotDegree:     hot.Std(),
-					LeavesUtilization: leaves.Std(),
-				}
-				results.Cells = append(results.Cells, cell)
-				if opts.Progress != nil {
-					fmt.Fprintf(opts.Progress, "done %-28s maxThroughput=%.4f nodeUtil=%.4f hotSpots=%.2f%%\n",
-						cell.Key, cell.MaxThroughput, cell.NodeUtilization, cell.HotSpotDegree)
+				curves[2*ri].Add(outs[ri].accepted)
+				curves[2*ri+1].Add(outs[ri].latency)
+				if best < 0 || outs[ri].accepted > outs[best].accepted {
+					best = ri
 				}
 			}
+			if best < 0 {
+				continue // every rate of this sample was skipped
+			}
+			maxT.Add(outs[best].accepted)
+			nodeU.Add(outs[best].stats.Mean)
+			load.Add(outs[best].stats.TrafficLoad)
+			hot.Add(outs[best].stats.HotSpotDegree)
+			leaves.Add(outs[best].stats.LeavesUtilization)
+			apl.Add(preps[i].tb.AvgPathLength())
+			rel.Add(float64(preps[i].fn.Released))
+		}
+		for ri, rate := range opts.Rates {
+			cell.Curve = append(cell.Curve, CurvePoint{
+				OfferedRate: rate,
+				Accepted:    curves[2*ri].Mean(),
+				AvgLatency:  curves[2*ri+1].Mean(),
+			})
+		}
+		cell.MaxThroughput = maxT.Mean()
+		cell.NodeUtilization = nodeU.Mean()
+		cell.TrafficLoad = load.Mean()
+		cell.HotSpotDegree = hot.Mean()
+		cell.LeavesUtilization = leaves.Mean()
+		cell.AvgPathLength = apl.Mean()
+		cell.ReleasedTurns = rel.Mean()
+		cell.Spread = CellSpread{
+			MaxThroughput:     maxT.Std(),
+			NodeUtilization:   nodeU.Std(),
+			TrafficLoad:       load.Std(),
+			HotSpotDegree:     hot.Std(),
+			LeavesUtilization: leaves.Std(),
+		}
+		results.Cells = append(results.Cells, cell)
+		if opts.Progress != nil {
+			fmt.Fprintf(opts.Progress, "done %-28s maxThroughput=%.4f nodeUtil=%.4f hotSpots=%.2f%%\n",
+				cell.Key, cell.MaxThroughput, cell.NodeUtilization, cell.HotSpotDegree)
 		}
 	}
 	sortCells(results.Cells)

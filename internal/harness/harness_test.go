@@ -44,6 +44,12 @@ func TestValidation(t *testing.T) {
 			t.Errorf("bad options %d accepted", i)
 		}
 	}
+	checkRateValidation(t, "Rates", func(r float64) error {
+		o := tinyOptions()
+		o.Rates = []float64{0.1, r}
+		_, err := Run(o)
+		return err
+	})
 }
 
 func TestRunStructure(t *testing.T) {

@@ -79,82 +79,94 @@ type HotspotResults struct {
 	Points  []HotspotPoint
 }
 
-// HotspotStudy runs the sweep. Algorithms lacking an entry in Options use
-// the default set.
+// HotspotStudy runs the sweep, one (sample, algorithm) pair per unit of
+// work. Algorithms lacking an entry in Options use the default set.
 func HotspotStudy(opts HotspotOptions) (*HotspotResults, error) {
-	if opts.Switches < 4 || opts.Samples < 1 || len(opts.Fractions) == 0 {
-		return nil, fmt.Errorf("harness: bad hotspot options %+v", opts)
+	if err := checkShared("Switches", opts.Switches, 4, opts.Samples, "InjectionRate", opts.InjectionRate); err != nil {
+		return nil, err
+	}
+	if len(opts.Fractions) == 0 {
+		return nil, fmt.Errorf("harness: empty Fractions")
 	}
 	if len(opts.Algorithms) == 0 {
 		opts.Algorithms = DefaultHotspotOptions().Algorithms
 	}
-	res := &HotspotResults{Options: opts}
-	type acc struct {
-		accepted, latency, hot, load metrics.Welford
-	}
-	accs := make([]acc, len(opts.Algorithms)*len(opts.Fractions))
-
-	for si := 0; si < opts.Samples; si++ {
+	type outcome struct{ accepted, latency, hot, load float64 }
+	na, nf := len(opts.Algorithms), len(opts.Fractions)
+	outs := make([]outcome, opts.Samples*na*nf)
+	err := forEach(opts.Samples*na, 0, func(u int) error {
+		si, ai := u/na, u%na
 		g, err := topology.RandomIrregular(
 			topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
 			rng.New(deriveSeed(opts.Seed, uint64(si), 0, 0, 0, 0)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tr, err := ctree.Build(g, ctree.M1, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cg := cgraph.Build(tr)
 		leaves := tr.Leaves()
 		spots := make([]int, 0, opts.HotSpots)
 		for i := 0; i < opts.HotSpots && i < len(leaves); i++ {
-			spots = append(spots, leaves[(i*len(leaves))/maxInt(opts.HotSpots, 1)])
+			spots = append(spots, leaves[(i*len(leaves))/max(opts.HotSpots, 1)])
 		}
-		for ai, alg := range opts.Algorithms {
-			fn, err := alg.Build(cg)
+		fn, err := opts.Algorithms[ai].Build(cg)
+		if err != nil {
+			return err
+		}
+		if err := fn.Verify(); err != nil {
+			return err
+		}
+		tb := routing.NewTable(fn)
+		for fi, frac := range opts.Fractions {
+			cfg := wormsim.Config{
+				PacketLength:  opts.PacketLength,
+				InjectionRate: opts.InjectionRate,
+				Pattern:       traffic.Hotspot{N: g.N(), Spots: spots, Fraction: frac},
+				WarmupCycles:  opts.WarmupCycles,
+				MeasureCycles: opts.MeasureCycles,
+				Seed:          deriveSeed(opts.Seed, uint64(si), uint64(ai)+1, uint64(fi)+1, 0, 0),
+			}
+			sim, err := wormsim.New(fn, tb, cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if err := fn.Verify(); err != nil {
-				return nil, err
+			out, err := sim.Run()
+			if err != nil {
+				return err
 			}
-			tb := routing.NewTable(fn)
-			for fi, frac := range opts.Fractions {
-				cfg := wormsim.Config{
-					PacketLength:  opts.PacketLength,
-					InjectionRate: opts.InjectionRate,
-					Pattern:       traffic.Hotspot{N: g.N(), Spots: spots, Fraction: frac},
-					WarmupCycles:  opts.WarmupCycles,
-					MeasureCycles: opts.MeasureCycles,
-					Seed:          deriveSeed(opts.Seed, uint64(si), uint64(ai)+1, uint64(fi)+1, 0, 0),
-				}
-				sim, err := wormsim.New(fn, tb, cfg)
-				if err != nil {
-					return nil, err
-				}
-				out, err := sim.Run()
-				if err != nil {
-					return nil, err
-				}
-				if err := out.CheckConservation(); err != nil {
-					return nil, err
-				}
-				st, err := metrics.ComputeNodeStats(cg, out.ChannelFlits, out.MeasuredCycles)
-				if err != nil {
-					return nil, err
-				}
-				a := &accs[ai*len(opts.Fractions)+fi]
-				a.accepted.Add(out.AcceptedTraffic)
-				a.latency.Add(out.AvgLatency)
-				a.hot.Add(st.HotSpotDegree)
-				a.load.Add(st.TrafficLoad)
+			if err := out.CheckConservation(); err != nil {
+				return err
 			}
+			st, err := metrics.ComputeNodeStats(cg, out.ChannelFlits, out.MeasuredCycles)
+			if err != nil {
+				return err
+			}
+			outs[u*nf+fi] = outcome{out.AcceptedTraffic, out.AvgLatency, st.HotSpotDegree, st.TrafficLoad}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+
+	type acc struct {
+		accepted, latency, hot, load metrics.Welford
+	}
+	accs := make([]acc, na*nf)
+	for u := range outs {
+		a, s := &accs[u%(na*nf)], &outs[u]
+		a.accepted.Add(s.accepted)
+		a.latency.Add(s.latency)
+		a.hot.Add(s.hot)
+		a.load.Add(s.load)
+	}
+	res := &HotspotResults{Options: opts}
 	for ai, alg := range opts.Algorithms {
 		for fi, frac := range opts.Fractions {
-			a := &accs[ai*len(opts.Fractions)+fi]
+			a := &accs[ai*nf+fi]
 			res.Points = append(res.Points, HotspotPoint{
 				Algorithm:     alg.Name(),
 				Fraction:      frac,
@@ -166,13 +178,6 @@ func HotspotStudy(opts HotspotOptions) (*HotspotResults, error) {
 		}
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Point returns the aggregate for (algorithm, fraction), or nil.

@@ -63,6 +63,12 @@ func TestHotspotStudyValidation(t *testing.T) {
 	if _, err := HotspotStudy(o); err == nil {
 		t.Fatal("empty fractions accepted")
 	}
+	checkRateValidation(t, "InjectionRate", func(r float64) error {
+		o := tinyHotspotOptions()
+		o.InjectionRate = r
+		_, err := HotspotStudy(o)
+		return err
+	})
 }
 
 func TestHotspotStudyDefaultAlgorithms(t *testing.T) {

@@ -110,90 +110,102 @@ type RecoveryResults struct {
 	Points  []RecoveryPoint
 }
 
-// RecoveryStudy runs the sweep: every run reconfigures immediately (no
-// drain, no drop) with the online deadlock detector enabled, and every
-// run's conservation law is asserted. Deterministic in Options.
+// RecoveryStudy runs the sweep, one (sample, failure count) run per unit
+// of work: every run reconfigures immediately (no drain, no drop) with the
+// online deadlock detector enabled, and every run's conservation law is
+// asserted. Deterministic in Options.
 func RecoveryStudy(opts RecoveryOptions) (*RecoveryResults, error) {
-	if opts.Switches < 4 || opts.Samples < 1 || len(opts.LinkFailures) == 0 {
-		return nil, fmt.Errorf("harness: bad recovery options %+v", opts)
+	if err := checkShared("Switches", opts.Switches, 4, opts.Samples, "InjectionRate", opts.InjectionRate); err != nil {
+		return nil, err
+	}
+	if len(opts.LinkFailures) == 0 {
+		return nil, fmt.Errorf("harness: empty LinkFailures")
 	}
 	if opts.Algorithm == nil {
 		opts.Algorithm = core.DownUp{}
 	}
-	res := &RecoveryResults{Options: opts}
-	type acc struct {
-		deadlocked, recovered, aborted, retried, dropped metrics.Welford
-		accepted, latency, delivered                     metrics.Welford
-	}
-	accs := make([]acc, len(opts.LinkFailures))
-
 	from := opts.WarmupCycles + 1
 	to := opts.WarmupCycles + 1 + (3*opts.MeasureCycles)/4
-	for si := 0; si < opts.Samples; si++ {
+	nf := len(opts.LinkFailures)
+	runs := make([]*wormsim.Result, opts.Samples*nf)
+	err := forEach(len(runs), 0, func(u int) error {
+		si, fi := u/nf, u%nf
+		links := opts.LinkFailures[fi]
 		g, err := topology.RandomIrregular(
 			topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
 			rng.New(deriveSeed(opts.Seed, uint64(si), 13, 0, 0, 0)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for fi, nf := range opts.LinkFailures {
-			// One switch loss per three link losses: switch deaths reshape
-			// the tree far more than link deaths, and reshaping is what
-			// makes route generations collide.
-			switches := nf / 3
-			sched, err := fault.Random(g, fault.ScheduleConfig{
-				Links:    nf,
-				Switches: switches,
-				From:     from,
-				To:       to,
-			}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 2, 0, 0)))
-			if err != nil {
-				return nil, fmt.Errorf("harness: sample %d, %d failures: %w", si, nf, err)
-			}
-			out, err := fault.Run(g, sched, fault.Options{
-				Algorithm: opts.Algorithm,
-				Policy:    opts.Policy,
-				TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 3, 0, 0),
-				Recovery:  fault.Immediate,
-				Sim: wormsim.Config{
-					PacketLength:     opts.PacketLength,
-					BufferDepth:      2,
-					InjectionRate:    opts.InjectionRate,
-					WarmupCycles:     opts.WarmupCycles,
-					MeasureCycles:    opts.MeasureCycles,
-					Seed:             deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 4, 0, 0),
-					RecoverDeadlocks: true,
-					DetectInterval:   opts.DetectInterval,
-					MaxRetries:       opts.MaxRetries,
-					RetryBackoff:     opts.RetryBackoff,
-				},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("harness: recovery run sample %d, %d failures: %w", si, nf, err)
-			}
-			if err := out.Sim.CheckConservation(); err != nil {
-				return nil, fmt.Errorf("harness: sample %d, %d failures: %w", si, nf, err)
-			}
-			a := &accs[fi]
-			if out.Sim.DeadlocksRecovered > 0 {
-				a.deadlocked.Add(1)
-			} else {
-				a.deadlocked.Add(0)
-			}
-			a.recovered.Add(float64(out.Sim.DeadlocksRecovered))
-			a.aborted.Add(float64(out.Sim.PacketsAborted))
-			a.retried.Add(float64(out.Sim.PacketsRetried))
-			a.dropped.Add(float64(out.Sim.RecoveryDropped))
-			a.accepted.Add(out.Sim.AcceptedTraffic)
-			a.latency.Add(out.Sim.AvgLatency)
-			if out.Sim.FlitsInjected > 0 {
-				a.delivered.Add(float64(out.Sim.FlitsDeliveredTotal) / float64(out.Sim.FlitsInjected))
-			}
+		// One switch loss per three link losses: switch deaths reshape the
+		// tree far more than link deaths, and reshaping is what makes route
+		// generations collide.
+		sched, err := fault.Random(g, fault.ScheduleConfig{
+			Links:    links,
+			Switches: links / 3,
+			From:     from,
+			To:       to,
+		}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 2, 0, 0)))
+		if err != nil {
+			return fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
+		}
+		out, err := fault.Run(g, sched, fault.Options{
+			Algorithm: opts.Algorithm,
+			Policy:    opts.Policy,
+			TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 3, 0, 0),
+			Recovery:  fault.Immediate,
+			Sim: wormsim.Config{
+				PacketLength:     opts.PacketLength,
+				BufferDepth:      2,
+				InjectionRate:    opts.InjectionRate,
+				WarmupCycles:     opts.WarmupCycles,
+				MeasureCycles:    opts.MeasureCycles,
+				Seed:             deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 4, 0, 0),
+				RecoverDeadlocks: true,
+				DetectInterval:   opts.DetectInterval,
+				MaxRetries:       opts.MaxRetries,
+				RetryBackoff:     opts.RetryBackoff,
+			},
+		})
+		if err != nil {
+			return fmt.Errorf("harness: recovery run sample %d, %d failures: %w", si, links, err)
+		}
+		if err := out.Sim.CheckConservation(); err != nil {
+			return fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
+		}
+		runs[u] = out.Sim
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	type acc struct {
+		deadlocked, recovered, aborted, retried, dropped metrics.Welford
+		accepted, latency, delivered                     metrics.Welford
+	}
+	accs := make([]acc, nf)
+	for u, sim := range runs {
+		a := &accs[u%nf]
+		if sim.DeadlocksRecovered > 0 {
+			a.deadlocked.Add(1)
+		} else {
+			a.deadlocked.Add(0)
+		}
+		a.recovered.Add(float64(sim.DeadlocksRecovered))
+		a.aborted.Add(float64(sim.PacketsAborted))
+		a.retried.Add(float64(sim.PacketsRetried))
+		a.dropped.Add(float64(sim.RecoveryDropped))
+		a.accepted.Add(sim.AcceptedTraffic)
+		a.latency.Add(sim.AvgLatency)
+		if sim.FlitsInjected > 0 {
+			a.delivered.Add(float64(sim.FlitsDeliveredTotal) / float64(sim.FlitsInjected))
 		}
 	}
-	for fi, nf := range opts.LinkFailures {
+	res := &RecoveryResults{Options: opts}
+	for fi, links := range opts.LinkFailures {
 		a := &accs[fi]
-		faults := nf + nf/3
+		faults := links + links/3
 		res.Points = append(res.Points, RecoveryPoint{
 			Faults:        faults,
 			DeadlockRuns:  a.deadlocked.Mean(),

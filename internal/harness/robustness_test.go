@@ -220,6 +220,20 @@ func TestKeepGoingDegradesToSkips(t *testing.T) {
 	}
 }
 
+func TestRecoveryStudyValidation(t *testing.T) {
+	opts := DefaultRecoveryOptions()
+	opts.Samples = 0
+	if _, err := RecoveryStudy(opts); err == nil || !strings.Contains(err.Error(), "Samples") {
+		t.Fatalf("zero samples: got %v", err)
+	}
+	checkRateValidation(t, "InjectionRate", func(r float64) error {
+		o := DefaultRecoveryOptions()
+		o.InjectionRate = r
+		_, err := RecoveryStudy(o)
+		return err
+	})
+}
+
 // TestRecoveryStudySmoke runs a miniature recovery sweep twice and checks
 // shape, determinism, and that the congested immediate-reconfiguration
 // scenario actually produces deadlocks to recover (otherwise the study

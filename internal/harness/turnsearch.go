@@ -33,9 +33,8 @@ type TurnSearchOptions struct {
 	Policies []ctree.Policy
 	// Samples is the number of random topologies per combination.
 	Samples int
-	// Restarts and Workers parameterize each turnsearch.Search call.
+	// Restarts parameterizes each turnsearch.Search call.
 	Restarts int
-	Workers  int
 	// InjectionRate, PacketLength, WarmupCycles, and MeasureCycles
 	// parameterize the head-to-head simulations.
 	InjectionRate float64
@@ -130,104 +129,126 @@ type TurnSearchResults struct {
 	Points []TurnSearchPoint `json:"points"`
 }
 
-// TurnSearchStudy runs the sweep. Every simulation seed derives from
-// (Seed, combination, sample, side), so reruns are byte-identical and
-// Workers never changes results.
+// TurnSearchStudy runs the sweep, one (ports, policy, sample) network per
+// unit of work. Every simulation seed derives from (Seed, combination,
+// sample, side), so reruns are byte-identical.
 func TurnSearchStudy(opts TurnSearchOptions) (*TurnSearchResults, error) {
-	if opts.Switches < 4 || opts.Samples < 1 || len(opts.Ports) == 0 || len(opts.Policies) == 0 {
-		return nil, fmt.Errorf("harness: bad turnsearch options %+v", opts)
+	if err := checkShared("Switches", opts.Switches, 4, opts.Samples, "InjectionRate", opts.InjectionRate); err != nil {
+		return nil, err
 	}
+	if len(opts.Ports) == 0 || len(opts.Policies) == 0 {
+		return nil, fmt.Errorf("harness: empty Ports/Policies")
+	}
+	scheme := turnmodel.EightDir{}
+	// sample is one network's search outcome and its two head-to-head
+	// sides (DOWN/UP, then the searched set).
+	type sample struct {
+		evaluations, minTurns int
+		turnSet               string
+		sides                 [2]TurnSearchSide
+	}
+	ny, ns := len(opts.Policies), opts.Samples
+	samples := make([]sample, len(opts.Ports)*ny*ns)
+	err := forEach(len(samples), 0, func(u int) error {
+		pi, yi, si := u/(ny*ns), u/ns%ny, u%ns
+		ports, pol := opts.Ports[pi], opts.Policies[yi]
+		comboSeed := deriveSeed(opts.Seed, uint64(pi)+1, uint64(yi)+1, uint64(si)+1, 0, 0)
+		g, err := topology.RandomIrregular(
+			topology.IrregularConfig{Switches: opts.Switches, Ports: ports, Fill: 1},
+			rng.New(comboSeed))
+		if err != nil {
+			return err
+		}
+		var polRng *rng.Rng
+		if pol == ctree.M2 {
+			polRng = rng.New(comboSeed + 1)
+		}
+		tr, err := ctree.Build(g, pol, polRng)
+		if err != nil {
+			return err
+		}
+		cg := cgraph.Build(tr)
+
+		sr, err := turnsearch.Search(cg, turnsearch.Options{
+			Scheme: scheme, Restarts: opts.Restarts, Seed: comboSeed + 2,
+		})
+		if err != nil {
+			return err
+		}
+		if sr.Best == nil {
+			return fmt.Errorf("harness: no connected mask at ports=%d policy=%s sample=%d", ports, pol, si)
+		}
+		out := &samples[u]
+		out.evaluations = sr.Evaluations
+		out.minTurns = len(sr.Best.Prohibited)
+		out.turnSet = turnsearch.FormatTurns(scheme, sr.Best.Prohibited)
+
+		duFn, err := core.DownUp{}.Build(cg)
+		if err != nil {
+			return err
+		}
+		seFn := routing.FromMask(cg, scheme, sr.Best.Mask, "searched")
+		for side, fn := range []*routing.Function{duFn, seFn} {
+			if err := fn.Verify(); err != nil {
+				return fmt.Errorf("harness: %s at ports=%d policy=%s sample=%d: %w",
+					fn.AlgorithmName, ports, pol, si, err)
+			}
+			tb := routing.NewTable(fn)
+			div, err := tb.PathDiversity()
+			if err != nil {
+				return err
+			}
+			res, err := runTurnSearchSim(fn, tb, opts, deriveSeed(opts.Seed,
+				uint64(pi)+1, uint64(yi)+1, uint64(si)+1, uint64(side)+1, 0))
+			if err != nil {
+				return err
+			}
+			out.sides[side] = TurnSearchSide{
+				Accepted: res.AcceptedTraffic, AvgLatency: res.AvgLatency,
+				MeanPaths: div.MeanPaths, AvgPathLength: tb.AvgPathLength(),
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	res := &TurnSearchResults{Options: opts, Switches: opts.Switches}
 	paperTurns := len(core.ProhibitedTurns())
-	scheme := turnmodel.EightDir{}
-	for pi, ports := range opts.Ports {
-		for yi, pol := range opts.Policies {
-			pt := TurnSearchPoint{
-				Ports: ports, Policy: pol.String(), Samples: opts.Samples,
-				PaperTurns: paperTurns, MinTurnsBest: -1,
-			}
-			var minTurns, duAcc, duLat, duDiv, duLen, seAcc, seLat, seDiv, seLen metrics.Welford
-			for si := 0; si < opts.Samples; si++ {
-				comboSeed := deriveSeed(opts.Seed, uint64(pi)+1, uint64(yi)+1, uint64(si)+1, 0, 0)
-				g, err := topology.RandomIrregular(
-					topology.IrregularConfig{Switches: opts.Switches, Ports: ports, Fill: 1},
-					rng.New(comboSeed))
-				if err != nil {
-					return nil, err
-				}
-				var polRng *rng.Rng
-				if pol == ctree.M2 {
-					polRng = rng.New(comboSeed + 1)
-				}
-				tr, err := ctree.Build(g, pol, polRng)
-				if err != nil {
-					return nil, err
-				}
-				cg := cgraph.Build(tr)
-
-				sr, err := turnsearch.Search(cg, turnsearch.Options{
-					Scheme: scheme, Restarts: opts.Restarts, Seed: comboSeed + 2, Workers: opts.Workers,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if sr.Best == nil {
-					return nil, fmt.Errorf("harness: no connected mask at ports=%d policy=%s sample=%d", ports, pol, si)
-				}
-				pt.Evaluations += sr.Evaluations
-				minTurns.Add(float64(len(sr.Best.Prohibited)))
-				if pt.MinTurnsBest < 0 || len(sr.Best.Prohibited) < pt.MinTurnsBest {
-					pt.MinTurnsBest = len(sr.Best.Prohibited)
-					pt.BestTurnSet = turnsearch.FormatTurns(scheme, sr.Best.Prohibited)
-				}
-
-				duFn, err := core.DownUp{}.Build(cg)
-				if err != nil {
-					return nil, err
-				}
-				seFn := routing.FromMask(cg, scheme, sr.Best.Mask, "searched")
-				for side, fn := range []*routing.Function{duFn, seFn} {
-					if err := fn.Verify(); err != nil {
-						return nil, fmt.Errorf("harness: %s at ports=%d policy=%s sample=%d: %w",
-							fn.AlgorithmName, ports, pol, si, err)
-					}
-					tb := routing.NewTable(fn)
-					div, err := tb.PathDiversity()
-					if err != nil {
-						return nil, err
-					}
-					out, err := runTurnSearchSim(fn, tb, opts, deriveSeed(opts.Seed,
-						uint64(pi)+1, uint64(yi)+1, uint64(si)+1, uint64(side)+1, 0))
-					if err != nil {
-						return nil, err
-					}
-					if side == 0 {
-						duAcc.Add(out.AcceptedTraffic)
-						duLat.Add(out.AvgLatency)
-						duDiv.Add(div.MeanPaths)
-						duLen.Add(tb.AvgPathLength())
-					} else {
-						seAcc.Add(out.AcceptedTraffic)
-						seLat.Add(out.AvgLatency)
-						seDiv.Add(div.MeanPaths)
-						seLen.Add(tb.AvgPathLength())
-					}
-				}
-			}
-			pt.MinTurnsMean = minTurns.Mean()
-			pt.DownUp = TurnSearchSide{
-				Accepted: duAcc.Mean(), AvgLatency: duLat.Mean(),
-				MeanPaths: duDiv.Mean(), AvgPathLength: duLen.Mean(),
-			}
-			pt.Searched = TurnSearchSide{
-				Accepted: seAcc.Mean(), AvgLatency: seLat.Mean(),
-				MeanPaths: seDiv.Mean(), AvgPathLength: seLen.Mean(),
-			}
-			if pt.DownUp.Accepted > 0 {
-				pt.ThroughputDeltaPct = (pt.Searched.Accepted - pt.DownUp.Accepted) / pt.DownUp.Accepted * 100
-			}
-			res.Points = append(res.Points, pt)
+	for c := 0; c < len(samples); c += ns {
+		pt := TurnSearchPoint{
+			Ports: opts.Ports[c/(ny*ns)], Policy: opts.Policies[c/ns%ny].String(), Samples: ns,
+			PaperTurns: paperTurns, MinTurnsBest: -1,
 		}
+		var minTurns metrics.Welford
+		var acc, lat, div, plen [2]metrics.Welford
+		for _, s := range samples[c : c+ns] {
+			pt.Evaluations += s.evaluations
+			minTurns.Add(float64(s.minTurns))
+			if pt.MinTurnsBest < 0 || s.minTurns < pt.MinTurnsBest {
+				pt.MinTurnsBest, pt.BestTurnSet = s.minTurns, s.turnSet
+			}
+			for side, sd := range s.sides {
+				acc[side].Add(sd.Accepted)
+				lat[side].Add(sd.AvgLatency)
+				div[side].Add(sd.MeanPaths)
+				plen[side].Add(sd.AvgPathLength)
+			}
+		}
+		pt.MinTurnsMean = minTurns.Mean()
+		var sides [2]TurnSearchSide
+		for side := range sides {
+			sides[side] = TurnSearchSide{
+				Accepted: acc[side].Mean(), AvgLatency: lat[side].Mean(),
+				MeanPaths: div[side].Mean(), AvgPathLength: plen[side].Mean(),
+			}
+		}
+		pt.DownUp, pt.Searched = sides[0], sides[1]
+		if pt.DownUp.Accepted > 0 {
+			pt.ThroughputDeltaPct = (pt.Searched.Accepted - pt.DownUp.Accepted) / pt.DownUp.Accepted * 100
+		}
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }

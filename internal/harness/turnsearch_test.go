@@ -16,7 +16,6 @@ func TestTurnSearchStudyQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 3
 	b, err := TurnSearchStudy(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +29,10 @@ func TestTurnSearchStudyQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(aj, bj) {
-		t.Fatal("JSON artifact differs across worker counts")
+		t.Fatal("JSON artifact differs across reruns")
 	}
 	if FormatTurnSearch(a) != FormatTurnSearch(b) {
-		t.Fatal("text artifact differs across worker counts")
+		t.Fatal("text artifact differs across reruns")
 	}
 	for _, p := range a.Points {
 		if p.MinTurnsBest <= 0 || p.MinTurnsBest >= p.PaperTurns {
@@ -61,4 +60,10 @@ func TestTurnSearchStudyRejectsBadOptions(t *testing.T) {
 	if _, err := TurnSearchStudy(opts); err == nil {
 		t.Fatal("accepted empty port list")
 	}
+	checkRateValidation(t, "InjectionRate", func(r float64) error {
+		o := QuickTurnSearchOptions()
+		o.InjectionRate = r
+		_, err := TurnSearchStudy(o)
+		return err
+	})
 }

@@ -16,9 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/cgraph"
 	"repro/internal/core"
@@ -91,16 +89,12 @@ type ZooOptions struct {
 	// (the engines are byte-identical), so the artifact is independent of
 	// it.
 	Engine wormsim.Engine
-	// CompareEngines re-runs the latency probe and the collective of every
-	// row on all engines and fails the study on any divergence.
-	CompareEngines bool
 	// Seed drives all randomness (only the random family's topology and
 	// the simulations' injection processes — the structured generators are
 	// deterministic).
 	Seed uint64
-	// Parallelism bounds concurrent rows (default GOMAXPROCS).
-	Parallelism int
-	// Progress, if non-nil, receives one line per completed row.
+	// Progress, if non-nil, receives one line per row once all rows are
+	// done.
 	Progress io.Writer
 }
 
@@ -149,14 +143,17 @@ func QuickZooOptions() ZooOptions {
 }
 
 func (o ZooOptions) validate() error {
-	if o.RandomSwitches < 4 || o.MeshSwitches < 2 || o.CirculantSwitches < 3 {
-		return fmt.Errorf("harness: zoo sizes too small: %+v", o)
+	if err := checkShared("RandomSwitches", o.RandomSwitches, 4, 1, "LatencyRate", o.LatencyRate); err != nil {
+		return err
+	}
+	if o.MeshSwitches < 2 {
+		return fmt.Errorf("harness: MeshSwitches %d < 2", o.MeshSwitches)
+	}
+	if o.CirculantSwitches < 3 {
+		return fmt.Errorf("harness: CirculantSwitches %d < 3", o.CirculantSwitches)
 	}
 	if o.SatIters < 1 || !(o.SatLow > 0) || !(o.SatHigh > o.SatLow) || o.SatHigh > 1 {
 		return fmt.Errorf("harness: bad saturation bracket [%v, %v] x%d", o.SatLow, o.SatHigh, o.SatIters)
-	}
-	if !(o.LatencyRate > 0) || o.LatencyRate > 1 {
-		return fmt.Errorf("harness: bad LatencyRate %v", o.LatencyRate)
 	}
 	if o.MessagePackets < 1 {
 		return fmt.Errorf("harness: MessagePackets %d < 1", o.MessagePackets)
@@ -239,9 +236,10 @@ type zooRow struct {
 	valiant bool
 }
 
-// ZooStudy runs the cross-family shootout. Construction and every
-// simulation seed derive from Options.Seed by position, so reruns are
-// byte-identical regardless of Parallelism or Engine.
+// ZooStudy runs the cross-family shootout, one (family, router) row per
+// unit of work. Construction and every simulation seed derive from
+// Options.Seed by position, so reruns are byte-identical regardless of
+// scheduling or Engine.
 func ZooStudy(opts ZooOptions) (*ZooResults, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -320,43 +318,17 @@ func ZooStudy(opts ZooOptions) (*ZooResults, error) {
 		}
 	}
 
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, task := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(task rowTask) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			pt, err := func() (pt ZooPoint, err error) {
-				defer guardPanic(&err)
-				return zooRunRow(opts, task.g, task.row, uint64(task.fi), uint64(task.ri))
-			}()
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("harness: zoo %s/%s: %w",
-						res.Families[task.fi].Family, task.row.router, err)
-				}
-				return
-			}
-			res.Families[task.fi].Points[task.ri] = pt
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "done %-20s %-22s sat=%.4f makespan=%.0f\n",
-					res.Families[task.fi].Family, pt.Router, pt.SatAccepted, pt.Makespan)
-			}
-		}(task)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEach(len(tasks), 0, func(i int) error {
+		task := tasks[i]
+		pt, err := zooRunRow(opts, task.g, task.row, uint64(task.fi), uint64(task.ri))
+		if err != nil {
+			return fmt.Errorf("harness: zoo %s/%s: %w", res.Families[task.fi].Family, task.row.router, err)
+		}
+		res.Families[task.fi].Points[task.ri] = pt
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for fi := range res.Families {
@@ -372,6 +344,12 @@ func ZooStudy(opts ZooOptions) (*ZooResults, error) {
 		}
 		if downUp != nil && native != nil && downUp.Certified && native.Certified && downUp.SatAccepted > 0 {
 			fam.NativeOverDownUpSat = native.SatAccepted / downUp.SatAccepted
+		}
+		if opts.Progress != nil {
+			for _, pt := range fam.Points {
+				fmt.Fprintf(opts.Progress, "done %-20s %-22s sat=%.4f makespan=%.0f\n",
+					fam.Family, pt.Router, pt.SatAccepted, pt.Makespan)
+			}
 		}
 	}
 	return res, nil
@@ -432,7 +410,7 @@ func zooRunRow(opts ZooOptions, g *topology.Graph, row zooRow, fi, ri uint64) (Z
 	latCfg := cfg
 	latCfg.InjectionRate = opts.LatencyRate
 	latCfg.Seed = deriveSeed(opts.Seed, fi+1, ri+1, 2, 0, 0)
-	latRes, err := zooRunSim(fn, ps, latCfg, opts.CompareEngines)
+	latRes, err := zooRunSim(fn, ps, latCfg)
 	if err != nil {
 		return pt, fmt.Errorf("latency probe: %w", err)
 	}
@@ -476,100 +454,31 @@ func zooAvgPathLength(ps routing.PathSource, n int) float64 {
 	return float64(sum) / float64(cnt)
 }
 
-// zooRunSim runs one open-loop simulation, optionally re-running it on the
-// other engines and failing on any divergence.
-func zooRunSim(fn *routing.Function, ps routing.PathSource, cfg wormsim.Config, compare bool) (*wormsim.Result, error) {
-	run := func(engine wormsim.Engine) (*wormsim.Result, error) {
-		c := cfg
-		c.Engine = engine
-		sim, err := wormsim.New(fn, ps, c)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run()
-		if err != nil {
-			return nil, err
-		}
-		return res, res.CheckConservation()
-	}
-	res, err := run(cfg.Engine)
+// zooRunSim runs one open-loop simulation and checks its conservation law.
+func zooRunSim(fn *routing.Function, ps routing.PathSource, cfg wormsim.Config) (*wormsim.Result, error) {
+	sim, err := wormsim.New(fn, ps, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if compare {
-		ref, err := json.Marshal(res)
-		if err != nil {
-			return nil, err
-		}
-		for _, other := range wormsim.Engines() {
-			if other == cfg.Engine {
-				continue
-			}
-			res2, err := run(other)
-			if err != nil {
-				return nil, fmt.Errorf("%v engine: %w", other, err)
-			}
-			got, err := json.Marshal(res2)
-			if err != nil {
-				return nil, err
-			}
-			if string(got) != string(ref) {
-				return nil, fmt.Errorf("engines diverge: %v vs %v", cfg.Engine, other)
-			}
-		}
+	res, err := sim.Run()
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return res, res.CheckConservation()
 }
 
-// zooRunCollective runs the closed-loop collective leg, with the same
-// optional engine differential.
+// zooRunCollective runs the closed-loop collective leg and checks its
+// conservation law.
 func zooRunCollective(fn *routing.Function, ps routing.PathSource, cfg wormsim.Config, opts ZooOptions) (workload.Stats, *wormsim.Result, error) {
-	run := func(engine wormsim.Engine) (workload.Stats, *wormsim.Result, error) {
-		dag, err := workload.ByName(opts.Collective, fn.CG().N(), opts.MessagePackets)
-		if err != nil {
-			return workload.Stats{}, nil, err
-		}
-		c := cfg
-		c.Engine = engine
-		st, res, err := workload.Run(fn, ps, dag, c)
-		if err != nil {
-			return st, nil, err
-		}
-		return st, res, res.CheckConservation()
+	dag, err := workload.ByName(opts.Collective, fn.CG().N(), opts.MessagePackets)
+	if err != nil {
+		return workload.Stats{}, nil, err
 	}
-	st, res, err := run(cfg.Engine)
+	st, res, err := workload.Run(fn, ps, dag, cfg)
 	if err != nil {
 		return st, nil, err
 	}
-	if opts.CompareEngines {
-		ref, err := json.Marshal(struct {
-			St  workload.Stats
-			Res *wormsim.Result
-		}{st, res})
-		if err != nil {
-			return st, nil, err
-		}
-		for _, other := range wormsim.Engines() {
-			if other == cfg.Engine {
-				continue
-			}
-			st2, res2, err := run(other)
-			if err != nil {
-				return st, nil, fmt.Errorf("%v engine: %w", other, err)
-			}
-			got, err := json.Marshal(struct {
-				St  workload.Stats
-				Res *wormsim.Result
-			}{st2, res2})
-			if err != nil {
-				return st, nil, err
-			}
-			if string(got) != string(ref) {
-				return st, nil, fmt.Errorf("collective engines diverge: %v vs %v", cfg.Engine, other)
-			}
-		}
-	}
-	return st, res, nil
+	return st, res, res.CheckConservation()
 }
 
 // FormatZoo renders the shootout as the text artifact
@@ -607,7 +516,7 @@ func FormatZoo(r *ZooResults) string {
 }
 
 // ZooJSON renders the machine-readable artifact (results/BENCH_zoo.json),
-// byte-deterministic across reruns, engines, and row parallelism.
+// byte-deterministic across reruns, engines, and worker counts.
 func ZooJSON(r *ZooResults) ([]byte, error) {
 	r.Schema = trend.Schema
 	out, err := json.MarshalIndent(r, "", "  ")

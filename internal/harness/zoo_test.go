@@ -104,12 +104,11 @@ func TestZooStudyQuick(t *testing.T) {
 		t.Error("JSON artifact must end with a newline")
 	}
 
-	// Byte-determinism: a rerun, a single-threaded rerun, and an
-	// event-engine rerun must all reproduce the artifact exactly.
+	// Byte-determinism: a rerun and a scan-engine rerun must both
+	// reproduce the artifact exactly.
 	for name, opts := range map[string]ZooOptions{
-		"rerun":     testZooOptions(),
-		"serial":    func() ZooOptions { o := testZooOptions(); o.Parallelism = 1; return o }(),
-		"event-eng": func() ZooOptions { o := testZooOptions(); o.Engine = wormsim.EngineEvent; return o }(),
+		"rerun":    testZooOptions(),
+		"scan-eng": func() ZooOptions { o := testZooOptions(); o.Engine = wormsim.EngineScan; return o }(),
 	} {
 		res2, err := ZooStudy(opts)
 		if err != nil {
@@ -145,6 +144,12 @@ func TestZooOptionsValidate(t *testing.T) {
 			t.Errorf("case %d: bad options accepted", i)
 		}
 	}
+	checkRateValidation(t, "LatencyRate", func(r float64) error {
+		o := QuickZooOptions()
+		o.LatencyRate = r
+		_, err := ZooStudy(o)
+		return err
+	})
 }
 
 func TestNativeForMapping(t *testing.T) {

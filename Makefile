@@ -191,6 +191,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/topology/
 	$(GO) test -run=^$$ -fuzz=FuzzParseTopology -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run=^$$ -fuzz=FuzzParseRates -fuzztime=10s ./internal/cliutil/
+	$(GO) test -run=^$$ -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run=^$$ -fuzz=FuzzConfig -fuzztime=10s ./internal/wormsim/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultRun -fuzztime=30s ./internal/fault/
 	$(GO) test -run=^$$ -fuzz=FuzzRecoveryRun -fuzztime=20s ./internal/fault/

@@ -272,6 +272,31 @@ func TestBadFlagsFail(t *testing.T) {
 			t.Errorf("%v: got %v, want exit status 2", c, err)
 		}
 	}
+	// A list flag that names one value twice is a usage error as well, and
+	// the message names the flag and the value.
+	repeats := []struct {
+		args        []string
+		flag, value string
+	}{
+		{[]string{"-exp", "tables", "-samples", "1", "-rates", "0.05", "-policies", "M1,m1", "-checkpoint", ckpt}, "-policies", "M1"},
+		{[]string{"-ports", "4,8,4"}, "-ports", "4"},
+		{[]string{"-rates", "0.05,0.1,0.050"}, "-rates", "0.05"},
+		{[]string{"-exp", "fault", "-links", "0,2,2"}, "-links", "2"},
+		{[]string{"-exp", "collective", "-collectives", "incast, allgather,incast"}, "-collectives", "incast"},
+		{[]string{"-exp", "fault", "-recovery", "drain,drop,drain"}, "-recovery", "drain"},
+	}
+	for _, c := range repeats {
+		var stderr strings.Builder
+		cmd := exec.Command(filepath.Join(dir, "irexp"), c.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Errorf("irexp %v: got %v, want exit status 2", c.args, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.flag+" lists "+c.value+" twice") {
+			t.Errorf("irexp %v: stderr %q does not name %s and %s", c.args, msg, c.flag, c.value)
+		}
+	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("rejected invocations wrote a checkpoint: %v", err)
 	}

@@ -23,10 +23,11 @@
 // chosen -scale (fault and recovery have one scale), and a flag given on
 // the command line overrides one default. -ports, -policies and -rates take
 // comma-separated lists; a study that takes a single value accepts exactly
-// one entry. A flag the chosen study does not read is a usage error (exit
-// 2), reported before any work starts. Results go to stdout; progress and
-// timing go to stderr unless -quiet; -csv, -svg and -json also write files.
-// Every study is deterministic in its flags.
+// one entry, and no list may name a value twice. A flag the chosen study
+// does not read is a usage error (exit 2), reported before any work
+// starts. Results go to stdout; progress and timing go to stderr unless
+// -quiet; -csv, -svg and -json also write files. Every study is
+// deterministic in its flags.
 //
 // The paper's evaluation can be hardened for long runs: -checkpoint records
 // every completed simulation in a JSONL file so an interrupted run resumes
@@ -178,19 +179,23 @@ func parseFlags() {
 	var err error
 	if set["ports"] {
 		portList = parseInts("ports", *ports, 1)
+		noRepeats("ports", portList)
 	}
 	if set["links"] {
 		linkList = parseInts("links", *links, 0)
+		noRepeats("links", linkList)
 	}
 	if set["policies"] {
 		if policyList, err = cliutil.ParsePolicies(*policies); err != nil {
 			usagef("-policies: %v", err)
 		}
+		noRepeats("policies", policyList)
 	}
 	if set["rates"] {
 		if rateList, err = cliutil.ParseRates(*rates); err != nil {
 			usagef("-rates: %v", err)
 		}
+		noRepeats("rates", rateList)
 	}
 	if set["collectives"] {
 		for _, s := range strings.Split(*collectives, ",") {
@@ -198,6 +203,19 @@ func parseFlags() {
 				collectiveList = append(collectiveList, s)
 			}
 		}
+		noRepeats("collectives", collectiveList)
+	}
+}
+
+// noRepeats rejects a list flag that names one value twice: the study would
+// run and report that value twice.
+func noRepeats[T comparable](name string, list []T) {
+	seen := make(map[T]bool, len(list))
+	for _, v := range list {
+		if seen[v] {
+			usagef("-%s lists %v twice", name, v)
+		}
+		seen[v] = true
 	}
 }
 
@@ -351,6 +369,7 @@ func runFault() {
 				usagef("unknown recovery policy %q", s)
 			}
 		}
+		noRepeats("recovery", o.Recoveries)
 	}
 	res, err := irnet.RunFaultStudy(o)
 	if err != nil {

@@ -1,8 +1,12 @@
 package cliutil
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/ctree"
 )
 
 // FuzzParseTopology checks that arbitrary specification strings never
@@ -57,6 +61,46 @@ func FuzzParseRates(f *testing.F) {
 		for _, r := range rs {
 			if math.IsNaN(r) || math.IsInf(r, 0) {
 				t.Fatalf("ParseRates(%q) accepted non-finite rate %v", s, r)
+			}
+		}
+	})
+}
+
+// FuzzParsePolicies checks that arbitrary policy lists never panic, that an
+// accepted list holds one policy per comma-separated entry, each the one
+// its entry names, and that a rejection names the first entry that is not
+// a policy.
+func FuzzParsePolicies(f *testing.F) {
+	for _, seed := range []string{
+		"M1", "m1,M2, m3 ", "M3,M3", "", ",", "M4", "M1,,M2", "M1,bogus",
+		"M\u0031", "\xffM1", "M1 M2",
+	} {
+		f.Add(seed)
+	}
+	names := map[string]ctree.Policy{"M1": ctree.M1, "M2": ctree.M2, "M3": ctree.M3}
+	f.Fuzz(func(t *testing.T, s string) {
+		ps, err := ParsePolicies(s)
+		entries := strings.Split(s, ",")
+		if err != nil {
+			for _, e := range entries {
+				e = strings.TrimSpace(e)
+				if _, ok := names[strings.ToUpper(e)]; ok {
+					continue
+				}
+				if !strings.Contains(err.Error(), fmt.Sprintf("%q", e)) {
+					t.Fatalf("ParsePolicies(%q): error %q does not name the bad entry %q", s, err, e)
+				}
+				return
+			}
+			t.Fatalf("ParsePolicies(%q) rejected a list of policies: %v", s, err)
+		}
+		if len(ps) != len(entries) {
+			t.Fatalf("ParsePolicies(%q) returned %d policies for %d entries", s, len(ps), len(entries))
+		}
+		for i, e := range entries {
+			want, ok := names[strings.ToUpper(strings.TrimSpace(e))]
+			if !ok || ps[i] != want {
+				t.Fatalf("ParsePolicies(%q): entry %d %q parsed as %v", s, i, e, ps[i])
 			}
 		}
 	})

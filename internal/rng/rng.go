@@ -66,6 +66,33 @@ func (r *Rng) Uint64() uint64 {
 	return result
 }
 
+// FirstBelow53 runs up to n Bernoulli trials, one Uint64 draw each, where
+// a trial succeeds when the draw's top 53 bits (the ones Float64 scales)
+// are below thresh. It returns the 1-based index of the first success, or
+// 0 when all n fail, and leaves r exactly as that many Uint64 calls would.
+// The state stays in registers between draws and is stored once, which is
+// what makes it cheaper than the equivalent loop of Uint64 calls.
+func (r *Rng) FirstBelow53(thresh uint64, n int) int {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	hit := 0
+	for i := 1; i <= n; i++ {
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if x>>11 < thresh {
+			hit = i
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return hit
+}
+
 // Split derives a new, statistically independent generator from r,
 // advancing r. Child streams derived in the same order are deterministic.
 func (r *Rng) Split() *Rng {

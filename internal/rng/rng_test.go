@@ -236,3 +236,52 @@ func BenchmarkIntn(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestFirstBelow53MatchesUint64Loop pins FirstBelow53 to the loop of Uint64
+// calls it replaces: the same trial index and the same generator state
+// after, both on a hit and on a miss that uses up the window, and for a
+// threshold at every edge (0 never succeeds; 2^53 always does).
+func TestFirstBelow53MatchesUint64Loop(t *testing.T) {
+	loop := func(r *Rng, thresh uint64, n int) int {
+		for i := 1; i <= n; i++ {
+			if r.Uint64()>>11 < thresh {
+				return i
+			}
+		}
+		return 0
+	}
+	var hits, misses int
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, tc := range []struct {
+			thresh uint64
+			n      int
+		}{
+			{0, 16},
+			{1, 1024},
+			{1 << 43, 1024}, // p = 2^-10: hits and full misses of the window
+			{1 << 50, 8},
+			{1<<53 - 1, 3},
+			{1 << 53, 5},
+			{1 << 52, 0},
+		} {
+			a, b := New(seed), New(seed)
+			got, want := a.FirstBelow53(tc.thresh, tc.n), loop(b, tc.thresh, tc.n)
+			if got != want {
+				t.Fatalf("seed %d thresh %#x n %d: FirstBelow53 = %d, Uint64 loop = %d", seed, tc.thresh, tc.n, got, want)
+			}
+			if a.s != b.s {
+				t.Fatalf("seed %d thresh %#x n %d: state %x after FirstBelow53, %x after the loop", seed, tc.thresh, tc.n, a.s, b.s)
+			}
+			if tc.n > 0 {
+				if got > 0 {
+					hits++
+				} else {
+					misses++
+				}
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("%d hits and %d misses: both outcomes must be exercised", hits, misses)
+	}
+}

@@ -22,8 +22,9 @@ func (s *schedule) add(clock, dst int) {
 // streams, one by Next and one by a Tick per clock, over at least the
 // given number of clocks. The packet starts must agree, every Next wait
 // must be in [1, MaxWait] with NoPacket only at MaxWait, and both streams
-// must end in the same state.
-func checkNextMatchesTick(t *testing.T, name string, clocks int, build func(r *rng.Rng) Generator) {
+// must end in the same state. It returns how many Next windows elapsed
+// silently.
+func checkNextMatchesTick(t *testing.T, name string, clocks int, build func(r *rng.Rng) Generator) (silent int) {
 	t.Helper()
 	rNext, rTick := rng.New(77), rng.New(77)
 	gNext, gTick := build(rNext), build(rTick)
@@ -39,6 +40,7 @@ func checkNextMatchesTick(t *testing.T, name string, clocks int, build func(r *r
 			if wait != MaxWait {
 				t.Fatalf("%s: NoPacket after a wait of %d, want %d", name, wait, MaxWait)
 			}
+			silent++
 			continue
 		}
 		byNext.add(clock, dst)
@@ -60,6 +62,7 @@ func checkNextMatchesTick(t *testing.T, name string, clocks int, build func(r *r
 	if a, b := rNext.Uint64(), rTick.Uint64(); a != b {
 		t.Fatalf("%s: streams diverge after %d clocks: next draw %#x by Next, %#x by Tick", name, clock, a, b)
 	}
+	return silent
 }
 
 func TestNextMatchesTick(t *testing.T) {
@@ -75,25 +78,30 @@ func TestNextMatchesTick(t *testing.T) {
 			return s
 		}
 	}
-	cases := []struct {
+	type testCase struct {
 		name   string
 		clocks int
 		build  func(r *rng.Rng) Generator
-	}{
-		{"p=0", 5000, source(0, 128, uniform)},
-		{"p=1", 5000, source(1, 1, uniform)},
-		{"p=1/plen128", 5000, source(128, 128, uniform)},
-		{"p=0.5", 20000, source(0.5, 1, uniform)},
-		{"p=0.5/hotspot", 20000, source(0.5, 1, hot)},
-		{"tiny-p", 3000000, source(1e-6, 1, uniform)}, // waits well past MaxWait
-		{"bursty/rate0.3", 50000, func(r *rng.Rng) Generator {
+		// silent requires some Next windows to elapse without a packet.
+		silent bool
+	}
+	cases := []testCase{
+		{name: "p=0", clocks: 5000, build: source(0, 128, uniform), silent: true},
+		{name: "p=1", clocks: 5000, build: source(1, 1, uniform)},
+		{name: "p=1/plen128", clocks: 5000, build: source(128, 128, uniform)},
+		{name: "p=0.5", clocks: 20000, build: source(0.5, 1, uniform)},
+		{name: "p=0.5/hotspot", clocks: 20000, build: source(0.5, 1, hot)},
+		{name: "tiny-p", clocks: 3000000, build: source(1e-6, 1, uniform), silent: true}, // waits well past MaxWait
+		// Below 1/MaxWait per clock, windows both fire and elapse silently.
+		{name: "p=1/(2*MaxWait)", clocks: 400000, build: source(1.0/(2*MaxWait), 1, uniform), silent: true},
+		{name: "bursty/rate0.3", clocks: 50000, build: func(r *rng.Rng) Generator {
 			b, err := NewBurstySource(3, 0.3, 4, 16, uniform, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return b
 		}},
-		{"bursty/rate0.02", 200000, func(r *rng.Rng) Generator {
+		{name: "bursty/rate0.02", clocks: 200000, build: func(r *rng.Rng) Generator {
 			b, err := NewBurstySource(3, 0.02, 2, 128, hot, r)
 			if err != nil {
 				t.Fatal(err)
@@ -103,14 +111,12 @@ func TestNextMatchesTick(t *testing.T) {
 	}
 	// The paper's injection rates at its 128-flit packets.
 	for _, rate := range []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.45, 0.65} {
-		cases = append(cases, struct {
-			name   string
-			clocks int
-			build  func(r *rng.Rng) Generator
-		}{name: "paper-rate", clocks: 200000, build: source(rate, 128, uniform)})
+		cases = append(cases, testCase{name: "paper-rate", clocks: 200000, build: source(rate, 128, uniform)})
 	}
 	for _, tc := range cases {
-		checkNextMatchesTick(t, tc.name, tc.clocks, tc.build)
+		if silent := checkNextMatchesTick(t, tc.name, tc.clocks, tc.build); tc.silent && silent == 0 {
+			t.Fatalf("%s: no Next window elapsed silently", tc.name)
+		}
 	}
 }
 

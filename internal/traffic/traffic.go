@@ -260,7 +260,8 @@ func (s *Source) Tick() (int, bool) {
 
 // Next implements Generator. It repeats Tick's Bernoulli trial on the raw
 // 53-bit draw against the precomputed threshold, which decides exactly as
-// Float64() < p does without the float conversion.
+// Float64() < p does without the float conversion, and runs the trials of
+// the whole window in one rng.FirstBelow53 call.
 func (s *Source) Next() (int, int) {
 	switch {
 	case s.pPacket >= 1:
@@ -268,10 +269,8 @@ func (s *Source) Next() (int, int) {
 	case s.pPacket <= 0: // Tick draws nothing and never fires
 		return MaxWait, NoPacket
 	}
-	for wait := 1; wait <= MaxWait; wait++ {
-		if s.r.Uint64()>>11 < s.thresh {
-			return wait, s.pattern.Dest(s.node, s.r)
-		}
+	if wait := s.r.FirstBelow53(s.thresh, MaxWait); wait > 0 {
+		return wait, s.pattern.Dest(s.node, s.r)
 	}
 	return MaxWait, NoPacket
 }

@@ -246,7 +246,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				return
 			}
 			// The saturated cases must really have exercised parking.
-			if pc := checkParking(t, sim); pc.header+pc.body == 0 || pc.sources == 0 {
+			if pc := checkParking(t, sim); pc.header+pc.owned+pc.body == 0 || pc.sources == 0 {
 				t.Fatalf("nothing parked at saturation: %+v", pc)
 			}
 		})

@@ -24,31 +24,43 @@ package wormsim
 //     active (its bit is set in the switch's lane mask and it is visited
 //     every cycle), or parked (its head flit waits for one specific wire's
 //     state to change). A bitmask over switches with any active lane
-//     replaces the O(channels x VCs) crossbar scan. A visit parks the lane
-//     only when the wire its head needs is itself free and alive and the
-//     head is blocked by ownership or buffer space: a header at its
-//     destination whose ejection lane is owned, a source-routed or
-//     deterministic header whose route channel has no virtual channel that
-//     is both unowned and has space, or a body flit whose output lane's
-//     downstream buffer is full. The wait is keyed by that physical wire
-//     (a per-wire mask over the waiting switch's lanes, and a per-wire
-//     count of the lanes parked on it). A busy or dead wire (it frees next
-//     cycle, or never), an adaptive header (several candidate channels)
-//     and a head that has not come to rest (it was sent this cycle or the
-//     last) stay active.
+//     replaces the O(channels x VCs) crossbar scan. Each wire w has two
+//     wait keys, w for buffer space and w+wires for ownership; a parked
+//     lane is in one key's mask over the waiting switch's lanes, and each
+//     key counts the lanes parked on it. A visit parks the lane on the
+//     ownership key of the wire its head needs when the head waits for an
+//     owner to leave: a header at its destination whose ejection lane is
+//     owned, or a source-routed or deterministic header whose route
+//     channel has every virtual channel owned. Only a tail leaving on that
+//     wire can end that wait, so the head parks even while the owner's
+//     flits keep the wire busy. It parks on the space key when the wire is
+//     free and alive and buffer space is what is missing: a header whose
+//     route channel has an unowned virtual channel, but none with space,
+//     or a body flit whose output lane's downstream buffer is full. A busy
+//     wire otherwise (it frees next cycle), a dead wire (it never does),
+//     an adaptive header (several candidate channels) and a head that has
+//     not come to rest (it was sent this cycle or the last) stay active.
 //
 //   - wake rules, each reproducing the first cycle in which the scan
 //     engine could succeed: a tail leaving switch v on output lane o wakes
-//     v's lanes parked on o's wire for the next cycle (the tail has just
-//     made that wire busy); a pop from a switch-to-switch input lane at u
-//     wakes the upstream switch's lanes parked on that channel — this
-//     cycle when the upstream id is above u (so the crossbar stage re-reads
-//     the active-switch word after every switch), the next cycle otherwise;
-//     a flit landing behind a parked head leaves the lane parked. Waking a
-//     wire with nothing parked on it reads its count and returns. The rare
-//     between-cycle mutations that can unblock an arbitrary head (packet
-//     removal by faults, DropInFlight or recovery aborts; KillChannel,
-//     KillSwitch, Rewire) wake every parked lane and source.
+//     v's lanes parked on both keys of o's wire for the next cycle (the
+//     tail has just made that wire busy); a pop from a switch-to-switch
+//     input lane at u wakes the upstream switch's lanes parked on that
+//     channel's space key — this cycle when the upstream id is above u (so
+//     the crossbar stage re-reads the active-switch word after every
+//     switch), the next cycle otherwise — and leaves its ownership waits
+//     parked, since a credit cannot free an owned channel; a flit landing
+//     behind a parked head leaves the lane parked. Waking a key with
+//     nothing parked on it is one test of its count, at the call site. The
+//     rare between-cycle mutations that can unblock an arbitrary head
+//     (packet removal by faults, DropInFlight or recovery aborts;
+//     KillChannel, KillSwitch, Rewire) wake every parked lane and source.
+//
+//   - mark on fill: a landing marks its lane active only when it takes the
+//     buffer from empty to non-empty. A lane leaves the active set only
+//     when a visit finds it empty, and otherwise only by parking, so every
+//     non-empty lane is already active or parked and a landing behind it
+//     has nothing to mark.
 //
 //   - an active-source bitmask: nodes whose source queue holds a packet. A
 //     source whose injection buffer is full parks instead, and the switch's
@@ -112,16 +124,18 @@ type evState struct {
 	laneWords [][]uint64
 	// parkedWords[v] marks v's parked lanes; never overlaps laneWords[v].
 	parkedWords [][]uint64
-	// wireSwitch[w] is the switch whose lanes can park on wire w (the
-	// channel's upstream switch, or the node of an ejection wire; -1 for
-	// injection wires). parkMask[parkOff[w]:][:len(laneWords[wireSwitch[w]])]
-	// holds the positions of the lanes parked on w; every parked lane is
-	// in exactly one wire's mask. parked[w] counts them, so waking a wire
-	// with nothing parked on it costs one load.
-	wireSwitch []int32
-	parkOff    []int32
-	parkMask   []uint64
-	parked     []int32
+	// The wait keys: key w < wires waits for buffer space on wire w, key
+	// w+wires for an owner to leave it. keySwitch[k] is the switch whose
+	// lanes can park on key k (the wire's channel's upstream switch, or
+	// the node of an ejection wire; -1 for injection wires).
+	// parkMask[parkOff[k]:][:len(laneWords[keySwitch[k]])] holds the
+	// positions of the lanes parked on k; every parked lane is in exactly
+	// one key's mask. parked[k] counts them, so waking a key with nothing
+	// parked on it costs one load.
+	keySwitch []int32
+	parkOff   []int32
+	parkMask  []uint64
+	parked    []int32
 	// switchWords is the active-switch bitmask: set while any lane bit of
 	// the switch is set.
 	switchWords []uint64
@@ -157,9 +171,9 @@ func newEvState(s *Simulator) *evState {
 		lanePos:     make([]int32, s.vcls),
 		laneWords:   make([][]uint64, s.n),
 		parkedWords: make([][]uint64, s.n),
-		wireSwitch:  make([]int32, s.wires),
-		parkOff:     make([]int32, s.wires),
-		parked:      make([]int32, s.wires),
+		keySwitch:   make([]int32, 2*s.wires),
+		parkOff:     make([]int32, 2*s.wires),
+		parked:      make([]int32, 2*s.wires),
 		switchWords: make([]uint64, words),
 		srcWords:    make([]uint64, words),
 		srcParked:   make([]uint64, words),
@@ -189,7 +203,8 @@ func newEvState(s *Simulator) *evState {
 		}
 	}
 	off := 0
-	for w := range ev.wireSwitch {
+	for k := range ev.keySwitch {
+		w := k % s.wires // both keys of a wire belong to its switch
 		v := -1
 		switch {
 		case w < s.nCh:
@@ -197,8 +212,8 @@ func newEvState(s *Simulator) *evState {
 		case w >= s.nCh+s.n:
 			v = w - s.nCh - s.n
 		}
-		ev.wireSwitch[w] = int32(v)
-		ev.parkOff[w] = int32(off)
+		ev.keySwitch[k] = int32(v)
+		ev.parkOff[k] = int32(off)
 		if v >= 0 {
 			off += len(ev.laneWords[v])
 		}
@@ -210,39 +225,39 @@ func newEvState(s *Simulator) *evState {
 	return ev
 }
 
-// markLane wakes the input lane li (its buffer just received a flit) and
-// the switch owning it. A lane whose head is parked stays parked: the
-// flit landed behind the head, which has not changed.
+// markLane activates the input lane li, whose buffer a landing is taking
+// from empty to non-empty, and the switch owning it. An empty lane is
+// never parked: a parked lane holds the head that waits, and the packet
+// removals that can empty it wake every parked lane.
 func (ev *evState) markLane(li int32) {
 	v := ev.laneSwitch[li]
 	p := ev.lanePos[li]
-	bit := uint64(1) << (uint(p) & 63)
-	if ev.parkedWords[v][p>>6]&bit != 0 {
-		return
-	}
-	ev.laneWords[v][p>>6] |= bit
+	ev.laneWords[v][p>>6] |= 1 << (uint(p) & 63)
 	ev.switchWords[v>>6] |= 1 << (uint(v) & 63)
 }
 
 // park moves lane position p of switch v from the active set to the set of
-// lanes waiting on wire w.
-func (ev *evState) park(v int, p int32, w int32) {
+// lanes waiting on key k.
+func (ev *evState) park(v int, p int32, k int32) {
 	bit := uint64(1) << (uint(p) & 63)
 	ev.laneWords[v][p>>6] &^= bit
 	ev.parkedWords[v][p>>6] |= bit
-	ev.parkMask[ev.parkOff[w]+p>>6] |= bit
-	ev.parked[w]++
+	ev.parkMask[ev.parkOff[k]+p>>6] |= bit
+	ev.parked[k]++
 }
 
-// wake returns the lanes parked on wire w to their switch's active set.
-func (ev *evState) wake(w int32) {
-	if ev.parked[w] == 0 {
-		return
-	}
-	ev.parked[w] = 0
-	v := ev.wireSwitch[w]
+// wake returns the lanes parked on key k to their switch's active set.
+// Callers test parked[k] first, at the call site: most pops wake a key
+// with nothing parked on it, and that test is one load where a call is
+// not. The loop stays out of line so that only the test sits in the hop
+// path (tryForward).
+//
+//go:noinline
+func (ev *evState) wake(k int32) {
+	ev.parked[k] = 0
+	v := ev.keySwitch[k]
 	lw := ev.laneWords[v]
-	m := ev.parkMask[ev.parkOff[w]:][:len(lw)]
+	m := ev.parkMask[ev.parkOff[k]:][:len(lw)]
 	pw := ev.parkedWords[v]
 	for i, b := range m {
 		lw[i] |= b
@@ -347,9 +362,10 @@ func (s *Simulator) switchStageEvent() {
 // The walk starts in start's lane word and wraps around to it: positions
 // start..k-1, then 0..start-1. Each word is read when the walk reaches it,
 // so a lane woken during the walk may be visited at once. Only a tail
-// leaving this switch wakes its lanes, those parked on the wire the tail
-// just took, and that wire is busy for the rest of the cycle: the visit
-// moves nothing and the lane stays active, as under the scan engine.
+// leaving this switch wakes its lanes, those parked on either key of the
+// wire the tail just took, and that wire is busy for the rest of the
+// cycle: the visit moves nothing and the lane stays active, as under the
+// scan engine.
 func (s *Simulator) switchEvent(v int) bool {
 	ev := s.ev
 	lanes := s.inVCLs[v]
@@ -370,11 +386,11 @@ func (s *Simulator) switchEvent(v int) bool {
 		for ; m != 0; m &= m - 1 {
 			p := wi<<6 | bits.TrailingZeros64(m)
 			li := lanes[p]
-			w := s.tryForward(v, li)
+			k := s.tryForward(v, li)
 			if s.bufs[li].empty() {
 				words[wi] &^= 1 << (uint(p) & 63)
-			} else if w != noWire {
-				ev.park(v, int32(p), w)
+			} else if k != noWire {
+				ev.park(v, int32(p), k)
 			}
 		}
 	}

@@ -149,6 +149,11 @@ func goldenCases() []goldenCase {
 		{name: "vc4-depth2", build: net(8, 32, 4, du), cfg: at(func(c *Config) { c.VirtualChannels = 4; c.BufferDepth = 2; c.InjectionRate = 0.4 })},
 		{name: "depth1", build: net(9, 32, 4, du), cfg: at(func(c *Config) { c.BufferDepth = 1; c.InjectionRate = 0.3 })},
 		{name: "depth2", build: net(10, 32, 4, du), cfg: at(func(c *Config) { c.BufferDepth = 2; c.InjectionRate = 0.3 })},
+		// Depths and a VC count that are not powers of two: a ring wrap or
+		// lane-geometry shortcut that holds only for powers of two fails here.
+		{name: "depth3", build: net(17, 32, 4, du), cfg: at(func(c *Config) { c.BufferDepth = 3; c.InjectionRate = 0.4 })},
+		{name: "depth5", build: net(18, 32, 4, du), cfg: at(func(c *Config) { c.BufferDepth = 5; c.InjectionRate = 0.4 })},
+		{name: "vc3", build: net(19, 32, 4, du), cfg: at(func(c *Config) { c.VirtualChannels = 3; c.InjectionRate = 0.4 })},
 		{name: "bursty", build: net(11, 32, 4, du), cfg: at(func(c *Config) { c.MeanBurst = 4; c.InjectionRate = 0.25 })},
 		{name: "hotspot", build: net(12, 32, 4, du), cfg: at(func(c *Config) {
 			c.Pattern = traffic.Hotspot{N: 32, Spots: []int{3}, Fraction: 0.3}

@@ -487,10 +487,23 @@ type ring struct {
 func (r *ring) full() bool   { return r.size == len(r.buf) }
 func (r *ring) empty() bool  { return r.size == 0 }
 func (r *ring) front() *flit { return &r.buf[r.head] }
-func (r *ring) push(f flit)  { r.buf[(r.head+r.size)%len(r.buf)] = f; r.size++ }
+
+// push and pop wrap by compare-and-reset rather than a modulo: the depth is
+// a run-time value, so a % would be a division on every flit move.
+func (r *ring) push(f flit) {
+	i := r.head + r.size
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = f
+	r.size++
+}
+
 func (r *ring) pop() flit {
 	f := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.size--
 	return f
 }
@@ -527,7 +540,8 @@ const (
 // switch channels, matching cgraph channel ids), then nCh..nCh+n-1
 // (injection) and nCh+n..nCh+2n-1 (ejection). Virtual-channel lanes
 // ("vclanes") are indexed c*nVC+v for switch-to-switch channel c and
-// injection/ejection appended after (those always have one lane).
+// injection/ejection appended after (those always have one lane); laneWire
+// maps each to its wire, so the hot path never divides by nVC.
 type Simulator struct {
 	cfg   Config
 	fn    *routing.Function
@@ -539,6 +553,7 @@ type Simulator struct {
 	wires int // nCh + 2n physical transport resources
 	vcls  int // nCh*nVC + 2n virtual-channel lanes
 
+	laneWire  []int32   // per vclane: the physical wire transporting its flits
 	bufs      []ring    // per vclane; ejection lanes have no buffer (nil buf)
 	eject     []flit    // per node: its ejection wire's register, delivered next cycle
 	wireFree  []int32   // per wire: the first cycle it may take a flit again
@@ -631,6 +646,14 @@ func New(fn *routing.Function, tb routing.PathSource, cfg Config) (*Simulator, e
 		wires: nCh + 2*n,
 		vcls:  nCh*nVC + 2*n,
 	}
+	s.laneWire = make([]int32, s.vcls)
+	for l := range s.laneWire {
+		if l < nCh*nVC {
+			s.laneWire[l] = int32(l / nVC)
+		} else {
+			s.laneWire[l] = int32(l - nCh*nVC + nCh)
+		}
+	}
 	s.bufs = make([]ring, s.vcls)
 	for l := 0; l < nCh*nVC+n; l++ { // ejection lanes carry no buffer
 		s.bufs[l].buf = make([]flit, cfg.BufferDepth)
@@ -708,18 +731,14 @@ func (s *Simulator) injVCL(v int) int32 { return int32(s.nCh*s.nVC + v) }
 func (s *Simulator) ejectVCL(v int) int32 { return int32(s.nCh*s.nVC + s.n + v) }
 
 // vclWire returns the physical wire transporting a vclane's flits.
-func (s *Simulator) vclWire(vcl int32) int32 {
-	if int(vcl) < s.nCh*s.nVC {
-		return vcl / int32(s.nVC)
-	}
-	return vcl - int32(s.nCh*s.nVC) + int32(s.nCh)
-}
+func (s *Simulator) vclWire(vcl int32) int32 { return s.laneWire[vcl] }
 
 // vclChannel returns the cgraph channel of a switch-to-switch vclane, or
-// -1 for injection/ejection lanes.
+// -1 for injection/ejection lanes: switch-to-switch wires are numbered
+// as their channels.
 func (s *Simulator) vclChannel(vcl int32) int {
-	if int(vcl) < s.nCh*s.nVC {
-		return int(vcl) / s.nVC
+	if w := int(s.laneWire[vcl]); w < s.nCh {
+		return w
 	}
 	return -1
 }
@@ -916,24 +935,36 @@ func (s *Simulator) wireBusy(w int32) bool { return s.wireFree[w] > s.now || s.d
 // the wire is not busy, and the downstream buffer has space (ejection lanes
 // have no buffer; the processor always consumes).
 func (s *Simulator) canAccept(out int32) bool {
-	if s.wireBusy(s.vclWire(out)) {
+	w := s.laneWire[out]
+	if s.wireBusy(w) {
 		return false
 	}
-	if int(out) >= s.nCh*s.nVC+s.n { // ejection
+	if int(w) >= s.nCh+s.n { // ejection
 		return true
 	}
 	return !s.bufs[out].full()
 }
 
-// parkOn reports the wire a blocked head waiting on wire w may park on:
-// w itself when it is free and alive, so that only ownership or buffer
-// space can be in the way; noWire when it is busy (it frees next cycle)
-// or dead (it never does), which keeps the lane polling.
+// parkOn reports the wait key a head blocked on wire w by buffer space may
+// park on: w's space key when the wire is free and alive; noWire when it
+// is busy (it frees next cycle) or dead (it never does), which keeps the
+// lane polling.
 func (s *Simulator) parkOn(w int32) int32 {
 	if s.wireBusy(w) {
 		return noWire
 	}
 	return w
+}
+
+// ownerWait reports the wait key a header may park on when every virtual
+// channel of wire w it could take is owned: w's ownership key, even while
+// the owners' flits keep the wire busy, since only a tail leaving on w can
+// end the wait; noWire for a dead wire.
+func (s *Simulator) ownerWait(w int32) int32 {
+	if s.deadWire[w] {
+		return noWire
+	}
+	return w + int32(s.wires)
 }
 
 // send puts flit f on lane l's wire, which is then busy for the rest of
@@ -953,11 +984,14 @@ func (s *Simulator) send(l int32, f flit) {
 		}
 	} else {
 		f.arrived = s.now + 1
-		s.bufs[l].push(f)
-		s.landing++
-		if s.ev != nil {
+		b := &s.bufs[l]
+		if b.empty() && s.ev != nil {
+			// Mark on fill (engine.go): a non-empty lane is already active
+			// or parked.
 			s.ev.markLane(l)
 		}
+		b.push(f)
+		s.landing++
 	}
 	if s.TraceMove != nil {
 		s.TraceMove(l, f.pkt, f.idx)
@@ -966,8 +1000,8 @@ func (s *Simulator) send(l int32, f flit) {
 
 // tryForward attempts to advance the head flit of input vclane li at
 // switch v. When the head stays blocked on a single wire by ownership or
-// buffer space it returns that wire, on which the event engine parks the
-// lane; otherwise noWire.
+// buffer space it returns that wire's wait key (parkOn, ownerWait), on
+// which the event engine parks the lane; otherwise noWire.
 func (s *Simulator) tryForward(v int, li int32) int32 {
 	b := &s.bufs[li]
 	if b.empty() {
@@ -994,13 +1028,13 @@ func (s *Simulator) tryForward(v int, li int32) int32 {
 	}
 	p := &s.packets[f.pkt]
 	fl := b.pop()
-	if s.ev != nil {
+	if ev := s.ev; ev != nil {
 		// The pop frees a credit: wake the upstream lanes waiting for this
 		// channel's buffer space, or the node's source feed.
-		if ch := s.vclChannel(li); ch >= 0 {
-			s.ev.wake(int32(ch))
-		} else {
-			s.ev.wakeSource(v)
+		if ch := s.vclChannel(li); ch < 0 {
+			ev.wakeSource(v)
+		} else if ev.parked[ch] != 0 {
+			ev.wake(int32(ch))
 		}
 	}
 	s.send(out, fl)
@@ -1017,27 +1051,36 @@ func (s *Simulator) tryForward(v int, li int32) int32 {
 	}
 	if fl.idx == p.length-1 {
 		// Tail transmitted: release the output virtual channel and the
-		// input lane's packet binding. The lanes waiting for the channel
-		// may try again next cycle, once the tail has left its wire.
+		// input lane's packet binding. The lanes waiting on either key of
+		// its wire may try again next cycle, once the tail has left it.
 		s.owner[out] = noOwner
 		s.nextOut[li] = noVCL
-		if s.ev != nil {
-			s.ev.wake(s.vclWire(out))
+		if ev := s.ev; ev != nil {
+			w := s.vclWire(out)
+			if ev.parked[w] != 0 {
+				ev.wake(w)
+			}
+			if k := w + int32(s.wires); ev.parked[k] != 0 {
+				ev.wake(k)
+			}
 		}
 	}
 	return noWire
 }
 
 // routeHeader picks and allocates an output vclane for a header flit at
-// switch v that arrived on vclane li, or returns noVCL and the wire the
-// header may park on (noWire for adaptive headers, which have several
+// switch v that arrived on vclane li, or returns noVCL and the wait key
+// the header may park on (noWire for adaptive headers, which have several
 // candidate channels) if it must wait.
 func (s *Simulator) routeHeader(v int, li int32, f *flit) (out, park int32) {
 	p := &s.packets[f.pkt]
 	if int32(v) == p.dst {
 		out := s.ejectVCL(v)
-		if s.owner[out] != noOwner || !s.canAccept(out) {
-			return noVCL, s.parkOn(s.vclWire(out))
+		if s.owner[out] != noOwner {
+			return noVCL, s.ownerWait(s.vclWire(out))
+		}
+		if !s.canAccept(out) {
+			return noVCL, noWire // the wire is busy or dead
 		}
 		s.owner[out] = f.pkt
 		return out, noWire
@@ -1045,8 +1088,11 @@ func (s *Simulator) routeHeader(v int, li int32, f *flit) (out, park int32) {
 	switch s.cfg.Mode {
 	case SourceRouted, Deterministic:
 		ch := p.route[p.hop]
-		out := s.allocVC(int(ch), f.pkt)
+		out, owned := s.allocVC(int(ch), f.pkt)
 		if out == noVCL {
+			if owned {
+				return noVCL, s.ownerWait(ch)
+			}
 			return noVCL, s.parkOn(ch)
 		}
 		p.hop++
@@ -1103,16 +1149,22 @@ func (s *Simulator) selectVCL(free []int32) int32 {
 }
 
 // allocVC claims the first free, currently-acceptable virtual channel of a
-// switch-to-switch channel for a header, or returns noVCL.
-func (s *Simulator) allocVC(ch int, pkt int32) int32 {
+// switch-to-switch channel for a header, or returns noVCL and whether
+// every virtual channel of it is owned.
+func (s *Simulator) allocVC(ch int, pkt int32) (out int32, owned bool) {
+	owned = true
 	for vc := 0; vc < s.nVC; vc++ {
 		out := int32(ch*s.nVC + vc)
-		if s.owner[out] == noOwner && s.canAccept(out) {
-			s.owner[out] = pkt
-			return out
+		if s.owner[out] != noOwner {
+			continue
 		}
+		if s.canAccept(out) {
+			s.owner[out] = pkt
+			return out, false
+		}
+		owned = false
 	}
-	return noVCL
+	return noVCL, owned
 }
 
 // feedInjection streams the head packet of each source queue into the

@@ -61,9 +61,10 @@ serve-smoke:
 	cmp results/.bin/cosim_event.out results/.bin/cosim_scan.out; \
 	echo "serve-smoke: engines byte-identical over stdio"
 
-# Cross-PR perf-regression gate: normalize the four results/BENCH_*.json
-# artifacts, check them against the accumulated floors/ceilings, and diff
-# against results/TREND.jsonl history. Exits nonzero on any regression.
+# Cross-PR perf-regression gate: normalize the two measurement artifacts
+# (results/BENCH_wormsim.json and BENCH_netd.json), check them against the
+# accumulated floors/ceilings, and diff against results/TREND.jsonl
+# history. Exits nonzero on any regression.
 # `make trend-record LABEL=prN` appends the current numbers to the history.
 trend:
 	$(GO) run ./cmd/irtrend -results results -trend results/TREND.jsonl
@@ -192,6 +193,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseTopology -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run=^$$ -fuzz=FuzzParseRates -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run=^$$ -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/cliutil/
+	$(GO) test -run=^$$ -fuzz=FuzzParseInts -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run=^$$ -fuzz=FuzzConfig -fuzztime=10s ./internal/wormsim/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultRun -fuzztime=30s ./internal/fault/
 	$(GO) test -run=^$$ -fuzz=FuzzRecoveryRun -fuzztime=20s ./internal/fault/

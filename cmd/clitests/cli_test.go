@@ -28,7 +28,7 @@ func binaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, cmd := range []string{"irtopo", "irroute", "irsim", "irexp", "irverify", "irtrace", "irnetd", "irbench", "irserve", "irtrend"} {
+		for _, cmd := range []string{"irtopo", "irroute", "irsim", "irexp", "irverify", "irtrace", "irnetd", "irbench", "irserve", "irtrend", "irperf"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "repro/cmd/"+cmd).CombinedOutput()
 			if err != nil {
 				buildErr = err
@@ -253,7 +253,8 @@ func TestBadFlagsFail(t *testing.T) {
 		}
 	}
 	// Usage errors exit 2, before any work starts: an unknown study, a flag
-	// the chosen study does not read, or a malformed value.
+	// the chosen study does not read, or a malformed value (irperf would
+	// write its report to ckpt).
 	usage := [][]string{
 		{"irexp", "-exp", "bogus", "-quiet"},
 		{"irexp", "-exp", "bogus", "-checkpoint", ckpt},
@@ -265,6 +266,8 @@ func TestBadFlagsFail(t *testing.T) {
 		{"irexp", "-exp", "recovery", "-recovery", "drop"},
 		{"irexp", "-exp", "fault", "-detect-interval", "10"},
 		{"irexp", "-exp", "fault", "-ports", "4,8"},
+		{"irperf", "-rates", "nan", "-json", ckpt},
+		{"irperf", "-switches", "12x", "-json", ckpt},
 	}
 	for _, c := range usage {
 		err := exec.Command(filepath.Join(dir, c[0]), c[1:]...).Run()
@@ -298,6 +301,6 @@ func TestBadFlagsFail(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Errorf("rejected invocations wrote a checkpoint: %v", err)
+		t.Errorf("rejected invocations wrote %s: %v", ckpt, err)
 	}
 }

@@ -148,15 +148,13 @@ func TestIrtrendPassesOnRepoResults(t *testing.T) {
 func TestIrtrendFailsOnRegression(t *testing.T) {
 	dir := binaries(t)
 	fixture := t.TempDir()
-	// Copy the checked-in artifacts, then regress the netd steady phase.
-	for _, name := range []string{"BENCH_wormsim.json", "BENCH_collective.json", "BENCH_turnsearch.json"} {
-		buf, err := os.ReadFile(filepath.Join("../../results", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(fixture, name), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// Copy the checked-in engine report, then regress the netd steady phase.
+	buf, err := os.ReadFile("../../results/BENCH_wormsim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fixture, "BENCH_wormsim.json"), buf, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	regressed := `{
   "bench": "irnetd", "schema": 1,
@@ -170,7 +168,7 @@ func TestIrtrendFailsOnRegression(t *testing.T) {
 
 	cmd := exec.Command(filepath.Join(dir, "irtrend"), "-results", fixture,
 		"-trend", filepath.Join(fixture, "TREND.jsonl"))
-	buf, err := cmd.CombinedOutput()
+	buf, err = cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 1 {
 		t.Fatalf("irtrend on regressed fixture: err=%v (want exit 1)\n%s", err, buf)

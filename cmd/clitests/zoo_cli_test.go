@@ -1,7 +1,7 @@
 package clitests
 
 // End-to-end tests for the topology-zoo surface: the irexp -exp zoo
-// shootout and irtopo's -family/-svg rendering flags.
+// shootout and irtopo's zoo-family specs and -svg rendering.
 
 import (
 	"os"
@@ -68,16 +68,16 @@ func TestIrtopoFamilySVG(t *testing.T) {
 		"fbfly:4x2":        "switches    16",
 	} {
 		svgFile := filepath.Join(dir, strings.ReplaceAll(spec, ":", "_")+".svg")
-		out := run(t, "irtopo", "-family", spec, "-svg", svgFile)
+		out := run(t, "irtopo", "-topo", spec, "-svg", svgFile)
 		if !strings.Contains(out, switches) || !strings.Contains(out, "family      ") {
-			t.Fatalf("irtopo -family %s output:\n%s", spec, out)
+			t.Fatalf("irtopo -topo %s output:\n%s", spec, out)
 		}
 		data, err := os.ReadFile(svgFile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.HasPrefix(string(data), "<svg ") || !strings.Contains(string(data), "<circle ") {
-			t.Fatalf("irtopo -family %s wrote a malformed SVG", spec)
+			t.Fatalf("irtopo -topo %s wrote a malformed SVG", spec)
 		}
 	}
 	// -svg also renders unlabeled topologies with the fallback layout.
@@ -95,11 +95,11 @@ func TestZooBadFlagsFail(t *testing.T) {
 		{"irexp", "-exp", "zoo", "-engine", "bogus"},
 		{"irexp", "-exp", "zoo", "-collectives", "no-such-collective"},
 		{"irexp", "-exp", "zoo", "-collectives", "allreduce,incast"}, // zoo runs one collective
-		{"irtopo", "-family", "dragonfly:3x2"},                       // needs AxPxH
-		{"irtopo", "-family", "circulant:12"},                        // needs at least one generator
-		{"irtopo", "-family", "circulant:12:2:4"},                    // disconnected
-		{"irtopo", "-family", "fbfly:1x2"},                           // radix too small
-		{"irtopo", "-family", "fullmesh:1"},
+		{"irtopo", "-topo", "dragonfly:3x2"},                         // needs AxPxH
+		{"irtopo", "-topo", "circulant:12"},                          // needs at least one generator
+		{"irtopo", "-topo", "circulant:12:2:4"},                      // disconnected
+		{"irtopo", "-topo", "fbfly:1x2"},                             // radix too small
+		{"irtopo", "-topo", "fullmesh:1"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(filepath.Join(dir, c[0]), c[1:]...)

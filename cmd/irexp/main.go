@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -178,11 +177,15 @@ func parseFlags() {
 	}
 	var err error
 	if set["ports"] {
-		portList = parseInts("ports", *ports, 1)
+		if portList, err = cliutil.ParseInts(*ports, 1); err != nil {
+			usagef("-ports: %v", err)
+		}
 		noRepeats("ports", portList)
 	}
 	if set["links"] {
-		linkList = parseInts("links", *links, 0)
+		if linkList, err = cliutil.ParseInts(*links, 0); err != nil {
+			usagef("-links: %v", err)
+		}
 		noRepeats("links", linkList)
 	}
 	if set["policies"] {
@@ -495,19 +498,6 @@ func algorithm() irnet.Algorithm {
 		usagef("unknown algorithm %q", *algName)
 	}
 	return alg
-}
-
-// parseInts parses a comma-separated list of integers of at least min.
-func parseInts(name, s string, min int) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < min {
-			usagef("-%s: %q is not an integer >= %d", name, part, min)
-		}
-		out = append(out, n)
-	}
-	return out
 }
 
 func writeFile(path string, data []byte) {

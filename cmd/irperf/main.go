@@ -26,8 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	irnet "repro"
@@ -81,17 +79,17 @@ func main() {
 	)
 	flag.Parse()
 
-	sizes, err := parseInts(*switchesArg)
+	sizes, err := cliutil.ParseInts(*switchesArg, 1)
 	if err != nil {
-		log.Fatalf("-switches: %v", err)
+		cliutil.Usagef("irperf", "-switches: %v", err)
 	}
-	ports, err := parseInts(*portsArg)
+	ports, err := cliutil.ParseInts(*portsArg, 1)
 	if err != nil {
-		log.Fatalf("-ports: %v", err)
+		cliutil.Usagef("irperf", "-ports: %v", err)
 	}
-	rates, err := parseFloats(*ratesArg)
+	rates, err := cliutil.ParseRates(*ratesArg)
 	if err != nil {
-		log.Fatalf("-rates: %v", err)
+		cliutil.Usagef("irperf", "-rates: %v", err)
 	}
 
 	rep := report{
@@ -215,28 +213,4 @@ func writeJSON(path string, rep report) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

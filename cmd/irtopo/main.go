@@ -2,16 +2,15 @@
 //
 // Usage:
 //
-//	irtopo [-topo random] [-family dragonfly:4x2x2] [-switches 128]
-//	       [-ports 4] [-seed 1] [-policy M1] [-edges] [-dot] [-tree]
-//	       [-svg FILE]
+//	irtopo [-topo random] [-switches 128] [-ports 4] [-seed 1]
+//	       [-policy M1] [-edges] [-dot] [-tree] [-svg FILE]
 //
 // It prints summary statistics; -edges lists the links, -dot emits
 // Graphviz, -tree prints the coordinated tree with (X, Y) coordinates,
 // and -svg writes a structure-aware rendering (zoo families are laid out
-// by their coordinates). -family is shorthand for the structured topology
-// zoo specs (fullmesh:N, dragonfly:AxPxH, circulant:N:S1:S2..., fbfly:KxN)
-// and overrides -topo.
+// by their coordinates). -topo takes every topology spec, the structured
+// zoo families included (fullmesh:N, dragonfly:AxPxH, circulant:N:S1:S2...,
+// fbfly:KxN).
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 func main() {
 	var (
 		topo     = flag.String("topo", "random", "topology spec (random, ring:N, mesh:WxH, torus:WxH, hypercube:D, tree:N, star:N, line:N, complete:N, petersen, figure1, fullmesh:N, dragonfly:AxPxH, circulant:N:S1:S2, fbfly:KxN)")
-		family   = flag.String("family", "", "structured zoo family spec (fullmesh:N, dragonfly:AxPxH, circulant:N:S1:S2..., fbfly:KxN); overrides -topo")
 		switches = flag.Int("switches", 128, "switch count for random topologies")
 		ports    = flag.Int("ports", 4, "ports per switch for random topologies")
 		seed     = flag.Uint64("seed", 1, "random seed")
@@ -40,11 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := *topo
-	if *family != "" {
-		spec = *family
-	}
-	g, err := cliutil.ParseTopology(spec, *switches, *ports, *seed)
+	g, err := cliutil.ParseTopology(*topo, *switches, *ports, *seed)
 	if err != nil {
 		cliutil.Fatal("irtopo", err)
 	}
@@ -61,7 +55,7 @@ func main() {
 	for v := 0; v < g.N(); v++ {
 		degSum += g.Degree(v)
 	}
-	fmt.Printf("topology    %s\n", spec)
+	fmt.Printf("topology    %s\n", *topo)
 	if st := g.Structure(); st != nil {
 		fmt.Printf("family      %s %v\n", st.Family, st.Dims)
 	}

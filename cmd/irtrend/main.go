@@ -1,10 +1,11 @@
 // Command irtrend is the cross-PR performance-regression tracker: it
-// ingests the benchmark artifacts under results/ (BENCH_wormsim.json,
-// BENCH_netd.json, BENCH_collective.json, BENCH_turnsearch.json),
-// normalizes them into (source, metric, scenario, cores, value) records,
-// evaluates the accumulated regression gates — the floors and ceilings
-// earlier PRs pinned in CI — and compares against the append-only history
-// results/TREND.jsonl.
+// ingests the two measurement artifacts under results/ (BENCH_wormsim.json
+// from irperf and BENCH_netd.json from irbench), normalizes them into
+// (source, metric, scenario, cores, value) records, evaluates the
+// accumulated regression gates — the floors and ceilings earlier PRs
+// pinned in CI — and compares against the append-only history
+// results/TREND.jsonl. The studies' BENCH_*.json files are not
+// measurements; internal/harness's tests hold them to their bounds.
 //
 // Usage:
 //

@@ -204,6 +204,20 @@ func ParsePolicies(s string) ([]ctree.Policy, error) {
 	return out, nil
 }
 
+// ParseInts parses a comma-separated list of integers, each at least min.
+// An error names the first entry that is not one.
+func ParseInts(s string, min int) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < min {
+			return nil, fmt.Errorf("cliutil: %q is not an integer >= %d", part, min)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
 // ParseRates parses a comma-separated list of finite floats.
 func ParseRates(s string) ([]float64, error) {
 	var out []float64

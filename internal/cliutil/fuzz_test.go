@@ -3,6 +3,7 @@ package cliutil
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,6 +102,44 @@ func FuzzParsePolicies(f *testing.F) {
 			want, ok := names[strings.ToUpper(strings.TrimSpace(e))]
 			if !ok || ps[i] != want {
 				t.Fatalf("ParsePolicies(%q): entry %d %q parsed as %v", s, i, e, ps[i])
+			}
+		}
+	})
+}
+
+// FuzzParseInts checks that arbitrary integer lists never panic, that an
+// accepted list holds one integer per comma-separated entry, each the one
+// its entry spells and at least the minimum, and that a rejection names
+// the first entry that is not such an integer.
+func FuzzParseInts(f *testing.F) {
+	for _, seed := range []string{
+		"4", "4, 8,16 ", "0", "-1", "", ",", "12x", "4,,8", "1e3", "0x10",
+		"+7", "99999999999999999999", "\xff4",
+	} {
+		f.Add(seed)
+	}
+	const min = 1
+	f.Fuzz(func(t *testing.T, s string) {
+		ns, err := ParseInts(s, min)
+		entries := strings.Split(s, ",")
+		if err != nil {
+			for _, e := range entries {
+				if n, aerr := strconv.Atoi(strings.TrimSpace(e)); aerr == nil && n >= min {
+					continue
+				}
+				if !strings.Contains(err.Error(), fmt.Sprintf("%q", e)) {
+					t.Fatalf("ParseInts(%q): error %q does not name the bad entry %q", s, err, e)
+				}
+				return
+			}
+			t.Fatalf("ParseInts(%q) rejected a list of integers: %v", s, err)
+		}
+		if len(ns) != len(entries) {
+			t.Fatalf("ParseInts(%q) returned %d integers for %d entries", s, len(ns), len(entries))
+		}
+		for i, e := range entries {
+			if want, aerr := strconv.Atoi(strings.TrimSpace(e)); aerr != nil || ns[i] != want || ns[i] < min {
+				t.Fatalf("ParseInts(%q): entry %d %q parsed as %d", s, i, e, ns[i])
 			}
 		}
 	})

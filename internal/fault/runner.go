@@ -105,15 +105,14 @@ type Result struct {
 	LiveSwitches, LiveLinks int
 }
 
-// Rebuild compacts the surviving topology (dead[v] marks dead switches; nil
-// means all alive), rebuilds the coordinated tree and routing function on
-// it, and verifies the result. It returns the function, its table, and the
-// original-to-surviving / surviving-to-original node id maps. r supplies
-// randomness for the M2 policy and may be nil otherwise.
-func Rebuild(g *topology.Graph, dead []bool, alg routing.Algorithm, policy ctree.Policy, r *rng.Rng) (*routing.Function, *routing.Table, []int, []int, error) {
+// Compact renumbers the surviving switches of g (dead[v] marks dead
+// switches; nil means all alive) densely, in id order, and returns the
+// subgraph of their links with the original-to-surviving (-1 for a dead
+// switch) and surviving-to-original node id maps.
+func Compact(g *topology.Graph, dead []bool) (sub *topology.Graph, o2n, n2o []int) {
 	n := g.N()
-	o2n := make([]int, n)
-	n2o := make([]int, 0, n)
+	o2n = make([]int, n)
+	n2o = make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if dead != nil && dead[v] {
 			o2n[v] = -1
@@ -122,12 +121,22 @@ func Rebuild(g *topology.Graph, dead []bool, alg routing.Algorithm, policy ctree
 		o2n[v] = len(n2o)
 		n2o = append(n2o, v)
 	}
-	sub := topology.New(len(n2o))
+	sub = topology.New(len(n2o))
 	for _, e := range g.Edges() {
 		if o2n[e.From] >= 0 && o2n[e.To] >= 0 {
 			sub.MustAddEdge(o2n[e.From], o2n[e.To])
 		}
 	}
+	return sub, o2n, n2o
+}
+
+// Rebuild compacts the surviving topology (see Compact), rebuilds the
+// coordinated tree and routing function on it, and verifies the result. It
+// returns the function, its table, and the original-to-surviving /
+// surviving-to-original node id maps. r supplies randomness for the M2
+// policy and may be nil otherwise.
+func Rebuild(g *topology.Graph, dead []bool, alg routing.Algorithm, policy ctree.Policy, r *rng.Rng) (*routing.Function, *routing.Table, []int, []int, error) {
+	sub, o2n, n2o := Compact(g, dead)
 	tr, err := ctree.Build(sub, policy, r)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("fault: rebuilding tree: %w", err)

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -170,6 +171,80 @@ func studyDigests(t *testing.T) map[string]string {
 	}
 	put("hotspot-default.txt", FormatHotspot(hot))
 	return out
+}
+
+// decodeResult decodes results/<name> into v, the type that writes it.
+func decodeResult(t *testing.T, name string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("results/%s: %v", name, err)
+	}
+}
+
+// TestStudyArtifactBounds holds the checked-in study artifacts to the
+// bounds their studies established, decoding each file with the harness
+// type that writes it. TestStudyArtifacts proves the files are what the
+// studies compute; this test says what they must show. Each bound must
+// match at least one row, so a renamed field or row cannot pass it.
+func TestStudyArtifactBounds(t *testing.T) {
+	var turns TurnSearchResults
+	decodeResult(t, "BENCH_turnsearch.json", &turns)
+	var col collectiveReport
+	decodeResult(t, "BENCH_collective.json", &col)
+	var zoo ZooResults
+	decodeResult(t, "BENCH_zoo.json", &zoo)
+	for name, schema := range map[string]int{
+		"BENCH_turnsearch.json": turns.Schema, "BENCH_collective.json": col.Schema, "BENCH_zoo.json": zoo.Schema,
+	} {
+		if schema != artifactSchema {
+			t.Errorf("results/%s: schema %d, want %d", name, schema, artifactSchema)
+		}
+	}
+
+	// within checks one row against [lo, hi] and counts the rows checked
+	// per bound.
+	checked := map[string]int{}
+	within := func(bound, row string, v, lo, hi float64) {
+		checked[bound]++
+		if v < lo || v > hi {
+			t.Errorf("%s = %g outside [%g, %g]: %s", row, v, lo, hi, bound)
+		}
+	}
+	const (
+		minTurns  = "turn-search study: the search never does worse than the paper's 18 prohibited turns"
+		incast    = "collective study: incast makespan is pinned by the ejection serialization bound (~8134 cycles)"
+		dragonfly = "zoo shootout: minimal dragonfly routing beats DOWN/UP by ≥5% saturation throughput on its home topology (checked-in ~1.11)"
+		certified = "zoo shootout: every simulated routing function passed the exact existence check with a verified witness"
+	)
+	for _, p := range turns.Points {
+		within(minTurns, fmt.Sprintf("%d-port/%s min_turns_best", p.Ports, p.Policy), float64(p.MinTurnsBest), math.Inf(-1), 18)
+	}
+	for _, c := range col.Cells {
+		if c.Collective == "incast" {
+			within(incast, fmt.Sprintf("%d-port/%s/%s/incast makespan", c.Ports, c.Policy, c.Algorithm), c.Makespan, 7000, 10000)
+		}
+	}
+	for _, f := range zoo.Families {
+		if f.Family == "dragonfly" {
+			within(dragonfly, "dragonfly native_over_downup_sat", f.NativeOverDownUpSat, 1.05, math.Inf(1))
+		}
+		for _, p := range f.Points {
+			ok := 0.0
+			if p.Certified {
+				ok = 1
+			}
+			within(certified, f.Family+"/"+p.Router+" certified", ok, 1, 1)
+		}
+	}
+	for _, bound := range []string{minTurns, incast, dragonfly, certified} {
+		if checked[bound] == 0 {
+			t.Errorf("no row to check: %s", bound)
+		}
+	}
 }
 
 func sortedKeys(m map[string]string) []string {

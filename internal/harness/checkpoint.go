@@ -28,21 +28,18 @@ type ckptHeader struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// ckptRecord is one completed simulation: coordinates plus the digest the
+// ckptRecord is one completed simulation: coordinates plus the outcome the
 // aggregation stage consumes (checkpointing full Results would couple the
-// format to every metrics field; these six scalars are the whole contract).
+// format to every metrics field; simOutcome's six scalars are the whole
+// contract). The embedded outcome's keys follow the coordinates on the
+// line.
 type ckptRecord struct {
-	PI       int     `json:"pi"`
-	SI       int     `json:"si"`
-	PolI     int     `json:"poli"`
-	AI       int     `json:"ai"`
-	RI       int     `json:"ri"`
-	Accepted float64 `json:"accepted"`
-	Latency  float64 `json:"latency"`
-	Util     float64 `json:"util"`
-	Load     float64 `json:"load"`
-	Hot      float64 `json:"hot"`
-	Leaves   float64 `json:"leaves"`
+	PI   int `json:"pi"`
+	SI   int `json:"si"`
+	PolI int `json:"poli"`
+	AI   int `json:"ai"`
+	RI   int `json:"ri"`
+	simOutcome
 }
 
 type ckptKey struct{ pi, si, poli, ai, ri int }
@@ -81,8 +78,8 @@ func fingerprint(o Options) string {
 // openCheckpoint loads the records of a prior run from path (empty map if
 // the file is missing, empty, or fingerprint-mismatched — a mismatch
 // truncates) and returns a writer that appends new records to it.
-func openCheckpoint(path string, fp string) (map[ckptKey]ckptRecord, *checkpointWriter, error) {
-	done := make(map[ckptKey]ckptRecord)
+func openCheckpoint(path string, fp string) (map[ckptKey]simOutcome, *checkpointWriter, error) {
+	done := make(map[ckptKey]simOutcome)
 	fresh := true
 	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
 		sc := bufio.NewScanner(bytes.NewReader(data))
@@ -96,7 +93,7 @@ func openCheckpoint(path string, fp string) (map[ckptKey]ckptRecord, *checkpoint
 					if json.Unmarshal(sc.Bytes(), &rec) != nil {
 						continue // torn tail line from a crash mid-write
 					}
-					done[ckptKey{rec.PI, rec.SI, rec.PolI, rec.AI, rec.RI}] = rec
+					done[ckptKey{rec.PI, rec.SI, rec.PolI, rec.AI, rec.RI}] = rec.simOutcome
 				}
 			}
 		}

@@ -26,6 +26,12 @@
 // every topology and simulation seed is derived from the study's seed by
 // position. Run and CollectiveStudy share one grid of networks and
 // routing functions.
+//
+// Every open-loop simulation of every study runs through one function,
+// simulate, which finishes the run through wormsim's Simulator.Run; the
+// closed-loop collectives run through workload.Run and the faulted runs
+// through fault.Run. Those three Run functions are where the flit
+// conservation law is checked, so no study checks it again.
 package harness
 
 import (
@@ -242,20 +248,16 @@ func (r *Results) Cell(ports int, policy ctree.Policy, algorithm string) *Cell {
 	return nil
 }
 
-// runOutcome is one simulation's digest. ok is false for simulations that
-// never produced a result (skipped under KeepGoing); aggregation ignores
-// them.
-type runOutcome struct {
-	ok       bool
-	accepted float64
-	latency  float64
-	stats    metrics.NodeStats
+// simOutcome is one simulation's digest: the six scalars the aggregation
+// reads, and the value half of its checkpoint line (ckptRecord).
+type simOutcome struct {
+	Accepted float64 `json:"accepted"`
+	Latency  float64 `json:"latency"`
+	Util     float64 `json:"util"`
+	Load     float64 `json:"load"`
+	Hot      float64 `json:"hot"`
+	Leaves   float64 `json:"leaves"`
 }
-
-// deadlineChunk is the RunCycles granularity when a CellDeadline is set:
-// coarse enough to cost nothing, fine enough that an overrun is noticed
-// within a fraction of a second.
-const deadlineChunk = 2048
 
 // grid is the evaluation grid Run and CollectiveStudy share: ports × tree
 // policies × algorithms × samples, in that nesting order.
@@ -363,7 +365,7 @@ func Run(opts Options) (*Results, error) {
 
 	// Resume state: simulations recorded by a prior interrupted run with
 	// identical options are restored, not re-run.
-	var ckDone map[ckptKey]ckptRecord
+	var ckDone map[ckptKey]simOutcome
 	var ckW *checkpointWriter
 	if opts.Checkpoint != "" {
 		var err error
@@ -375,12 +377,11 @@ func Run(opts Options) (*Results, error) {
 	}
 
 	// Simulations: (cell, sample, rate), outcome k = sample index ×
-	// len(Rates) + rate index. Each checks the flit conservation law on its
-	// result; failures abort the sweep, or degrade to skip records under
-	// KeepGoing.
-	simulate := func(p prepared, cs cellSample, ri int) (out runOutcome, err error) {
+	// len(Rates) + rate index. A failure aborts the sweep, or degrades to a
+	// skip record under KeepGoing.
+	run := func(p prepared, cs cellSample, ri int) (out simOutcome, err error) {
 		defer guardPanic(&err)
-		cfg := wormsim.Config{
+		res, err := simulate(p.fn, p.tb, wormsim.Config{
 			PacketLength:    opts.PacketLength,
 			VirtualChannels: opts.VirtualChannels,
 			InjectionRate:   opts.Rates[ri],
@@ -389,44 +390,16 @@ func Run(opts Options) (*Results, error) {
 			WarmupCycles:    opts.WarmupCycles,
 			MeasureCycles:   opts.MeasureCycles,
 			Seed:            deriveSeed(opts.Seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), uint64(cs.ai)+2, uint64(ri)+1),
-		}
-		sim, err := wormsim.New(p.fn, p.tb, cfg)
+		}, opts.CellDeadline)
 		if err != nil {
-			return out, err
-		}
-		var res *wormsim.Result
-		if opts.CellDeadline > 0 {
-			deadline := time.Now().Add(opts.CellDeadline)
-			total := cfg.TotalCycles()
-			for sim.Cycle() < total {
-				step := deadlineChunk
-				if rest := total - sim.Cycle(); rest < step {
-					step = rest
-				}
-				if err := sim.RunCycles(step); err != nil {
-					return out, err
-				}
-				if sim.Cycle() < total && time.Now().After(deadline) {
-					return out, fmt.Errorf("deadline %v exceeded at cycle %d/%d",
-						opts.CellDeadline, sim.Cycle(), total)
-				}
-			}
-			res = sim.Finish()
-		} else if res, err = sim.Run(); err != nil {
-			return out, err
-		}
-		if err := res.CheckConservation(); err != nil {
 			return out, err
 		}
 		st, err := metrics.ComputeNodeStats(p.fn.CG(), res.ChannelFlits, res.MeasuredCycles)
-		if err != nil {
-			return out, err
-		}
-		return runOutcome{ok: true, accepted: res.AcceptedTraffic, latency: res.AvgLatency, stats: st}, nil
+		return simOutcome{res.AcceptedTraffic, res.AvgLatency, st.Mean, st.TrafficLoad, st.HotSpotDegree, st.LeavesUtilization}, err
 	}
 
 	nr := len(opts.Rates)
-	outcomes := make([]runOutcome, len(work)*nr)
+	outcomes := make([]simOutcome, len(work)*nr)
 	failures := make([]error, len(outcomes))
 	var pending []int
 	resumed := 0
@@ -435,18 +408,8 @@ func Run(opts Options) (*Results, error) {
 		if preps[k/nr].err != nil {
 			continue // preparation failed; skipped below
 		}
-		if rec, hit := ckDone[ckptKey{cs.pi, cs.si, cs.poli, cs.ai, ri}]; hit {
-			outcomes[k] = runOutcome{
-				ok:       true,
-				accepted: rec.Accepted,
-				latency:  rec.Latency,
-				stats: metrics.NodeStats{
-					Mean:              rec.Util,
-					TrafficLoad:       rec.Load,
-					HotSpotDegree:     rec.Hot,
-					LeavesUtilization: rec.Leaves,
-				},
-			}
+		if out, hit := ckDone[ckptKey{cs.pi, cs.si, cs.poli, cs.ai, ri}]; hit {
+			outcomes[k] = out
 			resumed++
 			continue
 		}
@@ -455,7 +418,7 @@ func Run(opts Options) (*Results, error) {
 	err = forEach(len(pending), opts.Parallelism, func(j int) error {
 		k := pending[j]
 		cs, ri := work[k/nr], k%nr
-		out, err := simulate(preps[k/nr], cs, ri)
+		out, err := run(preps[k/nr], cs, ri)
 		if err != nil {
 			if opts.KeepGoing {
 				failures[k] = err
@@ -465,12 +428,7 @@ func Run(opts Options) (*Results, error) {
 		}
 		outcomes[k] = out
 		if ckW != nil {
-			if err := ckW.add(ckptRecord{
-				PI: cs.pi, SI: cs.si, PolI: cs.poli, AI: cs.ai, RI: ri,
-				Accepted: out.accepted, Latency: out.latency,
-				Util: out.stats.Mean, Load: out.stats.TrafficLoad,
-				Hot: out.stats.HotSpotDegree, Leaves: out.stats.LeavesUtilization,
-			}); err != nil {
+			if err := ckW.add(ckptRecord{cs.pi, cs.si, cs.poli, cs.ai, ri, out}); err != nil {
 				return fmt.Errorf("harness: checkpoint: %w", err)
 			}
 		}
@@ -504,23 +462,23 @@ func Run(opts Options) (*Results, error) {
 			outs := outcomes[i*nr : (i+1)*nr]
 			best := -1
 			for ri := range outs {
-				if !outs[ri].ok {
+				if preps[i].err != nil || failures[i*nr+ri] != nil {
 					continue // skipped; the record is in Results.Skipped
 				}
-				curves[2*ri].Add(outs[ri].accepted)
-				curves[2*ri+1].Add(outs[ri].latency)
-				if best < 0 || outs[ri].accepted > outs[best].accepted {
+				curves[2*ri].Add(outs[ri].Accepted)
+				curves[2*ri+1].Add(outs[ri].Latency)
+				if best < 0 || outs[ri].Accepted > outs[best].Accepted {
 					best = ri
 				}
 			}
 			if best < 0 {
 				continue // every rate of this sample was skipped
 			}
-			maxT.Add(outs[best].accepted)
-			nodeU.Add(outs[best].stats.Mean)
-			load.Add(outs[best].stats.TrafficLoad)
-			hot.Add(outs[best].stats.HotSpotDegree)
-			leaves.Add(outs[best].stats.LeavesUtilization)
+			maxT.Add(outs[best].Accepted)
+			nodeU.Add(outs[best].Util)
+			load.Add(outs[best].Load)
+			hot.Add(outs[best].Hot)
+			leaves.Add(outs[best].Leaves)
 			apl.Add(preps[i].tb.AvgPathLength())
 			rel.Add(float64(preps[i].fn.Released))
 		}

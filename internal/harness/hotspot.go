@@ -129,15 +129,8 @@ func HotspotStudy(opts HotspotOptions) (*HotspotResults, error) {
 				MeasureCycles: opts.MeasureCycles,
 				Seed:          deriveSeed(opts.Seed, uint64(si), uint64(ai)+1, uint64(fi)+1, 0, 0),
 			}
-			sim, err := wormsim.New(fn, tb, cfg)
+			out, err := simulate(fn, tb, cfg, 0)
 			if err != nil {
-				return err
-			}
-			out, err := sim.Run()
-			if err != nil {
-				return err
-			}
-			if err := out.CheckConservation(); err != nil {
 				return err
 			}
 			st, err := metrics.ComputeNodeStats(cg, out.ChannelFlits, out.MeasuredCycles)

@@ -5,6 +5,10 @@ import (
 	"strings"
 )
 
+// artifactSchema is the "schema" version stamped into the study JSON
+// artifacts (BENCH_collective.json, BENCH_turnsearch.json, BENCH_zoo.json).
+const artifactSchema = 1
+
 // TableMetric selects which of the paper's tables to render.
 type TableMetric int
 

@@ -178,11 +178,17 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 // TestCellDeadlineAborts: without KeepGoing, a hopeless deadline fails the
 // run with a deadline error.
 func TestCellDeadlineAborts(t *testing.T) {
-	opts := tinyOptions()
-	opts.CellDeadline = time.Nanosecond
-	_, err := Run(opts)
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("want deadline error, got %v", err)
+	// Every simulation overruns after its first chunk of deadlineChunk
+	// cycles; the lowest-index one is reported, whatever the worker count.
+	const want = "harness: simulate 4-port/M1/L-turn sample 0 rate 0.05: deadline 1ns exceeded at cycle 2048/2500"
+	for _, par := range []int{1, 2} {
+		opts := tinyOptions()
+		opts.CellDeadline = time.Nanosecond
+		opts.Parallelism = par
+		_, err := Run(opts)
+		if err == nil || err.Error() != want {
+			t.Fatalf("Parallelism %d: got error %v, want %q", par, err, want)
+		}
 	}
 }
 

@@ -5,6 +5,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"time"
+
+	"repro/internal/routing"
+	"repro/internal/wormsim"
 )
 
 // forEach is the one fan-out every study runs its work through. It calls
@@ -50,6 +54,36 @@ func forEach(n, workers int, unit func(i int) error) error {
 	}
 	wg.Wait()
 	return first
+}
+
+// deadlineChunk is the RunCycles granularity when a deadline is set:
+// coarse enough to cost nothing, fine enough that an overrun is noticed
+// within a fraction of a second.
+const deadlineChunk = 2048
+
+// simulate is the one way a study runs an open-loop simulation: it builds
+// a simulator for fn over ps under cfg and finishes it through
+// Simulator.Run, which checks the flit conservation law. With a positive
+// deadline it first advances in deadlineChunk slices and checks the wall
+// clock after each one; an unfinished run past the deadline is an error.
+func simulate(fn *routing.Function, ps routing.PathSource, cfg wormsim.Config, deadline time.Duration) (*wormsim.Result, error) {
+	sim, err := wormsim.New(fn, ps, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if deadline > 0 {
+		stop := time.Now().Add(deadline)
+		total := cfg.TotalCycles()
+		for sim.Cycle() < total {
+			if err := sim.RunCycles(min(deadlineChunk, total-sim.Cycle())); err != nil {
+				return nil, err
+			}
+			if sim.Cycle() < total && time.Now().After(stop) {
+				return nil, fmt.Errorf("deadline %v exceeded at cycle %d/%d", deadline, sim.Cycle(), total)
+			}
+		}
+	}
+	return sim.Run()
 }
 
 func runUnit(unit func(int) error, i int) (err error) {

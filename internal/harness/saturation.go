@@ -41,15 +41,8 @@ func FindSaturation(fn *routing.Function, tb routing.PathSource, cfg wormsim.Con
 	probe := func(rate float64) (float64, error) {
 		c := cfg
 		c.InjectionRate = rate
-		sim, err := wormsim.New(fn, tb, c)
+		res, err := simulate(fn, tb, c, 0)
 		if err != nil {
-			return 0, err
-		}
-		res, err := sim.Run()
-		if err != nil {
-			return 0, err
-		}
-		if err := res.CheckConservation(); err != nil {
 			return 0, err
 		}
 		sat.Probes++

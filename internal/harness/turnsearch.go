@@ -12,7 +12,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/trend"
 	"repro/internal/turnmodel"
 	"repro/internal/turnsearch"
 	"repro/internal/wormsim"
@@ -121,7 +120,7 @@ type TurnSearchPoint struct {
 type TurnSearchResults struct {
 	Options TurnSearchOptions `json:"-"`
 	// Schema is the artifact schema version, stamped by TurnSearchJSON
-	// (trend.Schema).
+	// (artifactSchema).
 	Schema int `json:"schema"`
 	// Switches echoes the network size into the JSON artifact.
 	Switches int `json:"switches"`
@@ -198,8 +197,13 @@ func TurnSearchStudy(opts TurnSearchOptions) (*TurnSearchResults, error) {
 			if err != nil {
 				return err
 			}
-			res, err := runTurnSearchSim(fn, tb, opts, deriveSeed(opts.Seed,
-				uint64(pi)+1, uint64(yi)+1, uint64(si)+1, uint64(side)+1, 0))
+			res, err := simulate(fn, tb, wormsim.Config{
+				PacketLength:  opts.PacketLength,
+				InjectionRate: opts.InjectionRate,
+				WarmupCycles:  opts.WarmupCycles,
+				MeasureCycles: opts.MeasureCycles,
+				Seed:          deriveSeed(opts.Seed, uint64(pi)+1, uint64(yi)+1, uint64(si)+1, uint64(side)+1, 0),
+			}, 0)
 			if err != nil {
 				return err
 			}
@@ -253,25 +257,6 @@ func TurnSearchStudy(opts TurnSearchOptions) (*TurnSearchResults, error) {
 	return res, nil
 }
 
-// runTurnSearchSim runs one head-to-head simulation leg.
-func runTurnSearchSim(fn *routing.Function, tb *routing.Table, opts TurnSearchOptions, seed uint64) (*wormsim.Result, error) {
-	sim, err := wormsim.New(fn, tb, wormsim.Config{
-		PacketLength:  opts.PacketLength,
-		InjectionRate: opts.InjectionRate,
-		WarmupCycles:  opts.WarmupCycles,
-		MeasureCycles: opts.MeasureCycles,
-		Seed:          seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return out, out.CheckConservation()
-}
-
 // FormatTurnSearch renders the study as the text artifact
 // (results/turnsearch_sweep.txt).
 func FormatTurnSearch(r *TurnSearchResults) string {
@@ -300,7 +285,7 @@ func FormatTurnSearch(r *TurnSearchResults) string {
 // TurnSearchJSON renders the machine-readable artifact
 // (results/BENCH_turnsearch.json), byte-deterministic across reruns.
 func TurnSearchJSON(r *TurnSearchResults) ([]byte, error) {
-	r.Schema = trend.Schema
+	r.Schema = artifactSchema
 	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return nil, err

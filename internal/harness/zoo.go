@@ -24,7 +24,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/trend"
 	"repro/internal/turnmodel"
 	"repro/internal/workload"
 	"repro/internal/wormsim"
@@ -410,18 +409,21 @@ func zooRunRow(opts ZooOptions, g *topology.Graph, row zooRow, fi, ri uint64) (Z
 	latCfg := cfg
 	latCfg.InjectionRate = opts.LatencyRate
 	latCfg.Seed = deriveSeed(opts.Seed, fi+1, ri+1, 2, 0, 0)
-	latRes, err := zooRunSim(fn, ps, latCfg)
+	latRes, err := simulate(fn, ps, latCfg, 0)
 	if err != nil {
 		return pt, fmt.Errorf("latency probe: %w", err)
 	}
 	pt.AvgLatency = latRes.AvgLatency
 
-	colCfg := wormsim.Config{
+	dag, err := workload.ByName(opts.Collective, g.N(), opts.MessagePackets)
+	if err != nil {
+		return pt, fmt.Errorf("collective: %w", err)
+	}
+	st, colRes, err := workload.Run(fn, ps, dag, wormsim.Config{
 		PacketLength: opts.PacketLength,
 		Engine:       opts.Engine,
 		Seed:         deriveSeed(opts.Seed, fi+1, ri+1, 3, 0, 0),
-	}
-	st, colRes, err := zooRunCollective(fn, ps, colCfg, opts)
+	})
 	if err != nil {
 		return pt, fmt.Errorf("collective: %w", err)
 	}
@@ -452,33 +454,6 @@ func zooAvgPathLength(ps routing.PathSource, n int) float64 {
 		return 0
 	}
 	return float64(sum) / float64(cnt)
-}
-
-// zooRunSim runs one open-loop simulation and checks its conservation law.
-func zooRunSim(fn *routing.Function, ps routing.PathSource, cfg wormsim.Config) (*wormsim.Result, error) {
-	sim, err := wormsim.New(fn, ps, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return res, res.CheckConservation()
-}
-
-// zooRunCollective runs the closed-loop collective leg and checks its
-// conservation law.
-func zooRunCollective(fn *routing.Function, ps routing.PathSource, cfg wormsim.Config, opts ZooOptions) (workload.Stats, *wormsim.Result, error) {
-	dag, err := workload.ByName(opts.Collective, fn.CG().N(), opts.MessagePackets)
-	if err != nil {
-		return workload.Stats{}, nil, err
-	}
-	st, res, err := workload.Run(fn, ps, dag, cfg)
-	if err != nil {
-		return st, nil, err
-	}
-	return st, res, res.CheckConservation()
 }
 
 // FormatZoo renders the shootout as the text artifact
@@ -518,7 +493,7 @@ func FormatZoo(r *ZooResults) string {
 // ZooJSON renders the machine-readable artifact (results/BENCH_zoo.json),
 // byte-deterministic across reruns, engines, and worker counts.
 func ZooJSON(r *ZooResults) ([]byte, error) {
-	r.Schema = trend.Schema
+	r.Schema = artifactSchema
 	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return nil, err

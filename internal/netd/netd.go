@@ -398,20 +398,13 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		return nil, err
 	}
 
-	liveSwitches := 0
-	for _, d := range dead {
-		if !d {
-			liveSwitches++
-		}
-	}
-	s.version++
 	sn := &Snapshot{
-		Version:       s.version,
+		Version:       s.version + 1,
 		Algorithm:     compiled.Algorithm(),
 		Policy:        s.cfg.Policy,
 		Created:       s.now(),
 		ReleasedTurns: fn.Released,
-		LiveSwitches:  liveSwitches,
+		LiveSwitches:  len(n2o),
 		LiveLinks:     graph.M(),
 		graph:         graph,
 		dead:          dead,
@@ -419,19 +412,8 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		origCG:        origCG,
 		fibBytes:      append([]byte(nil), buf.Bytes()...),
 		fibSize:       compiled.SizeBytes(),
-		algQueries: s.reg.Counter(fmt.Sprintf(
-			`irnetd_route_queries_total{algorithm=%q}`, compiled.Algorithm())),
 	}
-	if s.cfg.OnSwap != nil {
-		s.cfg.OnSwap(sn)
-	}
-	s.snap.Store(sn)
-	s.live, s.dead = graph, dead
-	s.m.snapshotVersion.Set(float64(sn.Version))
-	s.m.liveSwitches.Set(float64(sn.LiveSwitches))
-	s.m.liveLinks.Set(float64(sn.LiveLinks))
-	s.m.fibBytes.Set(float64(sn.fibSize))
-	s.m.stale.Set(0)
+	s.publish(sn)
 	// Persist after publishing: a persist failure degrades crash recovery,
 	// never the live service.
 	if s.cfg.SnapshotPath != "" {
@@ -443,4 +425,27 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		}
 	}
 	return sn, nil
+}
+
+// publish makes sn the served generation, the one step install and
+// restore both end in: it runs the OnSwap hook, stores the snapshot,
+// adopts its topology and version as the service's live state, and sets
+// the gauges. Callers hold s.mu.
+func (s *Service) publish(sn *Snapshot) {
+	sn.algQueries = s.reg.Counter(fmt.Sprintf(`irnetd_route_queries_total{algorithm=%q}`, sn.Algorithm))
+	if s.cfg.OnSwap != nil {
+		s.cfg.OnSwap(sn)
+	}
+	s.snap.Store(sn)
+	s.live, s.dead = sn.graph, sn.dead
+	s.version = sn.Version
+	s.m.snapshotVersion.Set(float64(sn.Version))
+	s.m.liveSwitches.Set(float64(sn.LiveSwitches))
+	s.m.liveLinks.Set(float64(sn.LiveLinks))
+	s.m.fibBytes.Set(float64(sn.fibSize))
+	stale := 0.0
+	if sn.Stale {
+		stale = 1
+	}
+	s.m.stale.Set(stale)
 }

@@ -68,25 +68,12 @@ func (s *Service) restore(path string) (*Snapshot, error) {
 	}
 	origCG := cgraph.Build(fullTree)
 
-	// Compact the surviving switches exactly as fault.Rebuild does, then
-	// give the FIB router the subgraph's channel structure. The router uses
-	// only port masks and channel endpoints — never tree Dir labels — so a
+	// Compact the surviving switches as fault.Rebuild does, then give the
+	// FIB router the subgraph's channel structure. The router uses only
+	// port masks and channel endpoints — never tree Dir labels — so a
 	// policy whose tree draw diverges from the crashed daemon's cannot
 	// change an answer.
-	o2n := make([]int, st.N)
-	n2o := make([]int, 0, st.N)
-	for v := 0; v < st.N; v++ {
-		if dead[v] {
-			o2n[v] = -1
-			continue
-		}
-		o2n[v] = len(n2o)
-		n2o = append(n2o, v)
-	}
-	sub := topology.New(len(n2o))
-	for _, e := range graph.Edges() {
-		sub.MustAddEdge(o2n[e.From], o2n[e.To])
-	}
+	sub, o2n, n2o := fault.Compact(graph, dead)
 	subTree, err := ctree.Build(sub, s.cfg.Policy, s.treeRng.Split())
 	if err != nil {
 		return nil, err
@@ -122,20 +109,8 @@ func (s *Service) restore(path string) (*Snapshot, error) {
 		origCG:        origCG,
 		fibBytes:      st.FIB,
 		fibSize:       compiled.SizeBytes(),
-		algQueries: s.reg.Counter(fmt.Sprintf(
-			`irnetd_route_queries_total{algorithm=%q}`, compiled.Algorithm())),
 	}
-	if s.cfg.OnSwap != nil {
-		s.cfg.OnSwap(sn)
-	}
-	s.snap.Store(sn)
-	s.live, s.dead = graph, dead
-	s.version = st.Version
-	s.m.snapshotVersion.Set(float64(sn.Version))
-	s.m.liveSwitches.Set(float64(sn.LiveSwitches))
-	s.m.liveLinks.Set(float64(sn.LiveLinks))
-	s.m.fibBytes.Set(float64(sn.fibSize))
-	s.m.stale.Set(1)
+	s.publish(sn)
 	return sn, nil
 }
 

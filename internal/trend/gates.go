@@ -4,6 +4,10 @@ package trend
 // earlier PR's CI job or checked-in artifact; cmd/irtrend evaluates them
 // against freshly ingested records so a perf regression fails the build
 // with a named, attributable gate instead of a silently drifting number.
+// CI's benchmark smoke job runs irtrend over a fresh irperf report, so the
+// engine speed floors below are its floors too. The bounds on the study
+// artifacts live with the study code (internal/harness's
+// TestStudyArtifactBounds).
 
 import (
 	"fmt"
@@ -56,26 +60,6 @@ func DefaultGates() []Gate {
 			Source: "netd", Metric: "errors", Scenario: "",
 			Min: unbounded, Max: 0,
 			Origin: "PR 7 servebench: a clean run serves every request",
-		},
-		{
-			Source: "turnsearch", Metric: "min_turns_best", Scenario: "",
-			Min: unbounded, Max: 18,
-			Origin: "PR 8: the search never does worse than the paper's 18 prohibited turns",
-		},
-		{
-			Source: "collective", Metric: "makespan", Scenario: "*/incast",
-			Min: 7000, Max: 10000,
-			Origin: "PR 5: incast makespan is pinned by the ejection serialization bound (~8134 cycles)",
-		},
-		{
-			Source: "zoo", Metric: "native_over_downup_sat", Scenario: "dragonfly",
-			Min: 1.05, Max: unbounded,
-			Origin: "PR 10 zoo shootout: minimal dragonfly routing beats DOWN/UP by ≥5% saturation throughput on its home topology (checked-in ~1.11)",
-		},
-		{
-			Source: "zoo", Metric: "certified", Scenario: "",
-			Min: 1, Max: 1,
-			Origin: "PR 10 zoo shootout: every simulated routing function passed the exact existence check with a verified witness",
 		},
 	}
 }

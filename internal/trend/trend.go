@@ -4,14 +4,17 @@
 // and maintains results/TREND.jsonl — the append-only cross-PR history the
 // regression tracker cmd/irtrend reads and extends.
 //
-// The five ingested documents are results/BENCH_wormsim.json (engine
-// speed), BENCH_netd.json (control-plane serving), BENCH_collective.json
-// (closed-loop collectives), BENCH_turnsearch.json (minimal
-// prohibited-turn-set search), and BENCH_zoo.json (cross-family routing
-// shootout); results/README.md is the field reference.
-// Each carries a "schema" version: unknown versions are ingested with a
-// warning, never a failure, so an old irtrend does not block a newer
-// artifact (fields are only ever added within this repository).
+// The two ingested documents are results/BENCH_wormsim.json (engine
+// speed, written by cmd/irperf) and BENCH_netd.json (control-plane
+// serving, written by cmd/irbench); results/README.md is the field
+// reference. The studies' BENCH_collective.json, BENCH_turnsearch.json and
+// BENCH_zoo.json are deterministic study outputs, not measurements: only
+// internal/harness, which writes them, decodes them, and its tests hold
+// them to their bounds.
+// Each ingested document carries a "schema" version: unknown versions are
+// ingested with a warning, never a failure, so an old irtrend does not
+// block a newer artifact (fields are only ever added within this
+// repository).
 package trend
 
 import (
@@ -39,14 +42,15 @@ type Record struct {
 	// empty on freshly ingested records, set when appending to the trend
 	// history.
 	Label string `json:"label,omitempty"`
-	// Source names the producing artifact family: "wormsim", "netd",
-	// "collective", or "turnsearch".
+	// Source names the producing artifact family: "wormsim" or "netd".
+	// History written before the study artifacts left the tracker also
+	// holds "collective", "turnsearch" and "zoo" records.
 	Source string `json:"source"`
 	// Metric names the quantity, e.g. "speedup_event_scan" or
 	// "latency_p99_us".
 	Metric string `json:"metric"`
-	// Scenario is the measurement configuration, e.g. "128sw/4port/r0.1",
-	// "steady", "4port/M1", or "4port/M1/DOWN-UP/incast".
+	// Scenario is the measurement configuration, e.g. "128sw/4port/r0.1"
+	// or "steady".
 	Scenario string `json:"scenario"`
 	// Cores is GOMAXPROCS of the measuring host where the artifact records
 	// it (0 where it does not).
@@ -105,51 +109,6 @@ type netdPhase struct {
 	} `json:"latency_us"`
 }
 
-// benchCollective mirrors the collective study report (internal/harness).
-type benchCollective struct {
-	Schema int `json:"schema"`
-	Cells  []struct {
-		Ports      int     `json:"ports"`
-		Policy     string  `json:"policy"`
-		Algorithm  string  `json:"algorithm"`
-		Collective string  `json:"collective"`
-		Makespan   float64 `json:"makespan"` // across-sample mean, may be fractional
-		AvgLatency float64 `json:"avg_message_latency"`
-	} `json:"cells"`
-}
-
-// benchTurnsearch mirrors the turn-search report (internal/harness).
-type benchTurnsearch struct {
-	Schema int `json:"schema"`
-	Points []struct {
-		Ports           int     `json:"ports"`
-		Policy          string  `json:"policy"`
-		PaperTurns      int     `json:"paper_turns"`
-		MinTurnsBest    int     `json:"min_turns_best"`
-		ThroughputDelta float64 `json:"throughput_delta_pct"`
-	} `json:"points"`
-}
-
-// benchZoo mirrors the cross-family shootout report (internal/harness).
-type benchZoo struct {
-	Schema   int `json:"schema"`
-	Families []struct {
-		Family              string  `json:"family"`
-		NativeOverDownUpSat float64 `json:"native_over_downup_sat"`
-		Points              []struct {
-			Router      string  `json:"router"`
-			Certified   bool    `json:"certified"`
-			SatAccepted float64 `json:"sat_accepted"`
-			AvgLatency  float64 `json:"avg_latency"`
-			Makespan    float64 `json:"makespan"`
-		} `json:"points"`
-	} `json:"families"`
-}
-
-// scenarioToken flattens a value that may contain the scenario separator
-// ("DOWN/UP" → "DOWN-UP") so scenarios split unambiguously on "/".
-func scenarioToken(s string) string { return strings.ReplaceAll(s, "/", "-") }
-
 // IngestFile normalizes one benchmark artifact, recognized by basename.
 // The returned warnings cover schema-version surprises; unrecognized
 // basenames are an error.
@@ -200,50 +159,6 @@ func IngestFile(path string) ([]Record, []string, error) {
 			add("netd", "errors", ph.name, 0, float64(ph.p.Errors))
 			add("netd", "shed", ph.name, 0, float64(ph.p.Shed))
 		}
-	case "BENCH_collective.json":
-		var d benchCollective
-		if err := json.Unmarshal(buf, &d); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", base, err)
-		}
-		warns = checkSchema(path, d.Schema, warns)
-		for _, c := range d.Cells {
-			sc := fmt.Sprintf("%dport/%s/%s/%s", c.Ports, c.Policy,
-				scenarioToken(c.Algorithm), c.Collective)
-			add("collective", "makespan", sc, 0, c.Makespan)
-			add("collective", "avg_message_latency", sc, 0, c.AvgLatency)
-		}
-	case "BENCH_turnsearch.json":
-		var d benchTurnsearch
-		if err := json.Unmarshal(buf, &d); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", base, err)
-		}
-		warns = checkSchema(path, d.Schema, warns)
-		for _, p := range d.Points {
-			sc := fmt.Sprintf("%dport/%s", p.Ports, p.Policy)
-			add("turnsearch", "min_turns_best", sc, 0, float64(p.MinTurnsBest))
-			add("turnsearch", "paper_turns", sc, 0, float64(p.PaperTurns))
-			add("turnsearch", "throughput_delta_pct", sc, 0, p.ThroughputDelta)
-		}
-	case "BENCH_zoo.json":
-		var d benchZoo
-		if err := json.Unmarshal(buf, &d); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", base, err)
-		}
-		warns = checkSchema(path, d.Schema, warns)
-		for _, f := range d.Families {
-			add("zoo", "native_over_downup_sat", f.Family, 0, f.NativeOverDownUpSat)
-			for _, p := range f.Points {
-				sc := f.Family + "/" + scenarioToken(p.Router)
-				certified := 0.0
-				if p.Certified {
-					certified = 1
-				}
-				add("zoo", "certified", sc, 0, certified)
-				add("zoo", "sat_accepted", sc, 0, p.SatAccepted)
-				add("zoo", "avg_latency", sc, 0, p.AvgLatency)
-				add("zoo", "makespan", sc, 0, p.Makespan)
-			}
-		}
 	default:
 		return nil, nil, fmt.Errorf("trend: unrecognized artifact %q", base)
 	}
@@ -252,11 +167,7 @@ func IngestFile(path string) ([]Record, []string, error) {
 
 // BenchFiles lists the artifact basenames IngestDir looks for.
 func BenchFiles() []string {
-	return []string{
-		"BENCH_wormsim.json", "BENCH_netd.json",
-		"BENCH_collective.json", "BENCH_turnsearch.json",
-		"BENCH_zoo.json",
-	}
+	return []string{"BENCH_wormsim.json", "BENCH_netd.json"}
 }
 
 // IngestDir normalizes every known benchmark artifact in dir. A missing

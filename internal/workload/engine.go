@@ -214,6 +214,8 @@ func (e *Engine) Stats() Stats {
 // It returns the collective stats alongside the simulator counters, or an
 // error if the budget expires before the job drains — which, on a verified
 // deadlock-free routing function, indicates the budget is simply too small.
+// A drained job is checked against the flit conservation law, and a
+// violation is returned as the error.
 func Run(fn *routing.Function, tb routing.PathSource, dag *DAG, cfg wormsim.Config) (Stats, *wormsim.Result, error) {
 	budget := cfg.MeasureCycles
 	if budget <= 0 {
@@ -248,5 +250,6 @@ func Run(fn *routing.Function, tb routing.PathSource, dag *DAG, cfg wormsim.Conf
 			return Stats{}, sim.Finish(), err
 		}
 	}
-	return eng.Stats(), sim.Finish(), nil
+	res := sim.Finish()
+	return eng.Stats(), res, res.CheckConservation()
 }

@@ -747,13 +747,17 @@ func (s *Simulator) vclChannel(vcl int32) int {
 // counters. It returns an error for simulated deadlock (a *DeadlockError
 // carrying the blocked-channel diagnostic, also available via
 // Result.Deadlock) or a trace write failure; on error the returned Result
-// holds the partial counters accumulated so far.
+// holds the partial counters accumulated so far. A run that finishes is
+// checked against the flit conservation law, and a violation is returned
+// as the error alongside the finished Result: Run is where every
+// simulation's conservation is checked.
 func (s *Simulator) Run() (*Result, error) {
 	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles
 	if err := s.RunCycles(total - s.cycle); err != nil {
 		return &s.res, err
 	}
-	return s.Finish(), nil
+	res := s.Finish()
+	return res, res.CheckConservation()
 }
 
 // Cycle returns the number of cycles simulated so far.

@@ -306,6 +306,33 @@ func TestFlitConservation(t *testing.T) {
 	}
 }
 
+// TestRunChecksConservation: Run is where the conservation law is checked,
+// so a run whose counters lost a flit must fail there and not hand its
+// Result to a caller that might forget to check.
+func TestRunChecksConservation(t *testing.T) {
+	f, tb := randomFn(t, 31, 20, 4, routing.LTurn{})
+	sim, err := New(f, tb, Config{
+		PacketLength:  8,
+		InjectionRate: 0.1,
+		WarmupCycles:  200,
+		MeasureCycles: 800,
+		Seed:          23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunCycles(300); err != nil {
+		t.Fatal(err)
+	}
+	if sim.res.FlitsInjected == 0 {
+		t.Fatal("nothing injected; the corruption below would go unseen")
+	}
+	sim.res.FlitsInjected++
+	if _, err := sim.Run(); err == nil || !strings.Contains(err.Error(), "flit conservation violated") {
+		t.Fatalf("Run after a lost flit: got %v, want a conservation error", err)
+	}
+}
+
 // checkSentThisCycle verifies, between cycles, the bookkeeping of the
 // flits sent this cycle: s.landing counts exactly the buffered flits still
 // crossing their wire (arrived > now), a switch-to-switch or injection

@@ -247,7 +247,8 @@ func NewTable(f *RoutingFunction) *Table { return routing.NewTable(f) }
 // Simulate runs one wormhole simulation of the routing function under cfg.
 // The routing function should be Verify-ed first; simulation of a function
 // that admits turn cycles can legitimately deadlock (the simulator then
-// returns an error rather than hanging).
+// returns an error rather than hanging). A finished run that violates the
+// flit conservation law returns that violation as the error.
 func Simulate(f *RoutingFunction, tb PathSource, cfg SimConfig) (*SimResult, error) {
 	sim, err := wormsim.New(f, tb, cfg)
 	if err != nil {

@@ -198,6 +198,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFaultRun -fuzztime=30s ./internal/fault/
 	$(GO) test -run=^$$ -fuzz=FuzzRecoveryRun -fuzztime=20s ./internal/fault/
 	$(GO) test -run=^$$ -fuzz=FuzzFIBDecode -fuzztime=15s ./internal/fib/
+	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=15s ./internal/fib/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=15s ./internal/netd/
 	$(GO) test -run=^$$ -fuzz=FuzzExistenceCheck -fuzztime=30s ./internal/turnmodel/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=15s ./internal/cosim/

@@ -276,7 +276,7 @@ func TestRebuildAlwaysVerifies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pol := range policies {
-				if _, _, _, _, err := Rebuild(live, dead, core.DownUp{}, pol, r.Split()); err != nil {
+				if _, _, _, err := Rebuild(live, dead, core.DownUp{}, pol, r.Split()); err != nil {
 					t.Fatalf("net %d, removal %d (%v), policy %v: %v", seed, step, ev, pol, err)
 				}
 			}
@@ -309,7 +309,7 @@ func TestRebuildVerifiesUnderSwitchLoss(t *testing.T) {
 			}
 		}
 		for _, pol := range []ctree.Policy{ctree.M1, ctree.M2, ctree.M3} {
-			fn, _, o2n, n2o, err := Rebuild(live, dead, core.DownUp{}, pol, r.Split())
+			fn, o2n, n2o, err := Rebuild(live, dead, core.DownUp{}, pol, r.Split())
 			if err != nil {
 				t.Fatalf("net %d policy %v: %v", seed, pol, err)
 			}

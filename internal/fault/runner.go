@@ -132,23 +132,24 @@ func Compact(g *topology.Graph, dead []bool) (sub *topology.Graph, o2n, n2o []in
 
 // Rebuild compacts the surviving topology (see Compact), rebuilds the
 // coordinated tree and routing function on it, and verifies the result. It
-// returns the function, its table, and the original-to-surviving /
-// surviving-to-original node id maps. r supplies randomness for the M2
-// policy and may be nil otherwise.
-func Rebuild(g *topology.Graph, dead []bool, alg routing.Algorithm, policy ctree.Policy, r *rng.Rng) (*routing.Function, *routing.Table, []int, []int, error) {
+// returns the function and the original-to-surviving /
+// surviving-to-original node id maps; it builds no routing table, which
+// callers that need one (the simulator) build from the function. r
+// supplies randomness for the M2 policy and may be nil otherwise.
+func Rebuild(g *topology.Graph, dead []bool, alg routing.Algorithm, policy ctree.Policy, r *rng.Rng) (*routing.Function, []int, []int, error) {
 	sub, o2n, n2o := Compact(g, dead)
 	tr, err := ctree.Build(sub, policy, r)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("fault: rebuilding tree: %w", err)
+		return nil, nil, nil, fmt.Errorf("fault: rebuilding tree: %w", err)
 	}
 	fn, err := alg.Build(cgraph.Build(tr))
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("fault: rebuilding routing: %w", err)
+		return nil, nil, nil, fmt.Errorf("fault: rebuilding routing: %w", err)
 	}
 	if err := fn.Verify(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("fault: rebuilt function failed verification: %w", err)
+		return nil, nil, nil, fmt.Errorf("fault: rebuilt function failed verification: %w", err)
 	}
-	return fn, routing.NewTable(fn), o2n, n2o, nil
+	return fn, o2n, n2o, nil
 }
 
 // Run executes one faulted simulation: it validates the schedule, simulates
@@ -177,12 +178,12 @@ func Run(g *topology.Graph, sched *Schedule, opts Options) (*Result, error) {
 	treeRng := rng.New(opts.TreeSeed)
 	live := g.Clone()
 	dead := make([]bool, g.N())
-	fn, tb, _, _, err := Rebuild(live, nil, opts.Algorithm, opts.Policy, treeRng.Split())
+	fn, _, _, err := Rebuild(live, nil, opts.Algorithm, opts.Policy, treeRng.Split())
 	if err != nil {
 		return nil, err
 	}
 	origCG := fn.CG()
-	sim, err := wormsim.New(fn, tb, opts.Sim)
+	sim, err := wormsim.New(fn, routing.NewTable(fn), opts.Sim)
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +243,11 @@ func Run(g *topology.Graph, sched *Schedule, opts Options) (*Result, error) {
 			}
 			rep.DrainCycles = cursor - rep.AppliedAt
 		}
-		newFn, newTb, o2n, n2o, err := Rebuild(live, dead, opts.Algorithm, opts.Policy, treeRng.Split())
+		newFn, o2n, n2o, err := Rebuild(live, dead, opts.Algorithm, opts.Policy, treeRng.Split())
 		if err != nil {
 			return nil, fmt.Errorf("fault: after %v: %w", ev, err)
 		}
-		rm, err := newRemap(origCG, newFn.CG(), o2n, n2o, newTb)
+		rm, err := newRemap(origCG, newFn.CG(), o2n, n2o, routing.NewTable(newFn))
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/cgraph"
@@ -104,7 +105,7 @@ func checkCompileMatchesReference(t *testing.T, tb *routing.Table) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := compileN(tb, workers)
+		got, err := compileN(tb.Function(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +127,9 @@ func checkCompileMatchesReference(t *testing.T, tb *routing.Table) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(gotBytes.Len()) {
-			t.Fatalf("%s: WriteTo reported %d bytes, wrote %d", name, n, gotBytes.Len())
+		if n != int64(gotBytes.Len()) || n != int64(got.EncodedSize()) {
+			t.Fatalf("%s: WriteTo reported %d bytes, wrote %d; EncodedSize %d",
+				name, n, gotBytes.Len(), got.EncodedSize())
 		}
 		if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
 			t.Fatalf("%s: serialized FIB differs from the reference", name)
@@ -226,6 +228,95 @@ func TestCompileMatchesReference(t *testing.T) {
 	}
 }
 
+// maskSchemes are the direction schemes randomMaskFunction draws from, each
+// with a deadlock-free prohibited set (nil: none used) that three draws in
+// four extend.
+var maskSchemes = []struct {
+	scheme turnmodel.Scheme
+	base   []turnmodel.Turn
+}{
+	{turnmodel.UpDownDir{}, []turnmodel.Turn{{From: turnmodel.UDDown, To: turnmodel.UDUp}}},
+	{turnmodel.SixDir{}, routing.LTurnProhibited},
+	{turnmodel.FourDir{}, nil},
+	{turnmodel.EightDir{}, nil},
+}
+
+// randomMaskFunction builds a uniform FromMask routing function on cg from
+// choice, a bit set over the scheme's turns and a U-turn flag. When extend
+// is set the prohibited turns are the scheme's base plus the chosen ones,
+// which mostly stays acyclic and often disconnects; otherwise they are the
+// chosen ones alone, which with few prohibitions is mostly cyclic.
+func randomMaskFunction(cg *cgraph.CG, scheme int, chosen uint64, extend, uturn bool) *routing.Function {
+	ms := maskSchemes[scheme%len(maskSchemes)]
+	var prohibited []turnmodel.Turn
+	if extend {
+		prohibited = append(prohibited, ms.base...)
+	}
+	for i, turn := range turnmodel.AllTurns(ms.scheme) {
+		if chosen>>uint(i%64)&1 != 0 {
+			prohibited = append(prohibited, turn)
+		}
+	}
+	f := routing.FromMask(cg, ms.scheme, turnmodel.NewMask(ms.scheme.NumDirs(), prohibited), "")
+	if uturn {
+		f.Sys.AllowUTurn = true
+		f.AlgorithmName += "+u-turns"
+	}
+	return f
+}
+
+// TestCompileMatchesReferenceRandomMasks runs the compile differential
+// over 512 seeded uniform masks (the first 128 under -short, which the race
+// job uses) with random U-turn permission, on switch counts either side of
+// the 32-destination block (31, 32, 33) and with partial last blocks (65,
+// 129), at every worker count. The sweep must reach enough connected,
+// disconnected and cyclic functions.
+func TestCompileMatchesReferenceRandomMasks(t *testing.T) {
+	cases := 512
+	if testing.Short() {
+		cases = 128
+	}
+	var cgs []*cgraph.CG
+	for _, switches := range []int{31, 32, 33, 65, 129} {
+		g, err := topology.RandomIrregular(topology.IrregularConfig{Switches: switches, Ports: 4 + switches%3}, rng.New(uint64(switches)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ctree.Build(g, ctree.M1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cgs = append(cgs, cgraph.Build(tr))
+	}
+	r := rng.New(22)
+	var connected, disconnected, cyclic int
+	for i := 0; i < cases; i++ {
+		// One draw in four prohibits each turn with probability 1/2; the
+		// others add each with probability 1/4 to the scheme's base.
+		extend := i%4 != 3
+		var chosen uint64
+		for bit := 0; bit < 64; bit++ {
+			if (extend && r.Intn(4) == 0) || (!extend && r.Intn(2) == 0) {
+				chosen |= 1 << uint(bit)
+			}
+		}
+		f := randomMaskFunction(cgs[i%len(cgs)], r.Intn(len(maskSchemes)), chosen, extend, r.Intn(2) == 0)
+		switch err := f.Verify(); {
+		case err == nil:
+			connected++
+		case strings.Contains(err.Error(), "turn cycle"):
+			cyclic++
+		default:
+			disconnected++
+		}
+		checkCompileMatchesReference(t, routing.NewTable(f))
+	}
+	t.Logf("%d connected, %d disconnected, %d cyclic", connected, disconnected, cyclic)
+	if connected < cases/5 || disconnected < cases/10 || cyclic < cases/5 {
+		t.Fatalf("sweep too narrow: %d connected, %d disconnected, %d cyclic", connected, disconnected, cyclic)
+	}
+}
+
 // TestCompileRejectsWidePorts pins the port-count limit: a 17-port switch
 // fails the compile with a named error, no FIB comes back, and the check
 // runs before any per-switch state is built or any worker starts — the
@@ -253,7 +344,7 @@ func TestCompileRejectsWidePorts(t *testing.T) {
 	}
 	const workers = 8
 	allocs := testing.AllocsPerRun(10, func() {
-		if f, err := compileN(tb, workers); err == nil || f != nil {
+		if f, err := compileN(fn, workers); err == nil || f != nil {
 			t.Fatal("compileN accepted a 17-port network")
 		}
 	})

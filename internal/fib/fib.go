@@ -1,4 +1,4 @@
-// Package fib compiles routing tables into per-switch forwarding
+// Package fib compiles routing functions into per-switch forwarding
 // information bases — the artifact an actual deployment (in the spirit of
 // Autonet, the system that introduced up*/down* routing) downloads into its
 // switches. A FIB answers, entirely locally, the only question a switch
@@ -6,6 +6,11 @@
 // output ports may it take?" — with the answer restricted to the shortest
 // legal continuations the routing function allows, so a switch using the
 // FIB is deadlock-free and minimal by construction.
+//
+// The compile builds no routing table. Each entry is recorded by the one
+// backward BFS per destination that a table would also run
+// (routing.NextPorts), so Compile(tb) reads nothing of the table but its
+// function, and CompileFunction needs no table at all.
 //
 // The package also defines a compact, versioned binary serialization so
 // FIBs can be distributed and loaded without recomputing the routing.
@@ -20,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cgraph"
 	"repro/internal/routing"
 )
 
@@ -54,35 +60,40 @@ const maxPorts = 16
 // magnitude below it.
 const maxSwitches = 1 << 16
 
-// Compile builds the FIB for a routing function from its table. Every
+// CompileFunction builds the FIB for a routing function. Every
 // (destination, input port) pair at every switch gets the exact set of
-// shortest legal output ports the table would offer (Table.NextChannels).
-//
-// Turn legality does not depend on the destination, so it is evaluated
-// once per switch: legal[v][row] is the mask of output ports a header
-// arriving on that row's input may take (every port on the injection row).
-// An entry is then legal[v][row] restricted to the ports whose out-channel
-// is one hop nearer dst than the row's state, or 0 if dst is unreachable
-// from that state. Destinations are processed in blocks of compileBlock,
-// handed to GOMAXPROCS goroutines through an atomic counter, so a worker
-// reads only compileBlock rows of the distance table at a time and writes
-// one contiguous run per FIB row. Each entry depends only on the table,
-// so the FIB is identical for any GOMAXPROCS.
-func Compile(tb *routing.Table) (*FIB, error) {
-	return compileN(tb, runtime.GOMAXPROCS(0))
+// shortest legal output ports Table.NextChannels would offer, and no Table
+// is built: the masks are a by-product of one backward BFS per destination
+// (routing.NextPorts.Fill). Destinations are processed in blocks of
+// compileBlock, handed to GOMAXPROCS goroutines through an atomic counter.
+// A worker BFSes its block into scratch that holds each routing state's
+// masks for the block's destinations side by side, then copies one such
+// run into each FIB row: row 0 of switch v from v's injection state, row
+// i+1 from its input channel cg.In[v][i]. Each entry depends only on the
+// function, so the FIB is identical for any GOMAXPROCS.
+func CompileFunction(fn *routing.Function) (*FIB, error) {
+	return compileN(fn, runtime.GOMAXPROCS(0))
 }
 
-// compileBlock is how many consecutive destinations one unit of Compile's
-// work covers. The block's rows of the distance table are what a worker
-// reads while it sweeps every switch, so they should stay in a core's
-// private cache: eight rows of a 4096-switch, 4-port table are 640 KB. On
-// a 2-core Xeon, 8 beat 2, 4, 16, 32 and 64 at 1024 and 4096 switches.
-const compileBlock = 8
+// Compile builds the FIB for the routing function a table was computed
+// for. It is CompileFunction(tb.Function()) and reads no distances.
+func Compile(tb *routing.Table) (*FIB, error) {
+	return CompileFunction(tb.Function())
+}
 
-// compileN is Compile with an explicit worker count, kept internal so tests
-// can compare worker counts against each other and the reference loop.
-func compileN(tb *routing.Table, workers int) (*FIB, error) {
-	fn := tb.Function()
+// compileBlock is how many consecutive destinations one unit of the
+// compile's work covers. A routing state's masks for one block fill
+// compileBlock uint16s of scratch and are copied as one run into a FIB
+// row; 32 makes that run one 64-byte cache line. On a 2-core Xeon at 1024
+// and 4096 switches, 8 (the block of the distance-reading compile) was
+// 15-40% slower than 32, while 16 and 64 were within noise of it (64 a
+// little slower at 1024 switches, 8 ports).
+const compileBlock = 32
+
+// compileN is CompileFunction with an explicit worker count, kept internal
+// so tests can compare worker counts against each other and the reference
+// loop.
+func compileN(fn *routing.Function, workers int) (*FIB, error) {
 	cg := fn.CG()
 	n := cg.N()
 	for v, out := range cg.Out {
@@ -90,6 +101,10 @@ func compileN(tb *routing.Table, workers int) (*FIB, error) {
 			return nil, fmt.Errorf("fib: switch %d has %d ports; the format supports %d",
 				v, len(out), maxPorts)
 		}
+	}
+	np, err := routing.NewNextPorts(fn)
+	if err != nil {
+		return nil, err
 	}
 	f := &FIB{
 		n:         n,
@@ -100,26 +115,15 @@ func compileN(tb *routing.Table, workers int) (*FIB, error) {
 	// Port k at switch v is the k-th entry of cg.Out[v] (and of cg.In[v]:
 	// both are ascending by peer id, so output port k and input port k face
 	// the same neighbor); input port k is FIB row k+1.
-	legal := make([][]uint16, n)
-	for v := 0; v < n; v++ {
-		out := cg.Out[v]
+	for v, out := range cg.Out {
 		f.neighbors[v] = make([]int32, len(out))
 		for k, c := range out {
 			f.neighbors[v][k] = int32(cg.Channels[c].To)
 		}
-		rows := make([]uint16, len(cg.In[v])+1)
-		rows[0] = uint16(1<<len(out) - 1)
-		for i, cIn := range cg.In[v] {
-			for k, c := range out {
-				if fn.Sys.TurnAllowed(cIn, c) {
-					rows[i+1] |= 1 << k
-				}
-			}
-		}
-		legal[v] = rows
-		f.table[v] = make([]uint16, len(rows)*n)
+		f.table[v] = make([]uint16, (len(cg.In[v])+1)*n)
 	}
 
+	states := np.States()
 	blocks := (n + compileBlock - 1) / compileBlock
 	workers = max(1, min(workers, blocks))
 	var next atomic.Int64
@@ -128,12 +132,22 @@ func compileN(tb *routing.Table, workers int) (*FIB, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// masks[s*compileBlock+j] is state s's mask toward the
+			// block's j-th destination.
+			masks := make([]uint16, states*compileBlock)
+			dist := make([]int32, states)
+			queue := make([]int32, 0, states)
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= blocks {
 					return
 				}
-				f.fillBlock(tb, legal, b*compileBlock, min((b+1)*compileBlock, n))
+				lo, hi := b*compileBlock, min((b+1)*compileBlock, n)
+				clear(masks)
+				for dst := lo; dst < hi; dst++ {
+					queue = np.Fill(dst, masks[dst-lo:], compileBlock, dist, queue)
+				}
+				f.fillBlock(cg, masks, lo, hi)
 			}
 		}()
 	}
@@ -141,43 +155,19 @@ func compileN(tb *routing.Table, workers int) (*FIB, error) {
 	return f, nil
 }
 
-// fillBlock fills every switch's entries for destinations lo..hi-1.
-func (f *FIB) fillBlock(tb *routing.Table, legal [][]uint16, lo, hi int) {
-	cg := tb.Function().CG()
-	n := f.n
-	var dOut [maxPorts]int
+// fillBlock copies the masks of destinations lo..hi-1 into every switch's
+// table, one run per FIB row. A switch's entries for itself come out 0,
+// as the BFS leaves its own states.
+func (f *FIB) fillBlock(cg *cgraph.CG, masks []uint16, lo, hi int) {
+	n, numCh := f.n, cg.NumChannels()
+	run := func(s int) []uint16 { return masks[s*compileBlock : s*compileBlock+hi-lo] }
 	for v := 0; v < n; v++ {
-		out, rows, tbl := cg.Out[v], legal[v], f.table[v]
-		for dst := lo; dst < hi; dst++ {
-			if dst == v {
-				continue // headers for the local processor never consult the FIB
-			}
-			for k, c := range out {
-				dOut[k] = tb.DistFrom(dst, c)
-			}
-			near := dOut[:len(out)]
-			tbl[dst] = rows[0] & nearer(near, tb.DistFrom(dst, routing.InjectionState(v)))
-			for i, cIn := range cg.In[v] {
-				tbl[(i+1)*n+dst] = rows[i+1] & nearer(near, tb.DistFrom(dst, cIn))
-			}
+		tbl := f.table[v]
+		copy(tbl[lo:hi], run(numCh+v))
+		for i, c := range cg.In[v] {
+			copy(tbl[(i+1)*n+lo:(i+1)*n+hi], run(c))
 		}
 	}
-}
-
-// nearer returns the mask of ports k with dOut[k] == d-1: the ports one hop
-// nearer the destination than a state at distance d. An unreachable state
-// (d < 0) gets 0.
-func nearer(dOut []int, d int) uint16 {
-	if d <= 0 {
-		return 0
-	}
-	var mask uint16
-	for k, dk := range dOut {
-		if dk == d-1 {
-			mask |= 1 << k
-		}
-	}
-	return mask
 }
 
 // N returns the switch count.
@@ -224,6 +214,16 @@ func (f *FIB) SizeBytes() int {
 		total += 2 * len(f.table[v])
 	}
 	return total
+}
+
+// EncodedSize returns the exact number of bytes WriteTo writes, so a
+// caller can size its buffer once.
+func (f *FIB) EncodedSize() int {
+	size := len(magic) + 2 + 4 + 2 + len(f.algorithm)
+	for v := range f.table {
+		size += 2 + 4*len(f.neighbors[v]) + 2*len(f.table[v])
+	}
+	return size
 }
 
 // Binary format:

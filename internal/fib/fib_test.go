@@ -14,6 +14,13 @@ import (
 
 func buildTable(t testing.TB, seed uint64, switches, ports int, alg routing.Algorithm) *routing.Table {
 	t.Helper()
+	return routing.NewTable(buildFunction(t, seed, switches, ports, alg))
+}
+
+// buildFunction builds and verifies alg on a seeded random irregular
+// network with an M1 coordinated tree.
+func buildFunction(t testing.TB, seed uint64, switches, ports int, alg routing.Algorithm) *routing.Function {
+	t.Helper()
 	g, err := topology.RandomIrregular(topology.IrregularConfig{Switches: switches, Ports: ports}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +37,7 @@ func buildTable(t testing.TB, seed uint64, switches, ports int, alg routing.Algo
 	if err := f.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	return routing.NewTable(f)
+	return f
 }
 
 func TestCompileMatchesTable(t *testing.T) {
@@ -255,14 +262,24 @@ func TestFIBWalkReachesDestination(t *testing.T) {
 func BenchmarkCompile128x8(b *testing.B) { benchmarkCompile(b, 128, 8) }
 
 // BenchmarkCompile1024x4 is the compile at the control plane's scale, where
-// the distance table (about 20 MB) no longer fits the caches.
+// a distance table (about 20 MB) would no longer fit the caches; the
+// compile builds none.
 func BenchmarkCompile1024x4(b *testing.B) { benchmarkCompile(b, 1024, 4) }
 
+// BenchmarkCompile1024x8 doubles the ports: more input rows per switch and
+// more states per BFS.
+func BenchmarkCompile1024x8(b *testing.B) { benchmarkCompile(b, 1024, 8) }
+
+// BenchmarkCompile4096x4 is pipeline-scale's largest build, where a table
+// would be 335 MB.
+func BenchmarkCompile4096x4(b *testing.B) { benchmarkCompile(b, 4096, 4) }
+
+// benchmarkCompile times the table-free compile of a DOWN/UP function.
 func benchmarkCompile(b *testing.B, switches, ports int) {
-	tb := buildTable(b, 1, switches, ports, core.DownUp{})
+	fn := buildFunction(b, 1, switches, ports, core.DownUp{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(tb); err != nil {
+		if _, err := CompileFunction(fn); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/cgraph"
 	"repro/internal/core"
+	"repro/internal/ctree"
+	"repro/internal/rng"
+	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // encodeFIB serializes a small compiled FIB as a fuzz seed.
@@ -74,6 +79,55 @@ func FuzzFIBDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatal("round trip changed the encoding")
+		}
+	})
+}
+
+// FuzzCompile builds a uniform FromMask routing function from the fuzz
+// input — network size and seed, direction scheme, prohibited turns and
+// U-turn permission — and requires the table-free compile, at every worker
+// count, to match the NextChannels reference loop mask for mask and byte
+// for byte, whether or not the function is deadlock-free or connected.
+// The FIB must also round-trip byte-identically through WriteTo and Read.
+func FuzzCompile(f *testing.F) {
+	f.Add(uint64(1), uint8(30), uint8(2), uint8(0), uint64(0), false, true)
+	f.Add(uint64(2), uint8(31), uint8(3), uint8(1), uint64(0x5a5a), true, true)
+	f.Add(uint64(3), uint8(3), uint8(0), uint8(3), uint64(0), false, false)
+	f.Add(uint64(4), uint8(64), uint8(4), uint8(2), ^uint64(0), false, true)
+
+	f.Fuzz(func(t *testing.T, seed uint64, switches, ports, scheme uint8, chosen uint64, uturn, extend bool) {
+		g, err := topology.RandomIrregular(topology.IrregularConfig{
+			Switches: 2 + int(switches)%70, Ports: 2 + int(ports)%5,
+		}, rng.New(seed))
+		if err != nil {
+			return // a size the generator cannot build
+		}
+		tr, err := ctree.Build(g, ctree.M1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn := randomMaskFunction(cgraph.Build(tr), int(scheme), chosen, extend, uturn)
+		tb := routing.NewTable(fn)
+		checkCompileMatchesReference(t, tb)
+
+		fb, err := Compile(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if _, err := fb.WriteTo(&enc); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("reading a compiled FIB: %v", err)
+		}
+		var again bytes.Buffer
+		if _, err := back.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), again.Bytes()) {
 			t.Fatal("round trip changed the encoding")
 		}
 	})

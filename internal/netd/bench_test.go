@@ -2,7 +2,25 @@ package netd
 
 import (
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ctree"
 )
+
+// BenchmarkInstall1024x4 measures irnetd's boot install on a 1,024-switch,
+// 4-port fabric: one New builds the coordinated tree and the DOWN/UP
+// function, verifies it, compiles the FIB from the function and encodes it
+// once. No routing table is built.
+func BenchmarkInstall1024x4(b *testing.B) {
+	g := testGraph(b, 1024, 4, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Config{Graph: g, Algorithm: core.DownUp{}, Policy: ctree.M1, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSnapshotSwap measures a full reconfiguration round trip: fail a
 // link, rebuild the coordinated tree + routing function + FIB, publish the

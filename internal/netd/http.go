@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -76,9 +77,10 @@ func classify(err error) (int, string) {
 	}
 }
 
-// intParam parses a required integer query parameter.
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+// intParam parses a required integer query parameter. Handlers parse the
+// request's query once, with r.URL.Query(), and pass the values down.
+func intParam(q url.Values, name string) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
@@ -101,17 +103,18 @@ type routeResponse struct {
 func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sn := s.Snapshot() // one load; the whole query answers from sn
-	from, err := intParam(r, "from")
+	q := r.URL.Query()
+	from, err := intParam(q, "from")
 	if err == nil {
 		var to int
-		to, err = intParam(r, "to")
+		to, err = intParam(q, "to")
 		if err == nil {
 			var sampler *rng.Rng
-			switch mode := r.URL.Query().Get("mode"); mode {
+			switch mode := q.Get("mode"); mode {
 			case "", "fixed":
 			case "sample":
 				seed := uint64(1)
-				if raw := r.URL.Query().Get("seed"); raw != "" {
+				if raw := q.Get("seed"); raw != "" {
 					if seed, err = strconv.ParseUint(raw, 10, 64); err != nil {
 						err = fmt.Errorf("parameter \"seed\": %v", err)
 					}
@@ -149,14 +152,15 @@ type nexthopResponse struct {
 func (s *Service) handleNextHop(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sn := s.Snapshot()
-	at, err := intParam(r, "at")
+	q := r.URL.Query()
+	at, err := intParam(q, "at")
 	if err == nil {
 		var dst int
-		dst, err = intParam(r, "dst")
+		dst, err = intParam(q, "dst")
 		if err == nil {
 			from := -1
-			if r.URL.Query().Get("from") != "" {
-				from, err = intParam(r, "from")
+			if q.Get("from") != "" {
+				from, err = intParam(q, "from")
 			}
 			if err == nil {
 				var next []int
@@ -260,12 +264,13 @@ func (s *Service) writeReconfigResult(w http.ResponseWriter, sn *Snapshot, err e
 }
 
 func (s *Service) handleKillLink(w http.ResponseWriter, r *http.Request) {
-	u, err := intParam(r, "u")
+	q := r.URL.Query()
+	u, err := intParam(q, "u")
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
 		return
 	}
-	v, err := intParam(r, "v")
+	v, err := intParam(q, "v")
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
 		return
@@ -275,7 +280,7 @@ func (s *Service) handleKillLink(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleKillSwitch(w http.ResponseWriter, r *http.Request) {
-	v, err := intParam(r, "switch")
+	v, err := intParam(r.URL.Query(), "switch")
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
 		return

@@ -365,14 +365,14 @@ func (s *Service) reconfigure(ev fault.Event) (*Snapshot, error) {
 // snapshot, and adopts (graph, dead) as the current topology. Callers hold
 // s.mu (New calls it before the service escapes its goroutine).
 func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (*Snapshot, error) {
-	fn, tb, o2n, n2o, err := fault.Rebuild(graph, dead, s.cfg.Algorithm, s.cfg.Policy, s.treeRng.Split())
+	fn, o2n, n2o, err := fault.Rebuild(graph, dead, s.cfg.Algorithm, s.cfg.Policy, s.treeRng.Split())
 	if err != nil {
 		return nil, err
 	}
 	subCG := fn.CG()
 	compiled := preFIB
 	if compiled == nil {
-		compiled, err = fib.Compile(tb)
+		compiled, err = fib.CompileFunction(fn)
 		if err != nil {
 			return nil, err
 		}
@@ -393,8 +393,9 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 			return nil, err
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := compiled.WriteTo(&buf); err != nil {
+	// Encode once, into a buffer of the exact size, and keep it.
+	buf := bytes.NewBuffer(make([]byte, 0, compiled.EncodedSize()))
+	if _, err := compiled.WriteTo(buf); err != nil {
 		return nil, err
 	}
 
@@ -410,7 +411,7 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		dead:          dead,
 		source:        source,
 		origCG:        origCG,
-		fibBytes:      append([]byte(nil), buf.Bytes()...),
+		fibBytes:      buf.Bytes(),
 		fibSize:       compiled.SizeBytes(),
 	}
 	s.publish(sn)

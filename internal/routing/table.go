@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cgraph"
 	"repro/internal/rng"
 )
 
@@ -62,13 +64,16 @@ func newTableN(f *Function, workers int) *Table {
 	}
 	t.dist = make([]int32, t.n*t.stride)
 	deps := newDepGraph(f)
+	bfsTo := func(dst int, queue []int32) []int32 {
+		return deps.bfsTo(cg.In, dst, t.dist[dst*t.stride:(dst+1)*t.stride], queue, nil)
+	}
 	if workers > t.n {
 		workers = t.n
 	}
 	if workers <= 1 {
 		queue := make([]int32, 0, t.stride)
 		for dst := 0; dst < t.n; dst++ {
-			queue = t.bfsTo(dst, deps, queue)
+			queue = bfsTo(dst, queue)
 		}
 		return t
 	}
@@ -87,7 +92,7 @@ func newTableN(f *Function, workers int) *Table {
 				if dst >= t.n {
 					return
 				}
-				queue = t.bfsTo(dst, deps, queue)
+				queue = bfsTo(dst, queue)
 			}
 		}()
 	}
@@ -124,40 +129,133 @@ func newDepGraph(f *Function) depGraph {
 	return g
 }
 
-// bfsTo fills destination dst's row of dist with a backward BFS over deps,
-// reusing queue as scratch (returned for the next call). It touches only
-// that row, which is what makes per-destination parallelism safe.
-func (t *Table) bfsTo(dst int, deps depGraph, queue []int32) []int32 {
-	d := t.dist[dst*t.stride : (dst+1)*t.stride]
+// portMasks is where bfsTo records next-port masks: bit[c] is channel c's
+// port bit at its start node, and state s's mask is row[s*stride].
+type portMasks struct {
+	bit, row []uint16
+	stride   int
+}
+
+// bfsTo is the one per-destination BFS. It fills d, one row of numCh+n
+// distances toward dst (in is cg.In), with a backward BFS over g, reusing
+// queue as scratch (returned for the next call). It writes only d and pm's
+// row, which is what makes per-destination parallelism safe.
+//
+// With a non-nil pm it also ORs into each state s's mask the port bit of
+// every channel that continues a shortest legal path from s: the next-port
+// masks of NextPorts.Fill. NewTable passes nil and gets distances only.
+func (g depGraph) bfsTo(in [][]int, dst int, d, queue []int32, pm *portMasks) []int32 {
 	for i := range d {
 		d[i] = unreachable
 	}
-	queue = queue[:0]
+	numCh := len(g.from)
+	// Each channel enters the queue at most once, so numCh slots hold it.
+	queue = slices.Grow(queue[:0], numCh)[:numCh]
+	tail := 0
 	// Base cases: arriving at dst via any of its in-channels takes zero
 	// further hops; a packet born at dst is already there.
-	d[t.numCh+dst] = 0
-	for _, c := range t.f.Sys.CG.In[dst] {
+	d[numCh+dst] = 0
+	for _, c := range in[dst] {
 		d[c] = 0
-		queue = append(queue, int32(c))
+		queue[tail] = int32(c)
+		tail++
+	}
+	// A predecessor needs dequeued channel c when it sits at lo or more: at
+	// d(c)+1 or more with masks (one at exactly d(c)+1 has c as another
+	// shortest continuation), above d(c)+1 without. Filling the queue by
+	// index, holding the masks behind one pointer and this threshold free
+	// the loop's registers: NewTable then runs 8-12% over a loop without
+	// masks at 128 switches, 8 ports, and 1024 switches, 4 ports, on one
+	// core, where a plain test of the mask row cost it 30-50%.
+	off := int32(1)
+	if pm != nil {
+		off = 0
 	}
 	// Backward BFS over reversed state-graph edges. Predecessors of a
 	// channel state c are (a) the injection state of c.From and (b) the
-	// in-channels of c.From whose turn onto c is allowed, listed in deps.
-	// Injection states have no predecessors.
-	for head := 0; head < len(queue); head++ {
+	// in-channels of c.From whose turn onto c is allowed, listed in g.
+	// Injection states have no predecessors. Channels leave the queue in
+	// nondecreasing distance, so the c that first reaches a predecessor p
+	// sets p's final distance d(c)+1, and every c' dequeued while p sits at
+	// d(c')+1 is another shortest continuation of p and ORs in its port
+	// bit; channels dequeued after those sit at d(p) or more and leave p
+	// alone.
+	for head := 0; head < tail; head++ {
 		c := queue[head]
 		nd := d[c] + 1
-		if inj := t.numCh + int(deps.from[c]); d[inj] > nd {
+		lo := nd + off
+		if inj := numCh + int(g.from[c]); d[inj] >= lo {
 			d[inj] = nd
+			if pm != nil {
+				pm.row[inj*pm.stride] |= pm.bit[c]
+			}
 		}
-		for _, p := range deps.pred[deps.start[c]:deps.start[c+1]] {
-			if d[p] > nd {
-				d[p] = nd
-				queue = append(queue, p)
+		for _, p := range g.pred[g.start[c]:g.start[c+1]] {
+			if dp := d[p]; dp >= lo {
+				if dp > nd {
+					d[p] = nd
+					queue[tail] = p
+					tail++
+				}
+				if pm != nil {
+					pm.row[int(p)*pm.stride] |= pm.bit[c]
+				}
 			}
 		}
 	}
-	return queue
+	return queue[:tail]
+}
+
+// NextPorts is a routing function prepared to compute, one destination at
+// a time and without a Table, the output ports that continue a shortest
+// legal path from every routing state: the port sets of
+// Table.NextChannels, where port k of node v is the k-th channel of
+// cg.Out[v]. It holds the reversed dependency graph and each channel's port
+// bit, is read-only once built, and may be shared by goroutines that each
+// pass their own rows and queue to Fill.
+type NextPorts struct {
+	cg   *cgraph.CG
+	deps depGraph
+	bit  []uint16
+}
+
+// maxNextPorts is the most output channels a node may have for NextPorts:
+// one bit of a uint16 mask per port.
+const maxNextPorts = 16
+
+// NewNextPorts prepares f for Fill. It fails if a node has more than 16
+// output channels, the width of a mask.
+func NewNextPorts(f *Function) (*NextPorts, error) {
+	cg := f.Sys.CG
+	np := &NextPorts{cg: cg, bit: make([]uint16, cg.NumChannels())}
+	for v, out := range cg.Out {
+		if len(out) > maxNextPorts {
+			return nil, fmt.Errorf("routing: node %d has %d output channels; next-port masks hold %d",
+				v, len(out), maxNextPorts)
+		}
+		for k, c := range out {
+			np.bit[c] = 1 << k
+		}
+	}
+	np.deps = newDepGraph(f)
+	return np, nil
+}
+
+// States returns the number of routing states Fill covers: channel c is
+// state c and node v's injection state is NumChannels()+v.
+func (np *NextPorts) States() int { return np.cg.NumChannels() + np.cg.N() }
+
+// Fill runs one backward BFS toward dst. For every state s it ORs into
+// mask[s*stride] the ports whose channels Table.NextChannels(dst, s) would
+// return: none for dst's own states and for states that cannot reach dst.
+// The caller clears those entries first. A stride above 1 interleaves
+// several destinations' masks, mask[s*stride+j] for the j-th, so one
+// state's entries for consecutive destinations sit together. dist must
+// have States() entries; it ends holding each state's distance to dst
+// (math.MaxInt32 if unreachable). queue is scratch, returned extended for
+// the next call.
+func (np *NextPorts) Fill(dst int, mask []uint16, stride int, dist, queue []int32) []int32 {
+	return np.deps.bfsTo(np.cg.In, dst, dist, queue, &portMasks{np.bit, mask, stride})
 }
 
 // PathSource is what a packet-level consumer (the simulator) needs from a
@@ -186,14 +284,14 @@ func (t *Table) Function() *Function { return t.f }
 // Distance returns the legal shortest path length (in channels) from src to
 // dst, or -1 if dst is unreachable from src. Distance(v, v) is 0.
 func (t *Table) Distance(src, dst int) int {
-	return t.DistFrom(dst, InjectionState(src))
+	return t.distFrom(dst, InjectionState(src))
 }
 
-// DistFrom returns the remaining legal distance (in channels) to dst from a
+// distFrom returns the remaining legal distance (in channels) to dst from a
 // routing state, or -1 if dst is unreachable from it. state is either a
 // channel id (the channel the packet arrived on) or InjectionState(src);
-// DistFrom(dst, InjectionState(src)) is Distance(src, dst).
-func (t *Table) DistFrom(dst, state int) int {
+// distFrom(dst, InjectionState(src)) is Distance(src, dst).
+func (t *Table) distFrom(dst, state int) int {
 	i := dst*t.stride + state
 	if state < 0 {
 		i = dst*t.stride + t.numCh + (^state)
@@ -224,7 +322,7 @@ func (t *Table) NextChannels(dst, state int, buf []int) []int {
 	if here == dst {
 		return buf
 	}
-	d := t.DistFrom(dst, state)
+	d := t.distFrom(dst, state)
 	if d < 0 {
 		return buf
 	}

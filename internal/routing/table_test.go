@@ -230,9 +230,9 @@ func TestNextChannelsConsistency(t *testing.T) {
 			if len(buf) == 0 {
 				t.Fatalf("dead end %d->%d at %d", src, dst, here)
 			}
-			d := tb.DistFrom(dst, state)
+			d := tb.distFrom(dst, state)
 			for _, c := range buf {
-				if tb.DistFrom(dst, c) != d-1 {
+				if tb.distFrom(dst, c) != d-1 {
 					t.Fatalf("candidate does not decrease distance")
 				}
 			}

@@ -96,7 +96,8 @@ func referenceWriteTo(f *FIB, w io.Writer) error {
 
 // checkCompileMatchesReference compares every mask compileN produces, at
 // worker counts 1, 2, 3 and 8, with referenceCompile, and requires WriteTo
-// to produce the bytes referenceWriteTo gives for the reference FIB.
+// and AppendBinary to produce the bytes referenceWriteTo gives for the
+// reference FIB, EncodedSize of them.
 func checkCompileMatchesReference(t *testing.T, tb *routing.Table) {
 	t.Helper()
 	want := referenceCompile(tb)
@@ -134,14 +135,31 @@ func checkCompileMatchesReference(t *testing.T, tb *routing.Table) {
 		if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
 			t.Fatalf("%s: serialized FIB differs from the reference", name)
 		}
+		checkAppendBinary(t, got, gotBytes.Bytes())
+	}
+}
+
+// checkAppendBinary requires AppendBinary to append exactly want, the
+// bytes WriteTo wrote, EncodedSize of them, after what its buffer held.
+func checkAppendBinary(t *testing.T, f *FIB, want []byte) {
+	t.Helper()
+	prefix := []byte("prefix")
+	got, err := f.AppendBinary(append([]byte(nil), prefix...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, prefix) || len(got)-len(prefix) != f.EncodedSize() ||
+		!bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s: AppendBinary appended %d bytes, EncodedSize %d, differing from WriteTo's %d",
+			f.algorithm, len(got)-len(prefix), f.EncodedSize(), len(want))
 	}
 }
 
 // differentialTables returns the tables the compile differential covers:
 // DOWN/UP and the tree baselines on irregular networks whose switch counts
-// are not multiples of compileBlock, uniform FromMask sets (one of them
-// disconnecting), every zoo native on its home topology, and a system that
-// permits U-turns. None needs to verify: Compile must agree with the table
+// are not multiples of the BFS's 64-destination block, uniform FromMask
+// sets (one of them disconnecting), every zoo native on its home topology,
+// and a system that permits U-turns. None needs to verify: Compile must agree with the table
 // on unreachable states as well.
 func differentialTables(t *testing.T) []*routing.Table {
 	t.Helper()
@@ -267,17 +285,18 @@ func randomMaskFunction(cg *cgraph.CG, scheme int, chosen uint64, extend, uturn 
 
 // TestCompileMatchesReferenceRandomMasks runs the compile differential
 // over 512 seeded uniform masks (the first 128 under -short, which the race
-// job uses) with random U-turn permission, on switch counts either side of
-// the 32-destination block (31, 32, 33) and with partial last blocks (65,
-// 129), at every worker count. The sweep must reach enough connected,
-// disconnected and cyclic functions.
+// job uses) with random U-turn permission, on switch counts inside the
+// 64-destination block of the BFS (31, 32, 33), either side of it (63, 64)
+// and with a last block of one destination (65, 129), at every worker
+// count. The sweep must reach enough connected, disconnected and cyclic
+// functions.
 func TestCompileMatchesReferenceRandomMasks(t *testing.T) {
 	cases := 512
 	if testing.Short() {
 		cases = 128
 	}
 	var cgs []*cgraph.CG
-	for _, switches := range []int{31, 32, 33, 65, 129} {
+	for _, switches := range []int{31, 32, 33, 63, 64, 65, 129} {
 		g, err := topology.RandomIrregular(topology.IrregularConfig{Switches: switches, Ports: 4 + switches%3}, rng.New(uint64(switches)))
 		if err != nil {
 			t.Fatal(err)

@@ -7,10 +7,10 @@
 // legal continuations the routing function allows, so a switch using the
 // FIB is deadlock-free and minimal by construction.
 //
-// The compile builds no routing table. Each entry is recorded by the one
-// backward BFS per destination that a table would also run
-// (routing.NextPorts), so Compile(tb) reads nothing of the table but its
-// function, and CompileFunction needs no table at all.
+// The compile builds no routing table. Each entry is recorded by the
+// backward BFS that fills a table, run over blocks of 64 destinations at
+// once (routing.NextPorts), so Compile(tb) reads nothing of the table but
+// its function, and CompileFunction needs no table at all.
 //
 // The package also defines a compact, versioned binary serialization so
 // FIBs can be distributed and loaded without recomputing the routing.
@@ -22,10 +22,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
-	"repro/internal/cgraph"
 	"repro/internal/routing"
 )
 
@@ -63,14 +61,14 @@ const maxSwitches = 1 << 16
 // CompileFunction builds the FIB for a routing function. Every
 // (destination, input port) pair at every switch gets the exact set of
 // shortest legal output ports Table.NextChannels would offer, and no Table
-// is built: the masks are a by-product of one backward BFS per destination
-// (routing.NextPorts.Fill). Destinations are processed in blocks of
-// compileBlock, handed to GOMAXPROCS goroutines through an atomic counter.
-// A worker BFSes its block into scratch that holds each routing state's
-// masks for the block's destinations side by side, then copies one such
-// run into each FIB row: row 0 of switch v from v's injection state, row
-// i+1 from its input channel cg.In[v][i]. Each entry depends only on the
-// function, so the FIB is identical for any GOMAXPROCS.
+// is built: the masks come from the block BFS NewTable runs
+// (routing.NextPorts.Fill), one block of 64 destinations per pass, with
+// blocks handed to GOMAXPROCS goroutines through an atomic counter. A pass
+// keeps, for each routing state, one bit per destination in a word per
+// output port, and at its end writes each state's masks for the block as
+// one run into the state's FIB row: row 0 of switch v from v's injection
+// state, row i+1 from its input channel cg.In[v][i]. Each entry depends
+// only on the function, so the FIB is identical for any GOMAXPROCS.
 func CompileFunction(fn *routing.Function) (*FIB, error) {
 	return compileN(fn, runtime.GOMAXPROCS(0))
 }
@@ -80,15 +78,6 @@ func CompileFunction(fn *routing.Function) (*FIB, error) {
 func Compile(tb *routing.Table) (*FIB, error) {
 	return CompileFunction(tb.Function())
 }
-
-// compileBlock is how many consecutive destinations one unit of the
-// compile's work covers. A routing state's masks for one block fill
-// compileBlock uint16s of scratch and are copied as one run into a FIB
-// row; 32 makes that run one 64-byte cache line. On a 2-core Xeon at 1024
-// and 4096 switches, 8 (the block of the distance-reading compile) was
-// 15-40% slower than 32, while 16 and 64 were within noise of it (64 a
-// little slower at 1024 switches, 8 ports).
-const compileBlock = 32
 
 // compileN is CompileFunction with an explicit worker count, kept internal
 // so tests can compare worker counts against each other and the reference
@@ -122,52 +111,17 @@ func compileN(fn *routing.Function, workers int) (*FIB, error) {
 		}
 		f.table[v] = make([]uint16, (len(cg.In[v])+1)*n)
 	}
-
-	states := np.States()
-	blocks := (n + compileBlock - 1) / compileBlock
-	workers = max(1, min(workers, blocks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// masks[s*compileBlock+j] is state s's mask toward the
-			// block's j-th destination.
-			masks := make([]uint16, states*compileBlock)
-			dist := make([]int32, states)
-			queue := make([]int32, 0, states)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				lo, hi := b*compileBlock, min((b+1)*compileBlock, n)
-				clear(masks)
-				for dst := lo; dst < hi; dst++ {
-					queue = np.Fill(dst, masks[dst-lo:], compileBlock, dist, queue)
-				}
-				f.fillBlock(cg, masks, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	return f, nil
-}
-
-// fillBlock copies the masks of destinations lo..hi-1 into every switch's
-// table, one run per FIB row. A switch's entries for itself come out 0,
-// as the BFS leaves its own states.
-func (f *FIB) fillBlock(cg *cgraph.CG, masks []uint16, lo, hi int) {
-	n, numCh := f.n, cg.NumChannels()
-	run := func(s int) []uint16 { return masks[s*compileBlock : s*compileBlock+hi-lo] }
-	for v := 0; v < n; v++ {
-		tbl := f.table[v]
-		copy(tbl[lo:hi], run(numCh+v))
-		for i, c := range cg.In[v] {
-			copy(tbl[(i+1)*n+lo:(i+1)*n+hi], run(c))
+	// Routing state s writes FIB row rows[s]: row 0 of switch v is v's
+	// injection state, row i+1 its input channel cg.In[v][i].
+	rows := make([][]uint16, np.States())
+	for v, in := range cg.In {
+		rows[cg.NumChannels()+v] = f.table[v][:n]
+		for i, c := range in {
+			rows[c] = f.table[v][(i+1)*n : (i+2)*n]
 		}
 	}
+	np.Fill(workers, rows)
+	return f, nil
 }
 
 // N returns the switch count.
@@ -216,8 +170,8 @@ func (f *FIB) SizeBytes() int {
 	return total
 }
 
-// EncodedSize returns the exact number of bytes WriteTo writes, so a
-// caller can size its buffer once.
+// EncodedSize returns the exact number of bytes WriteTo writes and
+// AppendBinary appends, so a caller can size its buffer once.
 func (f *FIB) EncodedSize() int {
 	size := len(magic) + 2 + 4 + 2 + len(f.algorithm)
 	for v := range f.table {
@@ -236,39 +190,60 @@ var magic = [8]byte{'I', 'R', 'N', 'E', 'T', 'F', 'I', 'B'}
 
 const formatVersion = 1
 
-// WriteTo serializes the FIB. It implements io.WriterTo. Each switch is
-// encoded into one reused little-endian scratch buffer and handed to a
-// bufio.Writer in a single write.
+// WriteTo serializes the FIB. It implements io.WriterTo. The header and
+// then each switch are encoded into one reused scratch buffer and written
+// to w in one call each.
 func (f *FIB) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	count := int64(0)
-	write := func(p []byte) error {
-		k, err := bw.Write(p)
+	buf := f.appendHeader(nil)
+	k, err := w.Write(buf)
+	count := int64(k)
+	for v := 0; v < f.n && err == nil; v++ {
+		buf = f.appendSwitch(buf[:0], v)
+		k, err = w.Write(buf)
 		count += int64(k)
-		return err
 	}
-	buf := append([]byte(nil), magic[:]...)
-	buf = le.AppendUint16(buf, formatVersion)
-	buf = le.AppendUint32(buf, uint32(f.n))
-	buf = le.AppendUint16(buf, uint16(len(f.algorithm)))
-	buf = append(buf, f.algorithm...)
-	if err := write(buf); err != nil {
-		return count, err
-	}
+	return count, err
+}
+
+// AppendBinary appends to b exactly the bytes WriteTo writes and returns
+// the extended slice, growing b at most once. It has the shape of
+// encoding.BinaryAppender, and the error is always nil.
+func (f *FIB) AppendBinary(b []byte) ([]byte, error) {
+	b = f.appendHeader(slices.Grow(b, f.EncodedSize()))
 	for v := 0; v < f.n; v++ {
-		buf = le.AppendUint16(buf[:0], uint16(len(f.neighbors[v])))
-		for _, nb := range f.neighbors[v] {
-			buf = le.AppendUint32(buf, uint32(nb))
-		}
-		for _, mask := range f.table[v] {
-			buf = le.AppendUint16(buf, mask)
-		}
-		if err := write(buf); err != nil {
-			return count, err
-		}
+		b = f.appendSwitch(b, v)
 	}
-	return count, bw.Flush()
+	return b, nil
+}
+
+// appendHeader appends the magic, version, switch count and algorithm.
+func (f *FIB) appendHeader(b []byte) []byte {
+	le := binary.LittleEndian
+	b = append(b, magic[:]...)
+	b = le.AppendUint16(b, formatVersion)
+	b = le.AppendUint32(b, uint32(f.n))
+	b = le.AppendUint16(b, uint16(len(f.algorithm)))
+	return append(b, f.algorithm...)
+}
+
+// appendSwitch appends switch v's port count, neighbors and table.
+func (f *FIB) appendSwitch(b []byte, v int) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint16(b, uint16(len(f.neighbors[v])))
+	for _, nb := range f.neighbors[v] {
+		b = le.AppendUint32(b, uint32(nb))
+	}
+	// Four masks per append: the encode is a quarter of the appends of one
+	// per mask.
+	tbl := f.table[v]
+	for len(tbl) >= 4 {
+		b = le.AppendUint64(b, uint64(tbl[0])|uint64(tbl[1])<<16|uint64(tbl[2])<<32|uint64(tbl[3])<<48)
+		tbl = tbl[4:]
+	}
+	for _, mask := range tbl {
+		b = le.AppendUint16(b, mask)
+	}
+	return b
 }
 
 // readTable decodes want uint16 table entries in bounded chunks, so a

@@ -89,7 +89,8 @@ func FuzzFIBDecode(f *testing.F) {
 // U-turn permission — and requires the table-free compile, at every worker
 // count, to match the NextChannels reference loop mask for mask and byte
 // for byte, whether or not the function is deadlock-free or connected.
-// The FIB must also round-trip byte-identically through WriteTo and Read.
+// The FIB must also round-trip byte-identically through WriteTo and Read,
+// and AppendBinary must append WriteTo's bytes.
 func FuzzCompile(f *testing.F) {
 	f.Add(uint64(1), uint8(30), uint8(2), uint8(0), uint64(0), false, true)
 	f.Add(uint64(2), uint8(31), uint8(3), uint8(1), uint64(0x5a5a), true, true)
@@ -130,5 +131,6 @@ func FuzzCompile(f *testing.F) {
 		if !bytes.Equal(enc.Bytes(), again.Bytes()) {
 			t.Fatal("round trip changed the encoding")
 		}
+		checkAppendBinary(t, back, enc.Bytes())
 	})
 }

@@ -48,13 +48,10 @@ type RecoveryOptions struct {
 	// PacketLength in flits (long worms span more channels and deadlock
 	// more readily).
 	PacketLength int
-	// WarmupCycles and MeasureCycles parameterize each simulation.
-	// Failures are scheduled from cycle WarmupCycles+1. Known defect, kept
-	// because fixing it changes results/recovery_sweep.txt: a WarmupCycles
-	// of 0 (DefaultRecoveryOptions) means the simulator's default
-	// 3,000-cycle warm-up, yet failures are still scheduled from cycle 1,
-	// so they can strike during warm-up. FaultStudy places them inside the
-	// measurement window.
+	// WarmupCycles and MeasureCycles parameterize each simulation; 0 means
+	// the simulator's default (a 3,000-cycle warm-up). Failures strike in
+	// the first three quarters of the measurement window, which opens
+	// after the warm-up as the simulator resolves it.
 	WarmupCycles  int
 	MeasureCycles int
 	// DetectInterval, MaxRetries, and RetryBackoff are the recovery knobs
@@ -66,11 +63,12 @@ type RecoveryOptions struct {
 	Seed uint64
 }
 
-// DefaultRecoveryOptions returns a sweep tuned so deadlocks actually occur:
-// M2 rebuilds, congested load, long packets, several failures per run. Even
-// so, a mixed-generation cycle is a rare event (a few percent of runs); the
-// seed is chosen so the default sweep exhibits them within its first two
-// samples rather than reporting an all-zero table.
+// DefaultRecoveryOptions returns a sweep tuned for deadlocks to occur: M2
+// rebuilds, congested load, long packets, several failures per run. Even
+// so, a mixed-generation cycle is a rare event: over seeds 1-40, 6 of 800
+// runs form one. The seed is the smallest of them whose first two samples
+// do, so the default sweep (and TestRecoveryStudySmoke's two-sample
+// prefix of it) measures a recovery rather than an all-zero table.
 func DefaultRecoveryOptions() RecoveryOptions {
 	return RecoveryOptions{
 		Switches:      20,
@@ -83,7 +81,7 @@ func DefaultRecoveryOptions() RecoveryOptions {
 		PacketLength:  128,
 		WarmupCycles:  0,
 		MeasureCycles: 8000,
-		Seed:          1,
+		Seed:          6,
 	}
 }
 
@@ -130,51 +128,12 @@ func RecoveryStudy(opts RecoveryOptions) (*RecoveryResults, error) {
 	if opts.Algorithm == nil {
 		opts.Algorithm = core.DownUp{}
 	}
-	from := opts.WarmupCycles + 1
-	to := opts.WarmupCycles + 1 + (3*opts.MeasureCycles)/4
 	nf := len(opts.LinkFailures)
 	runs := make([]*wormsim.Result, opts.Samples*nf)
 	err := forEach(len(runs), 0, func(u int) error {
-		si, fi := u/nf, u%nf
-		links := opts.LinkFailures[fi]
-		g, err := topology.RandomIrregular(
-			topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
-			rng.New(deriveSeed(opts.Seed, uint64(si), 13, 0, 0, 0)))
+		out, err := recoveryRun(opts, u/nf, u%nf)
 		if err != nil {
 			return err
-		}
-		// One switch loss per three link losses: switch deaths reshape the
-		// tree far more than link deaths, and reshaping is what makes route
-		// generations collide.
-		sched, err := fault.Random(g, fault.ScheduleConfig{
-			Links:    links,
-			Switches: links / 3,
-			From:     from,
-			To:       to,
-		}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 2, 0, 0)))
-		if err != nil {
-			return fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
-		}
-		out, err := fault.Run(g, sched, fault.Options{
-			Algorithm: opts.Algorithm,
-			Policy:    opts.Policy,
-			TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 3, 0, 0),
-			Recovery:  fault.Immediate,
-			Sim: wormsim.Config{
-				PacketLength:     opts.PacketLength,
-				BufferDepth:      2,
-				InjectionRate:    opts.InjectionRate,
-				WarmupCycles:     opts.WarmupCycles,
-				MeasureCycles:    opts.MeasureCycles,
-				Seed:             deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 4, 0, 0),
-				RecoverDeadlocks: true,
-				DetectInterval:   opts.DetectInterval,
-				MaxRetries:       opts.MaxRetries,
-				RetryBackoff:     opts.RetryBackoff,
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("harness: recovery run sample %d, %d failures: %w", si, links, err)
 		}
 		runs[u] = out.Sim
 		return nil
@@ -222,6 +181,53 @@ func RecoveryStudy(opts RecoveryOptions) (*RecoveryResults, error) {
 		})
 	}
 	return res, nil
+}
+
+// recoveryRun runs sample si of the study at its fi-th failure count.
+func recoveryRun(opts RecoveryOptions, si, fi int) (*fault.Result, error) {
+	links := opts.LinkFailures[fi]
+	g, err := topology.RandomIrregular(
+		topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
+		rng.New(deriveSeed(opts.Seed, uint64(si), 13, 0, 0, 0)))
+	if err != nil {
+		return nil, err
+	}
+	sim := wormsim.Config{
+		PacketLength:     opts.PacketLength,
+		BufferDepth:      2,
+		InjectionRate:    opts.InjectionRate,
+		WarmupCycles:     opts.WarmupCycles,
+		MeasureCycles:    opts.MeasureCycles,
+		Seed:             deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 4, 0, 0),
+		RecoverDeadlocks: true,
+		DetectInterval:   opts.DetectInterval,
+		MaxRetries:       opts.MaxRetries,
+		RetryBackoff:     opts.RetryBackoff,
+	}
+	// One switch loss per three link losses: switch deaths reshape the
+	// tree far more than link deaths, and reshaping is what makes route
+	// generations collide.
+	from := sim.MeasureStart()
+	sched, err := fault.Random(g, fault.ScheduleConfig{
+		Links:    links,
+		Switches: links / 3,
+		From:     from,
+		To:       from + (3*opts.MeasureCycles)/4,
+	}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 2, 0, 0)))
+	if err != nil {
+		return nil, fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
+	}
+	out, err := fault.Run(g, sched, fault.Options{
+		Algorithm: opts.Algorithm,
+		Policy:    opts.Policy,
+		TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 3, 0, 0),
+		Recovery:  fault.Immediate,
+		Sim:       sim,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: recovery run sample %d, %d failures: %w", si, links, err)
+	}
+	return out, nil
 }
 
 // FormatRecovery renders the study as a text table.

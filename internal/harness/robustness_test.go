@@ -240,6 +240,33 @@ func TestRecoveryStudyValidation(t *testing.T) {
 	})
 }
 
+// TestRecoveryFailuresInsideMeasurement pins where the default recovery
+// sweep's failures strike: every failure of every run is applied inside
+// the measurement window its counters cover, none during the warm-up
+// (DefaultRecoveryOptions leaves WarmupCycles 0, the simulator's 3,000).
+func TestRecoveryFailuresInsideMeasurement(t *testing.T) {
+	opts := DefaultRecoveryOptions()
+	for si := 0; si < opts.Samples; si++ {
+		for fi, links := range opts.LinkFailures {
+			out, err := recoveryRun(opts, si, fi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Events) != links+links/3 {
+				t.Fatalf("sample %d, %d link failures: %d failures applied, want %d",
+					si, links, len(out.Events), links+links/3)
+			}
+			first := out.Sim.Cycles - out.Sim.MeasuredCycles + 1
+			for _, ev := range out.Events {
+				if ev.AppliedAt < first || ev.AppliedAt > out.Sim.Cycles {
+					t.Fatalf("sample %d, %d link failures: failure applied at cycle %d, outside the measurement window %d..%d",
+						si, links, ev.AppliedAt, first, out.Sim.Cycles)
+				}
+			}
+		}
+	}
+}
+
 // TestRecoveryStudySmoke runs a miniature recovery sweep twice and checks
 // shape, determinism, and that the congested immediate-reconfiguration
 // scenario actually produces deadlocks to recover (otherwise the study

@@ -21,7 +21,6 @@
 package netd
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -394,8 +393,8 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		}
 	}
 	// Encode once, into a buffer of the exact size, and keep it.
-	buf := bytes.NewBuffer(make([]byte, 0, compiled.EncodedSize()))
-	if _, err := compiled.WriteTo(buf); err != nil {
+	fibBytes, err := compiled.AppendBinary(make([]byte, 0, compiled.EncodedSize()))
+	if err != nil {
 		return nil, err
 	}
 
@@ -411,7 +410,7 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		dead:          dead,
 		source:        source,
 		origCG:        origCG,
-		fibBytes:      buf.Bytes(),
+		fibBytes:      fibBytes,
 		fibSize:       compiled.SizeBytes(),
 	}
 	s.publish(sn)

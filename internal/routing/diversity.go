@@ -46,23 +46,21 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 	var logSum float64
 
 	for dst := 0; dst < n; dst++ {
-		base := dst * t.stride
 		order = order[:0]
 		for s := 0; s < t.stride; s++ {
-			if t.dist[base+s] != unreachable {
+			if t.entry(dst, s) != noDist {
 				order = append(order, int32(s))
 			}
 		}
 		// Sort states by distance (counting sort over small distances).
-		maxD := int32(0)
+		maxD := uint16(0)
 		for _, s := range order {
-			if d := t.dist[base+int(s)]; d > maxD {
-				maxD = d
-			}
+			maxD = max(maxD, t.entry(dst, int(s)))
 		}
-		buckets := make([][]int32, maxD+1)
+		buckets := make([][]int32, int(maxD)+1)
 		for _, s := range order {
-			buckets[t.dist[base+int(s)]] = append(buckets[t.dist[base+int(s)]], s)
+			d := t.entry(dst, int(s))
+			buckets[d] = append(buckets[d], s)
 		}
 		for i := range counts {
 			counts[i] = 0
@@ -72,7 +70,7 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 			counts[s] = 1
 		}
 		var buf []int
-		for d := int32(1); d <= maxD; d++ {
+		for d := 1; d <= int(maxD); d++ {
 			for _, s := range buckets[d] {
 				state := int(s)
 				if state >= t.numCh {

@@ -12,10 +12,11 @@ import (
 )
 
 // TestNewTableMatchesReferenceDownUp extends the table differential to
-// DOWN/UP, whose per-node releases give every switch its own turn mask.
-// It lives in the external test package because core imports routing.
+// DOWN/UP, whose per-node releases give every switch its own turn mask, on
+// the block-boundary sizes as well. It lives in the external test package
+// because core imports routing.
 func TestNewTableMatchesReferenceDownUp(t *testing.T) {
-	for _, size := range [][2]int{{37, 4}, {100, 4}, {37, 8}} {
+	for _, size := range append([][2]int{{37, 4}, {100, 4}, {37, 8}}, routing.BlockSizes...) {
 		for _, policy := range []ctree.Policy{ctree.M1, ctree.M3} {
 			g, err := topology.RandomIrregular(topology.IrregularConfig{Switches: size[0], Ports: size[1]},
 				rng.New(uint64(size[0]*size[1])))

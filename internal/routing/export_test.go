@@ -8,3 +8,7 @@ var CheckTableMatchesReference = checkTableMatchesReference
 // CheckVerifyMatchesReference exports the Verify differential the same
 // way.
 var CheckVerifyMatchesReference = checkVerifyMatchesReference
+
+// BlockSizes exports the block-boundary network sizes the differentials
+// add, as {switches, ports}.
+var BlockSizes = blockSizes

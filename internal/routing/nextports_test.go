@@ -8,14 +8,9 @@ import (
 	"repro/internal/turnmodel"
 )
 
-// nextPortsStride interleaves the masks of this many destinations in
-// checkNextPorts, so the check covers Fill's stride as well as its rows.
-const nextPortsStride = 3
-
 // checkNextPorts compares, for every destination and routing state, the
-// next-port mask NextPorts.Fill records with the port set of
-// Table.NextChannels, and Fill's distances with the table's. Destinations
-// are filled nextPortsStride at a time into one interleaved scratch.
+// next-port mask NextPorts.Fill reports with the port set of
+// Table.NextChannels, at every worker count in tableWorkers.
 func checkNextPorts(t *testing.T, f *Function) {
 	t.Helper()
 	np, err := NewNextPorts(f)
@@ -24,7 +19,7 @@ func checkNextPorts(t *testing.T, f *Function) {
 	}
 	tb := NewTable(f)
 	cg := f.Sys.CG
-	numCh, states := cg.NumChannels(), np.States()
+	n, numCh, states := cg.N(), cg.NumChannels(), np.States()
 	if states != tb.stride {
 		t.Fatalf("%s: %d states, table stride %d", f.AlgorithmName, states, tb.stride)
 	}
@@ -34,35 +29,35 @@ func checkNextPorts(t *testing.T, f *Function) {
 			port[c] = k
 		}
 	}
-	masks := make([]uint16, states*nextPortsStride)
-	dist := make([]int32, states)
-	var queue []int32
+	want := make([]uint16, n*states)
 	var buf []int
-	for lo := 0; lo < cg.N(); lo += nextPortsStride {
-		clear(masks)
-		for dst := lo; dst < min(lo+nextPortsStride, cg.N()); dst++ {
-			queue = np.Fill(dst, masks[dst-lo:], nextPortsStride, dist, queue)
-			for s := 0; s < states; s++ {
-				if want := tb.dist[dst*tb.stride+s]; dist[s] != want {
-					t.Fatalf("%s: dst %d state %d: distance %d, table %d",
-						f.AlgorithmName, dst, s, dist[s], want)
-				}
+	for dst := 0; dst < n; dst++ {
+		for s := 0; s < states; s++ {
+			state := s
+			if s >= numCh {
+				state = InjectionState(s - numCh)
+			}
+			for _, c := range tb.NextChannels(dst, state, buf[:0]) {
+				want[dst*states+s] |= 1 << port[c]
 			}
 		}
-		for dst := lo; dst < min(lo+nextPortsStride, cg.N()); dst++ {
-			for s := 0; s < states; s++ {
-				state := s
-				if s >= numCh {
-					state = InjectionState(s - numCh)
-				}
-				var want uint16
-				for _, c := range tb.NextChannels(dst, state, buf[:0]) {
-					want |= 1 << port[c]
-				}
-				if got := masks[s*nextPortsStride+dst-lo]; got != want {
-					t.Fatalf("%s: dst %d state %d: mask %#x, NextChannels ports %#x",
-						f.AlgorithmName, dst, s, got, want)
-				}
+	}
+	for _, workers := range tableWorkers {
+		got := make([]uint16, n*states)
+		rows := make([][]uint16, states)
+		for s := range rows {
+			rows[s] = make([]uint16, n)
+		}
+		np.Fill(workers, rows)
+		for s, row := range rows {
+			for dst, m := range row {
+				got[dst*states+s] = m
+			}
+		}
+		for i, w := range want {
+			if got[i] != w {
+				t.Fatalf("%s, %d workers: dst %d state %d: mask %#x, NextChannels ports %#x",
+					f.AlgorithmName, workers, i/states, i%states, got[i], w)
 			}
 		}
 	}
@@ -71,8 +66,7 @@ func checkNextPorts(t *testing.T, f *Function) {
 // TestNextPortsMatchNextChannels pins the mask rule at its source: over
 // every function the table differential covers — disconnected, cyclic
 // (the all-turns eight-direction FromMask set) and U-turn systems among
-// them — each BFS mask is exactly Table.NextChannels' port set and each
-// BFS distance the table's.
+// them — each BFS mask is exactly Table.NextChannels' port set.
 func TestNextPortsMatchNextChannels(t *testing.T) {
 	var cyclic, disconnected, uturn int
 	for _, f := range differentialFunctions(t) {

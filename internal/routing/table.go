@@ -3,8 +3,8 @@ package routing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,30 +24,45 @@ import (
 // move depends on that channel's direction), plus one injection state per
 // node for packets that have not yet left their source (a fresh packet may
 // take any output channel).
+//
+// Distances are uint16 entries kept in blocks of 64 destinations, the
+// unit of the block BFS that fills them: block k holds destinations 64k
+// onward, and within a block each state's 64 entries are adjacent. A
+// table costs 2 bytes per (state, destination), 168 MB at 4,096 switches
+// of 4 ports. 0xFFFF marks an unreachable state, so a distance must stay
+// below it; NewTable panics on a function that needs more.
 type Table struct {
 	f     *Function
 	numCh int
 	n     int
-	// dist[dst*stride + state] = remaining channels to traverse from state
-	// to dst, or unreachable. States 0..numCh-1 are channels; numCh+v is
-	// the injection state of node v. stride = numCh + n.
-	dist   []int32
+	// dist[(dst/blockSize*stride + s)*blockSize + dst%blockSize] is the
+	// number of channels left to traverse from state s to dst, or noDist.
+	// States 0..numCh-1 are channels; numCh+v is the injection state of
+	// node v. stride = numCh + n.
+	dist   []uint16
 	stride int
 }
 
-const unreachable = int32(math.MaxInt32)
+// blockSize is how many destinations one pass of the block BFS covers: one
+// bit each of a uint64 per routing state.
+const blockSize = 1 << blockShift
 
-// NewTable computes the table with one backward BFS per destination,
-// fanning destinations across GOMAXPROCS goroutines.
+const blockShift = 6
+
+// noDist marks an unreachable Table entry. Every distance is below it.
+const noDist = math.MaxUint16
+
+// NewTable computes the table with one backward BFS per block of 64
+// destinations (see blockBFS), fanning blocks across GOMAXPROCS goroutines.
+// Each block's entries are computed in isolation, so the result is
+// identical for any GOMAXPROCS (pinned by TestNewTableParallelIdentical and
+// TestNewTableMatchesReference).
 //
-// Turn legality does not depend on the destination, so before any BFS the
-// reversed channel dependency graph is built once, in CSR form (depGraph):
-// for every channel c, the in-channels p of c.From with
-// Sys.TurnAllowed(p, c). Each BFS then walks those lists instead of asking
-// TurnAllowed again, and its per-destination working set is one row of
-// dist plus the compact lists. Each destination's row of dist is computed
-// in isolation, so the result is identical for any GOMAXPROCS (pinned by
-// TestNewTableParallelIdentical and TestNewTableMatchesReference).
+// Entries are uint16, so a shortest legal path may traverse at most 65,534
+// channels, and NewTable panics, naming that bound, on a function that
+// needs more. A BFS level is below the number of routing states (numCh+n),
+// so a network of fewer than 65,535 states cannot reach it; 4,096 switches
+// of 8 ports have about 37,000.
 func NewTable(f *Function) *Table {
 	return newTableN(f, runtime.GOMAXPROCS(0))
 }
@@ -62,41 +77,11 @@ func newTableN(f *Function, workers int) *Table {
 		n:      cg.N(),
 		stride: cg.NumChannels() + cg.N(),
 	}
-	t.dist = make([]int32, t.n*t.stride)
-	deps := newDepGraph(f)
-	bfsTo := func(dst int, queue []int32) []int32 {
-		return deps.bfsTo(cg.In, dst, t.dist[dst*t.stride:(dst+1)*t.stride], queue, nil)
-	}
-	if workers > t.n {
-		workers = t.n
-	}
-	if workers <= 1 {
-		queue := make([]int32, 0, t.stride)
-		for dst := 0; dst < t.n; dst++ {
-			queue = bfsTo(dst, queue)
-		}
-		return t
-	}
-	// Destinations are handed out through an atomic counter rather than
-	// fixed ranges: BFS cost varies with how central a destination is, and
-	// work stealing keeps the goroutines evenly loaded.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			queue := make([]int32, 0, t.stride)
-			for {
-				dst := int(next.Add(1)) - 1
-				if dst >= t.n {
-					return
-				}
-				queue = bfsTo(dst, queue)
-			}
-		}()
-	}
-	wg.Wait()
+	blocks := (t.n + blockSize - 1) / blockSize
+	t.dist = make([]uint16, blocks*blockSize*t.stride)
+	forBlocks(newDepGraph(f), cg.In, nil, workers, func(b *blockBFS, lo, hi int) {
+		b.run(lo, hi, t.dist[lo*t.stride:(lo+blockSize)*t.stride], nil)
+	})
 	return t
 }
 
@@ -129,94 +114,227 @@ func newDepGraph(f *Function) depGraph {
 	return g
 }
 
-// portMasks is where bfsTo records next-port masks: bit[c] is channel c's
-// port bit at its start node, and state s's mask is row[s*stride].
-type portMasks struct {
-	bit, row []uint16
-	stride   int
+// forBlocks calls fn once for every block of blockSize destinations of the
+// len(in) nodes, lo..hi-1, on at most workers goroutines that each own one
+// blockBFS over g (recording masks by port when port is non-nil). Blocks
+// are handed out through an atomic counter rather than fixed ranges: BFS
+// cost varies with the block, and work stealing keeps the goroutines
+// evenly loaded.
+func forBlocks(g depGraph, in [][]int, port []uint8, workers int, fn func(b *blockBFS, lo, hi int)) {
+	n := len(in)
+	blocks := (n + blockSize - 1) / blockSize
+	workers = max(1, min(workers, blocks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := newBlockBFS(g, in, port)
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= blocks {
+					return
+				}
+				lo := k * blockSize
+				fn(b, lo, min(lo+blockSize, n))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
-// bfsTo is the one per-destination BFS. It fills d, one row of numCh+n
-// distances toward dst (in is cg.In), with a backward BFS over g, reusing
-// queue as scratch (returned for the next call). It writes only d and pm's
-// row, which is what makes per-destination parallelism safe.
+// blockBFS is one goroutine's working set for the backward BFS toward a
+// block of up to blockSize destinations at once (the multi-source BFS of
+// Then et al., "The More the Merrier", PVLDB 8(4), 2014). Bit j of every
+// word below stands for the block's j-th destination.
 //
-// With a non-nil pm it also ORs into each state s's mask the port bit of
-// every channel that continues a shortest legal path from s: the next-port
-// masks of NextPorts.Fill. NewTable passes nil and gets distances only.
-func (g depGraph) bfsTo(in [][]int, dst int, d, queue []int32, pm *portMasks) []int32 {
-	for i := range d {
-		d[i] = unreachable
-	}
-	numCh := len(g.from)
-	// Each channel enters the queue at most once, so numCh slots hold it.
-	queue = slices.Grow(queue[:0], numCh)[:numCh]
-	tail := 0
-	// Base cases: arriving at dst via any of its in-channels takes zero
-	// further hops; a packet born at dst is already there.
-	d[numCh+dst] = 0
-	for _, c := range in[dst] {
-		d[c] = 0
-		queue[tail] = int32(c)
-		tail++
-	}
-	// A predecessor needs dequeued channel c when it sits at lo or more: at
-	// d(c)+1 or more with masks (one at exactly d(c)+1 has c as another
-	// shortest continuation), above d(c)+1 without. Filling the queue by
-	// index, holding the masks behind one pointer and this threshold free
-	// the loop's registers: NewTable then runs 8-12% over a loop without
-	// masks at 128 switches, 8 ports, and 1024 switches, 4 ports, on one
-	// core, where a plain test of the mask row cost it 30-50%.
-	off := int32(1)
-	if pm != nil {
-		off = 0
-	}
-	// Backward BFS over reversed state-graph edges. Predecessors of a
-	// channel state c are (a) the injection state of c.From and (b) the
-	// in-channels of c.From whose turn onto c is allowed, listed in g.
-	// Injection states have no predecessors. Channels leave the queue in
-	// nondecreasing distance, so the c that first reaches a predecessor p
-	// sets p's final distance d(c)+1, and every c' dequeued while p sits at
-	// d(c')+1 is another shortest continuation of p and ORs in its port
-	// bit; channels dequeued after those sit at d(p) or more and leave p
-	// alone.
-	for head := 0; head < tail; head++ {
-		c := queue[head]
-		nd := d[c] + 1
-		lo := nd + off
-		if inj := numCh + int(g.from[c]); d[inj] >= lo {
-			d[inj] = nd
-			if pm != nil {
-				pm.row[inj*pm.stride] |= pm.bit[c]
-			}
-		}
-		for _, p := range g.pred[g.start[c]:g.start[c+1]] {
-			if dp := d[p]; dp >= lo {
-				if dp > nd {
-					d[p] = nd
-					queue[tail] = p
-					tail++
-				}
-				if pm != nil {
-					pm.row[int(p)*pm.stride] |= pm.bit[c]
-				}
-			}
-		}
-	}
-	return queue[:tail]
+// Each routing state s owns the record words[s*w : (s+1)*w], so that a
+// visit reads one record, not one word from each of several arrays: its
+// seen word (s has been reached), its next word (s is reached at the level
+// being built) and, when run records masks, one plane per output port k of
+// s's node (k continues a shortest path from s). cur holds the frontier channels with their words, reached
+// the states whose next word is nonzero. Between runs every word is zero.
+type blockBFS struct {
+	g       depGraph
+	in      [][]int
+	words   []uint64
+	w       int
+	cur     []frontier
+	reached []int32
+	// port[c] is channel c's port at its start node, nil when run records
+	// no masks.
+	port []uint8
+	// limit is the first level run may not record: noDist, the marker of
+	// an unreachable entry.
+	limit int
 }
 
-// NextPorts is a routing function prepared to compute, one destination at
-// a time and without a Table, the output ports that continue a shortest
-// legal path from every routing state: the port sets of
-// Table.NextChannels, where port k of node v is the k-th channel of
-// cg.Out[v]. It holds the reversed dependency graph and each channel's port
-// bit, is read-only once built, and may be shared by goroutines that each
-// pass their own rows and queue to Fill.
+// frontier is a channel that entered the BFS frontier, with the bits of
+// the destinations it reached at the current level.
+type frontier struct {
+	c    int32
+	word uint64
+}
+
+// Offsets within a state's record.
+const (
+	seenWord  = 0
+	nextWord  = 1
+	firstPort = 2
+)
+
+func newBlockBFS(g depGraph, in [][]int, port []uint8) *blockBFS {
+	w := firstPort
+	for _, k := range port {
+		w = max(w, firstPort+int(k)+1)
+	}
+	return &blockBFS{
+		g:     g,
+		in:    in,
+		words: make([]uint64, (len(g.from)+len(in))*w),
+		w:     w,
+		port:  port,
+		limit: noDist,
+	}
+}
+
+// run is the one BFS behind NewTable and NextPorts: a level-synchronous
+// backward BFS toward destinations lo..hi-1 (hi-lo <= blockSize) over the
+// reversed dependency graph. Level 0 holds each destination's injection
+// state and in-channels. Level d+1 holds every state not yet reached that
+// precedes a level-d channel c: the injection state of c.From, and the
+// in-channels of c.From allowed to turn onto c. Injection states have no
+// predecessors, so they never enter the frontier. Nothing assumes the
+// dependency graph is acyclic.
+//
+// A non-nil dist gets each state's distance to lo+j at s*blockSize+j, or
+// noDist if s never reaches lo+j; each entry is written once. When b
+// records masks, rows[s][lo+j] gets the port bits of every shortest
+// continuation from s toward lo+j: the ports of Table.NextChannels(lo+j,
+// s), 0 for lo+j's own states and for states that never reach it.
+//
+// A level ORs each frontier channel c's word, less what its predecessor p
+// had seen when the level began, into p's next word and into the plane of
+// c's port at p; next is folded into seen only after the level's last
+// frontier channel. So every level-d channel that continues a shortest
+// path from p records its port at p, whichever of them comes first. run
+// panics rather than record a level of b.limit or more.
+func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
+	g, words, w, port := b.g, b.words, b.w, b.port
+	numCh := len(g.from)
+	b.cur = b.cur[:0]
+	for j := 0; j < hi-lo; j++ {
+		bj := uint64(1) << uint(j)
+		words[(numCh+lo+j)*w+seenWord] = bj
+		for _, c := range b.in[lo+j] {
+			// c ends at lo+j, so no other destination's loop sees it.
+			words[c*w+seenWord] = bj
+			b.cur = append(b.cur, frontier{int32(c), bj})
+		}
+	}
+	if dist != nil {
+		for j := 0; j < hi-lo; j++ {
+			dist[(numCh+lo+j)*blockSize+j] = 0
+		}
+		for _, f := range b.cur {
+			setLevel(dist, f.c, f.word, 0)
+		}
+	}
+	for level := 1; len(b.cur) > 0; level++ {
+		reached := b.reached[:0]
+		for _, f := range b.cur {
+			c, fc := f.c, f.word
+			plane := 0
+			if port != nil {
+				plane = firstPort + int(port[c])
+			}
+			inj := int32(numCh) + g.from[c]
+			o := int(inj) * w
+			if add := fc &^ words[o+seenWord]; add != 0 {
+				if words[o+nextWord] == 0 {
+					reached = append(reached, inj)
+				}
+				words[o+nextWord] |= add
+				if plane != 0 {
+					words[o+plane] |= add
+				}
+			}
+			for _, p := range g.pred[g.start[c]:g.start[c+1]] {
+				o = int(p) * w
+				if add := fc &^ words[o+seenWord]; add != 0 {
+					if words[o+nextWord] == 0 {
+						reached = append(reached, p)
+					}
+					words[o+nextWord] |= add
+					if plane != 0 {
+						words[o+plane] |= add
+					}
+				}
+			}
+		}
+		if len(reached) > 0 && level >= b.limit {
+			panic(fmt.Sprintf("routing: a shortest legal path needs %d or more channels; table entries hold at most %d",
+				b.limit, b.limit-1))
+		}
+		b.cur = b.cur[:0]
+		for _, s := range reached {
+			o := int(s) * w
+			add := words[o+nextWord]
+			words[o+nextWord] = 0
+			words[o+seenWord] |= add
+			if dist != nil {
+				setLevel(dist, s, add, uint16(level))
+			}
+			if int(s) < numCh {
+				b.cur = append(b.cur, frontier{s, add})
+			}
+		}
+		b.reached = reached
+	}
+	// One sweep over the records leaves them zero for the next run, on the
+	// way marking unreached entries or turning the planes into masks.
+	full := ^uint64(0) >> uint(blockSize-(hi-lo))
+	for s := 0; s < len(words)/w; s++ {
+		rec := words[s*w : (s+1)*w]
+		if dist != nil {
+			setLevel(dist, int32(s), full&^rec[seenWord], noDist)
+		}
+		rec[seenWord] = 0
+		if port == nil {
+			continue
+		}
+		var masks [blockSize]uint16
+		for k, plane := range rec[firstPort:] {
+			for ; plane != 0; plane &= plane - 1 {
+				masks[bits.TrailingZeros64(plane)&(blockSize-1)] |= 1 << k
+			}
+			rec[firstPort+k] = 0
+		}
+		copy(rows[s][lo:hi], masks[:])
+	}
+}
+
+// setLevel writes d into state s's entry j of a block's distances for
+// every bit j of w.
+func setLevel(dist []uint16, s int32, w uint64, d uint16) {
+	row := (*[blockSize]uint16)(dist[int(s)*blockSize:])
+	for ; w != 0; w &= w - 1 {
+		row[bits.TrailingZeros64(w)&(blockSize-1)] = d
+	}
+}
+
+// NextPorts is a routing function prepared to compute, without a Table,
+// the output ports that continue a shortest legal path from every routing
+// state: the port sets of Table.NextChannels, where port k of node v is
+// the k-th channel of cg.Out[v]. Fill runs NewTable's BFS, 64
+// destinations per pass, keeping one word per output port instead of
+// distances. NextPorts holds the reversed dependency graph and each
+// channel's port, and is read-only once built.
 type NextPorts struct {
 	cg   *cgraph.CG
 	deps depGraph
-	bit  []uint16
+	port []uint8
 }
 
 // maxNextPorts is the most output channels a node may have for NextPorts:
@@ -227,14 +345,14 @@ const maxNextPorts = 16
 // output channels, the width of a mask.
 func NewNextPorts(f *Function) (*NextPorts, error) {
 	cg := f.Sys.CG
-	np := &NextPorts{cg: cg, bit: make([]uint16, cg.NumChannels())}
+	np := &NextPorts{cg: cg, port: make([]uint8, cg.NumChannels())}
 	for v, out := range cg.Out {
 		if len(out) > maxNextPorts {
 			return nil, fmt.Errorf("routing: node %d has %d output channels; next-port masks hold %d",
 				v, len(out), maxNextPorts)
 		}
 		for k, c := range out {
-			np.bit[c] = 1 << k
+			np.port[c] = uint8(k)
 		}
 	}
 	np.deps = newDepGraph(f)
@@ -245,17 +363,17 @@ func NewNextPorts(f *Function) (*NextPorts, error) {
 // state c and node v's injection state is NumChannels()+v.
 func (np *NextPorts) States() int { return np.cg.NumChannels() + np.cg.N() }
 
-// Fill runs one backward BFS toward dst. For every state s it ORs into
-// mask[s*stride] the ports whose channels Table.NextChannels(dst, s) would
-// return: none for dst's own states and for states that cannot reach dst.
-// The caller clears those entries first. A stride above 1 interleaves
-// several destinations' masks, mask[s*stride+j] for the j-th, so one
-// state's entries for consecutive destinations sit together. dist must
-// have States() entries; it ends holding each state's distance to dst
-// (math.MaxInt32 if unreachable). queue is scratch, returned extended for
-// the next call.
-func (np *NextPorts) Fill(dst int, mask []uint16, stride int, dist, queue []int32) []int32 {
-	return np.deps.bfsTo(np.cg.In, dst, dist, queue, &portMasks{np.bit, mask, stride})
+// Fill writes every state's next-port masks toward every destination,
+// computed by the block BFS NewTable runs, one block of 64 destinations
+// at a time on at most workers goroutines. rows has one row per state,
+// indexed by destination: rows[s][dst] gets the ports whose channels
+// Table.NextChannels(dst, s) would return, 0 for dst's own states and for
+// states that cannot reach dst. Rows may share memory, as long as no two
+// overlap.
+func (np *NextPorts) Fill(workers int, rows [][]uint16) {
+	forBlocks(np.deps, np.cg.In, np.port, workers, func(b *blockBFS, lo, hi int) {
+		b.run(lo, hi, nil, rows)
+	})
 }
 
 // PathSource is what a packet-level consumer (the simulator) needs from a
@@ -292,14 +410,22 @@ func (t *Table) Distance(src, dst int) int {
 // channel id (the channel the packet arrived on) or InjectionState(src);
 // distFrom(dst, InjectionState(src)) is Distance(src, dst).
 func (t *Table) distFrom(dst, state int) int {
-	i := dst*t.stride + state
 	if state < 0 {
-		i = dst*t.stride + t.numCh + (^state)
+		state = t.numCh + (^state)
 	}
-	if d := t.dist[i]; d != unreachable {
+	if d := t.entry(dst, state); d != noDist {
 		return int(d)
 	}
 	return -1
+}
+
+// entry returns state s's distance to dst, noDist if unreachable; s is a
+// channel id or numCh plus a node id.
+func (t *Table) entry(dst, s int) uint16 { return t.dist[t.entryIndex(dst, s)] }
+
+// entryIndex returns the index of state s's entry toward dst in t.dist.
+func (t *Table) entryIndex(dst, s int) int {
+	return (dst>>blockShift*t.stride+s)<<blockShift | dst&(blockSize-1)
 }
 
 // InjectionState encodes node v's "not yet departed" routing state for use
@@ -326,11 +452,11 @@ func (t *Table) NextChannels(dst, state int, buf []int) []int {
 	if d < 0 {
 		return buf
 	}
+	// Channel c's entry toward dst is block[c<<blockShift]. The distance is
+	// tested first: it rules out most channels for less than a turn check.
+	block := t.dist[t.entryIndex(dst, 0):]
 	for _, c := range cg.Out[here] {
-		if state >= 0 && !t.f.Sys.TurnAllowed(state, c) {
-			continue
-		}
-		if t.dist[dst*t.stride+c] == int32(d-1) {
+		if int(block[c<<blockShift]) == d-1 && (state < 0 || t.f.Sys.TurnAllowed(state, c)) {
 			buf = append(buf, c)
 		}
 	}
@@ -442,7 +568,7 @@ func (t *Table) AvgPathLength() float64 {
 func (t *Table) PathCountBound(dst int) int {
 	c := 0
 	for s := 0; s < t.stride; s++ {
-		if t.dist[dst*t.stride+s] != unreachable {
+		if t.entry(dst, s) != noDist {
 			c++
 		}
 	}

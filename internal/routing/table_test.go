@@ -58,6 +58,32 @@ func TestNewTableParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestBlockBFSPanicsAtLimit pins the uint16 bound: the block BFS panics,
+// naming the bound, rather than record a distance at its limit (0xFFFF,
+// the unreachable marker, in NewTable). A line of 6 switches has
+// distances up to 5, so a limit of 5 panics and 6 does not.
+func TestBlockBFSPanicsAtLimit(t *testing.T) {
+	f, err := UpDown{}.Build(buildCG(t, topology.Line(6), ctree.M1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := f.Sys.CG
+	run := func(limit int) (msg any) {
+		defer func() { msg = recover() }()
+		b := newBlockBFS(newDepGraph(f), cg.In, nil)
+		b.limit = limit
+		b.run(0, cg.N(), make([]uint16, (cg.NumChannels()+cg.N())*blockSize), nil)
+		return nil
+	}
+	if msg := run(6); msg != nil {
+		t.Fatalf("limit 6 panicked: %v", msg)
+	}
+	want := "routing: a shortest legal path needs 5 or more channels; table entries hold at most 4"
+	if msg := run(5); msg != want {
+		t.Fatalf("limit 5: recovered %v, want panic %q", msg, want)
+	}
+}
+
 func TestDistanceSelfIsZero(t *testing.T) {
 	cg := randomCG(t, 5, 30, 4)
 	tb := tableFor(t, cg, LTurn{})

@@ -282,6 +282,10 @@ func (c Config) TotalCycles() int {
 	return c.WarmupCycles + c.MeasureCycles
 }
 
+// MeasureStart returns the first cycle of the measurement window after
+// default resolution: the warm-up runs cycles 1 through MeasureStart()-1.
+func (c Config) MeasureStart() int { return c.withDefaults().WarmupCycles + 1 }
+
 func (c Config) withDefaults() Config {
 	if c.PacketLength == 0 {
 		c.PacketLength = 128

@@ -126,7 +126,8 @@ quick:
 verify:
 	$(GO) run ./cmd/irverify -trials 100 -switches 64 -ports 4
 
-# Run every examples/ program.
+# Run every examples/ program. fibdeploy exits 1 unless a simulation
+# through the loaded FIB is bit-identical to one through the table.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/cluster
@@ -134,6 +135,7 @@ examples:
 	$(GO) run ./examples/deadlock
 	$(GO) run ./examples/virtualchannels
 	$(GO) run ./examples/reconfigure
+	$(GO) run ./examples/fibdeploy
 
 # The deterministic fault-tolerance sweep; writes the table into results/.
 # Regenerating reproduces results/fault_sweep.txt byte for byte.

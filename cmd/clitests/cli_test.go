@@ -235,8 +235,6 @@ func TestBadFlagsFail(t *testing.T) {
 	cases := [][]string{
 		{"irroute", "-alg", "bogus"},
 		{"irtopo", "-topo", "nonsense"},
-		{"irsim", "-pattern", "bogus"},
-		{"irsim", "-mode", "bogus"},
 		{"irsim", "-topo", "ring:8", "-alg", "unrestricted"}, // refuses unverified without -recover
 		{"irsim", "-topo", "ring:8", "-recover", "-max-retries", "-1"},
 		{"irsim", "-topo", "ring:8", "-recover", "-detect-interval", "-1"},
@@ -252,10 +250,15 @@ func TestBadFlagsFail(t *testing.T) {
 			t.Errorf("%v exited zero", c)
 		}
 	}
-	// Usage errors exit 2, before any work starts: an unknown study, a flag
-	// the chosen study does not read, or a malformed value (irperf would
-	// write its report to ckpt).
+	// Usage errors exit 2, before any work starts: an unknown study or
+	// name, a flag the chosen study does not read, or a malformed value
+	// (irperf would write its report to ckpt).
 	usage := [][]string{
+		{"irsim", "-pattern", "bogus"},
+		{"irsim", "-mode", "bogus"},
+		{"irsim", "-engine", "bogus"},
+		{"irsim", "-select", "bogus"},
+		{"irsim", "-alg", "bogus"},
 		{"irexp", "-exp", "bogus", "-quiet"},
 		{"irexp", "-exp", "bogus", "-checkpoint", ckpt},
 		{"irexp", "-exp", "hotspot", "-checkpoint", ckpt},

@@ -125,7 +125,7 @@ func main() {
 		if *from >= g.N() || *to >= g.N() {
 			cliutil.Usagef("irroute", "nodes out of range [0,%d)", g.N())
 		}
-		path, err := tb.SamplePath(*from, *to, rng.New(*seed))
+		path, err := tb.AppendPath(nil, *from, *to, rng.New(*seed))
 		if err != nil {
 			cliutil.Fatal("irroute", err)
 		}

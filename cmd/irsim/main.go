@@ -75,12 +75,72 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every name is checked before any work, as a usage error.
 	alg := irnet.AlgorithmByName(*algName)
 	if alg == nil {
-		log.Fatalf("unknown algorithm %q", *algName)
+		cliutil.Usagef("irsim", "unknown algorithm %q", *algName)
 	}
+	cfg := irnet.SimConfig{
+		PacketLength:      *plen,
+		VirtualChannels:   *vcs,
+		InjectionRate:     *rate,
+		MeanBurst:         *burst,
+		WarmupCycles:      *warmup,
+		MeasureCycles:     *measure,
+		Seed:              *seed,
+		RecoverDeadlocks:  *recovered,
+		DetectInterval:    *detect,
+		MaxRetries:        *maxRetries,
+		RetryBackoff:      *backoff,
+		LivelockThreshold: *livelock,
+	}
+	switch *engine {
+	case "event":
+		cfg.Engine = irnet.EngineEvent
+	case "scan":
+		cfg.Engine = irnet.EngineScan
+	default:
+		cliutil.Usagef("irsim", "unknown engine %q", *engine)
+	}
+	switch *sel {
+	case "random":
+	case "first":
+		cfg.Select = irnet.SelectFirst
+	case "least-loaded":
+		cfg.Select = irnet.SelectLeastLoaded
+	default:
+		cliutil.Usagef("irsim", "unknown selection %q", *sel)
+	}
+	if *adaptive {
+		cfg.Mode = irnet.Adaptive
+	}
+	switch *mode {
+	case "":
+	case "source":
+		cfg.Mode = irnet.SourceRouted
+	case "adaptive":
+		cfg.Mode = irnet.Adaptive
+	case "deterministic":
+		cfg.Mode = irnet.Deterministic
+	default:
+		cliutil.Usagef("irsim", "unknown mode %q", *mode)
+	}
+	newPattern, ok := map[string]func(n int) (irnet.Pattern, error){
+		"uniform":     func(n int) (irnet.Pattern, error) { return irnet.Uniform(n), nil },
+		"hotspot":     func(n int) (irnet.Pattern, error) { return irnet.Hotspot(n, []int{*hotspot}, *hotfrac), nil },
+		"transpose":   irnet.Transpose,
+		"bitreverse":  irnet.BitReversePattern,
+		"permutation": func(n int) (irnet.Pattern, error) { return irnet.RandomPermutation(n, *seed) },
+	}[*pattern]
+	if !ok {
+		cliutil.Usagef("irsim", "unknown pattern %q", *pattern)
+	}
+
 	g, err := cliutil.ParseTopology(*topo, *switches, *ports, *seed)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if cfg.Pattern, err = newPattern(g.N()); err != nil {
 		log.Fatal(err)
 	}
 	pol, err := cliutil.ParsePolicy(*policy)
@@ -103,84 +163,12 @@ func main() {
 	}
 	tb := irnet.NewTable(fn)
 
-	cfg := irnet.SimConfig{
-		PacketLength:      *plen,
-		VirtualChannels:   *vcs,
-		InjectionRate:     *rate,
-		MeanBurst:         *burst,
-		WarmupCycles:      *warmup,
-		MeasureCycles:     *measure,
-		Seed:              *seed,
-		RecoverDeadlocks:  *recovered,
-		DetectInterval:    *detect,
-		MaxRetries:        *maxRetries,
-		RetryBackoff:      *backoff,
-		LivelockThreshold: *livelock,
-	}
-	switch *engine {
-	case "event":
-		cfg.Engine = irnet.EngineEvent
-	case "scan":
-		cfg.Engine = irnet.EngineScan
-	default:
-		log.Fatalf("unknown engine %q", *engine)
-	}
-	switch *sel {
-	case "random":
-	case "first":
-		cfg.Select = irnet.SelectFirst
-	case "least-loaded":
-		cfg.Select = irnet.SelectLeastLoaded
-	default:
-		log.Fatalf("unknown selection %q", *sel)
-	}
-	if *adaptive {
-		cfg.Mode = irnet.Adaptive
-	}
-	switch *mode {
-	case "":
-	case "source":
-		cfg.Mode = irnet.SourceRouted
-	case "adaptive":
-		cfg.Mode = irnet.Adaptive
-	case "deterministic":
-		cfg.Mode = irnet.Deterministic
-	default:
-		log.Fatalf("unknown mode %q", *mode)
-	}
 	var tf *os.File // the trace file, closed and checked once the run ends
 	if *trace != "" {
-		var err error
 		if tf, err = os.Create(*trace); err != nil {
 			log.Fatal(err)
 		}
 		cfg.Trace = tf
-	}
-	switch *pattern {
-	case "uniform":
-		cfg.Pattern = irnet.Uniform(g.N())
-	case "hotspot":
-		cfg.Pattern = irnet.Hotspot(g.N(), []int{*hotspot}, *hotfrac)
-	case "transpose":
-		p, err := irnet.Transpose(g.N())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Pattern = p
-	case "bitreverse":
-		p, err := irnet.BitReversePattern(g.N())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Pattern = p
-	case "permutation":
-		p, err := irnet.RandomPermutation(g.N(), *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Pattern = p
-	default:
-		log.Fatalf("unknown pattern %q", *pattern)
 	}
 
 	if *cpuprofile != "" {

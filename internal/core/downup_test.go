@@ -375,7 +375,7 @@ func TestDownUpPathShape(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		path, err := tb.SamplePath(src, dst, r)
+		path, err := tb.AppendPath(nil, src, dst, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,9 +108,6 @@ func fingerprint(fn *routing.Function, seed uint64, opts Options) string {
 // Fingerprint returns the session fingerprint carried by the server hello.
 func (o *Oracle) Fingerprint() string { return o.fp }
 
-// Nodes returns the number of switches in the served network.
-func (o *Oracle) Nodes() int { return o.n }
-
 // Cycle returns the simulator clock.
 func (o *Oracle) Cycle() int { return o.sim.Cycle() }
 

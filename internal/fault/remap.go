@@ -23,8 +23,6 @@ type remapSource struct {
 	o2nCh []int
 	// n2oCh[survivingChannel] is the original channel id.
 	n2oCh []int
-
-	scratch []int
 }
 
 var _ routing.PathSource = (*remapSource)(nil)
@@ -64,34 +62,20 @@ func newRemap(orig, sub *cgraph.CG, o2nNode, n2oNode []int, inner routing.PathSo
 	return rm, nil
 }
 
-// SamplePath implements routing.PathSource in original ids.
-func (rm *remapSource) SamplePath(src, dst int, r *rng.Rng) ([]int, error) {
+// AppendPath implements routing.PathSource in original ids: it translates
+// only the channels the inner source appended.
+func (rm *remapSource) AppendPath(path []int32, src, dst int, r *rng.Rng) ([]int32, error) {
 	ns, nd := rm.o2nNode[src], rm.o2nNode[dst]
 	if ns < 0 || nd < 0 {
 		return nil, fmt.Errorf("fault: %d unreachable from %d (dead switch)", dst, src)
 	}
-	path, err := rm.inner.SamplePath(ns, nd, r)
+	n := len(path)
+	path, err := rm.inner.AppendPath(path, ns, nd, r)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range path {
-		path[i] = rm.n2oCh[c]
-	}
-	return path, nil
-}
-
-// FixedPath implements routing.PathSource in original ids.
-func (rm *remapSource) FixedPath(src, dst int) ([]int, error) {
-	ns, nd := rm.o2nNode[src], rm.o2nNode[dst]
-	if ns < 0 || nd < 0 {
-		return nil, fmt.Errorf("fault: %d unreachable from %d (dead switch)", dst, src)
-	}
-	path, err := rm.inner.FixedPath(ns, nd)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range path {
-		path[i] = rm.n2oCh[c]
+	for i := n; i < len(path); i++ {
+		path[i] = int32(rm.n2oCh[path[i]])
 	}
 	return path, nil
 }
@@ -117,9 +101,10 @@ func (rm *remapSource) NextChannels(dst, state int, buf []int) []int {
 		}
 		nstate = nc
 	}
-	rm.scratch = rm.inner.NextChannels(nd, nstate, rm.scratch[:0])
-	for _, c := range rm.scratch {
-		buf = append(buf, rm.n2oCh[c])
+	n := len(buf)
+	buf = rm.inner.NextChannels(nd, nstate, buf)
+	for i := n; i < len(buf); i++ {
+		buf[i] = rm.n2oCh[buf[i]]
 	}
 	return buf
 }

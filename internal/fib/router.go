@@ -12,7 +12,8 @@ import (
 // the wormhole simulator can run against the deployable forwarding tables
 // instead of the in-memory distance tables. Because the FIB was compiled
 // from the table's NextChannels sets — with port order equal to channel
-// order — a Router-driven simulation consumes randomness identically to a
+// order — and AppendPath takes the table's own walk over them, a
+// Router-driven simulation consumes randomness identically to a
 // Table-driven one and produces bit-identical results; the integration
 // tests assert exactly that, which validates the FIB artifact end to end.
 type Router struct {
@@ -76,57 +77,18 @@ func (r *Router) NextChannels(dst, state int, buf []int) []int {
 	return buf
 }
 
-// SamplePath implements routing.PathSource by walking FIB lookups with
-// uniform random port choice — the same distribution, in the same order,
-// as Table.SamplePath.
-func (r *Router) SamplePath(src, dst int, rnd *rng.Rng) ([]int, error) {
-	if src == dst {
-		return nil, nil
-	}
-	var path []int
-	state := routing.InjectionState(src)
-	var buf []int
-	for hops := 0; ; hops++ {
-		if hops > r.cg.NumChannels() {
-			return nil, fmt.Errorf("fib: walk %d->%d did not terminate", src, dst)
-		}
-		buf = r.NextChannels(dst, state, buf[:0])
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("fib: no route from %d to %d", src, dst)
-		}
-		c := buf[rnd.Intn(len(buf))]
-		path = append(path, c)
-		if r.cg.Channels[c].To == dst {
-			return path, nil
-		}
-		state = c
-	}
+// AppendPath implements routing.PathSource by walking FIB lookups
+// (routing.AppendWalk, the walk Table.AppendPath takes), so it draws the
+// same channels from the same rng as the table the FIB was compiled from.
+// A FIB whose masks loop fails after more hops than the graph has
+// channels.
+func (r *Router) AppendPath(path []int32, src, dst int, rnd *rng.Rng) ([]int32, error) {
+	return routing.AppendWalk(path, r, r.cg, routing.InjectionState(src), dst, rnd)
 }
 
-// FixedPath implements routing.PathSource: the lowest-numbered allowed
-// port at every hop, matching Table.FixedPath.
-func (r *Router) FixedPath(src, dst int) ([]int, error) {
-	if src == dst {
-		return nil, nil
-	}
-	var path []int
-	state := routing.InjectionState(src)
-	var buf []int
-	for hops := 0; ; hops++ {
-		if hops > r.cg.NumChannels() {
-			return nil, fmt.Errorf("fib: fixed walk %d->%d did not terminate", src, dst)
-		}
-		buf = r.NextChannels(dst, state, buf[:0])
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("fib: no route from %d to %d", src, dst)
-		}
-		c := buf[0]
-		path = append(path, c)
-		if r.cg.Channels[c].To == dst {
-			return path, nil
-		}
-		state = c
-	}
-}
+// FixedPath returns AppendPath(nil, src, dst, nil) for the repository
+// benchmark's check against Table.FixedPath; everything else calls
+// AppendPath.
+func (r *Router) FixedPath(src, dst int) ([]int32, error) { return r.AppendPath(nil, src, dst, nil) }
 
 var _ routing.PathSource = (*Router)(nil)

@@ -2,6 +2,8 @@ package fib
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -49,41 +51,60 @@ func TestRouterSamplePathMatchesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same RNG seed => same path (candidate sets are identical and in the
-	// same order).
+	// same order); no RNG => the same first-candidate path.
 	for trial := 0; trial < 100; trial++ {
 		src, dst := trial%20, (trial*3+7)%20
-		ra, rb := rng.New(uint64(trial)), rng.New(uint64(trial))
-		pa, err := tb.SamplePath(src, dst, ra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := r.SamplePath(src, dst, rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pa) != len(pb) {
-			t.Fatalf("paths differ: %v vs %v", pa, pb)
-		}
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("paths differ: %v vs %v", pa, pb)
+		for _, seeded := range []bool{true, false} {
+			var ra, rb *rng.Rng
+			if seeded {
+				ra, rb = rng.New(uint64(trial)), rng.New(uint64(trial))
+			}
+			pa, err := tb.AppendPath(nil, src, dst, ra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := r.AppendPath(nil, src, dst, rb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(pa, pb) {
+				t.Fatalf("paths differ (seeded %v): %v vs %v", seeded, pa, pb)
 			}
 		}
-		fa, err := tb.FixedPath(src, dst)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestRouterRejectsForwardingLoop edits one destination's masks at two
+// neighboring switches so that each forwards to the other, as a corrupt or
+// hostile FIB may: AppendPath must fail once the walk outlasts the graph's
+// channels instead of looping.
+func TestRouterRejectsForwardingLoop(t *testing.T) {
+	tb := buildTable(t, 23, 20, 4, routing.LTurn{})
+	f, err := Compile(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := tb.Function().CG()
+	u, w := cg.Channels[0].From, cg.Channels[0].To
+	dst := 0
+	for dst == u || dst == w {
+		dst++
+	}
+	for _, hop := range [][2]int{{u, w}, {w, u}} {
+		v, next := hop[0], hop[1]
+		k := slices.IndexFunc(cg.Out[v], func(c int) bool { return cg.Channels[c].To == next })
+		for row := 0; row <= f.Ports(v); row++ {
+			f.table[v][row*f.n+dst] = 1 << k
 		}
-		fb, err := r.FixedPath(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fa) != len(fb) {
-			t.Fatalf("fixed paths differ: %v vs %v", fa, fb)
-		}
-		for i := range fa {
-			if fa[i] != fb[i] {
-				t.Fatalf("fixed paths differ: %v vs %v", fa, fb)
-			}
+	}
+	r, err := NewRouter(f, cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rnd := range []*rng.Rng{nil, rng.New(1)} {
+		p, err := r.AppendPath(nil, u, dst, rnd)
+		if err == nil || !strings.Contains(err.Error(), "did not terminate") {
+			t.Fatalf("looping FIB: path %v, err %v", p, err)
 		}
 	}
 }

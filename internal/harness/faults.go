@@ -39,8 +39,10 @@ type FaultOptions struct {
 	InjectionRate float64
 	// PacketLength in flits.
 	PacketLength int
-	// WarmupCycles and MeasureCycles parameterize each simulation; failures
-	// strike uniformly inside the measurement window's first three quarters.
+	// WarmupCycles and MeasureCycles parameterize each simulation; 0 means
+	// the simulator's default (a 3,000-cycle warm-up). Failures strike
+	// uniformly in the first three quarters of the measurement window,
+	// which opens after the warm-up as the simulator resolves it.
 	WarmupCycles  int
 	MeasureCycles int
 	// Seed drives all randomness.
@@ -105,53 +107,12 @@ func FaultStudy(opts FaultOptions) (*FaultResults, error) {
 	if len(opts.Recoveries) == 0 {
 		opts.Recoveries = []fault.RecoveryPolicy{fault.Drain}
 	}
-	// Failures land in the first three quarters of the measurement window,
-	// leaving time for recovery to show up in the counters.
-	from := opts.WarmupCycles + 1
-	to := opts.WarmupCycles + 1 + (3*opts.MeasureCycles)/4
-
 	nf, nr := len(opts.LinkFailures), len(opts.Recoveries)
 	runs := make([]*fault.Result, opts.Samples*nf*nr)
 	err := forEach(len(runs), 0, func(u int) error {
-		si, fi, ri := u/(nf*nr), u/nr%nf, u%nr
-		links, rec := opts.LinkFailures[fi], opts.Recoveries[ri]
-		g, err := topology.RandomIrregular(
-			topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
-			rng.New(deriveSeed(opts.Seed, uint64(si), 7, 0, 0, 0)))
-		if err != nil {
-			return err
-		}
-		switches := 0
-		if links >= 3 {
-			switches = 1
-		}
-		sched, err := fault.Random(g, fault.ScheduleConfig{
-			Links:    links,
-			Switches: switches,
-			From:     from,
-			To:       to,
-		}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 0, 0, 0)))
-		if err != nil {
-			return fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
-		}
-		out, err := fault.Run(g, sched, fault.Options{
-			Algorithm: opts.Algorithm,
-			Policy:    opts.Policy,
-			TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 1, 0),
-			Sim: wormsim.Config{
-				PacketLength:  opts.PacketLength,
-				InjectionRate: opts.InjectionRate,
-				WarmupCycles:  opts.WarmupCycles,
-				MeasureCycles: opts.MeasureCycles,
-				Seed:          deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 0, 0),
-			},
-			Recovery: rec,
-		})
-		if err != nil {
-			return err
-		}
+		out, err := faultRun(opts, u/(nf*nr), u/nr%nf, u%nr)
 		runs[u] = out
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -196,6 +157,55 @@ func FaultStudy(opts FaultOptions) (*FaultResults, error) {
 		}
 	}
 	return res, nil
+}
+
+// faultRun runs sample si of the study at its fi-th failure count under
+// its ri-th recovery policy.
+func faultRun(opts FaultOptions, si, fi, ri int) (*fault.Result, error) {
+	links, rec := opts.LinkFailures[fi], opts.Recoveries[ri]
+	g, err := topology.RandomIrregular(
+		topology.IrregularConfig{Switches: opts.Switches, Ports: opts.Ports, Fill: 1},
+		rng.New(deriveSeed(opts.Seed, uint64(si), 7, 0, 0, 0)))
+	if err != nil {
+		return nil, err
+	}
+	sim := wormsim.Config{
+		PacketLength:  opts.PacketLength,
+		InjectionRate: opts.InjectionRate,
+		WarmupCycles:  opts.WarmupCycles,
+		MeasureCycles: opts.MeasureCycles,
+		Seed:          deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 0, 0),
+	}
+	switches := 0
+	if links >= 3 {
+		switches = 1
+	}
+	from, to := failureWindow(sim)
+	sched, err := fault.Random(g, fault.ScheduleConfig{
+		Links:    links,
+		Switches: switches,
+		From:     from,
+		To:       to,
+	}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 0, 0, 0)))
+	if err != nil {
+		return nil, fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)
+	}
+	return fault.Run(g, sched, fault.Options{
+		Algorithm: opts.Algorithm,
+		Policy:    opts.Policy,
+		TreeSeed:  deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, uint64(ri)+1, 1, 0),
+		Sim:       sim,
+		Recovery:  rec,
+	})
+}
+
+// failureWindow returns the cycles in which a run of cfg schedules its
+// failures: the first three quarters of the measurement window, as the
+// simulator resolves it, which leaves time for recovery to show up in the
+// counters.
+func failureWindow(cfg wormsim.Config) (from, to int) {
+	from = cfg.MeasureStart()
+	return from, from + 3*(cfg.TotalCycles()+1-from)/4
 }
 
 // Point returns the aggregate for (recovery, faults), or nil.

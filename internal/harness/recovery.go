@@ -207,12 +207,12 @@ func recoveryRun(opts RecoveryOptions, si, fi int) (*fault.Result, error) {
 	// One switch loss per three link losses: switch deaths reshape the
 	// tree far more than link deaths, and reshaping is what makes route
 	// generations collide.
-	from := sim.MeasureStart()
+	from, to := failureWindow(sim)
 	sched, err := fault.Random(g, fault.ScheduleConfig{
 		Links:    links,
 		Switches: links / 3,
 		From:     from,
-		To:       from + (3*opts.MeasureCycles)/4,
+		To:       to,
 	}, rng.New(deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 2, 0, 0)))
 	if err != nil {
 		return nil, fmt.Errorf("harness: sample %d, %d failures: %w", si, links, err)

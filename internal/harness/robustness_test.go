@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/wormsim"
 )
 
@@ -240,28 +242,46 @@ func TestRecoveryStudyValidation(t *testing.T) {
 	})
 }
 
-// TestRecoveryFailuresInsideMeasurement pins where the default recovery
-// sweep's failures strike: every failure of every run is applied inside
-// the measurement window its counters cover, none during the warm-up
-// (DefaultRecoveryOptions leaves WarmupCycles 0, the simulator's 3,000).
+// TestRecoveryFailuresInsideMeasurement pins where the failure studies'
+// failures strike: every failure of every run is applied inside the
+// measurement window its counters cover, none during the warm-up. The
+// default recovery sweep leaves WarmupCycles 0, the simulator's 3,000, and
+// so does the fault sweep here, whose defaults set 1,000.
 func TestRecoveryFailuresInsideMeasurement(t *testing.T) {
-	opts := DefaultRecoveryOptions()
-	for si := 0; si < opts.Samples; si++ {
-		for fi, links := range opts.LinkFailures {
-			out, err := recoveryRun(opts, si, fi)
-			if err != nil {
-				t.Fatal(err)
+	check := func(out *fault.Result, err error, want int, what string) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Events) != want {
+			t.Fatalf("%s: %d failures applied, want %d", what, len(out.Events), want)
+		}
+		first := out.Sim.Cycles - out.Sim.MeasuredCycles + 1
+		for _, ev := range out.Events {
+			if ev.AppliedAt < first || ev.AppliedAt > out.Sim.Cycles {
+				t.Fatalf("%s: failure applied at cycle %d, outside the measurement window %d..%d",
+					what, ev.AppliedAt, first, out.Sim.Cycles)
 			}
-			if len(out.Events) != links+links/3 {
-				t.Fatalf("sample %d, %d link failures: %d failures applied, want %d",
-					si, links, len(out.Events), links+links/3)
+		}
+	}
+	rec := DefaultRecoveryOptions()
+	for si := 0; si < rec.Samples; si++ {
+		for fi, links := range rec.LinkFailures {
+			out, err := recoveryRun(rec, si, fi)
+			check(out, err, links+links/3, fmt.Sprintf("recovery sample %d, %d link failures", si, links))
+		}
+	}
+	flt := DefaultFaultOptions()
+	flt.WarmupCycles = 0
+	for si := 0; si < flt.Samples; si++ {
+		for fi, links := range flt.LinkFailures {
+			want := links
+			if links >= 3 {
+				want++
 			}
-			first := out.Sim.Cycles - out.Sim.MeasuredCycles + 1
-			for _, ev := range out.Events {
-				if ev.AppliedAt < first || ev.AppliedAt > out.Sim.Cycles {
-					t.Fatalf("sample %d, %d link failures: failure applied at cycle %d, outside the measurement window %d..%d",
-						si, links, ev.AppliedAt, first, out.Sim.Cycles)
-				}
+			for ri, policy := range flt.Recoveries {
+				out, err := faultRun(flt, si, fi, ri)
+				check(out, err, want, fmt.Sprintf("fault sample %d, %d link failures, %v", si, links, policy))
 			}
 		}
 	}

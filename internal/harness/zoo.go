@@ -437,13 +437,14 @@ func zooRunRow(opts ZooOptions, g *topology.Graph, row zooRow, fi, ri uint64) (Z
 // which a minimal table's distance field cannot.
 func zooAvgPathLength(ps routing.PathSource, n int) float64 {
 	sum, cnt := 0, 0
+	var p []int32
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			p, err := ps.FixedPath(src, dst)
-			if err != nil {
+			var err error
+			if p, err = ps.AppendPath(p[:0], src, dst, nil); err != nil {
 				continue
 			}
 			sum += len(p)

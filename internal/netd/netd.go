@@ -165,13 +165,7 @@ func (sn *Snapshot) Route(from, to int, r *rng.Rng) ([]Hop, error) {
 	if sn.algQueries != nil {
 		sn.algQueries.Inc()
 	}
-	var chans []int
-	var err error
-	if r != nil {
-		chans, err = sn.source.SamplePath(from, to, r)
-	} else {
-		chans, err = sn.source.FixedPath(from, to)
-	}
+	chans, err := sn.source.AppendPath(nil, from, to, r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: route %d -> %d: %v", ErrUnreachable, from, to, err)
 	}

@@ -65,7 +65,7 @@ func TestRouteMatchesTable(t *testing.T) {
 			if from == to {
 				continue
 			}
-			want, err := tb.FixedPath(from, to)
+			want, err := tb.AppendPath(nil, from, to, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

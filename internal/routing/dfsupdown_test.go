@@ -94,7 +94,7 @@ func TestDFSUpDownPathShape(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		path, err := tb.SamplePath(src, dst, r)
+		path, err := tb.AppendPath(nil, src, dst, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ctree"
@@ -70,17 +71,17 @@ func TestPathDiversityAgreesWithSampling(t *testing.T) {
 				continue
 			}
 			// Count for this pair via a one-off recount: reuse sampling.
-			first, err := tb.SamplePath(src, dst, r)
+			first, err := tb.AppendPath(nil, src, dst, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			distinct := false
 			for k := 0; k < 30; k++ {
-				p, err := tb.SamplePath(src, dst, r)
+				p, err := tb.AppendPath(nil, src, dst, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalInts(p, first) {
+				if !slices.Equal(p, first) {
 					distinct = true
 					break
 				}

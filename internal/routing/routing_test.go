@@ -112,7 +112,7 @@ func TestLTurnPathShape(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		path, err := tb.SamplePath(src, dst, r)
+		path, err := tb.AppendPath(nil, src, dst, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,13 +145,13 @@ func TestUpDownPathShape(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		path, err := tb.SamplePath(src, dst, r)
+		path, err := tb.AppendPath(nil, src, dst, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		upPhase := true
 		for _, c := range path {
-			up := scheme.ChannelDir(cg, c) == turnmodel.UDUp
+			up := scheme.ChannelDir(cg, int(c)) == turnmodel.UDUp
 			if up && !upPhase {
 				t.Fatalf("up*/down* path %d->%d goes up after going down", src, dst)
 			}

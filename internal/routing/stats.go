@@ -88,13 +88,14 @@ func (t *Table) Stats(pathSamples int, r *rng.Rng) (*PathStats, error) {
 	for d := 0; d < scheme.NumDirs(); d++ {
 		st.DirNames[d] = scheme.DirName(uint8(d))
 	}
+	var path []int32
 	for i := 0; i < pathSamples; i++ {
 		src, dst := r.Intn(n), r.Intn(n)
 		if src == dst {
 			continue
 		}
-		path, err := t.SamplePath(src, dst, r)
-		if err != nil {
+		var err error
+		if path, err = t.AppendPath(path[:0], src, dst, r); err != nil {
 			return nil, err
 		}
 		for _, c := range path {

@@ -31,6 +31,9 @@ import (
 // table costs 2 bytes per (state, destination), 168 MB at 4,096 switches
 // of 4 ports. 0xFFFF marks an unreachable state, so a distance must stay
 // below it; NewTable panics on a function that needs more.
+//
+// Packets take their paths through AppendPath, which walks NextChannels
+// with AppendWalk, the walk fib.Router and Valiant take as well.
 type Table struct {
 	f     *Function
 	numCh int
@@ -377,21 +380,60 @@ func (np *NextPorts) Fill(workers int, rows [][]uint16) {
 }
 
 // PathSource is what a packet-level consumer (the simulator) needs from a
-// routing implementation: a random shortest legal path for source routing,
-// and the candidate continuations for adaptive routing. Table implements it
+// routing implementation: shortest legal paths for source routing, and the
+// candidate continuations for adaptive routing. Table implements it
 // directly; package fib implements it on top of compiled forwarding tables,
 // so simulations can run against the deployable artifact.
 type PathSource interface {
-	// SamplePath returns a random shortest legal path from src to dst as
-	// channel ids (empty for src == dst).
-	SamplePath(src, dst int, r *rng.Rng) ([]int, error)
+	// AppendPath appends a shortest legal path from src to dst to path, as
+	// channel ids (nothing for src == dst), and returns the extended slice.
+	// With r set it draws uniformly among the shortest continuations at
+	// every hop, the paper's "one of them is selected randomly"; with r nil
+	// it takes the first at every hop, the deterministic path. It writes
+	// only after len(path), so the prefix is never touched.
+	AppendPath(path []int32, src, dst int, r *rng.Rng) ([]int32, error)
 	// NextChannels appends the shortest-continuing channels from the given
 	// routing state toward dst (see Table.NextChannels for the state
 	// encoding).
 	NextChannels(dst, state int, buf []int) []int
-	// FixedPath returns the deterministic shortest legal path (first
-	// continuation at every hop).
-	FixedPath(src, dst int) ([]int, error)
+}
+
+// AppendWalk appends to path the channels of a shortest legal walk from a
+// routing state (a channel id or InjectionState(v)) to dst, taking each
+// hop among ps.NextChannels: drawn with r.Intn over all of them when r is
+// set, one candidate included, and the first when r is nil. It is the
+// walk behind Table's, fib.Router's and Valiant's AppendPath, so their
+// paths agree by construction. It fails where a hop offers no channel,
+// and after more hops than cg has channels, which only a forwarding loop
+// needs: ps may answer from a decoded FIB, which is outside input.
+func AppendWalk(path []int32, ps PathSource, cg *cgraph.CG, state, dst int, r *rng.Rng) ([]int32, error) {
+	here := 0
+	if state < 0 {
+		here = ^state
+	} else {
+		here = cg.Channels[state].To
+	}
+	from := here
+	// One allocation per walk: a 4-port switch offers at most 4
+	// continuations, and on the paper's 8-port networks about one walk in
+	// fifty meets more and regrows the buffer.
+	cands := make([]int, 0, 4)
+	for hops := 0; here != dst; hops++ {
+		if hops == cg.NumChannels() {
+			return nil, fmt.Errorf("routing: walk %d->%d did not terminate", from, dst)
+		}
+		cands = ps.NextChannels(dst, state, cands[:0])
+		if len(cands) == 0 {
+			return nil, fmt.Errorf("routing: no route from %d to %d", here, dst)
+		}
+		state = cands[0]
+		if r != nil {
+			state = cands[r.Intn(len(cands))]
+		}
+		path = append(path, int32(state))
+		here = cg.Channels[state].To
+	}
+	return path, nil
 }
 
 var _ PathSource = (*Table)(nil)
@@ -463,65 +505,24 @@ func (t *Table) NextChannels(dst, state int, buf []int) []int {
 	return buf
 }
 
-// SamplePath returns a random shortest legal path from src to dst as a
-// sequence of channel ids (empty for src == dst), choosing uniformly among
-// the shortest-continuing channels at every hop — the paper's "one of them
-// is selected randomly". It returns an error if dst is unreachable.
-func (t *Table) SamplePath(src, dst int, r *rng.Rng) ([]int, error) {
-	if src == dst {
-		return nil, nil
-	}
-	if t.Distance(src, dst) < 0 {
+// AppendPath implements PathSource: it checks that dst is reachable, grows
+// path once by the distance, and walks the table (see AppendWalk).
+func (t *Table) AppendPath(path []int32, src, dst int, r *rng.Rng) ([]int32, error) {
+	d := t.Distance(src, dst)
+	if d < 0 {
 		return nil, fmt.Errorf("routing: %d unreachable from %d under %s",
 			dst, src, t.f.AlgorithmName)
 	}
-	path := make([]int, 0, t.Distance(src, dst))
-	state := InjectionState(src)
-	var buf []int
-	for {
-		buf = t.NextChannels(dst, state, buf[:0])
-		if len(buf) == 0 {
-			// Cannot happen on a verified function: distance bookkeeping
-			// guarantees a continuing channel until arrival.
-			return nil, fmt.Errorf("routing: dead end sampling path %d->%d", src, dst)
-		}
-		c := buf[r.Intn(len(buf))]
-		path = append(path, c)
-		if t.f.Sys.CG.Channels[c].To == dst {
-			return path, nil
-		}
-		state = c
+	if cap(path)-len(path) < d {
+		// Not slices.Grow, which allocates twice under the race detector.
+		path = append(make([]int32, 0, len(path)+d), path...)
 	}
+	return AppendWalk(path, t, t.f.Sys.CG, InjectionState(src), dst, r)
 }
 
-// FixedPath returns the deterministic shortest legal path from src to dst:
-// at every hop the lowest-id continuing channel is taken. All callers see
-// the same path for a pair, which is what deterministic source routing
-// uses; compare SamplePath for the paper's randomized selection.
-func (t *Table) FixedPath(src, dst int) ([]int, error) {
-	if src == dst {
-		return nil, nil
-	}
-	if t.Distance(src, dst) < 0 {
-		return nil, fmt.Errorf("routing: %d unreachable from %d under %s",
-			dst, src, t.f.AlgorithmName)
-	}
-	path := make([]int, 0, t.Distance(src, dst))
-	state := InjectionState(src)
-	var buf []int
-	for {
-		buf = t.NextChannels(dst, state, buf[:0])
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("routing: dead end on fixed path %d->%d", src, dst)
-		}
-		c := buf[0] // NextChannels scans cg.Out in ascending channel order
-		path = append(path, c)
-		if t.f.Sys.CG.Channels[c].To == dst {
-			return path, nil
-		}
-		state = c
-	}
-}
+// FixedPath returns AppendPath(nil, src, dst, nil) for the repository
+// benchmark's Router check; everything else calls AppendPath.
+func (t *Table) FixedPath(src, dst int) ([]int32, error) { return t.AppendPath(nil, src, dst, nil) }
 
 // FullyConnected returns nil if every ordered pair of nodes is connected
 // under the routing function, or an error naming a broken pair: the lowest
@@ -560,17 +561,4 @@ func (t *Table) AvgPathLength() float64 {
 		return 0
 	}
 	return sum / float64(cnt)
-}
-
-// PathCountBound reports, for diagnostics, how many states can reach each
-// destination; it equals numCh+n when the function is fully connected and
-// every channel is useful for every destination (not required).
-func (t *Table) PathCountBound(dst int) int {
-	c := 0
-	for s := 0; s < t.stride; s++ {
-		if t.entry(dst, s) != noDist {
-			c++
-		}
-	}
-	return c
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,7 +138,7 @@ func bfsDist(g *topology.Graph, src int) []int {
 // validatePath checks a sampled path end to end: correct endpoints,
 // contiguous channels, every turn allowed, no U-turns, and length equal to
 // the reported distance.
-func validatePath(t *testing.T, tb *Table, src, dst int, path []int) {
+func validatePath(t *testing.T, tb *Table, src, dst int, path []int32) {
 	t.Helper()
 	cg := tb.f.Sys.CG
 	if src == dst {
@@ -157,7 +158,7 @@ func validatePath(t *testing.T, tb *Table, src, dst int, path []int) {
 		if cg.Channels[a].To != cg.Channels[b].From {
 			t.Fatalf("path %d->%d not contiguous at hop %d", src, dst, i)
 		}
-		if !tb.f.Sys.TurnAllowed(a, b) {
+		if !tb.f.Sys.TurnAllowed(int(a), int(b)) {
 			t.Fatalf("path %d->%d uses prohibited turn at hop %d", src, dst, i)
 		}
 	}
@@ -170,7 +171,7 @@ func TestSamplePathValidity(t *testing.T) {
 		tb := tableFor(t, cg, alg)
 		for trial := 0; trial < 200; trial++ {
 			src, dst := r.Intn(cg.N()), r.Intn(cg.N())
-			path, err := tb.SamplePath(src, dst, r)
+			path, err := tb.AppendPath(nil, src, dst, r)
 			if err != nil {
 				t.Fatalf("%s: %v", alg.Name(), err)
 			}
@@ -193,16 +194,16 @@ outer:
 			if src == dst {
 				continue
 			}
-			first, err := tb.SamplePath(src, dst, r)
+			first, err := tb.AppendPath(nil, src, dst, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < 20; k++ {
-				p, err := tb.SamplePath(src, dst, r)
+				p, err := tb.AppendPath(nil, src, dst, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalInts(p, first) {
+				if !slices.Equal(p, first) {
 					distinct = true
 					continue outer
 				}
@@ -212,18 +213,6 @@ outer:
 	if !distinct {
 		t.Fatal("no pair ever produced two distinct shortest paths")
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestNextChannelsConsistency(t *testing.T) {
@@ -325,18 +314,8 @@ func TestSamplePathErrorOnUnreachable(t *testing.T) {
 		f.Sys.Allowed[v] = f.Sys.Allowed[v].Forbid(0, 1)
 	}
 	tb := NewTable(f)
-	if _, err := tb.SamplePath(1, 2, rng.New(1)); err == nil {
-		t.Fatal("SamplePath succeeded on unreachable pair")
-	}
-}
-
-func TestPathCountBound(t *testing.T) {
-	cg := buildCG(t, topology.Ring(5), ctree.M1, nil)
-	tb := tableFor(t, cg, UpDown{})
-	for dst := 0; dst < cg.N(); dst++ {
-		if tb.PathCountBound(dst) < cg.N() {
-			t.Fatalf("fewer reachable states than nodes for dst %d", dst)
-		}
+	if _, err := tb.AppendPath(nil, 1, 2, rng.New(1)); err == nil {
+		t.Fatal("AppendPath succeeded on unreachable pair")
 	}
 }
 
@@ -362,7 +341,7 @@ func TestSamplePathProperty(t *testing.T) {
 		tb := NewTable(fn)
 		for trial := 0; trial < 10; trial++ {
 			src, dst := r.Intn(cg.N()), r.Intn(cg.N())
-			path, err := tb.SamplePath(src, dst, r)
+			path, err := tb.AppendPath(nil, src, dst, r)
 			if err != nil {
 				return false
 			}
@@ -412,7 +391,7 @@ func BenchmarkSamplePath128x8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, dst := r.Intn(128), r.Intn(128)
-		if _, err := tb.SamplePath(src, dst, r); err != nil {
+		if _, err := tb.AppendPath(nil, src, dst, r); err != nil {
 			b.Fatal(err)
 		}
 	}

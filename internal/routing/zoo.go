@@ -157,51 +157,35 @@ func NewValiant(t *Table) *Valiant {
 // reject before falling back to the minimal path.
 const valiantTries = 8
 
-// SamplePath implements PathSource: minimal leg to a random intermediate,
-// then a shortest legal continuation toward dst from the junction state.
-func (v *Valiant) SamplePath(src, dst int, r *rng.Rng) ([]int, error) {
+// AppendPath implements PathSource: a minimal leg to an intermediate, then
+// a shortest legal continuation toward dst from the junction state. The
+// intermediate is drawn with r.Intn, or with r nil derived by hashing
+// (src, dst) and advanced past rejected candidates; both fall back to the
+// minimal path.
+func (v *Valiant) AppendPath(path []int32, src, dst int, r *rng.Rng) ([]int32, error) {
 	if src == dst {
-		return nil, nil
+		return path, nil
 	}
+	h := valiantMix(uint64(src)<<32 | uint64(dst))
 	for try := 0; try < valiantTries; try++ {
-		mid := r.Intn(v.n)
+		mid := int((h + uint64(try)) % uint64(v.n))
+		if r != nil {
+			mid = r.Intn(v.n)
+		}
 		if mid == src || mid == dst {
 			continue
 		}
-		leg, err := v.t.SamplePath(src, mid, r)
+		leg, err := v.t.AppendPath(path, src, mid, r)
 		if err != nil {
 			break
 		}
-		if path, ok := v.continueFrom(leg, dst, r); ok {
-			return path, nil
+		// A junction that cannot reach dst fails the walk; the next try
+		// appends to path, the caller's prefix, again.
+		if full, err := AppendWalk(leg, v.t, v.t.f.Sys.CG, int(leg[len(leg)-1]), dst, r); err == nil {
+			return full, nil
 		}
 	}
-	return v.t.SamplePath(src, dst, r)
-}
-
-// continueFrom extends a path ending at some intermediate toward dst by
-// repeatedly sampling shortest continuations from the current arrival
-// channel. It reports ok=false if the junction state cannot reach dst.
-func (v *Valiant) continueFrom(leg []int, dst int, r *rng.Rng) ([]int, bool) {
-	cg := v.t.f.Sys.CG
-	path := leg
-	state := leg[len(leg)-1]
-	var buf []int
-	for cg.Channels[state].To != dst {
-		buf = v.t.NextChannels(dst, state, buf[:0])
-		if len(buf) == 0 {
-			return nil, false
-		}
-		var c int
-		if r != nil {
-			c = buf[r.Intn(len(buf))]
-		} else {
-			c = buf[0]
-		}
-		path = append(path, c)
-		state = c
-	}
-	return path, true
+	return v.t.AppendPath(path, src, dst, r)
 }
 
 // NextChannels implements PathSource by delegating to the minimal table:
@@ -211,31 +195,7 @@ func (v *Valiant) NextChannels(dst, state int, buf []int) []int {
 	return v.t.NextChannels(dst, state, buf)
 }
 
-// FixedPath implements PathSource deterministically: the intermediate is
-// derived by hashing (src, dst), advanced past rejected candidates, with
-// the same minimal-path fallback as SamplePath.
-func (v *Valiant) FixedPath(src, dst int) ([]int, error) {
-	if src == dst {
-		return nil, nil
-	}
-	h := valiantMix(uint64(src)<<32 | uint64(dst))
-	for try := 0; try < valiantTries; try++ {
-		mid := int((h + uint64(try)) % uint64(v.n))
-		if mid == src || mid == dst {
-			continue
-		}
-		leg, err := v.t.FixedPath(src, mid)
-		if err != nil {
-			break
-		}
-		if path, ok := v.continueFrom(leg, dst, nil); ok {
-			return path, nil
-		}
-	}
-	return v.t.FixedPath(src, dst)
-}
-
-// valiantMix is a splitmix64-style finalizer giving FixedPath a
+// valiantMix is a splitmix64-style finalizer giving a nil-rng AppendPath a
 // deterministic, well-spread intermediate per (src, dst) pair.
 func valiantMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

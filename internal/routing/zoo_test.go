@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ctree"
@@ -200,7 +201,7 @@ func TestFlatButterflyDORMinimal(t *testing.T) {
 
 // checkLegalPath asserts a channel sequence is a real src->dst path whose
 // every consecutive pair obeys the function's allowed turns.
-func checkLegalPath(t *testing.T, fn *Function, src, dst int, path []int) {
+func checkLegalPath(t *testing.T, fn *Function, src, dst int, path []int32) {
 	t.Helper()
 	cg := fn.Sys.CG
 	if len(path) == 0 {
@@ -213,15 +214,15 @@ func checkLegalPath(t *testing.T, fn *Function, src, dst int, path []int) {
 		if cg.Channels[path[i-1]].To != cg.Channels[path[i]].From {
 			t.Fatalf("path %v broken at hop %d", path, i)
 		}
-		if !fn.Sys.TurnAllowed(path[i-1], path[i]) {
+		if !fn.Sys.TurnAllowed(int(path[i-1]), int(path[i])) {
 			t.Fatalf("path %v makes an illegal turn at hop %d", path, i)
 		}
 	}
 }
 
 // Valiant paths must stay legal (every turn allowed, so the detour lives
-// in the same acyclic channel dependency graph) and FixedPath must be
-// deterministic.
+// in the same acyclic channel dependency graph) and the nil-rng path must
+// be deterministic.
 func TestValiantLegalAndDeterministic(t *testing.T) {
 	for _, in := range zooInstances(t) {
 		fn := buildZoo(t, in)
@@ -235,26 +236,20 @@ func TestValiantLegalAndDeterministic(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				p, err := v.SamplePath(src, dst, r)
+				p, err := v.AppendPath(nil, src, dst, r)
 				if err != nil {
-					t.Fatalf("%s: SamplePath(%d,%d): %v", in.name, src, dst, err)
+					t.Fatalf("%s: AppendPath(%d,%d): %v", in.name, src, dst, err)
 				}
 				checkLegalPath(t, fn, src, dst, p)
 				if len(p) > tb.Distance(src, dst) {
 					longer++
 				}
-				f1, err := v.FixedPath(src, dst)
+				f1, err := v.AppendPath(nil, src, dst, nil)
 				if err != nil {
-					t.Fatalf("%s: FixedPath(%d,%d): %v", in.name, src, dst, err)
+					t.Fatalf("%s: fixed AppendPath(%d,%d): %v", in.name, src, dst, err)
 				}
-				f2, _ := v.FixedPath(src, dst)
-				if len(f1) != len(f2) {
-					t.Fatalf("%s: FixedPath(%d,%d) nondeterministic", in.name, src, dst)
-				}
-				for i := range f1 {
-					if f1[i] != f2[i] {
-						t.Fatalf("%s: FixedPath(%d,%d) nondeterministic", in.name, src, dst)
-					}
+				if f2, _ := v.AppendPath(nil, src, dst, nil); !slices.Equal(f1, f2) {
+					t.Fatalf("%s: fixed AppendPath(%d,%d) nondeterministic", in.name, src, dst)
 				}
 				checkLegalPath(t, fn, src, dst, f1)
 			}

@@ -177,18 +177,17 @@ func (a *Adversary) Delivered(tag int64, cycle int) { a.delivered++ }
 // Done implements wormsim.ClosedLoop.
 func (a *Adversary) Done() bool { return a.delivered == len(a.packets) }
 
-// SamplePath implements routing.PathSource: the fixed adversarial route.
-func (a *Adversary) SamplePath(src, dst int, r *rng.Rng) ([]int, error) {
-	return a.FixedPath(src, dst)
-}
-
-// FixedPath implements routing.PathSource.
-func (a *Adversary) FixedPath(src, dst int) ([]int, error) {
+// AppendPath implements routing.PathSource: the fixed adversarial route,
+// whatever r.
+func (a *Adversary) AppendPath(path []int32, src, dst int, _ *rng.Rng) ([]int32, error) {
 	idx := a.bySrc[src]
 	if idx < 0 || a.packets[idx].dst != dst {
 		return nil, fmt.Errorf("turnsearch: no adversarial route %d -> %d", src, dst)
 	}
-	return a.packets[idx].route, nil
+	for _, c := range a.packets[idx].route {
+		path = append(path, int32(c))
+	}
+	return path, nil
 }
 
 // NextChannels implements routing.PathSource for completeness (the

@@ -111,23 +111,20 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// fixedPaths is a PathSource answering SamplePath with one precomputed
+// fixedPaths is a PathSource answering AppendPath with one precomputed
 // path per pair, so that a source-routed packet allocates nothing but the
-// simulator's own route slice.
+// route slice the path is appended to.
 type fixedPaths struct {
 	*routing.Table
 	n     int
-	paths [][]int // src*n + dst
+	paths [][]int32 // src*n + dst
 }
 
 func newFixedPaths(t testing.TB, tb *routing.Table, n int) *fixedPaths {
-	fp := &fixedPaths{Table: tb, n: n, paths: make([][]int, n*n)}
+	fp := &fixedPaths{Table: tb, n: n, paths: make([][]int32, n*n)}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			p, err := tb.FixedPath(src, dst)
+			p, err := tb.AppendPath(nil, src, dst, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,19 +134,21 @@ func newFixedPaths(t testing.TB, tb *routing.Table, n int) *fixedPaths {
 	return fp
 }
 
-// SamplePath implements routing.PathSource without drawing or allocating.
-func (fp *fixedPaths) SamplePath(src, dst int, _ *rng.Rng) ([]int, error) {
-	return fp.paths[src*fp.n+dst], nil
+// AppendPath implements routing.PathSource without drawing.
+func (fp *fixedPaths) AppendPath(path []int32, src, dst int, _ *rng.Rng) ([]int32, error) {
+	return append(path, fp.paths[src*fp.n+dst]...), nil
 }
 
 // TestSteadyStateAllocs pins the event engine's no-allocation guarantee:
 // once the network is warm and the unbounded ledgers (the packet table, the
 // latency sample, the source queues) have been given room, a simulation
-// cycle allocates nothing beyond the route slice every source-routed
-// packet intrinsically gets at creation (its path comes from fixedPaths,
-// which allocates nothing itself). The adaptive cases allocate nothing at
-// all; the closed-loop subtest runs the check over the Workload injection
-// path (poll + delivery notification), with a fixed-capacity
+// cycle allocates nothing beyond what every source-routed packet
+// intrinsically gets at creation. From fixedPaths, which appends a stored
+// path, that is the one route slice AppendPath returns and the packet
+// keeps; from a real routing.Table (the "table" case) it is that slice and
+// the walk's candidate buffer, two per packet. The adaptive cases allocate
+// nothing at all; the closed-loop subtest runs the check over the Workload
+// injection path (poll + delivery notification), with a fixed-capacity
 // token-circulation source; the saturated source-routed cases keep lanes
 // and sources parked and waking, so they cover the parking and wake paths.
 // The 256-switch cases spread the active-switch and active-source masks
@@ -157,7 +156,8 @@ func (fp *fixedPaths) SamplePath(src, dst int, _ *rng.Rng) ([]int, error) {
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name     string
-		switches int // 0 = 32
+		switches int  // 0 = 32
+		table    bool // route from the routing.Table, not fixedPaths
 		cfg      Config
 	}{
 		{name: "open-loop", cfg: Config{
@@ -197,6 +197,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 			MeasureCycles: 1 << 30,
 			Seed:          5,
 		}},
+		{name: "source-routed-table", switches: 64, table: true, cfg: Config{
+			PacketLength:  8,
+			InjectionRate: 0.45,
+			WarmupCycles:  NoWarmup,
+			MeasureCycles: 1 << 30,
+			Seed:          5,
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,7 +212,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 				switches = 32
 			}
 			f, tb := randomFn(t, 21, switches, 4, core.DownUp{})
-			sim, err := New(f, newFixedPaths(t, tb, switches), tc.cfg)
+			var ps routing.PathSource = newFixedPaths(t, tb, switches)
+			perRoute := uint64(1)
+			if tc.table {
+				ps, perRoute = tb, 2
+			}
+			sim, err := New(f, ps, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,9 +250,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			// allocations below one per cycle. A per-cycle allocation in
 			// the engine (hundreds of parks and wakes per cycle here)
 			// would exceed that.
-			if allocs := m1.Mallocs - m0.Mallocs; allocs >= routes+cycles {
-				t.Fatalf("steady-state cycles allocate: %d allocations over %d cycles beyond the %d route slices",
-					allocs-routes, cycles, routes)
+			if allocs := m1.Mallocs - m0.Mallocs; allocs >= perRoute*routes+cycles {
+				t.Fatalf("steady-state cycles allocate: %d allocations over %d cycles beyond %d per route for %d routes",
+					allocs-perRoute*routes, cycles, perRoute, routes)
 			}
 			if sim.cfg.Mode == Adaptive {
 				return

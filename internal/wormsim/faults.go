@@ -26,9 +26,6 @@ import (
 // draining discipline of off-line reconfiguration.
 func (s *Simulator) PauseInjection(pause bool) { s.paused = pause }
 
-// Faulted reports whether any fault has been injected into this run.
-func (s *Simulator) Faulted() bool { return s.faulted }
-
 // FaultCounters returns the running fault-loss counters (packets dropped,
 // flits dropped, packets unroutable); drivers diff them around an event to
 // attribute losses per fault.
@@ -167,31 +164,15 @@ func (s *Simulator) Rewire(tb routing.PathSource) int {
 	return unroutable
 }
 
-// reroute resamples p's route under the current path source, returning
-// false if the destination is unreachable.
+// reroute re-routes p under the current path source, returning false if
+// the destination is unreachable.
 func (s *Simulator) reroute(v int, p *packet) bool {
-	switch s.cfg.Mode {
-	case SourceRouted, Deterministic:
-		var path []int
-		var err error
-		if s.cfg.Mode == SourceRouted {
-			path, err = s.tb.SamplePath(v, int(p.dst), s.pathRng[v])
-		} else {
-			path, err = s.tb.FixedPath(v, int(p.dst))
-		}
-		if err != nil {
-			return false
-		}
-		p.route = p.route[:0]
-		for _, c := range path {
-			p.route = append(p.route, int32(c))
-		}
-		p.hop = 0
-		return true
-	default: // Adaptive: no stored route; probe reachability.
-		s.candBuf = s.tb.NextChannels(int(p.dst), routing.InjectionState(v), s.candBuf[:0])
-		return len(s.candBuf) > 0
+	route, err := s.routeFor(p.route[:0], v, int(p.dst), s.pathRng[v], true)
+	if err != nil {
+		return false
 	}
+	p.route, p.hop = route, 0
+	return true
 }
 
 // DropInFlight removes every packet that currently has flits inside the

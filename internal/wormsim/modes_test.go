@@ -2,6 +2,7 @@ package wormsim
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,21 +58,16 @@ func TestFixedPathStability(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		a, err := tb.FixedPath(src, dst)
+		a, err := tb.AppendPath(nil, src, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := tb.FixedPath(src, dst)
+		b, err := tb.AppendPath(nil, src, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
+		if !slices.Equal(a, b) {
 			t.Fatal("fixed path not stable")
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatal("fixed path not stable")
-			}
 		}
 		if len(a) != tb.Distance(src, dst) {
 			t.Fatal("fixed path not shortest")

@@ -18,9 +18,8 @@ package wormsim
 // without it; docs/COSIM.md spells out this distinction.
 
 import (
+	"errors"
 	"fmt"
-
-	"repro/internal/routing"
 )
 
 // probeRec is the simulator-side record of one injected probe.
@@ -96,30 +95,12 @@ func (s *Simulator) InjectProbe(src, dst, flits int) (int64, error) {
 	if flits < 1 {
 		return 0, fmt.Errorf("wormsim: probe length %d < 1 flit", flits)
 	}
-	var route []int32
-	switch s.cfg.Mode {
-	case SourceRouted:
-		path, err := s.tb.SamplePath(src, dst, s.probeRng)
-		if err != nil {
-			return 0, fmt.Errorf("wormsim: probe %d->%d unroutable: %w", src, dst, err)
-		}
-		route = make([]int32, len(path))
-		for i, c := range path {
-			route[i] = int32(c)
-		}
-	case Deterministic:
-		path, err := s.tb.FixedPath(src, dst)
-		if err != nil {
-			return 0, fmt.Errorf("wormsim: probe %d->%d unroutable: %w", src, dst, err)
-		}
-		route = make([]int32, len(path))
-		for i, c := range path {
-			route[i] = int32(c)
-		}
-	default: // Adaptive: no precomputed route, but refuse unreachable pairs.
-		if s.candBuf = s.tb.NextChannels(dst, routing.InjectionState(src), s.candBuf[:0]); len(s.candBuf) == 0 {
-			return 0, fmt.Errorf("wormsim: probe %d->%d unroutable", src, dst)
-		}
+	route, err := s.routeFor(nil, src, dst, s.probeRng, true)
+	if errors.Is(err, errNoCandidates) {
+		return 0, fmt.Errorf("wormsim: probe %d->%d unroutable", src, dst)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wormsim: probe %d->%d unroutable: %w", src, dst, err)
 	}
 	id := int64(len(s.probes))
 	s.probes = append(s.probes, probeRec{pkt: int32(len(s.packets)), deliveredAt: -1})

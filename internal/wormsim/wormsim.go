@@ -35,6 +35,7 @@
 package wormsim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -1291,64 +1292,50 @@ func (s *Simulator) generate() {
 	}
 }
 
-// spawnPacket creates one packet from v to dst, samples its route per the
+// spawnPacket creates one packet from v to dst, routes it per the
 // configured mode, and queues it at the source. It is the shared tail of
 // both injection processes; a packet to an unreachable destination (only
 // possible after faults) is discarded and counted in PacketsUnroutable.
+// All randomness comes from v's private path stream.
 func (s *Simulator) spawnPacket(v, dst int, tag int64) {
-	route, ok := s.sampleRoute(v, dst)
-	if !ok {
+	route, err := s.routeFor(nil, v, dst, s.pathRng[v], s.faulted)
+	if err != nil {
+		// After a fault the destination may be legitimately unreachable
+		// (a dead switch); on a fault-free run a verified function
+		// cannot produce this, so it is a programming error.
+		if !s.faulted {
+			panic(err)
+		}
 		s.res.PacketsUnroutable++
 		return
 	}
 	s.commitPacket(v, dst, tag, route, int32(s.cfg.PacketLength))
 }
 
-// sampleRoute draws a route for a packet from v to dst per the configured
-// mode: the route channels (source-routed/deterministic), or nil with a
-// reachability probe (adaptive — so a packet to a dead switch never enters
-// the network and wanders forever). ok=false means no legal route exists.
-// All randomness comes from v's private path stream.
-func (s *Simulator) sampleRoute(v, dst int) (route []int32, ok bool) {
+// errNoCandidates is routeFor's answer for an adaptive packet whose source
+// offers no channel toward its destination.
+var errNoCandidates = errors.New("wormsim: no channel toward the destination")
+
+// routeFor returns the route of a packet from v to dst under the configured
+// mode, appended to buf by the path source: drawn from r when source
+// routed, the first shortest path when deterministic. The packet keeps the
+// returned slice as its route. Adaptive packets carry no route; with probe
+// set, routeFor refuses one whose destination is unreachable
+// (errNoCandidates), so a packet to a dead switch never enters the network
+// and wanders forever.
+func (s *Simulator) routeFor(buf []int32, v, dst int, r *rng.Rng, probe bool) ([]int32, error) {
 	switch s.cfg.Mode {
 	case SourceRouted:
-		path, err := s.tb.SamplePath(v, dst, s.pathRng[v])
-		if err != nil {
-			// After a fault the destination may be legitimately
-			// unreachable (a dead switch); on a fault-free run a
-			// verified function cannot produce this, so it is a
-			// programming error.
-			if !s.faulted {
-				panic(err)
-			}
-			return nil, false
-		}
-		route = make([]int32, len(path))
-		for i, c := range path {
-			route[i] = int32(c)
-		}
-		return route, true
+		return s.tb.AppendPath(buf, v, dst, r)
 	case Deterministic:
-		path, err := s.tb.FixedPath(v, dst)
-		if err != nil {
-			if !s.faulted {
-				panic(err)
-			}
-			return nil, false
-		}
-		route = make([]int32, len(path))
-		for i, c := range path {
-			route[i] = int32(c)
-		}
-		return route, true
-	default: // Adaptive
-		if s.faulted {
-			if s.candBuf = s.tb.NextChannels(dst, routing.InjectionState(v), s.candBuf[:0]); len(s.candBuf) == 0 {
-				return nil, false
-			}
-		}
-		return nil, true
+		return s.tb.AppendPath(buf, v, dst, nil)
 	}
+	if probe {
+		if s.candBuf = s.tb.NextChannels(dst, routing.InjectionState(v), s.candBuf[:0]); len(s.candBuf) == 0 {
+			return nil, errNoCandidates
+		}
+	}
+	return nil, nil
 }
 
 // commitPacket appends one sampled packet to the simulation: the id it gets

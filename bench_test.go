@@ -18,6 +18,7 @@ import (
 
 	irnet "repro"
 	"repro/internal/ctree"
+	"repro/internal/harness"
 	"repro/internal/routing"
 )
 
@@ -195,21 +196,21 @@ func BenchmarkAblationVirtualChannels(b *testing.B) {
 // behind the paper's Table 3 metric) and reports DOWN/UP's and up*/down*'s
 // root congestion at a 40% hot fraction.
 func BenchmarkHotspotStudy(b *testing.B) {
-	o := irnet.DefaultHotspotOptions()
+	o := harness.DefaultHotspotOptions()
 	o.Switches = 32
 	o.Samples = 2
 	o.PacketLength = 32
 	o.WarmupCycles = 1000
 	o.MeasureCycles = 4000
-	var res *irnet.HotspotStudyResults
+	var res *harness.HotspotResults
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = irnet.RunHotspotStudy(o)
+		res, err = harness.HotspotStudy(o)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Log("\n" + irnet.FormatHotspot(res))
+	b.Log("\n" + harness.FormatHotspot(res))
 	du := res.Point("DOWN/UP", 0.4)
 	ud := res.Point("up*/down*", 0.4)
 	if du == nil || ud == nil {

@@ -4,6 +4,7 @@
 package clitests
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +19,15 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the binaries the tests built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 func binaries(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
@@ -28,29 +38,19 @@ func binaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
+		// One go build links every command, in parallel.
+		args := []string{"build", "-o", binDir + string(filepath.Separator)}
 		for _, cmd := range []string{"irtopo", "irroute", "irsim", "irexp", "irverify", "irtrace", "irnetd", "irbench", "irserve", "irtrend", "irperf"} {
-			out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "repro/cmd/"+cmd).CombinedOutput()
-			if err != nil {
-				buildErr = err
-				buildErr = &buildError{cmd: cmd, out: string(out), err: err}
-				return
-			}
+			args = append(args, "repro/cmd/"+cmd)
+		}
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("building the commands: %v\n%s", err, out)
 		}
 	})
 	if buildErr != nil {
 		t.Fatal(buildErr)
 	}
 	return binDir
-}
-
-type buildError struct {
-	cmd string
-	out string
-	err error
-}
-
-func (e *buildError) Error() string {
-	return "building " + e.cmd + ": " + e.err.Error() + "\n" + e.out
 }
 
 func run(t *testing.T, name string, args ...string) string {
@@ -233,7 +233,6 @@ func TestBadFlagsFail(t *testing.T) {
 	dir := binaries(t)
 	ckpt := filepath.Join(t.TempDir(), "ck.jsonl")
 	cases := [][]string{
-		{"irroute", "-alg", "bogus"},
 		{"irtopo", "-topo", "nonsense"},
 		{"irsim", "-topo", "ring:8", "-alg", "unrestricted"}, // refuses unverified without -recover
 		{"irsim", "-topo", "ring:8", "-recover", "-max-retries", "-1"},
@@ -243,6 +242,9 @@ func TestBadFlagsFail(t *testing.T) {
 		{"irsim", "-switches", "16", "-rate", "NaN"},
 		{"irexp", "-rates", "0.1,NaN", "-quiet"},
 		{"irexp", "-exp", "fault", "-rates", "1.5"},
+		// An offered load above the injection channel's 1 flit/clock.
+		{"irsim", "-rate", "2"},
+		{"irserve", "-stdio", "-rate", "2"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(filepath.Join(dir, c[0]), c[1:]...)
@@ -259,6 +261,15 @@ func TestBadFlagsFail(t *testing.T) {
 		{"irsim", "-engine", "bogus"},
 		{"irsim", "-select", "bogus"},
 		{"irsim", "-alg", "bogus"},
+		{"irroute", "-alg", "bogus"},
+		{"irserve", "-alg", "bogus"},
+		{"irnetd", "-alg", "bogus"},
+		// The network spec checks -policy and -alg before it reads -topo.
+		{"irsim", "-topo", "file:/nonexistent", "-policy", "M9"},
+		{"irroute", "-topo", "file:/nonexistent", "-policy", "M9"},
+		{"irtopo", "-topo", "file:/nonexistent", "-policy", "M9"},
+		{"irserve", "-topo", "file:/nonexistent", "-policy", "M9"},
+		{"irnetd", "-topo", "file:/nonexistent", "-policy", "M9"},
 		{"irexp", "-exp", "bogus", "-quiet"},
 		{"irexp", "-exp", "bogus", "-checkpoint", ckpt},
 		{"irexp", "-exp", "hotspot", "-checkpoint", ckpt},

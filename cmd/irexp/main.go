@@ -52,9 +52,14 @@ import (
 	"strings"
 	"time"
 
-	irnet "repro"
 	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/ctree"
+	"repro/internal/fault"
+	"repro/internal/harness"
 	"repro/internal/routing"
+	"repro/internal/turnsearch"
+	"repro/internal/wormsim"
 )
 
 var (
@@ -121,11 +126,11 @@ var studies = map[string]struct {
 var (
 	set      = map[string]bool{} // flags given on the command line
 	paper    bool
-	eng      irnet.SimEngine
+	eng      wormsim.Engine
 	progress io.Writer
 
 	portList, linkList []int
-	policyList         []irnet.TreePolicy
+	policyList         []ctree.Policy
 	rateList           []float64
 	collectiveList     []string
 )
@@ -164,18 +169,13 @@ func parseFlags() {
 	default:
 		usagef("unknown scale %q (want quick or paper)", *scale)
 	}
-	switch *engine {
-	case "event":
-		eng = irnet.EngineEvent
-	case "scan":
-		eng = irnet.EngineScan
-	default:
-		usagef("unknown engine %q (want event or scan)", *engine)
+	var err error
+	if eng, err = cliutil.ParseEngine(*engine); err != nil {
+		usagef("%v", err)
 	}
 	if !*quiet {
 		progress = os.Stderr
 	}
-	var err error
 	if set["ports"] {
 		if portList, err = cliutil.ParseInts(*ports, 1); err != nil {
 			usagef("-ports: %v", err)
@@ -223,9 +223,9 @@ func noRepeats[T comparable](name string, list []T) {
 }
 
 func runPaper() {
-	o := irnet.QuickEvalOptions()
+	o := harness.QuickOptions()
 	if paper {
-		o = irnet.PaperEvalOptions()
+		o = harness.PaperOptions()
 	}
 	override("switches", &o.Switches, *switches)
 	override("samples", &o.Samples, *samples)
@@ -237,7 +237,7 @@ func runPaper() {
 	override("warmup", &o.WarmupCycles, *warmup)
 	override("measure", &o.MeasureCycles, *measure)
 	if *adaptive {
-		o.Mode = irnet.Adaptive
+		o.Mode = wormsim.Adaptive
 	}
 	o.Engine = eng
 	o.Progress = progress
@@ -246,11 +246,11 @@ func runPaper() {
 	o.KeepGoing = *keepGoing
 	if *exp == "ablation" {
 		o.Algorithms = []routing.Algorithm{
-			irnet.DownUp(), irnet.DownUpNoRelease(),
-			irnet.LTurn(), irnet.UpDown(), irnet.RightLeft(),
+			core.DownUp{}, core.DownUp{DisableRelease: true},
+			routing.LTurn{}, routing.UpDown{}, routing.RightLeft{},
 		}
 	}
-	res, err := irnet.RunEvaluation(o)
+	res, err := harness.Run(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
@@ -258,35 +258,35 @@ func runPaper() {
 		fmt.Fprintf(os.Stderr, "irexp: resumed %d completed simulation(s) from %s\n", res.Resumed, *checkpoint)
 	}
 
-	tables := []irnet.TableMetric{irnet.Table1, irnet.Table2, irnet.Table3, irnet.Table4}
+	tables := []harness.TableMetric{harness.Table1, harness.Table2, harness.Table3, harness.Table4}
 	if *exp == "figure8" || *exp == "all" {
 		for _, p := range o.Ports {
-			fmt.Println(irnet.FormatFigure8(res, p))
+			fmt.Println(harness.FormatFigure8(res, p))
 		}
 	}
 	if *exp == "tables" || *exp == "all" {
 		for _, m := range tables {
-			fmt.Println(irnet.FormatTable(res, m))
+			fmt.Println(harness.FormatTable(res, m))
 		}
 	}
 	if *exp == "ablation" || *exp == "all" {
-		fmt.Println(irnet.FormatSummary(res))
+		fmt.Println(harness.FormatSummary(res))
 	}
-	if skipped := irnet.FormatSkipped(res); skipped != "" {
+	if skipped := harness.FormatSkipped(res); skipped != "" {
 		fmt.Println(skipped)
 	}
 	if *svgDir != "" {
 		for _, p := range o.Ports {
-			writeFile(fmt.Sprintf("%s/figure8-%dport.svg", *svgDir, p), []byte(irnet.FigureSVG(res, p)))
+			writeFile(fmt.Sprintf("%s/figure8-%dport.svg", *svgDir, p), []byte(harness.FigureSVG(res, p)))
 		}
 	}
 	if *csvPath != "" {
-		writeFile(*csvPath, []byte(irnet.EvalCSV(res)))
+		writeFile(*csvPath, []byte(harness.CSV(res)))
 	}
 }
 
 func runHotspot() {
-	o := irnet.DefaultHotspotOptions()
+	o := harness.DefaultHotspotOptions()
 	if paper {
 		o.Switches, o.Samples, o.PacketLength, o.MeasureCycles = 128, 10, 128, 16000
 	}
@@ -298,17 +298,17 @@ func runHotspot() {
 	override("plen", &o.PacketLength, *plen)
 	override("warmup", &o.WarmupCycles, *warmup)
 	override("measure", &o.MeasureCycles, *measure)
-	res, err := irnet.RunHotspotStudy(o)
+	res, err := harness.HotspotStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
-	fmt.Println(irnet.FormatHotspot(res))
+	fmt.Println(harness.FormatHotspot(res))
 }
 
 func runCollective() {
-	o := irnet.QuickCollectiveOptions()
+	o := harness.QuickCollectiveOptions()
 	if paper {
-		o = irnet.DefaultCollectiveOptions()
+		o = harness.DefaultCollectiveOptions()
 	}
 	override("switches", &o.Switches, *switches)
 	override("samples", &o.Samples, *samples)
@@ -319,17 +319,17 @@ func runCollective() {
 	override("collectives", &o.Collectives, collectiveList)
 	override("msgpackets", &o.MessagePackets, *msgPackets)
 	if *adaptive {
-		o.Mode = irnet.Adaptive
+		o.Mode = wormsim.Adaptive
 	}
 	o.Engine = eng
 	o.Progress = progress
-	res, err := irnet.RunCollectiveStudy(o)
+	res, err := harness.CollectiveStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
-	fmt.Print(irnet.FormatCollectives(res))
+	fmt.Print(harness.FormatCollectives(res))
 	if *jsonPath != "" {
-		js, err := irnet.CollectiveJSON(res)
+		js, err := harness.CollectiveJSON(res)
 		if err != nil {
 			cliutil.Fatal("irexp", err)
 		}
@@ -338,7 +338,7 @@ func runCollective() {
 }
 
 func runFault() {
-	o := irnet.DefaultFaultOptions()
+	o := harness.DefaultFaultOptions()
 	override("switches", &o.Switches, *switches)
 	override("samples", &o.Samples, *samples)
 	override("seed", &o.Seed, *seed)
@@ -357,9 +357,9 @@ func runFault() {
 		for _, s := range strings.Split(*recovery, ",") {
 			switch strings.TrimSpace(s) {
 			case "drain":
-				o.Recoveries = append(o.Recoveries, irnet.DrainRecovery)
+				o.Recoveries = append(o.Recoveries, fault.Drain)
 			case "drop":
-				o.Recoveries = append(o.Recoveries, irnet.DropRecovery)
+				o.Recoveries = append(o.Recoveries, fault.Drop)
 			case "immediate":
 				// Immediate without online recovery can genuinely deadlock:
 				// the run then either freezes for its remainder (showing up
@@ -367,22 +367,22 @@ func runFault() {
 				// watchdog window fits inside the run, fails with the
 				// structured diagnostic. Use -exp recovery for the
 				// recovered variant.
-				o.Recoveries = append(o.Recoveries, irnet.ImmediateRecovery)
+				o.Recoveries = append(o.Recoveries, fault.Immediate)
 			default:
 				usagef("unknown recovery policy %q", s)
 			}
 		}
 		noRepeats("recovery", o.Recoveries)
 	}
-	res, err := irnet.RunFaultStudy(o)
+	res, err := harness.FaultStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
-	fmt.Print(irnet.FormatFaults(res))
+	fmt.Print(harness.FormatFaults(res))
 }
 
 func runRecovery() {
-	o := irnet.DefaultRecoveryStudyOptions()
+	o := harness.DefaultRecoveryOptions()
 	override("switches", &o.Switches, *switches)
 	override("samples", &o.Samples, *samples)
 	override("seed", &o.Seed, *seed)
@@ -397,17 +397,17 @@ func runRecovery() {
 		o.Algorithm = algorithm()
 	}
 	o.DetectInterval, o.MaxRetries, o.RetryBackoff = *detect, *retries, *backoff
-	res, err := irnet.RunRecoveryStudy(o)
+	res, err := harness.RecoveryStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
-	fmt.Print(irnet.FormatRecovery(res))
+	fmt.Print(harness.FormatRecovery(res))
 }
 
 func runTurns() {
-	o := irnet.QuickTurnSearchStudyOptions()
+	o := harness.QuickTurnSearchOptions()
 	if paper {
-		o = irnet.DefaultTurnSearchStudyOptions()
+		o = harness.DefaultTurnSearchOptions()
 	}
 	override("switches", &o.Switches, *switches)
 	override("samples", &o.Samples, *samples)
@@ -420,7 +420,7 @@ func runTurns() {
 	override("measure", &o.MeasureCycles, *measure)
 	override("restarts", &o.Restarts, *restarts)
 	if *diff > 0 {
-		rep, err := irnet.TurnDifferential(irnet.TurnDifferentialOptions{
+		rep, err := turnsearch.Differential(turnsearch.DifferentialOptions{
 			Cases: *diff, Seed: o.Seed, SimulateEvery: *simEvery,
 		})
 		if err != nil {
@@ -429,13 +429,13 @@ func runTurns() {
 		fmt.Println(rep)
 		fmt.Println()
 	}
-	res, err := irnet.RunTurnSearchStudy(o)
+	res, err := harness.TurnSearchStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
-	fmt.Print(irnet.FormatTurnSearch(res))
+	fmt.Print(harness.FormatTurnSearch(res))
 	if *jsonPath != "" {
-		js, err := irnet.TurnSearchJSON(res)
+		js, err := harness.TurnSearchJSON(res)
 		if err != nil {
 			cliutil.Fatal("irexp", err)
 		}
@@ -444,9 +444,9 @@ func runTurns() {
 }
 
 func runZoo() {
-	o := irnet.QuickZooStudyOptions()
+	o := harness.QuickZooOptions()
 	if paper {
-		o = irnet.DefaultZooStudyOptions()
+		o = harness.DefaultZooOptions()
 	}
 	override("seed", &o.Seed, *seed)
 	overrideOne("rates", &o.LatencyRate, rateList)
@@ -458,13 +458,13 @@ func runZoo() {
 	override("msgpackets", &o.MessagePackets, *msgPackets)
 	o.Engine = eng
 	o.Progress = progress
-	res, err := irnet.RunZooStudy(o)
+	res, err := harness.ZooStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
 	}
-	fmt.Print(irnet.FormatZoo(res))
+	fmt.Print(harness.FormatZoo(res))
 	if *jsonPath != "" {
-		js, err := irnet.ZooJSON(res)
+		js, err := harness.ZooJSON(res)
 		if err != nil {
 			cliutil.Fatal("irexp", err)
 		}
@@ -492,8 +492,8 @@ func overrideOne[T any](name string, dst *T, list []T) {
 }
 
 // algorithm resolves -alg.
-func algorithm() irnet.Algorithm {
-	alg := irnet.AlgorithmByName(*algName)
+func algorithm() routing.Algorithm {
+	alg := core.AlgorithmByName(*algName)
 	if alg == nil {
 		usagef("unknown algorithm %q", *algName)
 	}

@@ -39,20 +39,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
 	"time"
 
-	irnet "repro"
 	"repro/internal/chaos"
 	"repro/internal/cliutil"
 	"repro/internal/fib"
@@ -60,42 +53,20 @@ import (
 )
 
 func main() {
+	daemon := cliutil.DaemonFlags(":8380", 512, 2*time.Second)
+	spec := cliutil.NetworkFlags(128, true)
 	var (
-		listen   = flag.String("listen", ":8380", "listen address (use :0 for an ephemeral port)")
-		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening")
-		topo     = flag.String("topo", "random", "topology spec (see irtopo -help)")
-		switches = flag.Int("switches", 128, "switch count for random topologies")
-		ports    = flag.Int("ports", 4, "ports per switch for random topologies")
-		seed     = flag.Uint64("seed", 1, "random seed (topology and M2 tree policy)")
-		policy   = flag.String("policy", "M1", "coordinated tree policy (M1, M2, M3)")
-		algName  = flag.String("alg", "DOWN/UP", `routing algorithm ("DOWN/UP", "DOWN/UP(no-release)", "L-turn", "up*/down*", "right/left")`)
 		fibPath  = flag.String("fib", "", "serve this precompiled FIB artifact (validated against the topology)")
 		withProf = flag.Bool("pprof", false, "expose /debug/pprof/")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline after SIGTERM")
 
 		snapPath       = flag.String("snapshot", "", "persist every published snapshot to this file and restore it on boot (crash recovery)")
 		recomputeDelay = flag.Duration("recompute-delay", 0, "wait this long after a stale restore before the background recompute")
-		maxInflight    = flag.Int("max-inflight", 512, "concurrency ceiling; excess requests are shed with 429 (0 disables)")
-		reqTimeout     = flag.Duration("request-timeout", 2*time.Second, "per-request deadline (0 disables)")
-		writeTimeout   = flag.Duration("write-timeout", 5*time.Second, "per-request write deadline for slow clients (0 disables)")
-		retryAfter     = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 		chaosLevel     = flag.Float64("chaos", 0, "fault-injection intensity 0..1 (testing only)")
 		chaosSeed      = flag.Uint64("chaos-seed", 1, "seed for the chaos fault schedule")
 	)
 	flag.Parse()
 
-	alg := irnet.AlgorithmByName(*algName)
-	if alg == nil {
-		cliutil.Usagef("irnetd", "unknown algorithm %q", *algName)
-	}
-	g, err := cliutil.ParseTopology(*topo, *switches, *ports, *seed)
-	if err != nil {
-		cliutil.Fatal("irnetd", err)
-	}
-	pol, err := cliutil.ParsePolicy(*policy)
-	if err != nil {
-		cliutil.Usagef("irnetd", "%v", err)
-	}
+	net := spec.Topology("irnetd")
 	var initial *fib.FIB
 	if *fibPath != "" {
 		f, err := os.Open(*fibPath)
@@ -110,10 +81,10 @@ func main() {
 	}
 
 	svc, err := netd.New(netd.Config{
-		Graph:        g,
-		Algorithm:    alg,
-		Policy:       pol,
-		Seed:         *seed,
+		Graph:        net.G,
+		Algorithm:    net.Alg,
+		Policy:       net.Policy,
+		Seed:         spec.Seed,
 		InitialFIB:   initial,
 		SnapshotPath: *snapPath,
 		Logf: func(format string, args ...any) {
@@ -132,12 +103,7 @@ func main() {
 		fmt.Printf("irnetd: %s\n", chaosCfg)
 		inner = chaos.NewInjector(chaosCfg).Wrap(inner)
 	}
-	handler := svc.Protect(inner, netd.ProtectConfig{
-		MaxInFlight:    *maxInflight,
-		RetryAfter:     *retryAfter,
-		RequestTimeout: *reqTimeout,
-		WriteTimeout:   *writeTimeout,
-	})
+	handler := svc.Protect(inner, daemon.Protect)
 	if *withProf {
 		outer := http.NewServeMux()
 		outer.HandleFunc("/debug/pprof/", pprof.Index)
@@ -149,27 +115,11 @@ func main() {
 		handler = outer
 	}
 
-	var ln net.Listener
-	ln, err = net.Listen("tcp", *listen)
-	if err != nil {
-		cliutil.Fatal("irnetd", err)
-	}
+	ln := daemon.Listen("irnetd")
 	if chaosCfg.Active() {
 		ln = chaos.WrapListener(ln, chaosCfg)
 	}
-	if *addrFile != "" {
-		// Write-then-rename so a polling reader never sees a partial address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			cliutil.Fatal("irnetd", err)
-		}
-		if err := os.Rename(tmp, filepath.Clean(*addrFile)); err != nil {
-			cliutil.Fatal("irnetd", err)
-		}
-	}
-
 	sn := svc.Snapshot()
-	fmt.Printf("irnetd: listening http://%s\n", ln.Addr())
 	mode := ""
 	if sn.Stale {
 		mode = " [restored, stale until recompute]"
@@ -194,26 +144,5 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Handler: handler}
-	drained := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		sig := <-sigc
-		fmt.Printf("irnetd: %v received, draining (deadline %s)\n", sig, *drain)
-		svc.SetDraining(true)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "irnetd: drain incomplete: %v\n", err)
-			os.Exit(cliutil.ExitFailure)
-		}
-		close(drained)
-	}()
-
-	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		cliutil.Fatal("irnetd", err)
-	}
-	<-drained
-	fmt.Println("irnetd: drained")
+	daemon.Serve("irnetd", ln, handler, func() { svc.SetDraining(true) })
 }

@@ -22,15 +22,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
-	irnet "repro"
+	"repro/internal/cgraph"
 	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/ctree"
+	"repro/internal/routing"
 	"repro/internal/trend"
+	"repro/internal/wormsim"
 )
 
 // engineStats is one engine's measurement at one configuration.
@@ -65,8 +68,6 @@ type report struct {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("irperf: ")
 	var (
 		switchesArg = flag.String("switches", "128,1024", "comma-separated switch counts per network")
 		portsArg    = flag.String("ports", "4,8", "comma-separated port counts")
@@ -112,17 +113,17 @@ func main() {
 					Rate:     rate,
 					Engines:  map[string]engineStats{},
 				}
-				for _, engine := range []irnet.SimEngine{irnet.EngineScan, irnet.EngineEvent} {
-					st, err := measure(fn, tb, irnet.SimConfig{
+				for _, engine := range wormsim.Engines() {
+					st, err := measure(fn, tb, wormsim.Config{
 						PacketLength:  *plen,
 						InjectionRate: rate,
-						WarmupCycles:  irnet.NoWarmup,
+						WarmupCycles:  wormsim.NoWarmup,
 						MeasureCycles: 1 << 30,
 						Seed:          *seed,
 						Engine:        engine,
 					}, *warm, *cycles)
 					if err != nil {
-						log.Fatalf("%dsw/%dport rate %v engine %v: %v", n, p, rate, engine, err)
+						cliutil.Fatalf("irperf", "%dsw/%dport rate %v engine %v: %v", n, p, rate, engine, err)
 					}
 					cr.Engines[engine.String()] = st
 				}
@@ -135,36 +136,36 @@ func main() {
 	}
 
 	if err := writeJSON(*jsonPath, rep); err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irperf", err)
 	}
 	fmt.Printf("wrote %s\n", *jsonPath)
 }
 
 // buildNet constructs the benchmark network: a random irregular topology
 // with a verified DOWN/UP routing function over the M1 coordinated tree.
-func buildNet(switches, ports int, seed uint64) (*irnet.RoutingFunction, *irnet.Table, int) {
+func buildNet(switches, ports int, seed uint64) (*routing.Function, *routing.Table, int) {
 	g, err := cliutil.ParseTopology("random", switches, ports, seed)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irperf", err)
 	}
-	b, err := irnet.NewBuild(g, irnet.M1, seed)
+	tr, err := ctree.Build(g, ctree.M1, nil)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irperf", err)
 	}
-	fn, err := b.Route(irnet.DownUp())
+	fn, err := core.DownUp{}.Build(cgraph.Build(tr))
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irperf", err)
 	}
 	if err := fn.Verify(); err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irperf", err)
 	}
-	return fn, irnet.NewTable(fn), g.N()
+	return fn, routing.NewTable(fn), g.N()
 }
 
 // measure warms one simulator and times `cycles` further cycles, deriving
 // throughput and allocation figures from the run's own counters.
-func measure(fn *irnet.RoutingFunction, tb irnet.PathSource, cfg irnet.SimConfig, warm, cycles int) (engineStats, error) {
-	sim, err := irnet.NewSimulator(fn, tb, cfg)
+func measure(fn *routing.Function, tb routing.PathSource, cfg wormsim.Config, warm, cycles int) (engineStats, error) {
+	sim, err := wormsim.New(fn, tb, cfg)
 	if err != nil {
 		return engineStats{}, err
 	}

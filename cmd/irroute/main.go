@@ -14,20 +14,15 @@ import (
 	"fmt"
 	"os"
 
-	irnet "repro"
 	"repro/internal/cliutil"
 	"repro/internal/fib"
 	"repro/internal/rng"
+	"repro/internal/routing"
 )
 
 func main() {
+	spec := cliutil.NetworkFlags(128, true)
 	var (
-		topo      = flag.String("topo", "random", "topology spec (see irtopo -help)")
-		switches  = flag.Int("switches", 128, "switch count for random topologies")
-		ports     = flag.Int("ports", 4, "ports per switch for random topologies")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		policy    = flag.String("policy", "M1", "coordinated tree policy (M1, M2, M3)")
-		algName   = flag.String("alg", "DOWN/UP", `routing algorithm ("DOWN/UP", "DOWN/UP(no-release)", "L-turn", "up*/down*", "right/left")`)
 		turns     = flag.Bool("turns", false, "print per-node prohibited turns")
 		from      = flag.Int("from", -1, "sample a shortest legal path from this node")
 		to        = flag.Int("to", -1, "...to this node")
@@ -37,30 +32,12 @@ func main() {
 	)
 	flag.Parse()
 
-	alg := irnet.AlgorithmByName(*algName)
-	if alg == nil {
-		cliutil.Usagef("irroute", "unknown algorithm %q", *algName)
-	}
-	g, err := cliutil.ParseTopology(*topo, *switches, *ports, *seed)
-	if err != nil {
-		cliutil.Fatal("irroute", err)
-	}
-	pol, err := cliutil.ParsePolicy(*policy)
-	if err != nil {
-		cliutil.Usagef("irroute", "%v", err)
-	}
-	b, err := irnet.NewBuild(g, pol, *seed)
-	if err != nil {
-		cliutil.Fatal("irroute", err)
-	}
-	fn, err := b.Route(alg)
-	if err != nil {
-		cliutil.Fatal("irroute", err)
-	}
+	net := spec.Build("irroute")
+	g, fn := net.G, net.Fn
 	if err := fn.Verify(); err != nil {
 		cliutil.Fatalf("irroute", "VERIFICATION FAILED: %v", err)
 	}
-	tb := irnet.NewTable(fn)
+	tb := routing.NewTable(fn)
 
 	fmt.Printf("algorithm     %s\n", fn.AlgorithmName)
 	fmt.Printf("scheme        %s (%d directions)\n", fn.Sys.Scheme.Name(), fn.Sys.Scheme.NumDirs())
@@ -90,7 +67,7 @@ func main() {
 	}
 
 	if *stats {
-		st, err := tb.Stats(5000, rng.New(*seed))
+		st, err := tb.Stats(5000, rng.New(spec.Seed))
 		if err != nil {
 			cliutil.Fatal("irroute", err)
 		}
@@ -125,13 +102,13 @@ func main() {
 		if *from >= g.N() || *to >= g.N() {
 			cliutil.Usagef("irroute", "nodes out of range [0,%d)", g.N())
 		}
-		path, err := tb.AppendPath(nil, *from, *to, rng.New(*seed))
+		path, err := tb.AppendPath(nil, *from, *to, rng.New(spec.Seed))
 		if err != nil {
 			cliutil.Fatal("irroute", err)
 		}
 		fmt.Printf("path %d -> %d (%d channels):", *from, *to, len(path))
 		for _, c := range path {
-			ch := b.CG.Channels[c]
+			ch := net.CG.Channels[c]
 			fmt.Printf(" <%d,%d>%s", ch.From, ch.To, ch.Dir)
 		}
 		fmt.Println()

@@ -30,97 +30,53 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
 	"time"
 
-	irnet "repro"
 	"repro/internal/cliutil"
 	"repro/internal/cosim"
 	"repro/internal/metrics"
 	"repro/internal/netd"
+	"repro/internal/routing"
 	"repro/internal/wormsim"
 )
 
 func main() {
+	stdio := flag.Bool("stdio", false, "serve one session on stdin/stdout instead of HTTP")
+	daemon := cliutil.DaemonFlags(":8381", 64, 30*time.Second)
+	spec := cliutil.NetworkFlags(32, true)
 	var (
-		stdio    = flag.Bool("stdio", false, "serve one session on stdin/stdout instead of HTTP")
-		listen   = flag.String("listen", ":8381", "HTTP listen address (use :0 for an ephemeral port)")
-		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline after SIGTERM (HTTP mode)")
-
-		topo     = flag.String("topo", "random", "topology spec (see irtopo -help)")
-		switches = flag.Int("switches", 32, "switch count for random topologies")
-		ports    = flag.Int("ports", 4, "ports per switch for random topologies")
-		seed     = flag.Uint64("seed", 1, "seed for topology, tree policy, and traffic")
-		policy   = flag.String("policy", "M1", "coordinated tree policy (M1, M2, M3)")
-		algName  = flag.String("alg", "DOWN/UP", `routing algorithm ("DOWN/UP", "L-turn", "up*/down*", "right/left", ...)`)
-
-		rate   = flag.Float64("rate", 0.05, "background injection rate (packets/node/cycle)")
+		rate   = flag.Float64("rate", 0.05, "background injection rate (flits/clock/node)")
 		plen   = flag.Int("plen", 128, "background packet length in flits")
 		engine = flag.String("engine", "event", "cycle engine: event or scan (byte-identical; speed only)")
 
 		flitBytes  = flag.Int("flit-bytes", 4, "bytes per flit for the bytes→flits conversion of latency queries")
 		probeLimit = flag.Int("probe-limit", 300000, "cycle budget per latency query before probe-timeout")
-
-		maxInflight  = flag.Int("max-inflight", 64, "HTTP concurrency ceiling; excess requests are shed with 429 (0 disables)")
-		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 disables; latency queries simulate inline)")
-		writeTimeout = flag.Duration("write-timeout", 5*time.Second, "per-request write deadline for slow clients (0 disables)")
-		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	)
 	flag.Parse()
 
-	var eng wormsim.Engine
-	switch *engine {
-	case "event":
-		eng = wormsim.EngineEvent
-	case "scan":
-		eng = wormsim.EngineScan
-	default:
-		cliutil.Usagef("irserve", "unknown engine %q (want event or scan)", *engine)
-	}
-	alg := irnet.AlgorithmByName(*algName)
-	if alg == nil {
-		cliutil.Usagef("irserve", "unknown algorithm %q", *algName)
-	}
-	g, err := cliutil.ParseTopology(*topo, *switches, *ports, *seed)
-	if err != nil {
-		cliutil.Fatal("irserve", err)
-	}
-	pol, err := cliutil.ParsePolicy(*policy)
+	eng, err := cliutil.ParseEngine(*engine)
 	if err != nil {
 		cliutil.Usagef("irserve", "%v", err)
 	}
-	b, err := irnet.NewBuild(g, pol, *seed)
-	if err != nil {
-		cliutil.Fatal("irserve", err)
-	}
-	fn, err := b.Route(alg)
-	if err != nil {
-		cliutil.Fatal("irserve", err)
-	}
+	net := spec.Build("irserve")
+	fn := net.Fn
 	if err := fn.Verify(); err != nil {
 		cliutil.Fatal("irserve", err)
 	}
-	tb := irnet.NewTable(fn)
+	tb := routing.NewTable(fn)
 
-	spec := fmt.Sprintf("%s/%dsw/%dport/%s/%s/rate%g/plen%d",
-		*topo, g.N(), *ports, *policy, alg.Name(), *rate, *plen)
+	desc := fmt.Sprintf("%s/%dsw/%dport/%s/%s/rate%g/plen%d",
+		spec.Topo, net.G.N(), spec.Ports, spec.Policy, net.Alg.Name(), *rate, *plen)
 	oracle, err := cosim.NewOracle(fn, tb, wormsim.Config{
 		PacketLength:  *plen,
 		InjectionRate: *rate,
-		Seed:          *seed,
+		Seed:          spec.Seed,
 		Engine:        eng,
 	}, cosim.Options{
-		Spec:       spec,
+		Spec:       desc,
 		FlitBytes:  *flitBytes,
 		ProbeLimit: *probeLimit,
 	})
@@ -130,7 +86,7 @@ func main() {
 
 	if *stdio {
 		// The protocol owns stdout; operator chatter goes to stderr.
-		fmt.Fprintf(os.Stderr, "irserve: serving %s on stdio, fingerprint %s\n", spec, oracle.Fingerprint())
+		fmt.Fprintf(os.Stderr, "irserve: serving %s on stdio, fingerprint %s\n", desc, oracle.Fingerprint())
 		if err := cosim.ServeStdio(oracle, os.Stdin, os.Stdout); err != nil {
 			cliutil.Fatal("irserve", err)
 		}
@@ -139,50 +95,8 @@ func main() {
 
 	reg := metrics.NewRegistry()
 	srv := cosim.NewServer(oracle, reg)
-	handler := netd.ProtectHandler(reg, srv.Handler(), netd.ProtectConfig{
-		MaxInFlight:    *maxInflight,
-		RetryAfter:     *retryAfter,
-		RequestTimeout: *reqTimeout,
-		WriteTimeout:   *writeTimeout,
-	}, "irserve")
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		cliutil.Fatal("irserve", err)
-	}
-	if *addrFile != "" {
-		// Write-then-rename so a polling reader never sees a partial address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			cliutil.Fatal("irserve", err)
-		}
-		if err := os.Rename(tmp, filepath.Clean(*addrFile)); err != nil {
-			cliutil.Fatal("irserve", err)
-		}
-	}
-	fmt.Printf("irserve: listening http://%s\n", ln.Addr())
-	fmt.Printf("irserve: serving %s, fingerprint %s\n", spec, oracle.Fingerprint())
-
-	hs := &http.Server{Handler: handler}
-	drained := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		sig := <-sigc
-		fmt.Printf("irserve: %v received, draining (deadline %s)\n", sig, *drain)
-		srv.SetDraining(true)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "irserve: drain incomplete: %v\n", err)
-			os.Exit(cliutil.ExitFailure)
-		}
-		close(drained)
-	}()
-
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		cliutil.Fatal("irserve", err)
-	}
-	<-drained
-	fmt.Println("irserve: drained")
+	handler := netd.ProtectHandler(reg, srv.Handler(), daemon.Protect, "irserve")
+	ln := daemon.Listen("irserve")
+	fmt.Printf("irserve: serving %s, fingerprint %s\n", desc, oracle.Fingerprint())
+	daemon.Serve("irserve", ln, handler, func() { srv.SetDraining(true) })
 }

@@ -27,27 +27,23 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
 
-	irnet "repro"
 	"repro/internal/cliutil"
+	"repro/internal/metrics"
+	"repro/internal/rng"
+	"repro/internal/routing"
+	"repro/internal/traffic"
+	"repro/internal/wormsim"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("irsim: ")
+	spec := cliutil.NetworkFlags(128, true)
 	var (
-		topo     = flag.String("topo", "random", "topology spec (see irtopo -help)")
-		switches = flag.Int("switches", 128, "switch count for random topologies")
-		ports    = flag.Int("ports", 4, "ports per switch for random topologies")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		policy   = flag.String("policy", "M1", "coordinated tree policy")
-		algName  = flag.String("alg", "DOWN/UP", "routing algorithm")
 		rate     = flag.Float64("rate", 0.1, "injection rate (flits/clock/node)")
 		plen     = flag.Int("plen", 128, "packet length in flits")
 		warmup   = flag.Int("warmup", 4000, "warmup cycles")
@@ -75,98 +71,79 @@ func main() {
 	)
 	flag.Parse()
 
-	// Every name is checked before any work, as a usage error.
-	alg := irnet.AlgorithmByName(*algName)
-	if alg == nil {
-		cliutil.Usagef("irsim", "unknown algorithm %q", *algName)
-	}
-	cfg := irnet.SimConfig{
+	// Every name is checked before any work, as a usage error; spec.Build
+	// checks -policy and -alg.
+	cfg := wormsim.Config{
 		PacketLength:      *plen,
 		VirtualChannels:   *vcs,
 		InjectionRate:     *rate,
 		MeanBurst:         *burst,
 		WarmupCycles:      *warmup,
 		MeasureCycles:     *measure,
-		Seed:              *seed,
+		Seed:              spec.Seed,
 		RecoverDeadlocks:  *recovered,
 		DetectInterval:    *detect,
 		MaxRetries:        *maxRetries,
 		RetryBackoff:      *backoff,
 		LivelockThreshold: *livelock,
 	}
-	switch *engine {
-	case "event":
-		cfg.Engine = irnet.EngineEvent
-	case "scan":
-		cfg.Engine = irnet.EngineScan
-	default:
-		cliutil.Usagef("irsim", "unknown engine %q", *engine)
+	var err error
+	if cfg.Engine, err = cliutil.ParseEngine(*engine); err != nil {
+		cliutil.Usagef("irsim", "%v", err)
 	}
 	switch *sel {
 	case "random":
 	case "first":
-		cfg.Select = irnet.SelectFirst
+		cfg.Select = wormsim.SelectFirst
 	case "least-loaded":
-		cfg.Select = irnet.SelectLeastLoaded
+		cfg.Select = wormsim.SelectLeastLoaded
 	default:
 		cliutil.Usagef("irsim", "unknown selection %q", *sel)
 	}
 	if *adaptive {
-		cfg.Mode = irnet.Adaptive
+		cfg.Mode = wormsim.Adaptive
 	}
 	switch *mode {
 	case "":
 	case "source":
-		cfg.Mode = irnet.SourceRouted
+		cfg.Mode = wormsim.SourceRouted
 	case "adaptive":
-		cfg.Mode = irnet.Adaptive
+		cfg.Mode = wormsim.Adaptive
 	case "deterministic":
-		cfg.Mode = irnet.Deterministic
+		cfg.Mode = wormsim.Deterministic
 	default:
 		cliutil.Usagef("irsim", "unknown mode %q", *mode)
 	}
-	newPattern, ok := map[string]func(n int) (irnet.Pattern, error){
-		"uniform":     func(n int) (irnet.Pattern, error) { return irnet.Uniform(n), nil },
-		"hotspot":     func(n int) (irnet.Pattern, error) { return irnet.Hotspot(n, []int{*hotspot}, *hotfrac), nil },
-		"transpose":   irnet.Transpose,
-		"bitreverse":  irnet.BitReversePattern,
-		"permutation": func(n int) (irnet.Pattern, error) { return irnet.RandomPermutation(n, *seed) },
+	newPattern, ok := map[string]func(n int) (traffic.Pattern, error){
+		"uniform": func(n int) (traffic.Pattern, error) { return traffic.Uniform{N: n}, nil },
+		"hotspot": func(n int) (traffic.Pattern, error) {
+			return traffic.Hotspot{N: n, Spots: []int{*hotspot}, Fraction: *hotfrac}, nil
+		},
+		"transpose":   func(n int) (traffic.Pattern, error) { return traffic.NewTranspose(n) },
+		"bitreverse":  func(n int) (traffic.Pattern, error) { return traffic.NewBitReverse(n) },
+		"permutation": func(n int) (traffic.Pattern, error) { return traffic.NewPermutation(n, rng.New(spec.Seed)) },
 	}[*pattern]
 	if !ok {
 		cliutil.Usagef("irsim", "unknown pattern %q", *pattern)
 	}
 
-	g, err := cliutil.ParseTopology(*topo, *switches, *ports, *seed)
-	if err != nil {
-		log.Fatal(err)
-	}
+	net := spec.Build("irsim")
+	g, fn := net.G, net.Fn
 	if cfg.Pattern, err = newPattern(g.N()); err != nil {
-		log.Fatal(err)
-	}
-	pol, err := cliutil.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := irnet.NewBuild(g, pol, *seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn, err := b.Route(alg)
-	if err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irsim", err)
 	}
 	if err := fn.Verify(); err != nil {
 		if !*recovered {
-			log.Fatalf("refusing to simulate: %v (rerun with -recover to rely on online recovery)", err)
+			cliutil.Fatalf("irsim", "refusing to simulate: %v (rerun with -recover to rely on online recovery)", err)
 		}
 		fmt.Fprintf(os.Stderr, "irsim: warning: %v; continuing under online deadlock recovery\n", err)
 	}
-	tb := irnet.NewTable(fn)
+	tb := routing.NewTable(fn)
 
 	var tf *os.File // the trace file, closed and checked once the run ends
 	if *trace != "" {
 		if tf, err = os.Create(*trace); err != nil {
-			log.Fatal(err)
+			cliutil.Fatal("irsim", err)
 		}
 		cfg.Trace = tf
 	}
@@ -174,45 +151,45 @@ func main() {
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatal(err)
+			cliutil.Fatal("irsim", err)
 		}
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatal(err)
+			cliutil.Fatal("irsim", err)
 		}
 	}
-	res, err := irnet.Simulate(fn, tb, cfg)
+	var res *wormsim.Result
+	sim, err := wormsim.New(fn, tb, cfg)
+	if err == nil {
+		res, err = sim.Run() // a conservation violation is an error too
+	}
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		pf, perr := os.Create(*memprofile)
 		if perr != nil {
-			log.Fatal(perr)
+			cliutil.Fatal("irsim", perr)
 		}
 		runtime.GC() // settle the heap so the profile shows retained memory
 		if perr := pprof.WriteHeapProfile(pf); perr != nil {
-			log.Fatal(perr)
+			cliutil.Fatal("irsim", perr)
 		}
 		pf.Close()
 	}
 	if err != nil {
-		if msg, ok := cliutil.Diagnose(err); ok {
-			fmt.Fprint(os.Stderr, "irsim: "+msg)
-			os.Exit(1)
-		}
-		log.Fatal(err)
+		cliutil.Fatal("irsim", err) // deadlocks and livelocks print their diagnostic
 	}
 	if tf != nil {
 		if err := tf.Close(); err != nil {
-			log.Fatal(err)
+			cliutil.Fatal("irsim", err)
 		}
 	}
-	st, err := irnet.ComputeNodeStats(b.CG, res)
+	st, err := metrics.ComputeNodeStats(net.CG, res.ChannelFlits, res.MeasuredCycles)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Fatal("irsim", err)
 	}
 
-	fmt.Printf("algorithm          %s (%s, %s)\n", fn.AlgorithmName, pol, cfg.Mode)
+	fmt.Printf("algorithm          %s (%s, %s)\n", fn.AlgorithmName, net.Policy, cfg.Mode)
 	fmt.Printf("offered traffic    %.4f flits/clock/node\n", res.OfferedTraffic)
 	fmt.Printf("accepted traffic   %.4f flits/clock/node\n", res.AcceptedTraffic)
 	fmt.Printf("packets delivered  %d (of %d created in window)\n", res.PacketsDelivered, res.PacketsCreated)
@@ -259,7 +236,7 @@ func main() {
 		}
 		sort.Slice(nus, func(i, j int) bool { return nus[i].u > nus[j].u })
 		for _, x := range nus {
-			fmt.Printf("node %-4d level %-3d util %.6f\n", x.v, b.Tree.Level[x.v], x.u)
+			fmt.Printf("node %-4d level %-3d util %.6f\n", x.v, net.Tree.Level[x.v], x.u)
 		}
 	}
 }

@@ -26,9 +26,16 @@ import (
 	"fmt"
 	"os"
 
-	irnet "repro"
+	"repro/internal/cgraph"
 	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/ctree"
 	"repro/internal/rng"
+	"repro/internal/routing"
+	"repro/internal/topology"
+	"repro/internal/turnmodel"
+	"repro/internal/turnsearch"
+	"repro/internal/wormsim"
 )
 
 // record is one routing function's structured result, for -json consumers
@@ -81,14 +88,13 @@ func main() {
 		cliutil.Usagef("irverify", "bad -certify %q: want base, existence, or both", *certify)
 	}
 
-	algs := append(irnet.Algorithms(), irnet.DownUpNoRelease(), irnet.AutoDownUp())
-	policies := []irnet.TreePolicy{irnet.M1, irnet.M2, irnet.M3}
+	algs := append(core.Algorithms(), core.DownUp{DisableRelease: true}, core.AutoDownUp{})
 	checked, failed := 0, 0
 	var records []record
 
-	verify := func(label string, g *irnet.Graph, trial int) {
-		for _, pol := range policies {
-			b, err := irnet.NewBuild(g, pol, *seed+uint64(trial))
+	verify := func(label string, g *topology.Graph, trial int) {
+		for _, pol := range ctree.Policies {
+			tr, err := ctree.Build(g, pol, pol.Source(*seed+uint64(trial)))
 			if err != nil {
 				failed++
 				fmt.Printf("FAIL %s policy=%s: %v\n", label, pol, err)
@@ -96,9 +102,10 @@ func main() {
 					Failures: []string{err.Error()}})
 				continue
 			}
+			cg := cgraph.Build(tr)
 			for _, alg := range algs {
 				rec := record{Label: label, Trial: trial, Policy: pol.String(), Algorithm: alg.Name()}
-				fn, err := b.Route(alg)
+				fn, err := alg.Build(cg)
 				if err != nil {
 					failed++
 					checked++
@@ -129,7 +136,7 @@ func main() {
 					}
 				}
 				if doExist {
-					ec := irnet.ExistenceCheck(fn)
+					ec := turnmodel.ExistenceCheck(fn.Sys)
 					rec.ExistenceFree = &ec.DeadlockFree
 					rec.ExistenceConnected = &ec.Connected
 					// The exact check must agree with Verify: every shipped
@@ -140,22 +147,22 @@ func main() {
 						// Close the loop: ask the simulator to realize the
 						// reported cycle as a live circular wait and print the
 						// online detector's diagnostic.
-						if info, perr := irnet.ProveTurnDeadlock(fn, ec.Cycle); perr != nil {
+						if info, perr := turnsearch.ProveDeadlock(fn, ec.Cycle); perr != nil {
 							fail("FAIL-EXIST", fmt.Errorf("cycle witness did not reproduce in simulation: %w", perr))
-						} else if msg, ok := cliutil.Diagnose(&irnet.DeadlockError{Info: info}); ok {
+						} else if msg, ok := cliutil.Diagnose(&wormsim.DeadlockError{Info: info}); ok {
 							fmt.Print(msg)
 						}
 					} else if !ec.Connected {
 						fail("FAIL-EXIST", fmt.Errorf("existence check: no legal route %d -> %d",
 							ec.Disconnected[0], ec.Disconnected[1]))
-					} else if err := irnet.VerifyExistenceWitness(fn); err != nil {
+					} else if err := ec.VerifyWitness(fn.Sys); err != nil {
 						fail("FAIL-EXIST", err)
 					}
 				}
 				if len(rec.Failures) > 0 {
 					failed++
-				} else if *statsAll || (*stats && trial == 0 && pol == irnet.M1) {
-					tb := irnet.NewTable(fn)
+				} else if *statsAll || (*stats && trial == 0 && pol == ctree.M1) {
+					tb := routing.NewTable(fn)
 					st, err := tb.Stats(2000, rng.New(*seed+uint64(trial)))
 					if err != nil {
 						failed++
@@ -182,7 +189,8 @@ func main() {
 		}
 	}
 	for trial := 0; trial < *trials; trial++ {
-		g, err := irnet.RandomNetwork(*switches, *ports, *seed+uint64(trial))
+		g, err := topology.RandomIrregular(topology.IrregularConfig{Switches: *switches, Ports: *ports, Fill: 1},
+			rng.New(*seed+uint64(trial)))
 		if err != nil {
 			failed++
 			fmt.Printf("FAIL random[%d]: %v\n", trial, err)

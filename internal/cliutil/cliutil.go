@@ -1,5 +1,7 @@
-// Package cliutil holds small helpers shared by the command-line tools:
-// parsing topology specifications, tree policies, and algorithm names.
+// Package cliutil holds what the command-line tools share: the network
+// spec (NetworkFlags) and the daemon front end (DaemonFlags), parsers for
+// topology specs, tree policies, engines and comma-separated lists, and
+// the exit conventions (Fatal, Usagef, Diagnose).
 package cliutil
 
 import (
@@ -12,6 +14,7 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/rng"
 	"repro/internal/topology"
+	"repro/internal/wormsim"
 )
 
 // ParseTopology builds a topology from a specification string:
@@ -189,6 +192,16 @@ func ParsePolicy(s string) (ctree.Policy, error) {
 	default:
 		return 0, fmt.Errorf("cliutil: unknown tree policy %q (want M1, M2, or M3)", s)
 	}
+}
+
+// ParseEngine parses a simulator engine by its name, event or scan.
+func ParseEngine(s string) (wormsim.Engine, error) {
+	for _, e := range wormsim.Engines() {
+		if e.String() == s {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q (want event or scan)", s)
 }
 
 // ParsePolicies parses a comma-separated policy list.

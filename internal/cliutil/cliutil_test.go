@@ -1,9 +1,13 @@
 package cliutil
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/cgraph"
 	"repro/internal/ctree"
+	"repro/internal/routing"
+	"repro/internal/wormsim"
 )
 
 func TestParseTopologyFixed(t *testing.T) {
@@ -101,5 +105,45 @@ func TestParseRates(t *testing.T) {
 		if _, err := ParseRates(bad); err == nil {
 			t.Fatalf("bad rate list %q accepted", bad)
 		}
+	}
+}
+
+func TestParseEngine(t *testing.T) {
+	for _, e := range wormsim.Engines() {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	if _, err := ParseEngine("bogus"); err == nil {
+		t.Error("ParseEngine accepted bogus")
+	}
+}
+
+// TestNetworkBuild pins the spec's build order — topology, tree (seeded
+// only under M2), communication graph, routing function — against the
+// same steps taken by hand.
+func TestNetworkBuild(t *testing.T) {
+	for _, pol := range ctree.Policies {
+		spec := &Network{Topo: "random", Switches: 24, Ports: 4, Seed: 5, Policy: pol.String(), Alg: "L-turn", routed: true}
+		net := spec.Build("test")
+		g, err := ParseTopology("random", 24, 4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ctree.Build(g, pol, pol.Source(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := routing.LTurn{}.Build(cgraph.Build(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Policy != pol || net.Alg.Name() != "L-turn" || !reflect.DeepEqual(net.Tree.X, tr.X) ||
+			!reflect.DeepEqual(net.Fn.ProhibitedAt(3), fn.ProhibitedAt(3)) || net.CG.NumChannels() != 2*g.M() {
+			t.Errorf("%v: spec build differs from the steps by hand", pol)
+		}
+	}
+	if net := (&Network{Topo: "petersen", Policy: "M1"}).Build("test"); net.Alg != nil || net.Fn != nil {
+		t.Error("a spec without -alg built a routing function")
 	}
 }

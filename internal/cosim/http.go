@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -20,7 +21,7 @@ type Server struct {
 	frames   *metrics.Counter
 	queries  *metrics.Counter
 	errors   *metrics.Counter
-	draining bool
+	draining atomic.Bool
 }
 
 // NewServer wraps an oracle for HTTP serving, registering its instruments
@@ -45,38 +46,15 @@ func NewServer(o *Oracle, reg *metrics.Registry) *Server {
 // SetDraining flips the readiness probe: a draining server answers /readyz
 // with 503 so load balancers stop routing to it, while in-flight and
 // straggler frames still get served.
-func (s *Server) SetDraining(d bool) {
-	s.mu.Lock()
-	s.draining = d
-	s.mu.Unlock()
-}
+func (s *Server) SetDraining(d bool) { s.draining.Store(d) }
 
 // Handler returns the server's route table: GET /v1/hello, POST /v1/frame,
-// and the probe endpoints /healthz, /readyz, /metrics.
+// and the probe endpoints of metrics.HandleProbes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/hello", s.handleHello)
 	mux.HandleFunc("/v1/frame", s.handleFrame)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		d := s.draining
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if d {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "draining\n")
-			return
-		}
-		io.WriteString(w, "ready\n")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.reg.WritePrometheus(w)
-	})
+	metrics.HandleProbes(mux, s.reg, func() bool { return !s.draining.Load() })
 	return mux
 }
 

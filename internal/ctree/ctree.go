@@ -36,6 +36,16 @@ const (
 // Policies lists all tree-construction policies in paper order.
 var Policies = []Policy{M1, M2, M3}
 
+// Source returns the random source Build and BuildDFS take under policy p:
+// a generator seeded with seed for M2, whose child order is random, and
+// nil for M1 and M3, which draw nothing.
+func (p Policy) Source(seed uint64) *rng.Rng {
+	if p != M2 {
+		return nil
+	}
+	return rng.New(seed)
+}
+
 func (p Policy) String() string {
 	switch p {
 	case M1:

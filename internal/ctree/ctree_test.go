@@ -320,3 +320,14 @@ func TestTreeStatsLine(t *testing.T) {
 		t.Fatalf("line stats = %+v", st)
 	}
 }
+
+// TestPolicySource: only M2 draws, from a generator seeded with the seed.
+func TestPolicySource(t *testing.T) {
+	if M1.Source(7) != nil || M3.Source(7) != nil {
+		t.Fatal("M1 or M3 got a random source")
+	}
+	a, b := M2.Source(7), rng.New(7)
+	if a == nil || a.Uint64() != b.Uint64() {
+		t.Fatal("M2's source is not seeded with the seed")
+	}
+}

@@ -102,9 +102,9 @@ func TestRandomScheduleRefusesImpossibleRequests(t *testing.T) {
 	if _, err := Random(topology.Line(4), ScheduleConfig{Links: 1, From: 0, To: 10}, rng.New(1)); err == nil {
 		t.Fatal("bridge-only topology accepted a link failure")
 	}
-	// Killing 3 of 4 switches violates MinLive=2.
+	// Killing 3 of 4 switches leaves fewer than minLive (2) alive.
 	if _, err := Random(topology.Ring(4), ScheduleConfig{Switches: 3, From: 0, To: 10}, rng.New(1)); err == nil {
-		t.Fatal("request below MinLive accepted")
+		t.Fatal("request below minLive accepted")
 	}
 }
 

@@ -60,10 +60,11 @@ type Options struct {
 	Sim wormsim.Config
 	// Recovery selects Drain (default) or Drop.
 	Recovery RecoveryPolicy
-	// DrainStep is the granularity, in cycles, of the drain polling loop
-	// (default 32; results are identical for any positive value).
-	DrainStep int
 }
+
+// drainStep is the granularity, in cycles, of the drain polling loop;
+// results are identical for any positive value.
+const drainStep = 32
 
 // EventReport records what one failure cost.
 type EventReport struct {
@@ -170,11 +171,6 @@ func Run(g *topology.Graph, sched *Schedule, opts Options) (*Result, error) {
 	if err := sched.Validate(g); err != nil {
 		return nil, err
 	}
-	drainStep := opts.DrainStep
-	if drainStep <= 0 {
-		drainStep = 32
-	}
-
 	treeRng := rng.New(opts.TreeSeed)
 	live := g.Clone()
 	dead := make([]bool, g.N())

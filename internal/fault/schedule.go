@@ -184,9 +184,10 @@ type ScheduleConfig struct {
 	// From and To bound the failure cycles: each event strikes at a uniform
 	// cycle in [From, To).
 	From, To int
-	// MinLive floors the number of surviving switches (default 2).
-	MinLive int
 }
+
+// minLive floors the number of switches a schedule leaves alive.
+const minLive = 2
 
 // Random generates a deterministic schedule of connectivity-preserving
 // failures for g: every scripted failure leaves the surviving switches
@@ -200,11 +201,6 @@ func Random(g *topology.Graph, cfg ScheduleConfig, r *rng.Rng) (*Schedule, error
 	if cfg.From < 0 || cfg.To <= cfg.From {
 		return nil, fmt.Errorf("fault: bad cycle window [%d,%d)", cfg.From, cfg.To)
 	}
-	minLive := cfg.MinLive
-	if minLive < 2 {
-		minLive = 2
-	}
-
 	// Chronology first: the k-th structural choice must correspond to the
 	// k-th failure in time, so the surviving graph evolves in order.
 	kinds := make([]Kind, 0, cfg.Links+cfg.Switches)
@@ -226,7 +222,7 @@ func Random(g *topology.Graph, cfg ScheduleConfig, r *rng.Rng) (*Schedule, error
 	live := g.N()
 	sched := &Schedule{}
 	for i, kind := range kinds {
-		ev, ok := pickEvent(scratch, dead, live, minLive, kind, r)
+		ev, ok := pickEvent(scratch, dead, live, kind, r)
 		if !ok {
 			return nil, fmt.Errorf("fault: cannot place %s failure %d without disconnecting the network", kind, i+1)
 		}
@@ -244,7 +240,7 @@ func Random(g *topology.Graph, cfg ScheduleConfig, r *rng.Rng) (*Schedule, error
 
 // pickEvent chooses a uniformly random connectivity-preserving victim of
 // the given kind, or reports failure if none exists.
-func pickEvent(g *topology.Graph, dead []bool, live, minLive int, kind Kind, r *rng.Rng) (Event, bool) {
+func pickEvent(g *topology.Graph, dead []bool, live int, kind Kind, r *rng.Rng) (Event, bool) {
 	if kind == SwitchDown {
 		if live <= minLive {
 			return Event{}, false

@@ -331,11 +331,8 @@ func (g grid) prepare(workers int, keepGoing bool) ([]cellSample, []prepared, er
 // from a position-derived seed), routing function and table.
 func (g grid) build(cs cellSample, net *topology.Graph) (p prepared, err error) {
 	defer guardPanic(&err)
-	var treeRng *rng.Rng
-	if g.policies[cs.poli] == ctree.M2 {
-		treeRng = rng.New(deriveSeed(g.seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), 1, 0))
-	}
-	tr, err := ctree.Build(net, g.policies[cs.poli], treeRng)
+	pol := g.policies[cs.poli]
+	tr, err := ctree.Build(net, pol, pol.Source(deriveSeed(g.seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), 1, 0)))
 	if err != nil {
 		return p, err
 	}

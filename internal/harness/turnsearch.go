@@ -158,11 +158,7 @@ func TurnSearchStudy(opts TurnSearchOptions) (*TurnSearchResults, error) {
 		if err != nil {
 			return err
 		}
-		var polRng *rng.Rng
-		if pol == ctree.M2 {
-			polRng = rng.New(comboSeed + 1)
-		}
-		tr, err := ctree.Build(g, pol, polRng)
+		tr, err := ctree.Build(g, pol, pol.Source(comboSeed+1))
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/rng"
 )
 
@@ -37,20 +38,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /topology/kill-link", s.handleKillLink)
 	mux.HandleFunc("POST /topology/kill-switch", s.handleKillSwitch)
 	mux.HandleFunc("POST /topology/reset", s.handleReset)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() || s.Snapshot() == nil {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.reg.WritePrometheus(w)
-	})
+	metrics.HandleProbes(mux, s.reg, func() bool { return !s.Draining() && s.Snapshot() != nil })
 	return mux
 }
 
@@ -194,7 +182,7 @@ type snapshotResponse struct {
 	AgeSeconds    float64 `json:"age_seconds"`
 }
 
-func snapshotInfo(sn *Snapshot, now time.Time) snapshotResponse {
+func snapshotInfo(sn *Snapshot) snapshotResponse {
 	dead := sn.Dead()
 	if dead == nil {
 		dead = []int{}
@@ -210,12 +198,12 @@ func snapshotInfo(sn *Snapshot, now time.Time) snapshotResponse {
 		DeadSwitches:  dead,
 		ReleasedTurns: sn.ReleasedTurns,
 		FIBBytes:      sn.FIBSize(),
-		AgeSeconds:    now.Sub(sn.Created).Seconds(),
+		AgeSeconds:    time.Since(sn.Created).Seconds(),
 	}
 }
 
 func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, snapshotInfo(s.Snapshot(), s.now()))
+	writeJSON(w, http.StatusOK, snapshotInfo(s.Snapshot()))
 }
 
 type topologyResponse struct {
@@ -260,7 +248,7 @@ func (s *Service) writeReconfigResult(w http.ResponseWriter, sn *Snapshot, err e
 		writeJSON(w, code, errBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotInfo(sn, s.now()))
+	writeJSON(w, http.StatusOK, snapshotInfo(sn))
 }
 
 func (s *Service) handleKillLink(w http.ResponseWriter, r *http.Request) {

@@ -44,11 +44,6 @@ type ProtectConfig struct {
 	WriteTimeout time.Duration
 }
 
-// probePath reports whether the request path bypasses the limiter.
-func probePath(p string) bool {
-	return p == "/healthz" || p == "/readyz" || p == "/metrics"
-}
-
 // statusWriter records whether the handler reported a server-side error.
 // Unwrap exposes the underlying writer so http.ResponseController keeps
 // working through the wrapper.
@@ -108,7 +103,7 @@ func ProtectHandler(reg *metrics.Registry, inner http.Handler, cfg ProtectConfig
 	}
 
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if probePath(r.URL.Path) {
+		if metrics.IsProbe(r.URL.Path) {
 			inner.ServeHTTP(w, r)
 			return
 		}
@@ -126,8 +121,6 @@ func ProtectHandler(reg *metrics.Registry, inner http.Handler, cfg ProtectConfig
 			}
 		}
 		if cfg.WriteTimeout > 0 {
-			// The wall-clock deadline must use real time even when tests
-			// pin the service clock: the connection belongs to the OS.
 			rc := http.NewResponseController(w)
 			_ = rc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
 		}

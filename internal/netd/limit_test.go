@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestProtectShedsBeyondCeiling saturates a MaxInFlight=2 limiter with
@@ -94,7 +96,7 @@ func TestProtectProbesBypassLimiter(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if probePath(r.URL.Path) {
+		if metrics.IsProbe(r.URL.Path) {
 			w.WriteHeader(http.StatusOK)
 			return
 		}

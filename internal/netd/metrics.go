@@ -2,6 +2,7 @@ package netd
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -84,7 +85,7 @@ func (s *Service) initMetrics() {
 		if sn == nil {
 			return 0
 		}
-		return s.now().Sub(sn.Created).Seconds()
+		return time.Since(sn.Created).Seconds()
 	})
 }
 

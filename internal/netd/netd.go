@@ -76,14 +76,10 @@ type Config struct {
 	// Logf receives operational log lines (restore outcomes, persist
 	// failures). Nil discards them.
 	Logf func(format string, args ...any)
-	// Registry receives the service's metrics (a fresh one if nil).
-	Registry *metrics.Registry
 	// OnSwap, when set, is called with each new snapshot — the initial one
 	// included — before it is published to readers. Tests use it to record
 	// the exact set of versions queries may legally observe.
 	OnSwap func(*Snapshot)
-	// Now supplies timestamps (time.Now if nil); tests pin it.
-	Now func() time.Time
 }
 
 // Hop is one channel of a returned path.
@@ -217,7 +213,6 @@ func (sn *Snapshot) NextHops(at, dst, from int) ([]int, error) {
 type Service struct {
 	cfg Config
 	reg *metrics.Registry
-	now func() time.Time
 
 	snap atomic.Pointer[Snapshot]
 	// draining gates /readyz during graceful shutdown.
@@ -240,18 +235,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("netd: Config.Algorithm is required")
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	s := &Service{
 		cfg:     cfg,
-		reg:     reg,
-		now:     now,
+		reg:     metrics.NewRegistry(),
 		live:    cfg.Graph.Clone(),
 		dead:    make([]bool, cfg.Graph.N()),
 		treeRng: rng.New(cfg.Seed),
@@ -313,14 +299,14 @@ func (s *Service) KillSwitch(v int) (*Snapshot, error) {
 func (s *Service) Reset() (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.now()
+	start := time.Now()
 	sn, err := s.install(s.cfg.Graph.Clone(), make([]bool, s.cfg.Graph.N()), nil)
 	if err != nil {
 		s.m.reconfigFailures.Inc()
 		return nil, err
 	}
 	s.m.reconfigs["reset"].Inc()
-	s.m.reconvergence.Observe(s.now().Sub(start).Seconds())
+	s.m.reconvergence.Observe(time.Since(start).Seconds())
 	return sn, nil
 }
 
@@ -328,7 +314,7 @@ func (s *Service) Reset() (*Snapshot, error) {
 func (s *Service) reconfigure(ev fault.Event) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.now()
+	start := time.Now()
 	// Work on clones so a rejected event leaves the current state intact.
 	scratch := s.live.Clone()
 	dead := append([]bool(nil), s.dead...)
@@ -350,7 +336,7 @@ func (s *Service) reconfigure(ev fault.Event) (*Snapshot, error) {
 		return nil, err
 	}
 	s.m.reconfigs[ev.Kind.String()].Inc()
-	s.m.reconvergence.Observe(s.now().Sub(start).Seconds())
+	s.m.reconvergence.Observe(time.Since(start).Seconds())
 	return sn, nil
 }
 
@@ -396,7 +382,7 @@ func (s *Service) install(graph *topology.Graph, dead []bool, preFIB *fib.FIB) (
 		Version:       s.version + 1,
 		Algorithm:     compiled.Algorithm(),
 		Policy:        s.cfg.Policy,
-		Created:       s.now(),
+		Created:       time.Now(),
 		ReleasedTurns: fn.Released,
 		LiveSwitches:  len(n2o),
 		LiveLinks:     graph.M(),

@@ -15,6 +15,7 @@ package netd
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"repro/internal/cgraph"
 	"repro/internal/ctree"
@@ -99,7 +100,7 @@ func (s *Service) restore(path string) (*Snapshot, error) {
 		Stale:         true,
 		Algorithm:     compiled.Algorithm(),
 		Policy:        st.Policy,
-		Created:       s.now(),
+		Created:       time.Now(),
 		ReleasedTurns: st.ReleasedTurns,
 		LiveSwitches:  len(n2o),
 		LiveLinks:     graph.M(),
@@ -127,13 +128,13 @@ func (s *Service) Recompute() (*Snapshot, error) {
 	if cur == nil || !cur.Stale {
 		return cur, nil
 	}
-	start := s.now()
+	start := time.Now()
 	sn, err := s.install(s.live.Clone(), append([]bool(nil), s.dead...), nil)
 	if err != nil {
 		s.m.reconfigFailures.Inc()
 		return nil, err
 	}
 	s.m.reconfigs["recompute"].Inc()
-	s.m.reconvergence.Observe(s.now().Sub(start).Seconds())
+	s.m.reconvergence.Observe(time.Since(start).Seconds())
 	return sn, nil
 }

@@ -166,13 +166,14 @@ type ClusteredConfig struct {
 	ClusterSize int
 	// Ports is the per-switch port budget.
 	Ports int
-	// IntraFill is the fraction of the port budget wired inside clusters
-	// (default 0.75).
-	IntraFill float64
-	// InterLinks is the number of random inter-cluster links per cluster
-	// (default 2).
-	InterLinks int
 }
+
+// The clustered fabric's shape: the fraction of the port budget wired
+// inside clusters, and the random inter-cluster links per cluster.
+const (
+	intraFill  = 0.75
+	interLinks = 2
+)
 
 // ClusteredIrregular generates a connected clustered irregular network.
 func ClusteredIrregular(cfg ClusteredConfig, r *rng.Rng) (*Graph, error) {
@@ -181,17 +182,6 @@ func ClusteredIrregular(cfg ClusteredConfig, r *rng.Rng) (*Graph, error) {
 	}
 	if cfg.Ports < 2 {
 		return nil, fmt.Errorf("topology: Ports=%d too small for a clustered network", cfg.Ports)
-	}
-	intra := cfg.IntraFill
-	if intra == 0 {
-		intra = 0.75
-	}
-	if intra < 0 || intra > 1 {
-		return nil, fmt.Errorf("topology: IntraFill must be in [0,1], got %v", intra)
-	}
-	inter := cfg.InterLinks
-	if inter == 0 {
-		inter = 2
 	}
 	n := cfg.Clusters * cfg.ClusterSize
 	g := New(n)
@@ -214,7 +204,7 @@ func ClusteredIrregular(cfg ClusteredConfig, r *rng.Rng) (*Graph, error) {
 				g.MustAddEdge(b+i, b+(i+1)%cfg.ClusterSize)
 			}
 		}
-		target := int(intra * float64(budget*cfg.ClusterSize) / 2)
+		target := int(intraFill * float64(budget*cfg.ClusterSize) / 2)
 		misses := 0
 		for added := g.degreeSum(b, cfg.ClusterSize) / 2; added < target && misses < 200; {
 			u := b + r.Intn(cfg.ClusterSize)
@@ -256,7 +246,7 @@ func ClusteredIrregular(cfg ClusteredConfig, r *rng.Rng) (*Graph, error) {
 				g.MustAddEdge(u, v)
 			}
 		}
-		extra := inter*cfg.Clusters/2 - cfg.Clusters
+		extra := interLinks*cfg.Clusters/2 - cfg.Clusters
 		for tries := 0; extra > 0 && tries < 500; tries++ {
 			c1, c2 := r.Intn(cfg.Clusters), r.Intn(cfg.Clusters)
 			if c1 == c2 {

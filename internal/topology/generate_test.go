@@ -247,7 +247,6 @@ func TestClusteredIrregularErrors(t *testing.T) {
 		{Clusters: 0, ClusterSize: 4, Ports: 4},
 		{Clusters: 2, ClusterSize: 0, Ports: 4},
 		{Clusters: 2, ClusterSize: 4, Ports: 1},
-		{Clusters: 2, ClusterSize: 4, Ports: 4, IntraFill: 2},
 	}
 	for _, cfg := range bad {
 		if _, err := ClusteredIrregular(cfg, rng.New(1)); err == nil {

@@ -128,7 +128,8 @@ type Config struct {
 	// each physical channel (default 1 = plain wormhole, the paper's
 	// configuration).
 	VirtualChannels int
-	// InjectionRate is the offered load per node in flits/clock.
+	// InjectionRate is the offered load per node in flits/clock, at most
+	// the injection channel's capacity of 1.
 	InjectionRate float64
 	// Pattern chooses packet destinations (default: uniform).
 	Pattern traffic.Pattern
@@ -340,6 +341,9 @@ func (c Config) validate(n int) error {
 	}
 	if c.InjectionRate < 0 || math.IsNaN(c.InjectionRate) || math.IsInf(c.InjectionRate, 0) {
 		return fmt.Errorf("wormsim: InjectionRate %v is negative or not finite", c.InjectionRate)
+	}
+	if c.InjectionRate > 1 {
+		return fmt.Errorf("wormsim: InjectionRate %v exceeds the injection channel's 1 flit/clock", c.InjectionRate)
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("wormsim: bad cycle counts (warmup %d, measure %d)",

@@ -69,6 +69,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
+	// The injection channel carries at most one flit per clock; a rate of
+	// zero (closed-loop runs, an idle oracle) and of exactly one are valid.
+	if _, err := New(f, tb, Config{InjectionRate: 1.5}); err == nil || !strings.Contains(err.Error(), "InjectionRate") {
+		t.Errorf("InjectionRate 1.5: got %v, want an error naming the field", err)
+	}
+	for _, rate := range []float64{0, 1} {
+		if _, err := New(f, tb, Config{InjectionRate: rate}); err != nil {
+			t.Errorf("InjectionRate %v rejected: %v", rate, err)
+		}
+	}
 	if _, err := New(nil, tb, Config{}); err == nil {
 		t.Error("nil function accepted")
 	}

@@ -198,23 +198,6 @@ func TestSimulationKnobsViaFacade(t *testing.T) {
 	}
 }
 
-func TestHotspotStudyViaFacade(t *testing.T) {
-	o := irnet.DefaultHotspotOptions()
-	o.Switches = 16
-	o.Samples = 1
-	o.Fractions = []float64{0.2}
-	o.PacketLength = 16
-	o.WarmupCycles = 300
-	o.MeasureCycles = 1200
-	res, err := irnet.RunHotspotStudy(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) == 0 || !strings.Contains(irnet.FormatHotspot(res), "hotFrac") {
-		t.Fatal("hotspot study broken via facade")
-	}
-}
-
 func TestFigureSVGViaFacade(t *testing.T) {
 	o := irnet.QuickEvalOptions()
 	o.Switches = 16

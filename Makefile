@@ -30,13 +30,14 @@ race:
 	$(GO) test -race ./...
 
 # Engine performance comparison: time the event-driven fast path and the
-# full-scan baseline on 128- and 1024-switch networks and write the report
-# (cycles/sec, ns/flit-hop, allocs/cycle, event/scan speedup, host core
-# count) to results/BENCH_wormsim.json. The engines are byte-identical
-# (see TestEnginesByteIdentical), so this is purely a speed measurement.
+# full-scan baseline on 128- and 1024-switch networks and write the trend
+# records (cycles/sec, ns/flit-hop, allocs/cycle, event/scan speedup, host
+# core count) to results/BENCH_wormsim.jsonl. The engines are
+# byte-identical (see TestEnginesByteIdentical), so this is purely a speed
+# measurement.
 bench:
 	mkdir -p results
-	$(GO) run ./cmd/irperf -json results/BENCH_wormsim.json
+	$(GO) run ./cmd/irperf -json results/BENCH_wormsim.jsonl
 
 # One benchmark per paper table/figure plus ablations (quick scale), and
 # the engine microbenchmarks (BenchmarkRunCycles/BenchmarkSweep).
@@ -61,10 +62,10 @@ serve-smoke:
 	cmp results/.bin/cosim_event.out results/.bin/cosim_scan.out; \
 	echo "serve-smoke: engines byte-identical over stdio"
 
-# Cross-PR perf-regression gate: normalize the two measurement artifacts
-# (results/BENCH_wormsim.json and BENCH_netd.json), check them against the
-# accumulated floors/ceilings, and diff against results/TREND.jsonl
-# history. Exits nonzero on any regression.
+# Cross-PR perf-regression gate: read the trend records of the two
+# measurement artifacts (results/BENCH_wormsim.jsonl and BENCH_netd.jsonl),
+# check them against the accumulated floors/ceilings, and diff against the
+# results/TREND.jsonl history. Exits nonzero on any regression.
 # `make trend-record LABEL=prN` appends the current numbers to the history.
 trend:
 	$(GO) run ./cmd/irtrend -results results -trend results/TREND.jsonl
@@ -75,25 +76,26 @@ trend-record:
 
 # Serving benchmark: start irnetd with crash-safe snapshot persistence at
 # the paper topology scale (128 switches, 4 ports), measure a steady phase
-# and a reconfiguration-storm phase with irbench (both merged into
-# results/BENCH_netd.json), then kill the daemon with SIGKILL, restart it
-# from the persisted snapshot, verify it recovers (stale restore + fresh
-# queries), and require a clean SIGTERM drain at the end.
+# and a reconfiguration-storm phase with irbench (both written as trend
+# records into results/BENCH_netd.jsonl), then kill the daemon with
+# SIGKILL, restart it from the persisted snapshot, verify it recovers
+# (stale restore + fresh queries), and require a clean SIGTERM drain at
+# the end.
 servebench:
 	mkdir -p results/.bin
 	$(GO) build -o results/.bin/irnetd ./cmd/irnetd
 	$(GO) build -o results/.bin/irbench ./cmd/irbench
-	@set -e; rm -f results/.bin/addr results/.bin/irnetd.snap results/BENCH_netd.json; \
+	@set -e; rm -f results/.bin/addr results/.bin/irnetd.snap results/BENCH_netd.jsonl; \
 	results/.bin/irnetd -listen 127.0.0.1:0 -addr-file results/.bin/addr \
 		-switches 128 -ports 4 -snapshot results/.bin/irnetd.snap \
 		> results/.bin/irnetd.log 2>&1 & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	results/.bin/irbench -addr-file results/.bin/addr -wait 10s \
 		-qps 15000 -conns 8 -duration 5s -mode steady \
-		-merge results/BENCH_netd.json; \
+		-json results/BENCH_netd.jsonl; \
 	results/.bin/irbench -addr-file results/.bin/addr -wait 10s \
 		-qps 15000 -conns 8 -duration 10s -mode storm -reconfigs 60 \
-		-merge results/BENCH_netd.json; \
+		-json results/BENCH_netd.jsonl; \
 	kill -9 $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
 	rm -f results/.bin/addr; \
 	results/.bin/irnetd -listen 127.0.0.1:0 -addr-file results/.bin/addr \
@@ -104,21 +106,22 @@ servebench:
 	grep -q 'restored snapshot' results/.bin/irnetd2.log; \
 	kill -TERM $$pid; wait $$pid; trap - EXIT; \
 	grep -q 'irnetd: drained' results/.bin/irnetd2.log
-	@cat results/BENCH_netd.json
+	@cat results/BENCH_netd.jsonl
 
 # The full paper-scale evaluation; writes text, CSV, and SVG into results/.
-# The checkpoint makes the hours-long sweep crash-safe: completed
-# simulations are recorded as they finish, and rerunning `make paper`
-# after an interruption resumes instead of restarting (delete the
-# checkpoint, or `make clean`, to force a fresh run). -keepgoing degrades
-# individual failed simulations to an explicit skipped section.
+# The sweep takes about a minute on two cores; the checkpoint makes it
+# crash-safe: completed simulations are recorded as they finish, and
+# rerunning `make paper` after an interruption resumes instead of
+# restarting (delete the checkpoint, or `make clean`, to force a fresh
+# run). -keepgoing degrades individual failed simulations to an explicit
+# skipped section.
 paper:
 	mkdir -p results
 	$(GO) run ./cmd/irexp -exp all -scale paper -keepgoing \
 		-checkpoint results/paper_checkpoint.jsonl \
 		-csv results/paper_results.csv -svg results > results/paper_output.txt
 
-# Quick-scale version of the full evaluation (seconds, not hours).
+# Quick-scale version of the full evaluation (seconds).
 quick:
 	$(GO) run ./cmd/irexp -exp all -scale quick
 

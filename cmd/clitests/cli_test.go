@@ -132,6 +132,17 @@ func TestIrsimModes(t *testing.T) {
 	}
 }
 
+// TestIrsimWarmupZero: -warmup 0 runs no warm-up, so its table differs
+// from a run that warms up for the simulator's default 3,000 cycles.
+func TestIrsimWarmupZero(t *testing.T) {
+	args := []string{"-switches", "16", "-rate", "0.05", "-plen", "16", "-measure", "800"}
+	cold := run(t, "irsim", append(args, "-warmup", "0")...)
+	warm := run(t, "irsim", append(args, "-warmup", "3000")...)
+	if cold == warm {
+		t.Fatalf("-warmup 0 printed the table of -warmup 3000:\n%s", cold)
+	}
+}
+
 func TestIrexpQuick(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "r.csv")
@@ -235,16 +246,9 @@ func TestBadFlagsFail(t *testing.T) {
 	cases := [][]string{
 		{"irtopo", "-topo", "nonsense"},
 		{"irsim", "-topo", "ring:8", "-alg", "unrestricted"}, // refuses unverified without -recover
-		{"irsim", "-topo", "ring:8", "-recover", "-max-retries", "-1"},
-		{"irsim", "-topo", "ring:8", "-recover", "-detect-interval", "-1"},
-		{"irsim", "-topo", "ring:8", "-livelock", "-2"},
 		{"irexp", "-deadline", "-1s", "-quiet"},
-		{"irsim", "-switches", "16", "-rate", "NaN"},
 		{"irexp", "-rates", "0.1,NaN", "-quiet"},
 		{"irexp", "-exp", "fault", "-rates", "1.5"},
-		// An offered load above the injection channel's 1 flit/clock.
-		{"irsim", "-rate", "2"},
-		{"irserve", "-stdio", "-rate", "2"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(filepath.Join(dir, c[0]), c[1:]...)
@@ -282,6 +286,20 @@ func TestBadFlagsFail(t *testing.T) {
 		{"irexp", "-exp", "fault", "-ports", "4,8"},
 		{"irperf", "-rates", "nan", "-json", ckpt},
 		{"irperf", "-switches", "12x", "-json", ckpt},
+		// Simulation settings are checked (wormsim.Config.Validate) before
+		// the network is built; an offered load above the injection
+		// channel's 1 flit/clock is one of them.
+		{"irsim", "-rate", "2"},
+		{"irsim", "-switches", "16", "-rate", "NaN"},
+		{"irsim", "-topo", "ring:8", "-livelock", "-2"},
+		{"irsim", "-topo", "ring:8", "-recover", "-max-retries", "-1"},
+		{"irsim", "-topo", "ring:8", "-recover", "-detect-interval", "-1"},
+		{"irserve", "-stdio", "-rate", "2"},
+		// A size flag of 0 means 0, not the default.
+		{"irsim", "-plen", "0"},
+		{"irsim", "-measure", "0"},
+		{"irexp", "-exp", "hotspot", "-plen", "0"},
+		{"irserve", "-stdio", "-plen", "0"},
 	}
 	for _, c := range usage {
 		err := exec.Command(filepath.Join(dir, c[0]), c[1:]...).Run()

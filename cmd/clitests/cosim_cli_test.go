@@ -5,10 +5,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/trend"
 )
 
 // cosimScript is the stdio session driven through irserve: every op, two
@@ -148,21 +151,25 @@ func TestIrtrendPassesOnRepoResults(t *testing.T) {
 func TestIrtrendFailsOnRegression(t *testing.T) {
 	dir := binaries(t)
 	fixture := t.TempDir()
-	// Copy the checked-in engine report, then regress the netd steady phase.
-	buf, err := os.ReadFile("../../results/BENCH_wormsim.json")
+	// Copy the checked-in engine records, then regress the netd steady phase.
+	buf, err := os.ReadFile("../../results/BENCH_wormsim.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(fixture, "BENCH_wormsim.json"), buf, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(fixture, "BENCH_wormsim.jsonl"), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	regressed := `{
-  "bench": "irnetd", "schema": 1,
-  "steady": {"schema": 1, "achieved_qps": 8000, "served": 100, "shed": 0, "errors": 2,
-             "latency_us": {"mean": 4000, "p50": 3000, "p99": 9000, "p999": 9500}},
-  "storm":  {"schema": 1, "achieved_qps": 500, "served": 10, "shed": 90, "errors": 0,
-             "latency_us": {"mean": 100, "p50": 80, "p99": 200, "p999": 300}}}`
-	if err := os.WriteFile(filepath.Join(fixture, "BENCH_netd.json"), []byte(regressed), 0o644); err != nil {
+	var recs []trend.Record
+	for _, m := range []struct {
+		metric, scenario string
+		value            float64
+	}{
+		{"achieved_qps", "steady", 8000}, {"errors", "steady", 2}, {"latency_p99_us", "steady", 9000},
+		{"achieved_qps", "storm", 500}, {"errors", "storm", 0}, {"latency_p99_us", "storm", 200},
+	} {
+		recs = append(recs, trend.Record{Source: "netd", Metric: m.metric, Scenario: m.scenario, Value: m.value})
+	}
+	if err := trend.WriteArtifact(filepath.Join(fixture, "BENCH_netd.jsonl"), recs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,6 +184,38 @@ func TestIrtrendFailsOnRegression(t *testing.T) {
 	for _, want := range []string{"irtrend: FAIL", "achieved_qps", "latency_p99_us", "errors"} {
 		if !strings.Contains(outStr, want) {
 			t.Fatalf("irtrend failure output missing %q:\n%s", want, outStr)
+		}
+	}
+}
+
+// TestIrperfRecordsMatchCheckedIn: irperf at a tiny scale writes, for the
+// run and for a scenario the checked-in artifact holds, the metric names
+// that artifact holds — so `make bench` regenerates what the gates read.
+func TestIrperfRecordsMatchCheckedIn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_wormsim.jsonl")
+	run(t, "irperf", "-switches", "128", "-ports", "4", "-rates", "0.1",
+		"-warm", "50", "-cycles", "100", "-json", path)
+	metrics := func(path string) map[string][]string {
+		recs, warns, err := trend.ReadRecords(path)
+		if err != nil || len(warns) > 0 || len(recs) == 0 {
+			t.Fatalf("reading %s: %v %v", path, err, warns)
+		}
+		out := map[string][]string{}
+		for _, r := range recs {
+			if r.Source != "wormsim" || r.Cores < 1 {
+				t.Fatalf("%s: record %+v", path, r)
+			}
+			out[r.Scenario] = append(out[r.Scenario], r.Metric)
+		}
+		return out
+	}
+	got, want := metrics(path), metrics("../../results/BENCH_wormsim.jsonl")
+	if len(got) != 2 {
+		t.Fatalf("irperf wrote scenarios %v, want the run's and 128sw/4port/r0.1", got)
+	}
+	for _, sc := range []string{"", "128sw/4port/r0.1"} {
+		if len(got[sc]) == 0 || !reflect.DeepEqual(got[sc], want[sc]) {
+			t.Errorf("scenario %q: irperf writes %v, the checked-in artifact holds %v", sc, got[sc], want[sc])
 		}
 	}
 }

@@ -7,10 +7,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/trend"
 )
 
 // startDaemon launches irnetd on an ephemeral port and returns its base URL
@@ -101,55 +104,89 @@ func TestIrnetdServesAndDrains(t *testing.T) {
 	}
 }
 
+// runIrbench runs a short irbench against base that writes its records
+// into path, and returns the file's records by scenario and metric.
+func runIrbench(t *testing.T, base, path string, args ...string) map[string]map[string]float64 {
+	t.Helper()
+	full := append([]string{"-addr", strings.TrimPrefix(base, "http://"),
+		"-qps", "2000", "-duration", "500ms", "-json", path}, args...)
+	if out, err := exec.Command(filepath.Join(binaries(t), "irbench"), full...).CombinedOutput(); err != nil {
+		t.Fatalf("irbench %v: %v\n%s", args, err, out)
+	}
+	recs, warns, err := trend.ReadRecords(path)
+	if err != nil || len(warns) > 0 {
+		t.Fatalf("reading %s: %v %v", path, err, warns)
+	}
+	got := map[string]map[string]float64{}
+	for _, r := range recs {
+		if r.Source != "netd" {
+			t.Fatalf("record from source %q", r.Source)
+		}
+		if got[r.Scenario] == nil {
+			got[r.Scenario] = map[string]float64{}
+		}
+		got[r.Scenario][r.Metric] = r.Value
+	}
+	return got
+}
+
 func TestIrbenchAgainstDaemon(t *testing.T) {
 	base, cmd := startDaemon(t)
 	defer func() {
 		_ = cmd.Process.Signal(syscall.SIGTERM)
 		_ = cmd.Wait()
 	}()
-	dir := binaries(t)
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	out, err := exec.Command(filepath.Join(dir, "irbench"),
-		"-addr", strings.TrimPrefix(base, "http://"),
-		"-qps", "2000", "-conns", "4", "-duration", "500ms",
-		"-json", jsonPath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("irbench: %v\n%s", err, out)
+	got := runIrbench(t, base, filepath.Join(t.TempDir(), "BENCH_netd.jsonl"), "-conns", "4")
+	rep := got["steady"]
+	if len(got) != 1 || len(rep) != 22 {
+		t.Fatalf("want 22 steady records, got %v", got)
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
+	if rep["requests"] == 0 || rep["errors"] != 0 || rep["conns"] != 4 {
+		t.Fatalf("bench records %v", rep)
+	}
+	if rep["served"] == 0 || rep["served"]+rep["shed"]+rep["non_2xx"]+rep["timeouts"]+rep["net_errors"] != rep["requests"] {
+		t.Fatalf("outcome records do not partition requests: %v", rep)
+	}
+	if rep["errors"] != rep["timeouts"]+rep["net_errors"] {
+		t.Fatalf("errors is not timeouts+net_errors: %v", rep)
+	}
+	if rep["latency_p99_us"] < rep["latency_p50_us"] || rep["latency_p50_us"] <= 0 {
+		t.Fatalf("implausible latency percentiles: %v", rep)
+	}
+}
+
+// TestIrbenchReplacesItsScenario: runs into one records file keep the
+// other scenario's records and replace their own, and a file holding a
+// line that is not a record is refused before the run and left alone.
+func TestIrbenchReplacesItsScenario(t *testing.T) {
+	base, cmd := startDaemon(t)
+	defer func() {
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+		_ = cmd.Wait()
+	}()
+	path := filepath.Join(t.TempDir(), "BENCH_netd.jsonl")
+	steady := runIrbench(t, base, path, "-conns", "2")["steady"]
+	got := runIrbench(t, base, path, "-conns", "3", "-mode", "storm", "-reconfigs", "2")
+	if len(got) != 2 || !reflect.DeepEqual(got["steady"], steady) || len(got["storm"]) != 22 || got["storm"]["conns"] != 3 {
+		t.Fatalf("a storm run did not join the steady records: %v", got)
+	}
+	storm := got["storm"]
+	got = runIrbench(t, base, path, "-conns", "4")
+	if len(got) != 2 || !reflect.DeepEqual(got["storm"], storm) || len(got["steady"]) != 22 || got["steady"]["conns"] != 4 {
+		t.Fatalf("a second steady run did not replace only the steady records: %v", got)
+	}
+
+	bad := filepath.Join(t.TempDir(), "bad.jsonl")
+	if err := os.WriteFile(bad, []byte("not a record\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Bench       string  `json:"bench"`
-		Mode        string  `json:"mode"`
-		AchievedQPS float64 `json:"achieved_qps"`
-		Requests    int     `json:"requests"`
-		Served      int     `json:"served"`
-		Shed        int     `json:"shed"`
-		Non2xx      int     `json:"non_2xx"`
-		Timeouts    int     `json:"timeouts"`
-		NetErrors   int     `json:"net_errors"`
-		Errors      int     `json:"errors"`
-		LatencyUS   struct {
-			P50 float64 `json:"p50"`
-			P99 float64 `json:"p99"`
-		} `json:"latency_us"`
+	out, err := exec.Command(filepath.Join(binaries(t), "irbench"), "-addr", strings.TrimPrefix(base, "http://"),
+		"-duration", "500ms", "-json", bad).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "refusing to rewrite") {
+		t.Fatalf("irbench over a non-record file: %v\n%s", err, out)
 	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad bench JSON: %v\n%s", err, raw)
-	}
-	if rep.Bench != "irnetd" || rep.Mode != "steady" || rep.Requests == 0 || rep.Errors != 0 {
-		t.Fatalf("bench report %+v\n%s", rep, out)
-	}
-	if rep.Served == 0 || rep.Served+rep.Shed+rep.Non2xx+rep.Timeouts+rep.NetErrors != rep.Requests {
-		t.Fatalf("outcome fields do not partition requests: %+v", rep)
-	}
-	if rep.Errors != rep.Timeouts+rep.NetErrors {
-		t.Fatalf("errors field is not timeouts+net_errors: %+v", rep)
-	}
-	if rep.LatencyUS.P99 < rep.LatencyUS.P50 || rep.LatencyUS.P50 <= 0 {
-		t.Fatalf("implausible latency percentiles: %+v", rep.LatencyUS)
+	if raw, _ := os.ReadFile(bad); string(raw) != "not a record\n" {
+		t.Fatalf("the refused file was rewritten: %q", raw)
 	}
 }
 

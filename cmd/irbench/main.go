@@ -11,7 +11,7 @@
 //	        [-qps 10000] [-conns 8] [-duration 5s] [-wait 5s]
 //	        [-endpoint route|nexthop] [-seed 1] [-json FILE]
 //	        [-mode steady|storm] [-reconfigs 50]
-//	        [-retries 4] [-req-timeout 2s] [-merge FILE]
+//	        [-retries 4] [-req-timeout 2s]
 //
 // -mode storm adds a reconfiguration driver: while the workers query, the
 // driver kills random live links through the daemon's own API (every 4th
@@ -20,16 +20,17 @@
 // version span, so a chaos harness can assert version continuity across a
 // daemon restart.
 //
-// -json writes this run's report; -merge FILE updates a combined document
-// {"bench":"irnetd","steady":{...},"storm":{...}} keyed by mode — the
-// format results/BENCH_netd.json uses.
+// -json FILE writes the run as trend records (source netd, scenario
+// -mode, one JSON line each: the format of results/BENCH_netd.jsonl) in
+// place of FILE's records of the same scenario, keeping the rest, so a
+// steady and a storm run, in either order, fill one file. A FILE holding
+// a line that is not a record is an error, reported before the run.
 //
 // Exit is nonzero only if no request at all succeeded.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -45,40 +46,6 @@ import (
 	"repro/internal/trend"
 )
 
-type latencyReport struct {
-	MeanUS float64 `json:"mean"`
-	P50US  float64 `json:"p50"`
-	P90US  float64 `json:"p90"`
-	P99US  float64 `json:"p99"`
-	P999US float64 `json:"p999"`
-	MaxUS  float64 `json:"max"`
-}
-
-type report struct {
-	Schema               int           `json:"schema"` // artifact schema version (trend.Schema)
-	Bench                string        `json:"bench"`
-	Mode                 string        `json:"mode"`
-	Endpoint             string        `json:"endpoint"`
-	Addr                 string        `json:"addr"`
-	Switches             int           `json:"switches"`
-	SnapshotVersionStart uint64        `json:"snapshot_version_start"`
-	SnapshotVersionEnd   uint64        `json:"snapshot_version_end"`
-	Reconfigurations     uint64        `json:"reconfigurations"`
-	Conns                int           `json:"conns"`
-	TargetQPS            float64       `json:"target_qps"`
-	AchievedQPS          float64       `json:"achieved_qps"`
-	Requests             uint64        `json:"requests"`
-	Served               uint64        `json:"served"`
-	Shed                 uint64        `json:"shed"`
-	Non2xx               uint64        `json:"non_2xx"`
-	Timeouts             uint64        `json:"timeouts"`
-	NetErrors            uint64        `json:"net_errors"`
-	Retries              uint64        `json:"retries"`
-	Errors               uint64        `json:"errors"` // timeouts + net_errors (back-compat)
-	DurationSeconds      float64       `json:"duration_seconds"`
-	LatencyUS            latencyReport `json:"latency_us"`
-}
-
 func main() {
 	var (
 		addr      = flag.String("addr", "", "daemon address HOST:PORT")
@@ -89,12 +56,11 @@ func main() {
 		wait      = flag.Duration("wait", 5*time.Second, "how long to wait for the daemon to become ready")
 		endpoint  = flag.String("endpoint", "route", "query endpoint to drive (route or nexthop)")
 		seed      = flag.Uint64("seed", 1, "seed for query-pair selection and retry jitter")
-		jsonOut   = flag.String("json", "", "write this run's JSON report to this file")
+		jsonOut   = flag.String("json", "", "replace this records file's records of -mode with this run's")
 		mode      = flag.String("mode", "steady", "steady (fixed topology) or storm (drive reconfigurations while measuring)")
 		reconfigs = flag.Int("reconfigs", 50, "reconfigurations to drive in storm mode")
 		retries   = flag.Int("retries", 4, "client retries per request")
 		reqTO     = flag.Duration("req-timeout", 2*time.Second, "per-attempt client deadline")
-		mergeOut  = flag.String("merge", "", `update this combined JSON file under the "steady"/"storm" key for -mode`)
 	)
 	flag.Parse()
 	if *conns < 1 {
@@ -105,6 +71,22 @@ func main() {
 	}
 	if *mode != "steady" && *mode != "storm" {
 		cliutil.Usagef("irbench", "-mode must be steady or storm, got %q", *mode)
+	}
+
+	var kept []trend.Record // -json's records of the other scenarios
+	if *jsonOut != "" {
+		old, warns, err := trend.ReadRecords(*jsonOut)
+		if err == nil && len(warns) > 0 {
+			err = fmt.Errorf("refusing to rewrite %s: %s", *jsonOut, warns[0])
+		}
+		if err != nil {
+			cliutil.Fatal("irbench", err)
+		}
+		for _, r := range old {
+			if r.Scenario != *mode {
+				kept = append(kept, r)
+			}
+		}
 	}
 
 	target, err := resolveAddr(*addr, *addrFile, *wait)
@@ -269,92 +251,56 @@ func main() {
 	if snEnd.Version > snStart.Version {
 		reconfigDelta = snEnd.Version - snStart.Version
 	}
-	rep := report{
-		Schema:               trend.Schema,
-		Bench:                "irnetd",
-		Mode:                 *mode,
-		Endpoint:             *endpoint,
-		Addr:                 target,
-		Switches:             n,
-		SnapshotVersionStart: snStart.Version,
-		SnapshotVersionEnd:   snEnd.Version,
-		Reconfigurations:     reconfigDelta,
-		Conns:                *conns,
-		TargetQPS:            *qps,
-		AchievedQPS:          float64(len(all)) / elapsed.Seconds(),
-		Requests:             totals.Requests,
-		Served:               totals.Served,
-		Shed:                 totals.Shed,
-		Non2xx:               totals.Non2xx,
-		Timeouts:             totals.Timeouts,
-		NetErrors:            totals.NetErrors,
-		Retries:              totals.Retries,
-		Errors:               totals.Timeouts + totals.NetErrors,
-		DurationSeconds:      elapsed.Seconds(),
-		LatencyUS: latencyReport{
-			MeanUS: us(sum / time.Duration(len(all))),
-			P50US:  pct(50),
-			P90US:  pct(90),
-			P99US:  pct(99),
-			P999US: pct(99.9),
-			MaxUS:  us(all[len(all)-1]),
-		},
-	}
+	achieved := float64(len(all)) / elapsed.Seconds()
+	mean, slowest := us(sum/time.Duration(len(all))), us(all[len(all)-1])
+	p50, p90, p99, p999 := pct(50), pct(90), pct(99), pct(99.9)
 
 	fmt.Printf("irbench: %s %s %s  %d switches, snapshot v%d -> v%d (%d reconfigurations)\n",
-		rep.Mode, rep.Endpoint, rep.Addr, n, rep.SnapshotVersionStart, rep.SnapshotVersionEnd,
-		rep.Reconfigurations)
+		*mode, *endpoint, target, n, snStart.Version, snEnd.Version, reconfigDelta)
 	fmt.Printf("  %d requests in %.2fs over %d conns: %.0f qps (target %.0f)\n",
-		rep.Requests, rep.DurationSeconds, rep.Conns, rep.AchievedQPS, rep.TargetQPS)
+		totals.Requests, elapsed.Seconds(), *conns, achieved, *qps)
 	fmt.Printf("  outcomes: %d served, %d shed, %d non-2xx, %d timeouts, %d net errors (%d retries)\n",
-		rep.Served, rep.Shed, rep.Non2xx, rep.Timeouts, rep.NetErrors, rep.Retries)
+		totals.Served, totals.Shed, totals.Non2xx, totals.Timeouts, totals.NetErrors, totals.Retries)
 	fmt.Printf("  latency µs: mean %.0f  p50 %.0f  p90 %.0f  p99 %.0f  p99.9 %.0f  max %.0f\n",
-		rep.LatencyUS.MeanUS, rep.LatencyUS.P50US, rep.LatencyUS.P90US,
-		rep.LatencyUS.P99US, rep.LatencyUS.P999US, rep.LatencyUS.MaxUS)
+		mean, p50, p90, p99, p999, slowest)
 
-	if *jsonOut != "" {
-		if err := writeJSONFile(*jsonOut, rep); err != nil {
-			cliutil.Fatal("irbench", err)
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
+	if *jsonOut == "" {
+		return
 	}
-	if *mergeOut != "" {
-		if err := mergeReport(*mergeOut, rep); err != nil {
-			cliutil.Fatal("irbench", err)
-		}
-		fmt.Printf("  merged into %s\n", *mergeOut)
+	var recs []trend.Record
+	for _, f := range []struct {
+		metric string
+		value  float64
+	}{
+		{"switches", float64(n)},
+		{"snapshot_version_start", float64(snStart.Version)},
+		{"snapshot_version_end", float64(snEnd.Version)},
+		{"reconfigurations", float64(reconfigDelta)},
+		{"conns", float64(*conns)},
+		{"target_qps", *qps},
+		{"achieved_qps", achieved},
+		{"requests", float64(totals.Requests)},
+		{"served", float64(totals.Served)},
+		{"shed", float64(totals.Shed)},
+		{"non_2xx", float64(totals.Non2xx)},
+		{"timeouts", float64(totals.Timeouts)},
+		{"net_errors", float64(totals.NetErrors)},
+		{"retries", float64(totals.Retries)},
+		{"errors", float64(totals.Timeouts + totals.NetErrors)}, // neither served nor shed
+		{"duration_seconds", elapsed.Seconds()},
+		{"latency_mean_us", mean},
+		{"latency_p50_us", p50},
+		{"latency_p90_us", p90},
+		{"latency_p99_us", p99},
+		{"latency_p999_us", p999},
+		{"latency_max_us", slowest},
+	} {
+		recs = append(recs, trend.Record{Source: "netd", Metric: f.metric, Scenario: *mode, Value: f.value})
 	}
-}
-
-func writeJSONFile(path string, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
+	if err := trend.WriteArtifact(*jsonOut, append(recs, kept...)); err != nil {
+		cliutil.Fatal("irbench", err)
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// mergeReport updates the combined benchmark document, keeping the other
-// mode's entry intact so steady and storm runs can land in either order.
-func mergeReport(path string, rep report) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s exists but is not a JSON object: %v", path, err)
-		}
-	}
-	entry, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["bench"], _ = json.Marshal("irnetd")
-	doc["schema"], _ = json.Marshal(trend.Schema)
-	doc[rep.Mode] = entry
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	fmt.Printf("  wrote %s\n", *jsonOut)
 }
 
 // resolveAddr returns the daemon address from -addr, or polls -addr-file

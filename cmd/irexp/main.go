@@ -72,7 +72,7 @@ var (
 	policies = flag.String("policies", "", "override the tree policies (e.g. M1,M3)")
 	rates    = flag.String("rates", "", "override the injection rates in flits/clock/node (comma-separated)")
 	plen     = flag.Int("plen", 0, "override the packet length in flits")
-	warmup   = flag.Int("warmup", 0, "override the warmup cycles")
+	warmup   = flag.Int("warmup", 0, "override the warmup cycles (0 = none)")
 	measure  = flag.Int("measure", 0, "override the measurement cycles")
 	engine   = flag.String("engine", "event", "simulation engine: event (fast path) or scan (baseline); results are byte-identical")
 	jsonPath = flag.String("json", "", "also write the study's machine-readable report to this file")
@@ -175,6 +175,19 @@ func parseFlags() {
 	}
 	if !*quiet {
 		progress = os.Stderr
+	}
+	// A size of 0 means 0, never the default: a packet and the measurement
+	// window need at least one flit and one cycle, and -warmup 0 runs no
+	// warm-up.
+	if set["plen"] {
+		cliutil.AtLeast("irexp", "plen", *plen, 1)
+	}
+	if set["measure"] {
+		cliutil.AtLeast("irexp", "measure", *measure, 1)
+	}
+	cliutil.AtLeast("irexp", "warmup", *warmup, 0)
+	if *warmup == 0 {
+		*warmup = wormsim.NoWarmup // read only where -warmup was given
 	}
 	if set["ports"] {
 		if portList, err = cliutil.ParseInts(*ports, 1); err != nil {

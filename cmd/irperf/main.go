@@ -1,29 +1,29 @@
 // Command irperf measures the wormsim engines against each other and
-// writes the comparison to a JSON report (the checked-in
-// results/BENCH_wormsim.json is produced by `make bench`).
+// writes the comparison as trend records, one JSON line each (the
+// checked-in results/BENCH_wormsim.jsonl is produced by `make bench`).
 //
 // Usage:
 //
 //	irperf [-switches 128,1024] [-ports 4,8] [-rates 0.02,0.05,0.1,0.45]
 //	       [-plen 128] [-warm 2000] [-cycles 20000] [-seed 1]
-//	       [-json results/BENCH_wormsim.json]
+//	       [-json results/BENCH_wormsim.jsonl]
 //
 // For every (switches, ports, rate) configuration irperf builds one random
 // irregular network, warms a simulator to steady state, and times the same
 // span of cycles under the scan baseline (Engine=scan) and the event-driven
 // fast path (Engine=event). The engines are proven byte-identical by the
-// differential tests, so the report is purely about speed: cycles/sec,
-// ns/cycle, ns/flit-hop (channel traversals + ejections in the timed
-// window), allocations per cycle, and the event/scan speedup. The report
-// records the GOMAXPROCS it ran under ("cores").
+// differential tests, so the records are purely about speed. At scenario
+// <N>sw/<P>port/r<rate> they hold, per engine, <engine>_cycles_per_sec,
+// _ns_per_cycle, _ns_per_flit_hop (channel traversals + ejections in the
+// timed window), _allocs_per_cycle and _flit_hops, and the event/scan
+// speedup_event_scan. The run's packet_length, warm_cycles, timed_cycles
+// and seed are records at scenario "". Every record carries the
+// GOMAXPROCS it ran under (cores).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -38,33 +38,11 @@ import (
 
 // engineStats is one engine's measurement at one configuration.
 type engineStats struct {
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-	NsPerCycle     float64 `json:"ns_per_cycle"`
-	NsPerFlitHop   float64 `json:"ns_per_flit_hop"`
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	FlitHops       int64   `json:"flit_hops"`
-}
-
-// configReport compares the engines at one (switches, ports, rate) point.
-type configReport struct {
-	Switches int                    `json:"switches"`
-	Ports    int                    `json:"ports"`
-	Rate     float64                `json:"rate"`
-	Engines  map[string]engineStats `json:"engines"`
-	Speedup  float64                `json:"speedup"` // event cycles/sec over scan
-}
-
-// report is the whole BENCH_wormsim.json document.
-type report struct {
-	Schema       int            `json:"schema"` // artifact schema version (trend.Schema)
-	Tool         string         `json:"tool"`
-	GoVersion    string         `json:"go_version"`
-	Cores        int            `json:"cores"` // GOMAXPROCS of the measuring host
-	PacketLength int            `json:"packet_length"`
-	WarmCycles   int            `json:"warm_cycles"`
-	TimedCycles  int            `json:"timed_cycles"`
-	Seed         uint64         `json:"seed"`
-	Configs      []configReport `json:"configs"`
+	CyclesPerSec   float64
+	NsPerCycle     float64
+	NsPerFlitHop   float64
+	AllocsPerCycle float64
+	FlitHops       int64
 }
 
 func main() {
@@ -76,7 +54,7 @@ func main() {
 		warm        = flag.Int("warm", 2000, "untimed warmup cycles per run")
 		cycles      = flag.Int("cycles", 20000, "timed cycles per run")
 		seed        = flag.Uint64("seed", 1, "network and traffic seed")
-		jsonPath    = flag.String("json", "results/BENCH_wormsim.json", "output path")
+		jsonPath    = flag.String("json", "results/BENCH_wormsim.jsonl", "output path of the records")
 	)
 	flag.Parse()
 
@@ -93,26 +71,21 @@ func main() {
 		cliutil.Usagef("irperf", "-rates: %v", err)
 	}
 
-	rep := report{
-		Schema:       trend.Schema,
-		Tool:         "irperf",
-		GoVersion:    runtime.Version(),
-		Cores:        runtime.GOMAXPROCS(0),
-		PacketLength: *plen,
-		WarmCycles:   *warm,
-		TimedCycles:  *cycles,
-		Seed:         *seed,
+	cores := runtime.GOMAXPROCS(0)
+	var recs []trend.Record
+	add := func(metric, scenario string, v float64) {
+		recs = append(recs, trend.Record{Source: "wormsim", Metric: metric, Scenario: scenario, Cores: cores, Value: v})
 	}
+	add("packet_length", "", float64(*plen))
+	add("warm_cycles", "", float64(*warm))
+	add("timed_cycles", "", float64(*cycles))
+	add("seed", "", float64(*seed))
 	for _, sw := range sizes {
 		for _, p := range ports {
 			fn, tb, n := buildNet(sw, p, *seed)
 			for _, rate := range rates {
-				cr := configReport{
-					Switches: n,
-					Ports:    p,
-					Rate:     rate,
-					Engines:  map[string]engineStats{},
-				}
+				sc := fmt.Sprintf("%dsw/%dport/r%g", n, p, rate)
+				perSec := map[wormsim.Engine]float64{}
 				for _, engine := range wormsim.Engines() {
 					st, err := measure(fn, tb, wormsim.Config{
 						PacketLength:  *plen,
@@ -125,17 +98,23 @@ func main() {
 					if err != nil {
 						cliutil.Fatalf("irperf", "%dsw/%dport rate %v engine %v: %v", n, p, rate, engine, err)
 					}
-					cr.Engines[engine.String()] = st
+					e := engine.String() + "_"
+					add(e+"cycles_per_sec", sc, st.CyclesPerSec)
+					add(e+"ns_per_cycle", sc, st.NsPerCycle)
+					add(e+"ns_per_flit_hop", sc, st.NsPerFlitHop)
+					add(e+"allocs_per_cycle", sc, st.AllocsPerCycle)
+					add(e+"flit_hops", sc, float64(st.FlitHops))
+					perSec[engine] = st.CyclesPerSec
 				}
-				cr.Speedup = cr.Engines["event"].CyclesPerSec / cr.Engines["scan"].CyclesPerSec
-				rep.Configs = append(rep.Configs, cr)
+				speedup := perSec[wormsim.EngineEvent] / perSec[wormsim.EngineScan]
+				add("speedup_event_scan", sc, speedup)
 				fmt.Printf("%4dsw %dport rate %-5v  scan %10.0f cyc/s  event %10.0f cyc/s  event/scan %.2fx\n",
-					n, p, rate, cr.Engines["scan"].CyclesPerSec, cr.Engines["event"].CyclesPerSec, cr.Speedup)
+					n, p, rate, perSec[wormsim.EngineScan], perSec[wormsim.EngineEvent], speedup)
 			}
 		}
 	}
 
-	if err := writeJSON(*jsonPath, rep); err != nil {
+	if err := trend.WriteArtifact(*jsonPath, recs); err != nil {
 		cliutil.Fatal("irperf", err)
 	}
 	fmt.Printf("wrote %s\n", *jsonPath)
@@ -201,17 +180,4 @@ func measure(fn *routing.Function, tb routing.PathSource, cfg wormsim.Config, wa
 		st.NsPerFlitHop = float64(elapsed.Nanoseconds()) / float64(hops)
 	}
 	return st, nil
-}
-
-func writeJSON(path string, rep report) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

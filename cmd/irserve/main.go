@@ -61,6 +61,18 @@ func main() {
 	if err != nil {
 		cliutil.Usagef("irserve", "%v", err)
 	}
+	cliutil.AtLeast("irserve", "plen", *plen, 1)
+	cliutil.AtLeast("irserve", "flit-bytes", *flitBytes, 1)
+	cliutil.AtLeast("irserve", "probe-limit", *probeLimit, 1)
+	cfg := wormsim.Config{
+		PacketLength:  *plen,
+		InjectionRate: *rate,
+		Seed:          spec.Seed,
+		Engine:        eng,
+	}
+	if err := cfg.Validate(); err != nil {
+		cliutil.Usagef("irserve", "%v", err)
+	}
 	net := spec.Build("irserve")
 	fn := net.Fn
 	if err := fn.Verify(); err != nil {
@@ -70,12 +82,7 @@ func main() {
 
 	desc := fmt.Sprintf("%s/%dsw/%dport/%s/%s/rate%g/plen%d",
 		spec.Topo, net.G.N(), spec.Ports, spec.Policy, net.Alg.Name(), *rate, *plen)
-	oracle, err := cosim.NewOracle(fn, tb, wormsim.Config{
-		PacketLength:  *plen,
-		InjectionRate: *rate,
-		Seed:          spec.Seed,
-		Engine:        eng,
-	}, cosim.Options{
+	oracle, err := cosim.NewOracle(fn, tb, cfg, cosim.Options{
 		Spec:       desc,
 		FlitBytes:  *flitBytes,
 		ProbeLimit: *probeLimit,

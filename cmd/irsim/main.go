@@ -5,7 +5,7 @@
 //
 //	irsim [-topo random] [-switches 128] [-ports 4] [-seed 1] [-policy M1]
 //	      [-alg DOWN/UP] [-rate 0.1] [-plen 128] [-warmup 4000]
-//	      [-measure 16000] [-adaptive] [-pattern uniform] [-util]
+//	      [-measure 16000] [-mode source] [-pattern uniform] [-util]
 //	      [-recover] [-detect-interval 512] [-max-retries 4] [-backoff 64]
 //	      [-livelock 0] [-engine event]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -44,21 +44,20 @@ import (
 func main() {
 	spec := cliutil.NetworkFlags(128, true)
 	var (
-		rate     = flag.Float64("rate", 0.1, "injection rate (flits/clock/node)")
-		plen     = flag.Int("plen", 128, "packet length in flits")
-		warmup   = flag.Int("warmup", 4000, "warmup cycles")
-		measure  = flag.Int("measure", 16000, "measurement cycles")
-		vcs      = flag.Int("vc", 1, "virtual channels per physical channel")
-		burst    = flag.Int("burst", 0, "mean burst length in packets (0 = smooth Bernoulli arrivals)")
-		sel      = flag.String("select", "random", "adaptive selection function: random, first, least-loaded")
-		adaptive = flag.Bool("adaptive", false, "per-hop adaptive routing instead of source-routed")
-		mode     = flag.String("mode", "", "path selection: source, adaptive, or deterministic (overrides -adaptive)")
-		trace    = flag.String("trace", "", "write a per-packet CSV trace to this file")
-		pattern  = flag.String("pattern", "uniform", "traffic pattern (uniform, hotspot, transpose, bitreverse, permutation)")
-		hotspot  = flag.Int("hotspot", 0, "hot destination for -pattern hotspot")
-		hotfrac  = flag.Float64("hotfrac", 0.2, "hot fraction for -pattern hotspot")
-		util     = flag.Bool("util", false, "print per-node utilization")
-		profile  = flag.Bool("profile", false, "print the per-tree-level utilization profile")
+		rate    = flag.Float64("rate", 0.1, "injection rate (flits/clock/node)")
+		plen    = flag.Int("plen", 128, "packet length in flits")
+		warmup  = flag.Int("warmup", 4000, "warmup cycles (0 = none)")
+		measure = flag.Int("measure", 16000, "measurement cycles")
+		vcs     = flag.Int("vc", 1, "virtual channels per physical channel")
+		burst   = flag.Int("burst", 0, "mean burst length in packets (0 = smooth Bernoulli arrivals)")
+		sel     = flag.String("select", "random", "adaptive selection function: random, first, least-loaded")
+		mode    = flag.String("mode", "", "path selection: source, adaptive, or deterministic")
+		trace   = flag.String("trace", "", "write a per-packet CSV trace to this file")
+		pattern = flag.String("pattern", "uniform", "traffic pattern (uniform, hotspot, transpose, bitreverse, permutation)")
+		hotspot = flag.Int("hotspot", 0, "hot destination for -pattern hotspot")
+		hotfrac = flag.Float64("hotfrac", 0.2, "hot fraction for -pattern hotspot")
+		util    = flag.Bool("util", false, "print per-node utilization")
+		profile = flag.Bool("profile", false, "print the per-tree-level utilization profile")
 
 		engine     = flag.String("engine", "event", "simulation engine: event (fast path) or scan (baseline); results are byte-identical")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
@@ -71,8 +70,11 @@ func main() {
 	)
 	flag.Parse()
 
-	// Every name is checked before any work, as a usage error; spec.Build
-	// checks -policy and -alg.
+	// Every name and setting is checked before any work, as a usage error;
+	// spec.Build checks -policy and -alg.
+	cliutil.AtLeast("irsim", "plen", *plen, 1)
+	cliutil.AtLeast("irsim", "measure", *measure, 1)
+	cliutil.AtLeast("irsim", "warmup", *warmup, 0)
 	cfg := wormsim.Config{
 		PacketLength:      *plen,
 		VirtualChannels:   *vcs,
@@ -87,6 +89,9 @@ func main() {
 		RetryBackoff:      *backoff,
 		LivelockThreshold: *livelock,
 	}
+	if *warmup == 0 {
+		cfg.WarmupCycles = wormsim.NoWarmup
+	}
 	var err error
 	if cfg.Engine, err = cliutil.ParseEngine(*engine); err != nil {
 		cliutil.Usagef("irsim", "%v", err)
@@ -99,9 +104,6 @@ func main() {
 		cfg.Select = wormsim.SelectLeastLoaded
 	default:
 		cliutil.Usagef("irsim", "unknown selection %q", *sel)
-	}
-	if *adaptive {
-		cfg.Mode = wormsim.Adaptive
 	}
 	switch *mode {
 	case "":
@@ -125,6 +127,9 @@ func main() {
 	}[*pattern]
 	if !ok {
 		cliutil.Usagef("irsim", "unknown pattern %q", *pattern)
+	}
+	if err := cfg.Validate(); err != nil {
+		cliutil.Usagef("irsim", "%v", err)
 	}
 
 	net := spec.Build("irsim")

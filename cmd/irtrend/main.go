@@ -1,11 +1,12 @@
 // Command irtrend is the cross-PR performance-regression tracker: it
-// ingests the two measurement artifacts under results/ (BENCH_wormsim.json
-// from irperf and BENCH_netd.json from irbench), normalizes them into
-// (source, metric, scenario, cores, value) records, evaluates the
+// reads the two measurement artifacts under results/ (BENCH_wormsim.jsonl
+// from irperf and BENCH_netd.jsonl from irbench), whose lines are
+// (source, metric, scenario, cores, value) trend records, evaluates the
 // accumulated regression gates — the floors and ceilings earlier PRs
 // pinned in CI — and compares against the append-only history
-// results/TREND.jsonl. The studies' BENCH_*.json files are not
-// measurements; internal/harness's tests hold them to their bounds.
+// results/TREND.jsonl, which holds the same records under labels. The
+// studies' BENCH_*.json files are not measurements; internal/harness's
+// tests hold them to their bounds.
 //
 // Usage:
 //
@@ -18,8 +19,8 @@
 // must not pass silently), and 2 on usage or I/O errors. Every gate is
 // enforced on every host.
 //
-// -record appends the freshly normalized records to the trend history
-// under -label, in deterministic key order, after the gates pass. History
+// -record appends the artifacts' records to the trend history under
+// -label, in deterministic key order, after the gates pass. History
 // comparison is informational: drift against the last recorded label is
 // printed (with -v, for every gated metric) but only gates fail the run.
 package main
@@ -35,9 +36,9 @@ import (
 
 func main() {
 	var (
-		resultsDir = flag.String("results", "results", "directory holding the BENCH_*.json artifacts")
+		resultsDir = flag.String("results", "results", "directory holding the BENCH_*.jsonl measurement artifacts")
 		trendPath  = flag.String("trend", "results/TREND.jsonl", "append-only trend history file")
-		record     = flag.Bool("record", false, "append the normalized records to the trend history (requires -label)")
+		record     = flag.Bool("record", false, "append the artifacts' records to the trend history (requires -label)")
 		label      = flag.String("label", "", "label for -record, e.g. pr9")
 		verbose    = flag.Bool("v", false, "print every ingested record and history drift line")
 	)
@@ -50,7 +51,7 @@ func main() {
 	if err != nil {
 		cliutil.Usagef("irtrend", "%v", err)
 	}
-	hist, hwarns, err := trend.ReadHistory(*trendPath)
+	hist, hwarns, err := trend.ReadRecords(*trendPath)
 	if err != nil {
 		cliutil.Usagef("irtrend", "%s: %v", *trendPath, err)
 	}

@@ -44,3 +44,11 @@ func Usagef(tool, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, tool+": "+format+"\n", args...)
 	os.Exit(ExitUsage)
 }
+
+// AtLeast reports a usage error naming the flag when its value v is below
+// min: a size flag of 0 means 0, never "the default".
+func AtLeast(tool, flag string, v, min int) {
+	if v < min {
+		Usagef(tool, "-%s must be at least %d, got %d", flag, min, v)
+	}
+}

@@ -20,29 +20,25 @@ type Options struct {
 	// FlitBytes is the byte width of one flit for the bytes→flits
 	// conversion of latency queries (default 4).
 	FlitBytes int
-	// MaxProbeBytes bounds one latency query's transfer size (default
-	// 1 MiB); larger requests earn ErrCodeBadQuery.
-	MaxProbeBytes int
 	// ProbeLimit bounds how many cycles a latency query may run the
 	// simulation waiting for its probe (default 300000); past it the
 	// query earns ErrCodeTimeout with the clock left at the limit.
 	ProbeLimit int
-	// MaxAdvance bounds one advance query (default 1<<20 cycles).
-	MaxAdvance int
 }
+
+// Per-query bounds: a latency query's transfer size (larger requests earn
+// ErrCodeBadQuery) and an advance query's cycle count.
+const (
+	maxProbeBytes = 1 << 20
+	maxAdvance    = 1 << 20
+)
 
 func (o Options) withDefaults() Options {
 	if o.FlitBytes == 0 {
 		o.FlitBytes = 4
 	}
-	if o.MaxProbeBytes == 0 {
-		o.MaxProbeBytes = 1 << 20
-	}
 	if o.ProbeLimit == 0 {
 		o.ProbeLimit = 300000
-	}
-	if o.MaxAdvance == 0 {
-		o.MaxAdvance = 1 << 20
 	}
 	return o
 }
@@ -77,7 +73,7 @@ func NewOracle(fn *routing.Function, tb routing.PathSource, cfg wormsim.Config, 
 		cfg.MeasureCycles = 1 << 30
 	}
 	opts = opts.withDefaults()
-	if opts.FlitBytes < 1 || opts.MaxProbeBytes < 1 || opts.ProbeLimit < 1 || opts.MaxAdvance < 1 {
+	if opts.FlitBytes < 1 || opts.ProbeLimit < 1 {
 		return nil, fmt.Errorf("cosim: negative or zero oracle option in %+v", opts)
 	}
 	sim, err := wormsim.New(fn, tb, cfg)
@@ -96,8 +92,8 @@ func fingerprint(fn *routing.Function, seed uint64, opts Options) string {
 	h := fnv.New64a()
 	cg := fn.CG()
 	fmt.Fprintf(h, "cosim/v%d|%s|seed=%d|flit=%d|probe=%d/%d|adv=%d|n=%d|ch=%d",
-		Version, opts.Spec, seed, opts.FlitBytes, opts.MaxProbeBytes, opts.ProbeLimit,
-		opts.MaxAdvance, cg.N(), cg.NumChannels())
+		Version, opts.Spec, seed, opts.FlitBytes, maxProbeBytes, opts.ProbeLimit,
+		maxAdvance, cg.N(), cg.NumChannels())
 	for i := range cg.Channels {
 		c := &cg.Channels[i]
 		fmt.Fprintf(h, "|%d:%d>%d", i, c.From, c.To)
@@ -186,8 +182,8 @@ func (o *Oracle) latency(f *Frame) *Frame {
 	if q.Src == q.Dst {
 		return errorf(f.ID, ErrCodeBadQuery, "src %d equals dst", q.Src)
 	}
-	if q.Bytes < 0 || q.Bytes > o.opts.MaxProbeBytes {
-		return errorf(f.ID, ErrCodeBadQuery, "bytes %d outside [0,%d]", q.Bytes, o.opts.MaxProbeBytes)
+	if q.Bytes < 0 || q.Bytes > maxProbeBytes {
+		return errorf(f.ID, ErrCodeBadQuery, "bytes %d outside [0,%d]", q.Bytes, maxProbeBytes)
 	}
 	flits := (q.Bytes + o.opts.FlitBytes - 1) / o.opts.FlitBytes
 	if flits < 1 {
@@ -228,8 +224,8 @@ func (o *Oracle) simAborted(err error) bool {
 
 func (o *Oracle) advance(f *Frame) *Frame {
 	q := query(f)
-	if q.Cycles < 1 || q.Cycles > o.opts.MaxAdvance {
-		return errorf(f.ID, ErrCodeBadQuery, "cycles %d outside [1,%d]", q.Cycles, o.opts.MaxAdvance)
+	if q.Cycles < 1 || q.Cycles > maxAdvance {
+		return errorf(f.ID, ErrCodeBadQuery, "cycles %d outside [1,%d]", q.Cycles, maxAdvance)
 	}
 	if err := o.sim.RunCycles(q.Cycles); err != nil {
 		o.broken = err

@@ -40,8 +40,6 @@ type CollectiveOptions struct {
 	MessagePackets int
 	// PacketLength in flits.
 	PacketLength int
-	// Budget bounds each run's cycles (0 = the workload driver's default).
-	Budget int
 	// Mode selects source-routed or adaptive simulation.
 	Mode wormsim.Mode
 	// Engine selects the simulator cycle loop (the engines are
@@ -182,11 +180,10 @@ func CollectiveStudy(opts CollectiveOptions) (*CollectiveResults, error) {
 			return outcome{}, err
 		}
 		st, res, err := workload.Run(p.fn, p.tb, dag, wormsim.Config{
-			PacketLength:  opts.PacketLength,
-			Mode:          opts.Mode,
-			Engine:        opts.Engine,
-			MeasureCycles: opts.Budget,
-			Seed:          deriveSeed(opts.Seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), uint64(cs.ai)+2, uint64(ci)+1),
+			PacketLength: opts.PacketLength,
+			Mode:         opts.Mode,
+			Engine:       opts.Engine,
+			Seed:         deriveSeed(opts.Seed, uint64(cs.pi), uint64(cs.si), uint64(cs.poli), uint64(cs.ai)+2, uint64(ci)+1),
 		})
 		if err != nil {
 			return outcome{}, err

@@ -15,6 +15,10 @@ import (
 	"repro/internal/wormsim"
 )
 
+// hotSpots is the number of hot destinations of the hot-spot study,
+// chosen among tree leaves, deterministically per sample.
+const hotSpots = 2
+
 // HotspotOptions configures the hot-spot study: the workload of Pfister and
 // Norton's hot-spot contention analysis (the paper's reference [5] and the
 // namesake of its Table 3 metric), applied to the tree-based routing
@@ -31,9 +35,6 @@ type HotspotOptions struct {
 	Algorithms []routing.Algorithm
 	// Fractions is the sweep of hot-traffic fractions in [0, 1).
 	Fractions []float64
-	// HotSpots is the number of hot destinations (chosen among tree leaves,
-	// deterministically per sample).
-	HotSpots int
 	// InjectionRate is the offered load in flits/clock/node.
 	InjectionRate float64
 	// PacketLength in flits.
@@ -54,7 +55,6 @@ func DefaultHotspotOptions() HotspotOptions {
 		Samples:       3,
 		Algorithms:    []routing.Algorithm{core.DownUp{}, routing.LTurn{}, routing.UpDown{}},
 		Fractions:     []float64{0, 0.1, 0.2, 0.4},
-		HotSpots:      2,
 		InjectionRate: 0.1,
 		PacketLength:  32,
 		WarmupCycles:  2000,
@@ -108,9 +108,9 @@ func HotspotStudy(opts HotspotOptions) (*HotspotResults, error) {
 		}
 		cg := cgraph.Build(tr)
 		leaves := tr.Leaves()
-		spots := make([]int, 0, opts.HotSpots)
-		for i := 0; i < opts.HotSpots && i < len(leaves); i++ {
-			spots = append(spots, leaves[(i*len(leaves))/max(opts.HotSpots, 1)])
+		spots := make([]int, 0, hotSpots)
+		for i := 0; i < hotSpots && i < len(leaves); i++ {
+			spots = append(spots, leaves[(i*len(leaves))/hotSpots])
 		}
 		fn, err := opts.Algorithms[ai].Build(cg)
 		if err != nil {
@@ -188,7 +188,7 @@ func (r *HotspotResults) Point(algorithm string, fraction float64) *HotspotPoint
 func FormatHotspot(r *HotspotResults) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Hot-spot study: %d switches, %d ports, %d hot leaves, offered %.3f flits/clock/node\n",
-		r.Options.Switches, r.Options.Ports, r.Options.HotSpots, r.Options.InjectionRate)
+		r.Options.Switches, r.Options.Ports, hotSpots, r.Options.InjectionRate)
 	fmt.Fprintf(&b, "%-16s %-10s %-10s %-10s %-10s %-10s\n",
 		"algorithm", "hotFrac", "accepted", "latency", "hotspot%", "load")
 	for _, p := range r.Points {

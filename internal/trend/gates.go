@@ -4,7 +4,7 @@ package trend
 // earlier PR's CI job or checked-in artifact; cmd/irtrend evaluates them
 // against freshly ingested records so a perf regression fails the build
 // with a named, attributable gate instead of a silently drifting number.
-// CI's benchmark smoke job runs irtrend over a fresh irperf report, so the
+// CI's benchmark smoke job runs irtrend over fresh irperf records, so the
 // engine speed floors below are its floors too. The bounds on the study
 // artifacts live with the study code (internal/harness's
 // TestStudyArtifactBounds).
@@ -152,7 +152,7 @@ func Evaluate(recs []Record, gates []Gate) *Report {
 		}
 		if matched == 0 {
 			rep.Violations = append(rep.Violations, Violation{Gate: g,
-				Why: fmt.Sprintf("gate %s matched no records — artifact missing or metric renamed", g)})
+				Why: fmt.Sprintf("gate %s matched no records — artifact missing or metric renamed (%s)", g, g.Origin)})
 		}
 	}
 	return rep

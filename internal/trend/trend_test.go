@@ -42,20 +42,31 @@ func write(t *testing.T, dir, name, body string) {
 // regressed past its bound.
 func regressedDir(t *testing.T) string {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_wormsim.json", `{
-  "schema": 1, "cores": 8,
-  "configs": [
-    {"switches": 128, "ports": 4, "rate": 0.1,
-     "engines": {"event": {"cycles_per_sec": 1e6}}, "speedup": 0.9},
-    {"switches": 128, "ports": 4, "rate": 0.45,
-     "engines": {"event": {"cycles_per_sec": 1e6}}, "speedup": 1.2}
-  ]}`)
-	write(t, dir, "BENCH_netd.json", `{
-  "schema": 1,
-  "steady": {"achieved_qps": 8000, "served": 100, "shed": 0, "errors": 3,
-             "latency_us": {"mean": 4000, "p50": 3000, "p99": 9000, "p999": 9500}},
-  "storm":  {"achieved_qps": 500, "served": 10, "shed": 90, "errors": 0,
-             "latency_us": {"mean": 100, "p50": 80, "p99": 200, "p999": 300}}}`)
+	rec := func(source, metric, scenario string, v float64) Record {
+		return Record{Source: source, Metric: metric, Scenario: scenario, Value: v}
+	}
+	if err := WriteArtifact(filepath.Join(dir, "BENCH_wormsim.jsonl"), []Record{
+		rec("wormsim", "speedup_event_scan", "128sw/4port/r0.1", 0.9),
+		rec("wormsim", "event_cycles_per_sec", "128sw/4port/r0.1", 1e6),
+		rec("wormsim", "speedup_event_scan", "128sw/4port/r0.45", 1.2),
+		rec("wormsim", "event_cycles_per_sec", "128sw/4port/r0.45", 1e6),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArtifact(filepath.Join(dir, "BENCH_netd.jsonl"), []Record{
+		rec("netd", "achieved_qps", "steady", 8000),
+		rec("netd", "errors", "steady", 3),
+		rec("netd", "shed", "steady", 0),
+		rec("netd", "latency_p50_us", "steady", 3000),
+		rec("netd", "latency_p99_us", "steady", 9000),
+		rec("netd", "achieved_qps", "storm", 500),
+		rec("netd", "errors", "storm", 0),
+		rec("netd", "shed", "storm", 90),
+		rec("netd", "latency_p50_us", "storm", 80),
+		rec("netd", "latency_p99_us", "storm", 200),
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return dir
 }
 
@@ -93,20 +104,19 @@ func TestRegressedResultsFailGates(t *testing.T) {
 	}
 }
 
-// TestUnknownSchemaWarnsNotFails: a future schema version is ingested with
-// a warning — an old tracker must never block a newer artifact.
+// TestUnknownSchemaWarnsNotFails: a record of a future schema version is
+// ingested with a warning and still gated — an old tracker must never
+// block a newer artifact.
 func TestUnknownSchemaWarnsNotFails(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_wormsim.json", `{
-  "schema": 99, "cores": 2,
-  "configs": [{"switches": 128, "ports": 4, "rate": 0.1,
-               "engines": {"event": {"cycles_per_sec": 1e6}}, "speedup": 2}]}`)
-	recs, warns, err := IngestFile(filepath.Join(dir, "BENCH_wormsim.json"))
+	write(t, dir, "BENCH_wormsim.jsonl",
+		`{"schema":99,"source":"wormsim","metric":"speedup_event_scan","scenario":"128sw/4port/r0.1","cores":2,"value":0.5}`+"\n")
+	recs, warns, err := IngestDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 1 {
+		t.Fatalf("got %d records, want 1", len(recs))
 	}
 	found := false
 	for _, w := range warns {
@@ -117,18 +127,33 @@ func TestUnknownSchemaWarnsNotFails(t *testing.T) {
 	if !found {
 		t.Fatalf("no schema warning in %+v", warns)
 	}
+	gated := false
+	for _, v := range Evaluate(recs, DefaultGates()).Violations {
+		if v.Record.Schema == 99 && strings.Contains(v.Why, "below floor 1.3") {
+			gated = true
+		}
+	}
+	if !gated {
+		t.Fatal("the schema-99 record escaped its gate")
+	}
 }
 
-// TestUnrecognizedArtifactIsError: basenames outside the known set refuse
-// to ingest rather than guessing a shape. The study artifacts are among
-// them: only the harness that writes them decodes them.
+// TestUnrecognizedArtifactIsError: the tracker reads the two measurement
+// artifacts and nothing else, even a file that holds records. The study
+// artifacts are among the rest: only the harness that writes them decodes
+// them.
 func TestUnrecognizedArtifactIsError(t *testing.T) {
 	dir := t.TempDir()
+	line := `{"schema":1,"source":"wormsim","metric":"speedup_event_scan","scenario":"128sw/4port/r0.1","value":9}` + "\n"
 	for _, name := range []string{"BENCH_mystery.json", "BENCH_collective.json", "BENCH_turnsearch.json", "BENCH_zoo.json"} {
-		write(t, dir, name, `{}`)
-		if _, _, err := IngestFile(filepath.Join(dir, name)); err == nil {
-			t.Errorf("unrecognized artifact %s ingested", name)
-		}
+		write(t, dir, name, line)
+	}
+	recs, _, err := IngestDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("ingested %d records from artifacts the tracker does not read: %+v", len(recs), recs)
 	}
 }
 
@@ -136,7 +161,7 @@ func TestUnrecognizedArtifactIsError(t *testing.T) {
 // warning, but the gate over the absent source reports itself unmatched.
 func TestMissingArtifactGateTrips(t *testing.T) {
 	dir := regressedDir(t)
-	if err := os.Remove(filepath.Join(dir, "BENCH_netd.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "BENCH_netd.jsonl")); err != nil {
 		t.Fatal(err)
 	}
 	recs, warns, err := IngestDir(dir)
@@ -145,7 +170,7 @@ func TestMissingArtifactGateTrips(t *testing.T) {
 	}
 	ok := false
 	for _, w := range warns {
-		if strings.Contains(w, "BENCH_netd.json") {
+		if strings.Contains(w, "BENCH_netd.jsonl") {
 			ok = true
 		}
 	}
@@ -179,7 +204,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 	if err := AppendHistory(path, "pr2", recs[:1]); err != nil {
 		t.Fatal(err)
 	}
-	hist, warns, err := ReadHistory(path)
+	hist, warns, err := ReadRecords(path)
 	if err != nil || len(warns) != 0 {
 		t.Fatalf("read: err=%v warns=%+v", err, warns)
 	}
@@ -210,12 +235,24 @@ func TestHistoryRoundTrip(t *testing.T) {
 	if string(b2) != string(b3) {
 		t.Fatalf("append order leaked into the file:\n%s---\n%s", b2, b3)
 	}
+
+	art := filepath.Join(t.TempDir(), "BENCH_netd.jsonl")
+	if err := WriteArtifact(art, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArtifact(art, []Record{recs[1], recs[0]}); err != nil {
+		t.Fatal(err)
+	}
+	b4, _ := os.ReadFile(art)
+	if want := strings.ReplaceAll(string(b2), `"label":"pr1",`, ""); string(b4) != want {
+		t.Fatalf("artifact encoding:\n%s---want\n%s", b4, want)
+	}
 }
 
 // TestHistoryTolerates: corrupt lines, comments, and blanks are skipped
 // with warnings; a missing file is an empty history.
 func TestHistoryTolerates(t *testing.T) {
-	hist, warns, err := ReadHistory(filepath.Join(t.TempDir(), "absent.jsonl"))
+	hist, warns, err := ReadRecords(filepath.Join(t.TempDir(), "absent.jsonl"))
 	if err != nil || hist != nil || warns != nil {
 		t.Fatalf("missing history: %v %v %v", hist, warns, err)
 	}
@@ -229,7 +266,7 @@ this line is torn
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	hist, warns, err = ReadHistory(path)
+	hist, warns, err = ReadRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}

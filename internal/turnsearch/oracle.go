@@ -120,36 +120,20 @@ func simulateClean(fn *routing.Function) error {
 type DifferentialOptions struct {
 	// Cases is the number of random configurations (default 500).
 	Cases int
-	// Switches and Ports shape the random topologies (defaults 24, 4 —
-	// small enough that hundreds of cases stay fast, large enough for
-	// nontrivial cross-link structure).
-	Switches, Ports int
 	// Seed drives topology and mask randomness (default 1).
 	Seed uint64
 	// SimulateEvery runs the wormsim oracle on every k-th case (0 = never,
 	// 1 = all). Simulation is the expensive edge of the triangle; the
 	// static deciders always run.
 	SimulateEvery int
-	// Schemes cycles through direction alphabets (default eight-direction,
-	// six-direction, up/down).
-	Schemes []turnmodel.Scheme
 }
 
 func (o DifferentialOptions) withDefaults() DifferentialOptions {
 	if o.Cases == 0 {
 		o.Cases = 500
 	}
-	if o.Switches == 0 {
-		o.Switches = 24
-	}
-	if o.Ports == 0 {
-		o.Ports = 4
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if len(o.Schemes) == 0 {
-		o.Schemes = []turnmodel.Scheme{turnmodel.EightDir{}, turnmodel.SixDir{}, turnmodel.UpDownDir{}}
 	}
 	return o
 }
@@ -181,10 +165,13 @@ func Differential(opts DifferentialOptions) (*DifferentialReport, error) {
 	opts = opts.withDefaults()
 	rep := &DifferentialReport{}
 	policies := []ctree.Policy{ctree.M1, ctree.M2, ctree.M3}
+	schemes := []turnmodel.Scheme{turnmodel.EightDir{}, turnmodel.SixDir{}, turnmodel.UpDownDir{}}
 	for i := 0; i < opts.Cases; i++ {
 		r := rng.New(opts.Seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15))
+		// 24 4-port switches: small enough that hundreds of cases stay
+		// fast, large enough for nontrivial cross-link structure.
 		g, err := topology.RandomIrregular(topology.IrregularConfig{
-			Switches: opts.Switches, Ports: opts.Ports, Fill: 0.4 + 0.6*r.Float64(),
+			Switches: 24, Ports: 4, Fill: 0.4 + 0.6*r.Float64(),
 		}, r)
 		if err != nil {
 			return nil, err
@@ -195,10 +182,10 @@ func Differential(opts DifferentialOptions) (*DifferentialReport, error) {
 			return nil, err
 		}
 		cg := cgraph.Build(t)
-		scheme := opts.Schemes[i%len(opts.Schemes)]
+		scheme := schemes[i%len(schemes)]
 		all := turnmodel.AllTurns(scheme)
 		var prohibited []turnmodel.Turn
-		switch i / len(opts.Schemes) {
+		switch i / len(schemes) {
 		case 0: // everything prohibited — deadlock-free on any topology
 			prohibited = all
 		case 1: // everything allowed — cyclic whenever the topology cycles

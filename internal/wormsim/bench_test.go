@@ -2,8 +2,9 @@ package wormsim
 
 // Engine microbenchmarks and the steady-state allocation regression test.
 // BenchmarkRunCycles times single cycles of a warmed paper-scale network
-// under both engines (the speedup ratio is what results/BENCH_wormsim.json
-// records); BenchmarkSweep times a whole small run end to end, New included.
+// under both engines (the speedup ratio is the speedup_event_scan record
+// of results/BENCH_wormsim.jsonl); BenchmarkSweep times a whole small run
+// end to end, New included.
 
 import (
 	"fmt"

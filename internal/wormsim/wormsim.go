@@ -329,7 +329,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate(n int) error {
+// Validate applies the defaults and reports the first setting outside its
+// range, naming the field: the check New runs before it looks at the
+// network. Commands call it right after parsing their flags, so a bad
+// setting fails before any network is built.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	if c.PacketLength < 1 {
 		return fmt.Errorf("wormsim: PacketLength %d < 1", c.PacketLength)
 	}
@@ -366,9 +371,6 @@ func (c Config) validate(n int) error {
 	}
 	if c.Workload != nil && (c.InjectionRate != 0 || c.Pattern != nil || c.MeanBurst != 0) {
 		return fmt.Errorf("wormsim: Workload is a closed-loop source; InjectionRate, Pattern, and MeanBurst must stay unset")
-	}
-	if n < 2 {
-		return fmt.Errorf("wormsim: need at least 2 switches, got %d", n)
 	}
 	return nil
 }
@@ -636,12 +638,15 @@ func New(fn *routing.Function, tb routing.PathSource, cfg Config) (*Simulator, e
 	if fn == nil || tb == nil {
 		return nil, fmt.Errorf("wormsim: nil routing function or table")
 	}
-	cfg = cfg.withDefaults()
-	cg := fn.CG()
-	if err := cfg.validate(cg.N()); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
+	cg := fn.CG()
 	n := cg.N()
+	if n < 2 {
+		return nil, fmt.Errorf("wormsim: need at least 2 switches, got %d", n)
+	}
 	nCh := cg.NumChannels()
 	nVC := cfg.VirtualChannels
 	s := &Simulator{

@@ -68,11 +68,17 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(f, tb, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+		if cfg.Validate() == nil {
+			t.Errorf("config %d passes Validate: %+v", i, cfg)
+		}
 	}
 	// The injection channel carries at most one flit per clock; a rate of
 	// zero (closed-loop runs, an idle oracle) and of exactly one are valid.
 	if _, err := New(f, tb, Config{InjectionRate: 1.5}); err == nil || !strings.Contains(err.Error(), "InjectionRate") {
 		t.Errorf("InjectionRate 1.5: got %v, want an error naming the field", err)
+	}
+	if err := (Config{InjectionRate: 1.5}).Validate(); err == nil || !strings.Contains(err.Error(), "InjectionRate") {
+		t.Errorf("Validate, InjectionRate 1.5: got %v, want an error naming the field", err)
 	}
 	for _, rate := range []float64{0, 1} {
 		if _, err := New(f, tb, Config{InjectionRate: rate}); err != nil {

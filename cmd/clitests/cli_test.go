@@ -4,6 +4,7 @@
 package clitests
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var (
@@ -301,8 +303,23 @@ func TestBadFlagsFail(t *testing.T) {
 		{"irexp", "-exp", "hotspot", "-plen", "0"},
 		{"irserve", "-stdio", "-plen", "0"},
 	}
+	// A negative daemon bound is a usage error too, found before the
+	// network is built: a daemon that took it would serve until killed.
+	for _, tool := range []string{"irnetd", "irserve"} {
+		for _, bound := range [][]string{
+			{"-max-inflight", "-1"},
+			{"-request-timeout", "-1s"},
+			{"-write-timeout", "-1s"},
+			{"-retry-after", "-1s"},
+			{"-drain", "-1s"},
+		} {
+			usage = append(usage, append([]string{tool, "-listen", "127.0.0.1:0"}, bound...))
+		}
+	}
 	for _, c := range usage {
-		err := exec.Command(filepath.Join(dir, c[0]), c[1:]...).Run()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := exec.CommandContext(ctx, filepath.Join(dir, c[0]), c[1:]...).Run()
+		cancel()
 		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
 			t.Errorf("%v: got %v, want exit status 2", c, err)
 		}

@@ -65,6 +65,7 @@ func main() {
 		chaosSeed      = flag.Uint64("chaos-seed", 1, "seed for the chaos fault schedule")
 	)
 	flag.Parse()
+	daemon.Check("irnetd")
 
 	net := spec.Topology("irnetd")
 	var initial *fib.FIB

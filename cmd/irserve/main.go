@@ -56,6 +56,7 @@ func main() {
 		probeLimit = flag.Int("probe-limit", 300000, "cycle budget per latency query before probe-timeout")
 	)
 	flag.Parse()
+	daemon.Check("irserve")
 
 	eng, err := cliutil.ParseEngine(*engine)
 	if err != nil {

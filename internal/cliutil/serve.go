@@ -41,6 +41,28 @@ func DaemonFlags(listen string, maxInFlight int, requestTimeout time.Duration) *
 	return d
 }
 
+// Check exits with a usage error, naming the flag, when -max-inflight,
+// -request-timeout, -write-timeout, -retry-after or -drain is negative.
+// None of them means anything below 0: the daemon would silently disable
+// or floor the bound, or fail every graceful drain at once. Call it right
+// after flag.Parse, before any work.
+func (d *Daemon) Check(tool string) {
+	AtLeast(tool, "max-inflight", d.Protect.MaxInFlight, 0)
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"request-timeout", d.Protect.RequestTimeout},
+		{"write-timeout", d.Protect.WriteTimeout},
+		{"retry-after", d.Protect.RetryAfter},
+		{"drain", d.Drain},
+	} {
+		if f.v < 0 {
+			Usagef(tool, "-%s must not be negative, got %s", f.name, f.v)
+		}
+	}
+}
+
 // Listen binds -listen, writes the bound address to -addr-file and prints
 // "<tool>: listening http://ADDR". The address goes to a temporary file
 // that is then renamed, so a polling reader never sees a partial one. An

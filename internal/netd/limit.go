@@ -21,6 +21,7 @@ package netd
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -97,10 +98,7 @@ func ProtectHandler(reg *metrics.Registry, inner http.Handler, cfg ProtectConfig
 		}
 		return float64(len(sem))
 	})
-	retryAfter := "1"
-	if secs := int(cfg.RetryAfter / time.Second); secs > 1 {
-		retryAfter = strconv.Itoa(secs)
-	}
+	retryAfter := strconv.Itoa(max(1, int(math.Ceil(cfg.RetryAfter.Seconds()))))
 
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if metrics.IsProbe(r.URL.Path) {

@@ -89,6 +89,42 @@ func TestProtectShedsBeyondCeiling(t *testing.T) {
 	}
 }
 
+// TestProtectRetryAfterRoundsUp: the hint is RetryAfter rounded up to
+// whole seconds, at least 1, in the Retry-After header and in the shed
+// message alike.
+func TestProtectRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		after time.Duration
+		want  string
+	}{{1500 * time.Millisecond, "2"}, {3 * time.Second, "3"}, {0, "1"}} {
+		entered, release := make(chan struct{}), make(chan struct{})
+		parked := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			close(entered)
+			<-release
+		})
+		h := ProtectHandler(metrics.NewRegistry(), parked, ProtectConfig{MaxInFlight: 1, RetryAfter: c.after}, "test")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/route", nil))
+		}()
+		<-entered
+		shed := httptest.NewRecorder()
+		h.ServeHTTP(shed, httptest.NewRequest("GET", "/route", nil))
+		close(release)
+		<-done
+		if shed.Code != http.StatusTooManyRequests {
+			t.Fatalf("RetryAfter %v: got %d, want 429", c.after, shed.Code)
+		}
+		if got := shed.Header().Get("Retry-After"); got != c.want {
+			t.Errorf("RetryAfter %v: Retry-After = %q, want %q", c.after, got, c.want)
+		}
+		if msg := shed.Body.String(); !strings.Contains(msg, "retry after "+c.want+"s") {
+			t.Errorf("RetryAfter %v: shed message %q does not say %ss", c.after, msg, c.want)
+		}
+	}
+}
+
 // TestProtectProbesBypassLimiter: health probes must answer even when every
 // slot is taken.
 func TestProtectProbesBypassLimiter(t *testing.T) {

@@ -83,3 +83,22 @@ func BenchmarkVerify1024x8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewTableRing2048 is NewTable on DOWN/UP over a ring of 2,048
+// switches: a level reaches a small fraction of the states, and there
+// are about as many levels as switches, so a per-level cost that grows
+// with the number of states shows here first.
+func BenchmarkNewTableRing2048(b *testing.B) {
+	tr, err := ctree.Build(topology.Ring(2048), ctree.M1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := core.DownUp{}.Build(cgraph.Build(tr))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		routing.NewTable(f)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -156,15 +157,19 @@ func forBlocks(g depGraph, in [][]int, port []uint8, workers int, fn func(b *blo
 // visit reads one record, not one word from each of several arrays: its
 // seen word (s has been reached), its next word (s is reached at the level
 // being built) and, when run records masks, one plane per output port k of
-// s's node (k continues a shortest path from s). cur holds the frontier channels with their words, reached
-// the states whose next word is nonzero. Between runs every word is zero.
+// s's node (k continues a shortest path from s). cur holds the frontier
+// channels with their words. Bit s of marks is set while s's next word is
+// nonzero, and bit i of summary while marks[i] is; the summary lets a
+// level find its marks without reading every marks word. Between runs
+// every word is zero.
 type blockBFS struct {
 	g       depGraph
 	in      [][]int
 	words   []uint64
 	w       int
 	cur     []frontier
-	reached []int32
+	marks   []uint64
+	summary []uint64
 	// port[c] is channel c's port at its start node, nil when run records
 	// no masks.
 	port []uint8
@@ -192,14 +197,24 @@ func newBlockBFS(g depGraph, in [][]int, port []uint8) *blockBFS {
 	for _, k := range port {
 		w = max(w, firstPort+int(k)+1)
 	}
+	states := len(g.from) + len(in)
+	marks := (states + 63) / 64
 	return &blockBFS{
-		g:     g,
-		in:    in,
-		words: make([]uint64, (len(g.from)+len(in))*w),
-		w:     w,
-		port:  port,
-		limit: noDist,
+		g:       g,
+		in:      in,
+		words:   make([]uint64, states*w),
+		w:       w,
+		marks:   make([]uint64, marks),
+		summary: make([]uint64, (marks+63)/64),
+		port:    port,
+		limit:   noDist,
 	}
+}
+
+// mark records that state s's next word has become nonzero.
+func (b *blockBFS) mark(s int32) {
+	b.marks[s>>6] |= 1 << uint(s&63)
+	b.summary[s>>12] |= 1 << uint(s>>6&63)
 }
 
 // run is the one BFS behind NewTable and NextPorts: a level-synchronous
@@ -221,10 +236,14 @@ func newBlockBFS(g depGraph, in [][]int, port []uint8) *blockBFS {
 // had seen when the level began, into p's next word and into the plane of
 // c's port at p; next is folded into seen only after the level's last
 // frontier channel. So every level-d channel that continues a shortest
-// path from p records its port at p, whichever of them comes first. run
-// panics rather than record a level of b.limit or more.
+// path from p records its port at p, whichever of them comes first, and
+// the order in which a level visits its frontier cannot change a result.
+// The level's reached states are then visited in state order, which walks
+// the records, the distances and the next frontier forward through
+// memory. run panics rather than record a level of b.limit or more.
 func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 	g, words, w, port := b.g, b.words, b.w, b.port
+	marks, summary := b.marks, b.summary
 	numCh := len(g.from)
 	b.cur = b.cur[:0]
 	for j := 0; j < hi-lo; j++ {
@@ -245,7 +264,6 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 		}
 	}
 	for level := 1; len(b.cur) > 0; level++ {
-		reached := b.reached[:0]
 		for _, f := range b.cur {
 			c, fc := f.c, f.word
 			plane := 0
@@ -256,7 +274,7 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 			o := int(inj) * w
 			if add := fc &^ words[o+seenWord]; add != 0 {
 				if words[o+nextWord] == 0 {
-					reached = append(reached, inj)
+					b.mark(inj)
 				}
 				words[o+nextWord] |= add
 				if plane != 0 {
@@ -267,7 +285,7 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 				o = int(p) * w
 				if add := fc &^ words[o+seenWord]; add != 0 {
 					if words[o+nextWord] == 0 {
-						reached = append(reached, p)
+						b.mark(p)
 					}
 					words[o+nextWord] |= add
 					if plane != 0 {
@@ -276,24 +294,31 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 				}
 			}
 		}
-		if len(reached) > 0 && level >= b.limit {
+		if level >= b.limit && slices.ContainsFunc(summary, func(sw uint64) bool { return sw != 0 }) {
 			panic(fmt.Sprintf("routing: a shortest legal path needs %d or more channels; table entries hold at most %d",
 				b.limit, b.limit-1))
 		}
 		b.cur = b.cur[:0]
-		for _, s := range reached {
-			o := int(s) * w
-			add := words[o+nextWord]
-			words[o+nextWord] = 0
-			words[o+seenWord] |= add
-			if dist != nil {
-				setLevel(dist, s, add, uint16(level))
+		for i, sw := range summary {
+			for ; sw != 0; sw &= sw - 1 {
+				k := i<<6 | bits.TrailingZeros64(sw)
+				for mw := marks[k]; mw != 0; mw &= mw - 1 {
+					s := int32(k<<6 | bits.TrailingZeros64(mw))
+					o := int(s) * w
+					add := words[o+nextWord]
+					words[o+nextWord] = 0
+					words[o+seenWord] |= add
+					if dist != nil {
+						setLevel(dist, s, add, uint16(level))
+					}
+					if int(s) < numCh {
+						b.cur = append(b.cur, frontier{s, add})
+					}
+				}
+				marks[k] = 0
 			}
-			if int(s) < numCh {
-				b.cur = append(b.cur, frontier{s, add})
-			}
+			summary[i] = 0
 		}
-		b.reached = reached
 	}
 	// One sweep over the records leaves them zero for the next run, on the
 	// way marking unreached entries or turning the planes into masks.

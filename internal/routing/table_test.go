@@ -62,26 +62,36 @@ func TestNewTableParallelIdentical(t *testing.T) {
 // TestBlockBFSPanicsAtLimit pins the uint16 bound: the block BFS panics,
 // naming the bound, rather than record a distance at its limit (0xFFFF,
 // the unreachable marker, in NewTable). A line of 6 switches has
-// distances up to 5, so a limit of 5 panics and 6 does not.
+// distances up to 5, so a limit of 5 panics and 6 does not, and the panic
+// comes before any entry of distance 5 is written.
 func TestBlockBFSPanicsAtLimit(t *testing.T) {
 	f, err := UpDown{}.Build(buildCG(t, topology.Line(6), ctree.M1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cg := f.Sys.CG
-	run := func(limit int) (msg any) {
+	run := func(limit int) (dist []uint16, msg any) {
+		dist = make([]uint16, (cg.NumChannels()+cg.N())*blockSize)
 		defer func() { msg = recover() }()
 		b := newBlockBFS(newDepGraph(f), cg.In, nil)
 		b.limit = limit
-		b.run(0, cg.N(), make([]uint16, (cg.NumChannels()+cg.N())*blockSize), nil)
-		return nil
+		b.run(0, cg.N(), dist, nil)
+		return dist, nil
 	}
-	if msg := run(6); msg != nil {
+	dist, msg := run(6)
+	if msg != nil {
 		t.Fatalf("limit 6 panicked: %v", msg)
 	}
+	if !slices.Contains(dist, 5) {
+		t.Fatal("limit 6: no entry of distance 5")
+	}
 	want := "routing: a shortest legal path needs 5 or more channels; table entries hold at most 4"
-	if msg := run(5); msg != want {
+	dist, msg = run(5)
+	if msg != want {
 		t.Fatalf("limit 5: recovered %v, want panic %q", msg, want)
+	}
+	if i := slices.Index(dist, 5); i >= 0 {
+		t.Fatalf("limit 5: entry %d holds distance 5, written before the panic", i)
 	}
 }
 

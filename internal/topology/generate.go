@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -86,24 +87,27 @@ func RandomIrregular(cfg IrregularConfig, r *rng.Rng) (*Graph, error) {
 
 	// Extra links: repeatedly pick two random switches with spare ports.
 	// The candidate pool shrinks as ports fill; we stop when the pool can no
-	// longer produce a legal pair or when the fill target is met.
+	// longer produce a legal pair or when the fill target is met. The pool
+	// holds the switches with a spare port in ascending order; a link
+	// changes only its two ends' degrees, so deleting whichever end filled
+	// keeps it exactly that, and every draw picks the switch it always has.
 	spareTotal := 0
+	pool := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		spareTotal += p - g.Degree(v)
+		if g.Degree(v) < p {
+			pool = append(pool, v)
+		}
+	}
+	drop := func(v int) {
+		if g.Degree(v) >= p {
+			i, _ := slices.BinarySearch(pool, v)
+			pool = slices.Delete(pool, i, i+1)
+		}
 	}
 	targetExtra := int(fill * float64(spareTotal) / 2)
 	added := 0
 	misses := 0
-	pool := make([]int, 0, n)
-	rebuild := func() {
-		pool = pool[:0]
-		for v := 0; v < n; v++ {
-			if g.Degree(v) < p {
-				pool = append(pool, v)
-			}
-		}
-	}
-	rebuild()
 	for added < targetExtra && len(pool) >= 2 {
 		u := pool[r.Intn(len(pool))]
 		v := pool[r.Intn(len(pool))]
@@ -122,9 +126,8 @@ func RandomIrregular(cfg IrregularConfig, r *rng.Rng) (*Graph, error) {
 		g.MustAddEdge(u, v)
 		added++
 		misses = 0
-		if g.Degree(u) >= p || g.Degree(v) >= p {
-			rebuild()
-		}
+		drop(u)
+		drop(v)
 	}
 
 	if err := g.Validate(); err != nil {

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -183,8 +186,16 @@ func TestSamples(t *testing.T) {
 	}
 }
 
-func BenchmarkRandomIrregular128x8(b *testing.B) {
-	cfg := DefaultIrregular(8)
+func BenchmarkRandomIrregular128x8(b *testing.B) { benchmarkRandomIrregular(b, 128, 8) }
+
+// The generator at the control plane's scale: irnetd installs DOWN/UP on
+// networks of 1,024 and 4,096 switches.
+func BenchmarkRandomIrregular1024x4(b *testing.B) { benchmarkRandomIrregular(b, 1024, 4) }
+func BenchmarkRandomIrregular1024x8(b *testing.B) { benchmarkRandomIrregular(b, 1024, 8) }
+func BenchmarkRandomIrregular4096x4(b *testing.B) { benchmarkRandomIrregular(b, 4096, 4) }
+
+func benchmarkRandomIrregular(b *testing.B, switches, ports int) {
+	cfg := IrregularConfig{Switches: switches, Ports: ports, Fill: 1}
 	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
 		if _, err := RandomIrregular(cfg, r); err != nil {
@@ -273,5 +284,38 @@ func TestClusteredIrregularDeterministic(t *testing.T) {
 		if ea[i] != eb[i] {
 			t.Fatal("not deterministic")
 		}
+	}
+}
+
+// generatedNetworksSHA256 is the SHA-256 of the neighbour lists
+// TestRandomIrregularGolden hashes. A change to RandomIrregular that moves
+// one link of one of those networks changes it.
+const generatedNetworksSHA256 = "68ab54babdc2fbf92934d9ee68bae9c98635230c316599e507d1af5cde082e0e"
+
+// TestRandomIrregularGolden pins RandomIrregular's output across changes:
+// one SHA-256 over the neighbour lists of the networks of 2, 3, 9, 33,
+// 128, 200, 1,024 and 4,096 switches, with 4 and 8 ports, fill 1 and 0.5,
+// seeds 1-5. Each network enters the hash as its configuration line, then
+// one line per switch listing its neighbours in ascending order.
+func TestRandomIrregularGolden(t *testing.T) {
+	h := sha256.New()
+	for _, n := range []int{2, 3, 9, 33, 128, 200, 1024, 4096} {
+		for _, p := range []int{4, 8} {
+			for _, fill := range []float64{1, 0.5} {
+				for seed := uint64(1); seed <= 5; seed++ {
+					g, err := RandomIrregular(IrregularConfig{Switches: n, Ports: p, Fill: fill}, rng.New(seed))
+					if err != nil {
+						t.Fatalf("%d switches, %d ports, fill %g, seed %d: %v", n, p, fill, seed, err)
+					}
+					fmt.Fprintf(h, "n=%d p=%d fill=%g seed=%d\n", n, p, fill, seed)
+					for v := 0; v < n; v++ {
+						fmt.Fprintln(h, g.Neighbors(v))
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != generatedNetworksSHA256 {
+		t.Fatalf("generated networks hash to %s, want %s", got, generatedNetworksSHA256)
 	}
 }

@@ -36,6 +36,25 @@ func BenchmarkFIBLookup(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkFIBEncode1024x4 measures serializing a control-plane-scale FIB
+// (1,024 switches, 4 ports; 10 MB) with WriteTo into a buffer sized once.
+func BenchmarkFIBEncode1024x4(b *testing.B) {
+	f, err := CompileFunction(buildFunction(b, 1, 1024, 4, core.DownUp{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.Grow(f.EncodedSize())
+	b.SetBytes(int64(f.EncodedSize()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := f.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFIBDecode measures loading a serialized paper-scale FIB from
 // memory — the daemon's startup path for -fib files.
 func BenchmarkFIBDecode(b *testing.B) {

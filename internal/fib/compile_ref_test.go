@@ -27,7 +27,7 @@ func referenceCompile(tb *routing.Table) *FIB {
 	f := &FIB{
 		n:         n,
 		neighbors: make([][]int32, n),
-		table:     make([][]uint16, n),
+		table:     make([][]byte, n),
 		algorithm: fn.AlgorithmName,
 	}
 	outPort := make([]int, cg.NumChannels())
@@ -44,24 +44,23 @@ func referenceCompile(tb *routing.Table) *FIB {
 	}
 	var buf []int
 	for v := 0; v < n; v++ {
-		f.table[v] = make([]uint16, (len(cg.In[v])+1)*n)
+		f.table[v] = make([]byte, 2*(len(cg.In[v])+1)*n)
+		setMask := func(row, dst int, chans []int) {
+			var mask uint16
+			for _, c := range chans {
+				mask |= 1 << uint(outPort[c])
+			}
+			binary.LittleEndian.PutUint16(f.table[v][2*(row*n+dst):], mask)
+		}
 		for dst := 0; dst < n; dst++ {
 			if dst == v {
 				continue
 			}
 			buf = tb.NextChannels(dst, routing.InjectionState(v), buf[:0])
-			var mask uint16
-			for _, c := range buf {
-				mask |= 1 << uint(outPort[c])
-			}
-			f.table[v][dst] = mask
+			setMask(0, dst, buf)
 			for _, cIn := range cg.In[v] {
 				buf = tb.NextChannels(dst, cIn, buf[:0])
-				mask = 0
-				for _, c := range buf {
-					mask |= 1 << uint(outPort[c])
-				}
-				f.table[v][(inPort[cIn]+1)*n+dst] = mask
+				setMask(inPort[cIn]+1, dst, buf)
 			}
 		}
 	}
@@ -69,7 +68,8 @@ func referenceCompile(tb *routing.Table) *FIB {
 }
 
 // referenceWriteTo is the encoder WriteTo replaced: one binary.Write per
-// field, and per switch table. It pins the serialized bytes.
+// field, and per switch table, whose masks it reads through Lookup, so it
+// does not depend on how a FIB stores them. It pins the serialized bytes.
 func referenceWriteTo(f *FIB, w io.Writer) error {
 	write := func(data any) error { return binary.Write(w, binary.LittleEndian, data) }
 	for _, data := range []any{magic, uint16(formatVersion), uint32(f.n),
@@ -87,7 +87,13 @@ func referenceWriteTo(f *FIB, w io.Writer) error {
 				return err
 			}
 		}
-		if err := write(f.table[v]); err != nil {
+		masks := make([]uint16, 0, (f.Ports(v)+1)*f.n)
+		for in := InjectionPort; in < f.Ports(v); in++ {
+			for dst := 0; dst < f.n; dst++ {
+				masks = append(masks, f.Lookup(v, in, dst))
+			}
+		}
+		if err := write(masks); err != nil {
 			return err
 		}
 	}
@@ -112,14 +118,16 @@ func checkCompileMatchesReference(t *testing.T, tb *routing.Table) {
 		}
 		name := fmt.Sprintf("%s, %d switches, %d workers", want.algorithm, want.n, workers)
 		for v := 0; v < want.n; v++ {
-			if len(got.table[v]) != len(want.table[v]) {
-				t.Fatalf("%s: switch %d has %d entries, reference %d",
-					name, v, len(got.table[v]), len(want.table[v]))
+			if got.Ports(v) != want.Ports(v) || len(got.table[v]) != len(want.table[v]) {
+				t.Fatalf("%s: switch %d has %d ports and %d table bytes, reference %d and %d",
+					name, v, got.Ports(v), len(got.table[v]), want.Ports(v), len(want.table[v]))
 			}
-			for i, mask := range want.table[v] {
-				if got.table[v][i] != mask {
-					t.Fatalf("%s: switch %d row %d dst %d: mask %#x, reference %#x",
-						name, v, i/want.n, i%want.n, got.table[v][i], mask)
+			for in := InjectionPort; in < want.Ports(v); in++ {
+				for dst := 0; dst < want.n; dst++ {
+					if m, w := got.Lookup(v, in, dst), want.Lookup(v, in, dst); m != w {
+						t.Fatalf("%s: switch %d row %d dst %d: mask %#x, reference %#x",
+							name, v, in+1, dst, m, w)
+					}
 				}
 			}
 		}

@@ -13,7 +13,9 @@
 // its function, and CompileFunction needs no table at all.
 //
 // The package also defines a compact, versioned binary serialization so
-// FIBs can be distributed and loaded without recomputing the routing.
+// FIBs can be distributed and loaded without recomputing the routing. A
+// FIB holds each switch's masks as the bytes of that format, so the
+// encoder and decoder copy tables instead of converting each mask.
 package fib
 
 import (
@@ -23,6 +25,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/routing"
 )
@@ -41,10 +44,11 @@ type FIB struct {
 	n int
 	// neighbors[v][k] = switch on v's port k.
 	neighbors [][]int32
-	// table[v] is indexed [ (inPort+1) * n + dst ] and holds a bitmask of
-	// allowed output ports (bit k = port k). inPort InjectionPort maps to
-	// row 0.
-	table [][]uint16
+	// table[v] holds switch v's masks of allowed output ports (bit k =
+	// port k) as the format's little-endian uint16s: entry (inPort+1)*n +
+	// dst is at bytes 2*entry and 2*entry+1, low byte (ports 0-7) first.
+	// inPort InjectionPort maps to row 0.
+	table [][]byte
 	// algorithm records the routing function's name for provenance.
 	algorithm string
 }
@@ -65,10 +69,13 @@ const maxSwitches = 1 << 16
 // (routing.NextPorts.Fill), one block of 64 destinations per pass, with
 // blocks handed to GOMAXPROCS goroutines through an atomic counter. A pass
 // keeps, for each routing state, one bit per destination in a word per
-// output port, and at its end writes each state's masks for the block as
-// one run into the state's FIB row: row 0 of switch v from v's injection
-// state, row i+1 from its input channel cg.In[v][i]. Each entry depends
-// only on the function, so the FIB is identical for any GOMAXPROCS.
+// output port, and at its end writes each state's masks for the block,
+// already in the bytes of the binary format, as one run into the state's
+// FIB row: row 0 of switch v from v's injection state, row i+1 from its
+// input channel cg.In[v][i]. The switches' tables are allocated first,
+// split across as many goroutines, so their memory is zeroed and faulted
+// in on every core. Each entry depends only on the function, so the FIB
+// is identical for any GOMAXPROCS.
 func CompileFunction(fn *routing.Function) (*FIB, error) {
 	return compileN(fn, runtime.GOMAXPROCS(0))
 }
@@ -98,8 +105,21 @@ func compileN(fn *routing.Function, workers int) (*FIB, error) {
 	f := &FIB{
 		n:         n,
 		neighbors: make([][]int32, n),
-		table:     make([][]uint16, n),
+		table:     make([][]byte, n),
 		algorithm: fn.AlgorithmName,
+	}
+	// The tables are allocated while this goroutine fills the neighbor
+	// lists, and the BFS starts once both are done.
+	workers = max(1, min(workers, n))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for v := lo; v < hi; v++ {
+				f.table[v] = make([]byte, 2*(len(cg.In[v])+1)*n)
+			}
+		}(w*n/workers, (w+1)*n/workers)
 	}
 	// Port k at switch v is the k-th entry of cg.Out[v] (and of cg.In[v]:
 	// both are ascending by peer id, so output port k and input port k face
@@ -109,15 +129,15 @@ func compileN(fn *routing.Function, workers int) (*FIB, error) {
 		for k, c := range out {
 			f.neighbors[v][k] = int32(cg.Channels[c].To)
 		}
-		f.table[v] = make([]uint16, (len(cg.In[v])+1)*n)
 	}
+	wg.Wait()
 	// Routing state s writes FIB row rows[s]: row 0 of switch v is v's
 	// injection state, row i+1 its input channel cg.In[v][i].
-	rows := make([][]uint16, np.States())
+	rows := make([][]byte, np.States())
 	for v, in := range cg.In {
-		rows[cg.NumChannels()+v] = f.table[v][:n]
+		rows[cg.NumChannels()+v] = f.table[v][:2*n]
 		for i, c := range in {
-			rows[c] = f.table[v][(i+1)*n : (i+2)*n]
+			rows[c] = f.table[v][2*(i+1)*n : 2*(i+2)*n]
 		}
 	}
 	np.Fill(workers, rows)
@@ -139,13 +159,15 @@ func (f *FIB) Neighbor(v, k int) int { return int(f.neighbors[v][k]) }
 // Lookup returns the allowed output ports, as a bitmask, for a header at
 // switch v that arrived on input port in (InjectionPort for local packets)
 // and is headed for dst. A zero mask means "eject here" when v == dst and
-// is otherwise unreachable on a verified function.
+// is otherwise unreachable on a verified function. A switch, input port or
+// destination out of range gets 0 as well.
 func (f *FIB) Lookup(v, in, dst int) uint16 {
-	row := in + 1
-	if row < 0 || row > len(f.neighbors[v]) {
+	// One unsigned comparison covers each bound from below as well.
+	if uint(v) >= uint(len(f.table)) || uint(dst) >= uint(f.n) || uint(in+1) > uint(len(f.neighbors[v])) {
 		return 0
 	}
-	return f.table[v][row*f.n+dst]
+	i := 2 * ((in+1)*f.n + dst)
+	return binary.LittleEndian.Uint16(f.table[v][i : i+2])
 }
 
 // LookupPorts appends the allowed output ports to buf.
@@ -164,8 +186,8 @@ func (f *FIB) LookupPorts(v, in, dst int, buf []int) []int {
 // entries only), the figure that matters for switch memory budgeting.
 func (f *FIB) SizeBytes() int {
 	total := 0
-	for v := range f.table {
-		total += 2 * len(f.table[v])
+	for _, tbl := range f.table {
+		total += len(tbl)
 	}
 	return total
 }
@@ -175,7 +197,7 @@ func (f *FIB) SizeBytes() int {
 func (f *FIB) EncodedSize() int {
 	size := len(magic) + 2 + 4 + 2 + len(f.algorithm)
 	for v := range f.table {
-		size += 2 + 4*len(f.neighbors[v]) + 2*len(f.table[v])
+		size += 2 + 4*len(f.neighbors[v]) + len(f.table[v])
 	}
 	return size
 }
@@ -190,17 +212,22 @@ var magic = [8]byte{'I', 'R', 'N', 'E', 'T', 'F', 'I', 'B'}
 
 const formatVersion = 1
 
-// WriteTo serializes the FIB. It implements io.WriterTo. The header and
-// then each switch are encoded into one reused scratch buffer and written
-// to w in one call each.
+// WriteTo serializes the FIB. It implements io.WriterTo. The header, and
+// each switch's port count and neighbors, are encoded into one reused
+// scratch buffer and written to w in one call each; each switch's table
+// is written as it is stored, in one call more.
 func (f *FIB) WriteTo(w io.Writer) (int64, error) {
 	buf := f.appendHeader(nil)
 	k, err := w.Write(buf)
 	count := int64(k)
 	for v := 0; v < f.n && err == nil; v++ {
-		buf = f.appendSwitch(buf[:0], v)
+		buf = f.appendPorts(buf[:0], v)
 		k, err = w.Write(buf)
 		count += int64(k)
+		if err == nil {
+			k, err = w.Write(f.table[v])
+			count += int64(k)
+		}
 	}
 	return count, err
 }
@@ -211,7 +238,7 @@ func (f *FIB) WriteTo(w io.Writer) (int64, error) {
 func (f *FIB) AppendBinary(b []byte) ([]byte, error) {
 	b = f.appendHeader(slices.Grow(b, f.EncodedSize()))
 	for v := 0; v < f.n; v++ {
-		b = f.appendSwitch(b, v)
+		b = append(f.appendPorts(b, v), f.table[v]...)
 	}
 	return b, nil
 }
@@ -226,45 +253,38 @@ func (f *FIB) appendHeader(b []byte) []byte {
 	return append(b, f.algorithm...)
 }
 
-// appendSwitch appends switch v's port count, neighbors and table.
-func (f *FIB) appendSwitch(b []byte, v int) []byte {
+// appendPorts appends switch v's port count and neighbors.
+func (f *FIB) appendPorts(b []byte, v int) []byte {
 	le := binary.LittleEndian
 	b = le.AppendUint16(b, uint16(len(f.neighbors[v])))
 	for _, nb := range f.neighbors[v] {
 		b = le.AppendUint32(b, uint32(nb))
 	}
-	// Four masks per append: the encode is a quarter of the appends of one
-	// per mask.
-	tbl := f.table[v]
-	for len(tbl) >= 4 {
-		b = le.AppendUint64(b, uint64(tbl[0])|uint64(tbl[1])<<16|uint64(tbl[2])<<32|uint64(tbl[3])<<48)
-		tbl = tbl[4:]
-	}
-	for _, mask := range tbl {
-		b = le.AppendUint16(b, mask)
-	}
 	return b
 }
 
-// readTable decodes want uint16 table entries in bounded chunks, so a
-// header that promises a huge table backed by a truncated body fails with
-// an error after allocating at most one chunk beyond the bytes actually
-// present — the memory a decoder commits must be proportional to its
-// input, not to what the input claims.
-func readTable(r io.Reader, want int) ([]uint16, error) {
-	const chunk = 1 << 13 // 8192 entries = 16 KiB per read
-	tbl := make([]uint16, 0, min(want, chunk))
-	var raw [2 * chunk]byte
-	for len(tbl) < want {
-		k := min(want-len(tbl), chunk)
-		if _, err := io.ReadFull(r, raw[:2*k]); err != nil {
+// readTable reads a switch's table of want bytes straight into its row,
+// in bounded chunks, so a header that promises a huge table backed by a
+// truncated body fails with an error after allocating at most one chunk
+// beyond the bytes actually present — the memory a decoder commits must
+// be proportional to its input, not to what the input claims. A row
+// longer than a chunk grows by the chunk it is about to read.
+func readTable(r io.Reader, want int) ([]byte, error) {
+	// 64 KiB holds a whole table of up to 4,096 switches of 7 ports, which
+	// is then read in one call into one allocation.
+	const chunk = 1 << 16
+	row := make([]byte, 0, min(want, chunk))
+	for len(row) < want {
+		k := min(want-len(row), chunk)
+		if cap(row)-len(row) < k {
+			row = append(make([]byte, 0, len(row)+k), row...)
+		}
+		if _, err := io.ReadFull(r, row[len(row):len(row)+k]); err != nil {
 			return nil, err
 		}
-		for i := 0; i < k; i++ {
-			tbl = append(tbl, binary.LittleEndian.Uint16(raw[2*i:]))
-		}
+		row = row[:len(row)+k]
 	}
-	return tbl, nil
+	return row, nil
 }
 
 // Read deserializes a FIB written by WriteTo, validating structure.
@@ -303,7 +323,7 @@ func Read(r io.Reader) (*FIB, error) {
 	f := &FIB{
 		n:         n,
 		neighbors: make([][]int32, n),
-		table:     make([][]uint16, n),
+		table:     make([][]byte, n),
 		algorithm: string(algBytes),
 	}
 	for v := 0; v < n; v++ {
@@ -325,16 +345,16 @@ func Read(r io.Reader) (*FIB, error) {
 			}
 			f.neighbors[v][k] = int32(nb)
 		}
-		tbl, err := readTable(br, (int(ports)+1)*n)
+		tbl, err := readTable(br, 2*(int(ports)+1)*n)
 		if err != nil {
 			return nil, fmt.Errorf("fib: switch %d table: %w", v, err)
 		}
 		f.table[v] = tbl
 		// Masks must fit the port count.
 		full := uint16(1)<<uint(ports) - 1
-		for i, mask := range f.table[v] {
-			if mask&^full != 0 {
-				return nil, fmt.Errorf("fib: switch %d entry %d references a missing port", v, i)
+		for i := 0; i < len(tbl); i += 2 {
+			if binary.LittleEndian.Uint16(tbl[i:])&^full != 0 {
+				return nil, fmt.Errorf("fib: switch %d entry %d references a missing port", v, i/2)
 			}
 		}
 	}

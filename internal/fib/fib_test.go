@@ -2,6 +2,7 @@ package fib
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cgraph"
@@ -94,6 +95,17 @@ func TestLookupSelfAndBounds(t *testing.T) {
 	if f.Lookup(3, -5, 1) != 0 {
 		t.Fatal("negative input port did not return empty mask")
 	}
+	// Out-of-range switches and destinations must not index a neighboring
+	// row or panic: destination 12 of switch 1's injection row is where
+	// its input port 0's entry toward switch 0 (port 3) is stored.
+	for _, c := range [][3]int{
+		{1, InjectionPort, 12}, {3, InjectionPort, 12}, {3, InjectionPort, -1},
+		{3, 0, 12}, {12, InjectionPort, 0}, {-1, InjectionPort, 0},
+	} {
+		if m := f.Lookup(c[0], c[1], c[2]); m != 0 {
+			t.Fatalf("Lookup(%d, %d, %d) = %#x, want 0", c[0], c[1], c[2], m)
+		}
+	}
 	if f.N() != 12 {
 		t.Fatalf("N = %d", f.N())
 	}
@@ -171,25 +183,48 @@ func TestReadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	// tableAt returns the offset of switch v's table in good.
+	tableAt := func(v int) int {
+		off := len(magic) + 2 + 4 + 2 + len(f.Algorithm())
+		for u := 0; u < v; u++ {
+			off += 2 + 4*f.Ports(u) + 2*(f.Ports(u)+1)*f.N()
+		}
+		return off + 2 + 4*f.Ports(v)
+	}
 
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
+		// want is a part of the error ("" for any error).
+		want string
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
-		{"bad version", func(b []byte) []byte { b[8] = 0xff; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, ""},
+		{"bad version", func(b []byte) []byte { b[8] = 0xff; return b }, ""},
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, ""},
 		{"zero switches", func(b []byte) []byte {
 			copy(b[10:14], []byte{0, 0, 0, 0})
 			return b
-		}},
-		{"empty", func(b []byte) []byte { return nil }},
+		}, ""},
+		{"empty", func(b []byte) []byte { return nil }, ""},
+		// Switch 5's entry toward destination 1 from its last input port
+		// gets port 15, beyond the switch's ports.
+		{"mask beyond ports", func(b []byte) []byte {
+			b[tableAt(5)+2*(f.Ports(5)*f.N()+1)+1] |= 0x80
+			return b
+		}, "switch 5 entry"},
+		{"cut inside a table", func(b []byte) []byte {
+			return b[:tableAt(3)+(f.Ports(3)+1)*f.N()+1]
+		}, "switch 3 table"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			data := c.mutate(append([]byte(nil), good...))
-			if _, err := Read(bytes.NewReader(data)); err == nil {
+			_, err := Read(bytes.NewReader(data))
+			if err == nil {
 				t.Fatal("corrupted FIB accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q, want one naming %q", err, c.want)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package fib
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestRouterRejectsForwardingLoop(t *testing.T) {
 		v, next := hop[0], hop[1]
 		k := slices.IndexFunc(cg.Out[v], func(c int) bool { return cg.Channels[c].To == next })
 		for row := 0; row <= f.Ports(v); row++ {
-			f.table[v][row*f.n+dst] = 1 << k
+			binary.LittleEndian.PutUint16(f.table[v][2*(row*f.n+dst):], 1<<k)
 		}
 	}
 	r, err := NewRouter(f, cg)

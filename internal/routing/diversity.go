@@ -48,18 +48,19 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 	for dst := 0; dst < n; dst++ {
 		order = order[:0]
 		for s := 0; s < t.stride; s++ {
-			if t.entry(dst, s) != noDist {
+			if t.entry(dst, s) != 0 {
 				order = append(order, int32(s))
 			}
 		}
-		// Sort states by distance (counting sort over small distances).
-		maxD := uint16(0)
+		// Sort states by distance (counting sort over small distances); a
+		// reached state's entry is its distance plus one.
+		maxD := 0
 		for _, s := range order {
-			maxD = max(maxD, t.entry(dst, int(s)))
+			maxD = max(maxD, int(t.entry(dst, int(s)))-1)
 		}
-		buckets := make([][]int32, int(maxD)+1)
+		buckets := make([][]int32, maxD+1)
 		for _, s := range order {
-			d := t.entry(dst, int(s))
+			d := t.entry(dst, int(s)) - 1
 			buckets[d] = append(buckets[d], s)
 		}
 		for i := range counts {
@@ -70,7 +71,7 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 			counts[s] = 1
 		}
 		var buf []int
-		for d := 1; d <= int(maxD); d++ {
+		for d := 1; d <= maxD; d++ {
 			for _, s := range buckets[d] {
 				state := int(s)
 				if state >= t.numCh {

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/ctree"
@@ -44,14 +45,14 @@ func checkNextPorts(t *testing.T, f *Function) {
 	}
 	for _, workers := range tableWorkers {
 		got := make([]uint16, n*states)
-		rows := make([][]uint16, states)
+		rows := make([][]byte, states)
 		for s := range rows {
-			rows[s] = make([]uint16, n)
+			rows[s] = make([]byte, 2*n)
 		}
 		np.Fill(workers, rows)
 		for s, row := range rows {
-			for dst, m := range row {
-				got[dst*states+s] = m
+			for dst := 0; dst < n; dst++ {
+				got[dst*states+s] = binary.LittleEndian.Uint16(row[2*dst:])
 			}
 		}
 		for i, w := range want {

@@ -28,10 +28,12 @@ import (
 //
 // Distances are uint16 entries kept in blocks of 64 destinations, the
 // unit of the block BFS that fills them: block k holds destinations 64k
-// onward, and within a block each state's 64 entries are adjacent. A
-// table costs 2 bytes per (state, destination), 168 MB at 4,096 switches
-// of 4 ports. 0xFFFF marks an unreachable state, so a distance must stay
-// below it; NewTable panics on a function that needs more.
+// onward in a slice of its own, and within a block each state's 64
+// entries are adjacent. A table costs 2 bytes per (state, destination),
+// 168 MB at 4,096 switches of 4 ports. An entry holds the distance plus
+// one, so the zeroed memory of a new block already reads "unreachable",
+// and a distance must stay below 0xFFFF; NewTable panics on a function
+// that needs more.
 //
 // Packets take their paths through AppendPath, which walks NextChannels
 // with AppendWalk, the walk fib.Router and Valiant take as well.
@@ -39,11 +41,11 @@ type Table struct {
 	f     *Function
 	numCh int
 	n     int
-	// dist[(dst/blockSize*stride + s)*blockSize + dst%blockSize] is the
-	// number of channels left to traverse from state s to dst, or noDist.
-	// States 0..numCh-1 are channels; numCh+v is the injection state of
-	// node v. stride = numCh + n.
-	dist   []uint16
+	// dist[dst/blockSize][s*blockSize + dst%blockSize] is one more than
+	// the number of channels left to traverse from state s to dst, or 0
+	// if s cannot reach dst. States 0..numCh-1 are channels; numCh+v is
+	// the injection state of node v. stride = numCh + n.
+	dist   [][]uint16
 	stride int
 }
 
@@ -53,11 +55,14 @@ const blockSize = 1 << blockShift
 
 const blockShift = 6
 
-// noDist marks an unreachable Table entry. Every distance is below it.
-const noDist = math.MaxUint16
+// levelLimit is the first BFS level a table cannot record: its entry,
+// the level plus one, would wrap to 0, the mark of an unreachable state.
+const levelLimit = math.MaxUint16
 
 // NewTable computes the table with one backward BFS per block of 64
 // destinations (see blockBFS), fanning blocks across GOMAXPROCS goroutines.
+// The goroutine that runs a block allocates its slice, so the memory is
+// zeroed and faulted in on every core, just before the BFS writes it.
 // Each block's entries are computed in isolation, so the result is
 // identical for any GOMAXPROCS (pinned by TestNewTableParallelIdentical and
 // TestNewTableMatchesReference).
@@ -81,10 +86,11 @@ func newTableN(f *Function, workers int) *Table {
 		n:      cg.N(),
 		stride: cg.NumChannels() + cg.N(),
 	}
-	blocks := (t.n + blockSize - 1) / blockSize
-	t.dist = make([]uint16, blocks*blockSize*t.stride)
+	t.dist = make([][]uint16, (t.n+blockSize-1)/blockSize)
 	forBlocks(newDepGraph(f), cg.In, nil, workers, func(b *blockBFS, lo, hi int) {
-		b.run(lo, hi, t.dist[lo*t.stride:(lo+blockSize)*t.stride], nil)
+		dist := make([]uint16, t.stride*blockSize)
+		b.run(lo, hi, dist, nil)
+		t.dist[lo>>blockShift] = dist
 	})
 	return t
 }
@@ -173,8 +179,7 @@ type blockBFS struct {
 	// port[c] is channel c's port at its start node, nil when run records
 	// no masks.
 	port []uint8
-	// limit is the first level run may not record: noDist, the marker of
-	// an unreachable entry.
+	// limit is the first level run may not record: levelLimit.
 	limit int
 }
 
@@ -207,7 +212,7 @@ func newBlockBFS(g depGraph, in [][]int, port []uint8) *blockBFS {
 		marks:   make([]uint64, marks),
 		summary: make([]uint64, (marks+63)/64),
 		port:    port,
-		limit:   noDist,
+		limit:   levelLimit,
 	}
 }
 
@@ -226,10 +231,11 @@ func (b *blockBFS) mark(s int32) {
 // predecessors, so they never enter the frontier. Nothing assumes the
 // dependency graph is acyclic.
 //
-// A non-nil dist gets each state's distance to lo+j at s*blockSize+j, or
-// noDist if s never reaches lo+j; each entry is written once. When b
-// records masks, rows[s][lo+j] gets the port bits of every shortest
-// continuation from s toward lo+j: the ports of Table.NextChannels(lo+j,
+// A non-nil dist, zeroed, gets each state's distance to lo+j plus one at
+// s*blockSize+j, and keeps 0 where s never reaches lo+j; each reached
+// entry is written once. When b records masks, rows[s][2(lo+j):] gets the
+// port bits of every shortest continuation from s toward lo+j, as the two
+// little-endian bytes of a uint16: the ports of Table.NextChannels(lo+j,
 // s), 0 for lo+j's own states and for states that never reach it.
 //
 // A level ORs each frontier channel c's word, less what its predecessor p
@@ -241,7 +247,7 @@ func (b *blockBFS) mark(s int32) {
 // The level's reached states are then visited in state order, which walks
 // the records, the distances and the next frontier forward through
 // memory. run panics rather than record a level of b.limit or more.
-func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
+func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]byte) {
 	g, words, w, port := b.g, b.words, b.w, b.port
 	marks, summary := b.marks, b.summary
 	numCh := len(g.from)
@@ -257,10 +263,10 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 	}
 	if dist != nil {
 		for j := 0; j < hi-lo; j++ {
-			dist[(numCh+lo+j)*blockSize+j] = 0
+			dist[(numCh+lo+j)*blockSize+j] = 1
 		}
 		for _, f := range b.cur {
-			setLevel(dist, f.c, f.word, 0)
+			setLevel(dist, f.c, f.word, 1)
 		}
 	}
 	for level := 1; len(b.cur) > 0; level++ {
@@ -309,7 +315,7 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 					words[o+nextWord] = 0
 					words[o+seenWord] |= add
 					if dist != nil {
-						setLevel(dist, s, add, uint16(level))
+						setLevel(dist, s, add, uint16(level+1))
 					}
 					if int(s) < numCh {
 						b.cur = append(b.cur, frontier{s, add})
@@ -321,34 +327,32 @@ func (b *blockBFS) run(lo, hi int, dist []uint16, rows [][]uint16) {
 		}
 	}
 	// One sweep over the records leaves them zero for the next run, on the
-	// way marking unreached entries or turning the planes into masks.
-	full := ^uint64(0) >> uint(blockSize-(hi-lo))
+	// way turning the planes into masks. Unreached entries keep their 0.
 	for s := 0; s < len(words)/w; s++ {
 		rec := words[s*w : (s+1)*w]
-		if dist != nil {
-			setLevel(dist, int32(s), full&^rec[seenWord], noDist)
-		}
 		rec[seenWord] = 0
 		if port == nil {
 			continue
 		}
-		var masks [blockSize]uint16
+		// Port k of destination j is bit k&7 of byte 2j+k>>3: the
+		// little-endian bytes of the FIB format, written as one run.
+		var raw [2 * blockSize]byte
 		for k, plane := range rec[firstPort:] {
 			for ; plane != 0; plane &= plane - 1 {
-				masks[bits.TrailingZeros64(plane)&(blockSize-1)] |= 1 << k
+				raw[2*(bits.TrailingZeros64(plane)&(blockSize-1))+k>>3] |= 1 << (k & 7)
 			}
 			rec[firstPort+k] = 0
 		}
-		copy(rows[s][lo:hi], masks[:])
+		copy(rows[s][2*lo:2*hi], raw[:])
 	}
 }
 
-// setLevel writes d into state s's entry j of a block's distances for
+// setLevel writes e into state s's entry j of a block's distances for
 // every bit j of w.
-func setLevel(dist []uint16, s int32, w uint64, d uint16) {
+func setLevel(dist []uint16, s int32, w uint64, e uint16) {
 	row := (*[blockSize]uint16)(dist[int(s)*blockSize:])
 	for ; w != 0; w &= w - 1 {
-		row[bits.TrailingZeros64(w)&(blockSize-1)] = d
+		row[bits.TrailingZeros64(w)&(blockSize-1)] = e
 	}
 }
 
@@ -393,12 +397,13 @@ func (np *NextPorts) States() int { return np.cg.NumChannels() + np.cg.N() }
 
 // Fill writes every state's next-port masks toward every destination,
 // computed by the block BFS NewTable runs, one block of 64 destinations
-// at a time on at most workers goroutines. rows has one row per state,
-// indexed by destination: rows[s][dst] gets the ports whose channels
+// at a time on at most workers goroutines. rows has one row of two bytes
+// per destination for each state: rows[s][2*dst:2*dst+2] gets, as a
+// little-endian uint16 (bit k = port k), the ports whose channels
 // Table.NextChannels(dst, s) would return, 0 for dst's own states and for
 // states that cannot reach dst. Rows may share memory, as long as no two
 // overlap.
-func (np *NextPorts) Fill(workers int, rows [][]uint16) {
+func (np *NextPorts) Fill(workers int, rows [][]byte) {
 	forBlocks(np.deps, np.cg.In, np.port, workers, func(b *blockBFS, lo, hi int) {
 		b.run(lo, hi, nil, rows)
 	})
@@ -480,19 +485,13 @@ func (t *Table) distFrom(dst, state int) int {
 	if state < 0 {
 		state = t.numCh + (^state)
 	}
-	if d := t.entry(dst, state); d != noDist {
-		return int(d)
-	}
-	return -1
+	return int(t.entry(dst, state)) - 1
 }
 
-// entry returns state s's distance to dst, noDist if unreachable; s is a
-// channel id or numCh plus a node id.
-func (t *Table) entry(dst, s int) uint16 { return t.dist[t.entryIndex(dst, s)] }
-
-// entryIndex returns the index of state s's entry toward dst in t.dist.
-func (t *Table) entryIndex(dst, s int) int {
-	return (dst>>blockShift*t.stride+s)<<blockShift | dst&(blockSize-1)
+// entry returns state s's stored entry toward dst: its distance plus one,
+// 0 if unreachable. s is a channel id or numCh plus a node id.
+func (t *Table) entry(dst, s int) uint16 {
+	return t.dist[dst>>blockShift][s<<blockShift|dst&(blockSize-1)]
 }
 
 // InjectionState encodes node v's "not yet departed" routing state for use
@@ -519,11 +518,13 @@ func (t *Table) NextChannels(dst, state int, buf []int) []int {
 	if d < 0 {
 		return buf
 	}
-	// Channel c's entry toward dst is block[c<<blockShift]. The distance is
-	// tested first: it rules out most channels for less than a turn check.
-	block := t.dist[t.entryIndex(dst, 0):]
+	// Channel c's entry toward dst is block[c<<blockShift], and it holds
+	// d exactly when c is one channel nearer: its distance d-1, plus one.
+	// The entry is tested first: it rules out most channels for less than
+	// a turn check.
+	block := t.dist[dst>>blockShift][dst&(blockSize-1):]
 	for _, c := range cg.Out[here] {
-		if int(block[c<<blockShift]) == d-1 && (state < 0 || t.f.Sys.TurnAllowed(state, c)) {
+		if int(block[c<<blockShift]) == d && (state < 0 || t.f.Sys.TurnAllowed(state, c)) {
 			buf = append(buf, c)
 		}
 	}

@@ -65,21 +65,28 @@ func checkTableMatchesReference(t *testing.T, f *Function) {
 }
 
 // checkTableAt compares the distances of newTableN at each worker count
-// with referenceDist.
+// with referenceDist, decoding each stored entry (the distance plus one, 0
+// for unreachable).
 func checkTableAt(t *testing.T, f *Function, workerCounts []int) {
 	t.Helper()
 	want := referenceDist(f)
 	for _, workers := range workerCounts {
 		got := newTableN(f, workers)
 		blocks := (got.n + blockSize - 1) / blockSize
-		if len(want) != got.n*got.stride || len(got.dist) != blocks*blockSize*got.stride {
-			t.Fatalf("%s, %d workers: %d entries for %d blocks of %d states, reference has %d",
-				f.AlgorithmName, workers, len(got.dist), blocks, got.stride, len(want))
+		if len(want) != got.n*got.stride || len(got.dist) != blocks {
+			t.Fatalf("%s, %d workers: %d blocks of %d states, want %d; reference has %d entries",
+				f.AlgorithmName, workers, len(got.dist), got.stride, blocks, len(want))
+		}
+		for k, block := range got.dist {
+			if len(block) != blockSize*got.stride {
+				t.Fatalf("%s, %d workers: block %d has %d entries, want %d",
+					f.AlgorithmName, workers, k, len(block), blockSize*got.stride)
+			}
 		}
 		for dst := 0; dst < got.n; dst++ {
 			for s := 0; s < got.stride; s++ {
-				d := int32(got.entry(dst, s))
-				if d == noDist {
+				d := int32(got.entry(dst, s)) - 1
+				if d < 0 {
 					d = refUnreachable
 				}
 				if w := want[dst*got.stride+s]; d != w {

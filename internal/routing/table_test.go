@@ -60,10 +60,11 @@ func TestNewTableParallelIdentical(t *testing.T) {
 }
 
 // TestBlockBFSPanicsAtLimit pins the uint16 bound: the block BFS panics,
-// naming the bound, rather than record a distance at its limit (0xFFFF,
-// the unreachable marker, in NewTable). A line of 6 switches has
-// distances up to 5, so a limit of 5 panics and 6 does not, and the panic
-// comes before any entry of distance 5 is written.
+// naming the bound, rather than record a distance at its limit (0xFFFF in
+// NewTable, whose entry, the distance plus one, would wrap to 0, the
+// unreachable marker). A line of 6 switches has distances up to 5, so a
+// limit of 5 panics and 6 does not, and the panic comes before any entry
+// of distance 5 (stored as 6) is written.
 func TestBlockBFSPanicsAtLimit(t *testing.T) {
 	f, err := UpDown{}.Build(buildCG(t, topology.Line(6), ctree.M1, nil))
 	if err != nil {
@@ -82,7 +83,7 @@ func TestBlockBFSPanicsAtLimit(t *testing.T) {
 	if msg != nil {
 		t.Fatalf("limit 6 panicked: %v", msg)
 	}
-	if !slices.Contains(dist, 5) {
+	if !slices.Contains(dist, 5+1) {
 		t.Fatal("limit 6: no entry of distance 5")
 	}
 	want := "routing: a shortest legal path needs 5 or more channels; table entries hold at most 4"
@@ -90,7 +91,7 @@ func TestBlockBFSPanicsAtLimit(t *testing.T) {
 	if msg != want {
 		t.Fatalf("limit 5: recovered %v, want panic %q", msg, want)
 	}
-	if i := slices.Index(dist, 5); i >= 0 {
+	if i := slices.Index(dist, 5+1); i >= 0 {
 		t.Fatalf("limit 5: entry %d holds distance 5, written before the panic", i)
 	}
 }

@@ -107,6 +107,24 @@ func TestIrrouteFIBExport(t *testing.T) {
 	}
 }
 
+// TestIrrouteAbove16Ports routes a complete graph of 20 switches (19
+// ports each): the table takes any port count, and the FIB export fails
+// with the format's 16-port limit, exit code 1.
+func TestIrrouteAbove16Ports(t *testing.T) {
+	out := run(t, "irroute", "-topo", "complete:20")
+	if !strings.Contains(out, "avg path len  1.000 channels") {
+		t.Fatalf("irroute -topo complete:20 output:\n%s", out)
+	}
+	fibFile := filepath.Join(t.TempDir(), "net.fib")
+	cmd := exec.Command(filepath.Join(binaries(t), "irroute"), "-topo", "complete:20", "-fib", fibFile)
+	out2, err := cmd.CombinedOutput()
+	exit, ok := err.(*exec.ExitError)
+	if want := "irroute: fib: switch 0 has 19 ports; the format supports 16\n"; !ok || exit.ExitCode() != 1 ||
+		!strings.HasSuffix(string(out2), want) {
+		t.Fatalf("irroute -topo complete:20 -fib: %v, output:\n%s\nwant exit 1 ending %q", err, out2, want)
+	}
+}
+
 func TestIrsimSmoke(t *testing.T) {
 	out := run(t, "irsim", "-switches", "20", "-ports", "4", "-plen", "16",
 		"-rate", "0.1", "-warmup", "300", "-measure", "1500", "-profile")

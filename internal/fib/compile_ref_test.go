@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,21 +18,22 @@ import (
 	"repro/internal/turnmodel"
 )
 
-// referenceCompile is the per-(switch, destination) loop Compile replaced:
-// every entry is the port set of one Table.NextChannels call. It is the
-// oracle the blocked compile is compared against.
-func referenceCompile(tb *routing.Table) *FIB {
-	fn := tb.Function()
+// referenceCompile builds the FIB of fn without a routing.Table: a plain
+// queue BFS per destination gives every routing state's distance (asking
+// Sys.TurnAllowed for each turn it relaxes), and a state's mask holds the
+// ports of the channels one nearer that it may turn onto. It is the oracle
+// Compile's masks are compared against.
+func referenceCompile(fn *routing.Function) *FIB {
 	cg := fn.CG()
-	n := cg.N()
+	n, numCh := cg.N(), cg.NumChannels()
 	f := &FIB{
 		n:         n,
 		neighbors: make([][]int32, n),
 		table:     make([][]byte, n),
 		algorithm: fn.AlgorithmName,
 	}
-	outPort := make([]int, cg.NumChannels())
-	inPort := make([]int, cg.NumChannels())
+	outPort := make([]int, numCh)
+	inPort := make([]int, numCh)
 	for v := 0; v < n; v++ {
 		f.neighbors[v] = make([]int32, len(cg.Out[v]))
 		for k, c := range cg.Out[v] {
@@ -41,26 +43,48 @@ func referenceCompile(tb *routing.Table) *FIB {
 		for k, c := range cg.In[v] {
 			inPort[c] = k
 		}
-	}
-	var buf []int
-	for v := 0; v < n; v++ {
 		f.table[v] = make([]byte, 2*(len(cg.In[v])+1)*n)
-		setMask := func(row, dst int, chans []int) {
-			var mask uint16
-			for _, c := range chans {
-				mask |= 1 << uint(outPort[c])
-			}
-			binary.LittleEndian.PutUint16(f.table[v][2*(row*n+dst):], mask)
+	}
+	const unreached = -1
+	dist := make([]int, numCh+n) // channel c at c, node v's injection at numCh+v
+	for dst := 0; dst < n; dst++ {
+		for i := range dist {
+			dist[i] = unreached
 		}
-		for dst := 0; dst < n; dst++ {
-			if dst == v {
+		dist[numCh+dst] = 0
+		queue := append([]int(nil), cg.In[dst]...)
+		for _, c := range queue {
+			dist[c] = 0
+		}
+		for head := 0; head < len(queue); head++ {
+			c := queue[head]
+			from := cg.Channels[c].From
+			if dist[numCh+from] == unreached {
+				dist[numCh+from] = dist[c] + 1
+			}
+			for _, p := range cg.In[from] {
+				if dist[p] == unreached && fn.Sys.TurnAllowed(p, c) {
+					dist[p] = dist[c] + 1
+					queue = append(queue, p)
+				}
+			}
+		}
+		for v := 0; v < n; v++ {
+			if v == dst {
 				continue
 			}
-			buf = tb.NextChannels(dst, routing.InjectionState(v), buf[:0])
-			setMask(0, dst, buf)
-			for _, cIn := range cg.In[v] {
-				buf = tb.NextChannels(dst, cIn, buf[:0])
-				setMask(inPort[cIn]+1, dst, buf)
+			setMask := func(row, state, d int) {
+				var mask uint16
+				for _, c := range cg.Out[v] {
+					if d > 0 && dist[c] == d-1 && (state < 0 || fn.Sys.TurnAllowed(state, c)) {
+						mask |= 1 << uint(outPort[c])
+					}
+				}
+				binary.LittleEndian.PutUint16(f.table[v][2*(row*n+dst):], mask)
+			}
+			setMask(0, -1, dist[numCh+v])
+			for _, c := range cg.In[v] {
+				setMask(inPort[c]+1, c, dist[c])
 			}
 		}
 	}
@@ -100,23 +124,27 @@ func referenceWriteTo(f *FIB, w io.Writer) error {
 	return nil
 }
 
-// checkCompileMatchesReference compares every mask compileN produces, at
-// worker counts 1, 2, 3 and 8, with referenceCompile, and requires WriteTo
+// checkCompileMatchesReference compares every mask of Compile(NewTable(fn))
+// and of CompileFunction(fn) with referenceCompile's, and requires WriteTo
 // and AppendBinary to produce the bytes referenceWriteTo gives for the
 // reference FIB, EncodedSize of them.
-func checkCompileMatchesReference(t *testing.T, tb *routing.Table) {
+func checkCompileMatchesReference(t *testing.T, fn *routing.Function) {
 	t.Helper()
-	want := referenceCompile(tb)
+	want := referenceCompile(fn)
 	var wantBytes bytes.Buffer
 	if err := referenceWriteTo(want, &wantBytes); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := compileN(tb.Function(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("%s, %d switches, %d workers", want.algorithm, want.n, workers)
+	fromTable, err := Compile(routing.NewTable(fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFunction, err := CompileFunction(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range []*FIB{fromTable, fromFunction} {
+		name := fmt.Sprintf("%s, %d switches, compile %d", want.algorithm, want.n, i)
 		for v := 0; v < want.n; v++ {
 			if got.Ports(v) != want.Ports(v) || len(got.table[v]) != len(want.table[v]) {
 				t.Fatalf("%s: switch %d has %d ports and %d table bytes, reference %d and %d",
@@ -163,13 +191,14 @@ func checkAppendBinary(t *testing.T, f *FIB, want []byte) {
 	}
 }
 
-// differentialTables returns the tables the compile differential covers:
+// differentialFunctions returns the functions the compile differential
+// covers:
 // DOWN/UP and the tree baselines on irregular networks whose switch counts
 // are not multiples of the BFS's 64-destination block, uniform FromMask
 // sets (one of them disconnecting), every zoo native on its home topology,
-// and a system that permits U-turns. None needs to verify: Compile must agree with the table
-// on unreachable states as well.
-func differentialTables(t *testing.T) []*routing.Table {
+// and a system that permits U-turns. None needs to verify: Compile must
+// agree with the reference on unreachable states as well.
+func differentialFunctions(t *testing.T) []*routing.Function {
 	t.Helper()
 	cgFor := func(g *topology.Graph, policy ctree.Policy) *cgraph.CG {
 		tr, err := ctree.Build(g, policy, rng.New(3))
@@ -204,7 +233,7 @@ func differentialTables(t *testing.T) []*routing.Table {
 		{From: turnmodel.UDDown, To: turnmodel.UDUp},
 		{From: turnmodel.UDUp, To: turnmodel.UDDown},
 	}), "")
-	if routing.NewTable(disconnected).FullyConnected() == nil {
+	if disconnected.Verify() == nil {
 		t.Fatalf("%s left the network connected", disconnected.AlgorithmName)
 	}
 	fns = append(fns,
@@ -237,20 +266,14 @@ func differentialTables(t *testing.T) []*routing.Table {
 	uturn := build(routing.UpDown{}, irregular(43, 37, 4))
 	uturn.Sys.AllowUTurn = true
 	uturn.AlgorithmName += "+u-turns"
-	fns = append(fns, uturn)
-
-	tables := make([]*routing.Table, len(fns))
-	for i, f := range fns {
-		tables[i] = routing.NewTable(f)
-	}
-	return tables
+	return append(fns, uturn)
 }
 
-// TestCompileMatchesReference pins the blocked, parallel compile to the
-// NextChannels loop it replaced, mask for mask and byte for byte.
+// TestCompileMatchesReference pins the compile, from a table and from a
+// function, to the queue-BFS reference, mask for mask and byte for byte.
 func TestCompileMatchesReference(t *testing.T) {
-	for _, tb := range differentialTables(t) {
-		checkCompileMatchesReference(t, tb)
+	for _, fn := range differentialFunctions(t) {
+		checkCompileMatchesReference(t, fn)
 	}
 }
 
@@ -295,9 +318,8 @@ func randomMaskFunction(cg *cgraph.CG, scheme int, chosen uint64, extend, uturn 
 // over 512 seeded uniform masks (the first 128 under -short, which the race
 // job uses) with random U-turn permission, on switch counts inside the
 // 64-destination block of the BFS (31, 32, 33), either side of it (63, 64)
-// and with a last block of one destination (65, 129), at every worker
-// count. The sweep must reach enough connected, disconnected and cyclic
-// functions.
+// and with a last block of one destination (65, 129). The sweep must reach
+// enough connected, disconnected and cyclic functions.
 func TestCompileMatchesReferenceRandomMasks(t *testing.T) {
 	cases := 512
 	if testing.Short() {
@@ -336,7 +358,7 @@ func TestCompileMatchesReferenceRandomMasks(t *testing.T) {
 		default:
 			disconnected++
 		}
-		checkCompileMatchesReference(t, routing.NewTable(f))
+		checkCompileMatchesReference(t, f)
 	}
 	t.Logf("%d connected, %d disconnected, %d cyclic", connected, disconnected, cyclic)
 	if connected < cases/5 || disconnected < cases/10 || cyclic < cases/5 {
@@ -344,10 +366,10 @@ func TestCompileMatchesReferenceRandomMasks(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsWidePorts pins the port-count limit: a 17-port switch
-// fails the compile with a named error, no FIB comes back, and the check
-// runs before any per-switch state is built or any worker starts — the
-// failed call allocates less than one object per switch or per worker.
+// TestCompileRejectsWidePorts pins the port-count limit: a table of a
+// 17-port switch builds, but its compile fails with a named error and no
+// FIB comes back. CompileFunction fails the same way before it builds a
+// table: the failed call allocates less than one object per switch.
 func TestCompileRejectsWidePorts(t *testing.T) {
 	g, err := topology.FullMesh(18)
 	if err != nil {
@@ -361,21 +383,43 @@ func TestCompileRejectsWidePorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := routing.NewTable(fn)
-	f, err := Compile(tb)
-	if err == nil || f != nil {
-		t.Fatalf("Compile of a 17-port network returned (%v, %v), want (nil, error)", f, err)
+	const want = "fib: switch 0 has 17 ports; the format supports 16"
+	f, err := Compile(routing.NewTable(fn))
+	if err == nil || f != nil || err.Error() != want {
+		t.Fatalf("Compile of a 17-port network returned (%v, %v), want (nil, %q)", f, err, want)
 	}
-	if want := "fib: switch 0 has 17 ports; the format supports 16"; err.Error() != want {
-		t.Fatalf("error %q, want %q", err, want)
+	if f, err = CompileFunction(fn); err == nil || f != nil || err.Error() != want {
+		t.Fatalf("CompileFunction of a 17-port network returned (%v, %v), want (nil, %q)", f, err, want)
 	}
-	const workers = 8
 	allocs := testing.AllocsPerRun(10, func() {
-		if f, err := compileN(fn, workers); err == nil || f != nil {
-			t.Fatal("compileN accepted a 17-port network")
+		if f, err := CompileFunction(fn); err == nil || f != nil {
+			t.Fatal("CompileFunction accepted a 17-port network")
 		}
 	})
-	if limit := min(g.N(), workers); allocs >= float64(limit) {
-		t.Fatalf("rejected compile made %.0f allocations, want fewer than %d", allocs, limit)
+	if allocs >= float64(g.N()) {
+		t.Fatalf("rejected compile made %.0f allocations, want fewer than %d", allocs, g.N())
+	}
+}
+
+// TestCompileSharesTableRows pins that Compile(tb) runs no BFS and copies
+// no mask: on a 1,024-switch, 4-port table it allocates less than 1% of
+// the forwarding state it returns, and the FIB's tables are the table's
+// rows.
+func TestCompileSharesTableRows(t *testing.T) {
+	tb := buildTable(t, 1, 1024, 4, core.DownUp{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := Compile(tb)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc*100 >= uint64(f.SizeBytes()) {
+		t.Fatalf("Compile allocated %d bytes for %d bytes of forwarding state", alloc, f.SizeBytes())
+	}
+	for v, row := range tb.Rows() {
+		if &f.table[v][0] != &row[0] {
+			t.Fatalf("switch %d: the FIB's table is not the table's row", v)
+		}
 	}
 }

@@ -7,10 +7,10 @@
 // legal continuations the routing function allows, so a switch using the
 // FIB is deadlock-free and minimal by construction.
 //
-// The compile builds no routing table. Each entry is recorded by the
-// backward BFS that fills a table, run over blocks of 64 destinations at
-// once (routing.NextPorts), so Compile(tb) reads nothing of the table but
-// its function, and CompileFunction needs no table at all.
+// A routing.Table already holds these masks, in this package's byte
+// layout, so Compile(tb) shares the table's rows: it runs no BFS and copies
+// no mask. Router answers a decoded FIB through routing.Table as well, so
+// a table and the FIB compiled from it walk the same code.
 //
 // The package also defines a compact, versioned binary serialization so
 // FIBs can be distributed and loaded without recomputing the routing. A
@@ -23,10 +23,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
-	"sync"
 
+	"repro/internal/cgraph"
 	"repro/internal/routing"
 )
 
@@ -62,86 +61,56 @@ const maxPorts = 16
 // magnitude below it.
 const maxSwitches = 1 << 16
 
-// CompileFunction builds the FIB for a routing function. Every
-// (destination, input port) pair at every switch gets the exact set of
-// shortest legal output ports Table.NextChannels would offer, and no Table
-// is built: the masks come from the block BFS NewTable runs
-// (routing.NextPorts.Fill), one block of 64 destinations per pass, with
-// blocks handed to GOMAXPROCS goroutines through an atomic counter. A pass
-// keeps, for each routing state, one bit per destination in a word per
-// output port, and at its end writes each state's masks for the block,
-// already in the bytes of the binary format, as one run into the state's
-// FIB row: row 0 of switch v from v's injection state, row i+1 from its
-// input channel cg.In[v][i]. The switches' tables are allocated first,
-// split across as many goroutines, so their memory is zeroed and faulted
-// in on every core. Each entry depends only on the function, so the FIB
-// is identical for any GOMAXPROCS.
+// CompileFunction builds the FIB for a routing function:
+// Compile(routing.NewTable(fn)), whose one block BFS records every entry.
+// A switch of more than 16 ports fails before the table is built.
 func CompileFunction(fn *routing.Function) (*FIB, error) {
-	return compileN(fn, runtime.GOMAXPROCS(0))
-}
-
-// Compile builds the FIB for the routing function a table was computed
-// for. It is CompileFunction(tb.Function()) and reads no distances.
-func Compile(tb *routing.Table) (*FIB, error) {
-	return CompileFunction(tb.Function())
-}
-
-// compileN is CompileFunction with an explicit worker count, kept internal
-// so tests can compare worker counts against each other and the reference
-// loop.
-func compileN(fn *routing.Function, workers int) (*FIB, error) {
-	cg := fn.CG()
-	n := cg.N()
-	for v, out := range cg.Out {
-		if len(out) > maxPorts {
-			return nil, fmt.Errorf("fib: switch %d has %d ports; the format supports %d",
-				v, len(out), maxPorts)
-		}
+	if err := checkPorts(fn.CG()); err != nil {
+		return nil, err
 	}
-	np, err := routing.NewNextPorts(fn)
-	if err != nil {
+	return Compile(routing.NewTable(fn))
+}
+
+// Compile builds the FIB of a table computed by routing.NewTable. Every
+// (destination, input port) pair at every switch gets the exact set of
+// shortest legal output ports Table.NextChannels offers: the FIB shares
+// the table's rows (Table.Rows), whose layout is this format's, so it runs
+// no BFS and copies no mask. Both are immutable, so sharing is safe. It
+// fails if a switch has more than 16 ports, the width of the format's
+// masks.
+func Compile(tb *routing.Table) (*FIB, error) {
+	fn := tb.Function()
+	cg := fn.CG()
+	if err := checkPorts(cg); err != nil {
 		return nil, err
 	}
 	f := &FIB{
-		n:         n,
-		neighbors: make([][]int32, n),
-		table:     make([][]byte, n),
+		n:         cg.N(),
+		neighbors: make([][]int32, cg.N()),
+		table:     tb.Rows(),
 		algorithm: fn.AlgorithmName,
-	}
-	// The tables are allocated while this goroutine fills the neighbor
-	// lists, and the BFS starts once both are done.
-	workers = max(1, min(workers, n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				f.table[v] = make([]byte, 2*(len(cg.In[v])+1)*n)
-			}
-		}(w*n/workers, (w+1)*n/workers)
 	}
 	// Port k at switch v is the k-th entry of cg.Out[v] (and of cg.In[v]:
 	// both are ascending by peer id, so output port k and input port k face
-	// the same neighbor); input port k is FIB row k+1.
+	// the same neighbor); input port k is row k+1.
+	nb := make([]int32, cg.NumChannels())
 	for v, out := range cg.Out {
-		f.neighbors[v] = make([]int32, len(out))
+		f.neighbors[v], nb = nb[:len(out):len(out)], nb[len(out):]
 		for k, c := range out {
 			f.neighbors[v][k] = int32(cg.Channels[c].To)
 		}
 	}
-	wg.Wait()
-	// Routing state s writes FIB row rows[s]: row 0 of switch v is v's
-	// injection state, row i+1 its input channel cg.In[v][i].
-	rows := make([][]byte, np.States())
-	for v, in := range cg.In {
-		rows[cg.NumChannels()+v] = f.table[v][:2*n]
-		for i, c := range in {
-			rows[c] = f.table[v][2*(i+1)*n : 2*(i+2)*n]
+	return f, nil
+}
+
+// checkPorts fails if a switch of cg has more ports than a mask holds.
+func checkPorts(cg *cgraph.CG) error {
+	for v, out := range cg.Out {
+		if len(out) > maxPorts {
+			return fmt.Errorf("fib: switch %d has %d ports; the format supports %d", v, len(out), maxPorts)
 		}
 	}
-	np.Fill(workers, rows)
-	return f, nil
+	return nil
 }
 
 // N returns the switch count.

@@ -86,9 +86,9 @@ func FuzzFIBDecode(f *testing.F) {
 
 // FuzzCompile builds a uniform FromMask routing function from the fuzz
 // input — network size and seed, direction scheme, prohibited turns and
-// U-turn permission — and requires the table-free compile, at every worker
-// count, to match the NextChannels reference loop mask for mask and byte
-// for byte, whether or not the function is deadlock-free or connected.
+// U-turn permission — and requires the compile, from a table and from the
+// function, to match the queue-BFS reference mask for mask and byte for
+// byte, whether or not the function is deadlock-free or connected.
 // The FIB must also round-trip byte-identically through WriteTo and Read,
 // and AppendBinary must append WriteTo's bytes.
 func FuzzCompile(f *testing.F) {
@@ -109,10 +109,9 @@ func FuzzCompile(f *testing.F) {
 			t.Fatal(err)
 		}
 		fn := randomMaskFunction(cgraph.Build(tr), int(scheme), chosen, extend, uturn)
-		tb := routing.NewTable(fn)
-		checkCompileMatchesReference(t, tb)
+		checkCompileMatchesReference(t, fn)
 
-		fb, err := Compile(tb)
+		fb, err := Compile(routing.NewTable(fn))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,21 +8,16 @@ import (
 	"repro/internal/routing"
 )
 
-// Router adapts a compiled FIB back to the routing.PathSource interface, so
-// the wormhole simulator can run against the deployable forwarding tables
-// instead of the in-memory distance tables. Because the FIB was compiled
-// from the table's NextChannels sets — with port order equal to channel
-// order — and AppendPath takes the table's own walk over them, a
-// Router-driven simulation consumes randomness identically to a
-// Table-driven one and produces bit-identical results; the integration
-// tests assert exactly that, which validates the FIB artifact end to end.
+// Router adapts a FIB back to the routing.PathSource interface, so the
+// wormhole simulator and irnetd can route on the deployable forwarding
+// tables. It answers through a routing.Table over the FIB's rows, so
+// NextChannels and AppendPath are the table's own code over the same
+// masks, in port order equal to channel order: a Router-driven simulation
+// consumes randomness identically to a Table-driven one and produces
+// bit-identical results. The integration tests assert exactly that over a
+// serialized and decoded FIB, which validates the artifact end to end.
 type Router struct {
-	fib *FIB
-	cg  *cgraph.CG
-	// portChan[v][k] is the channel id on switch v's port k.
-	portChan [][]int32
-	// inPort[c] is the input-port index of channel c at its sink switch.
-	inPort []int32
+	tb *routing.Table
 }
 
 // NewRouter binds a FIB to the communication graph it was compiled for.
@@ -31,64 +26,39 @@ func NewRouter(f *FIB, cg *cgraph.CG) (*Router, error) {
 	if f.N() != cg.N() {
 		return nil, fmt.Errorf("fib: FIB has %d switches, graph has %d", f.N(), cg.N())
 	}
-	r := &Router{
-		fib:      f,
-		cg:       cg,
-		portChan: make([][]int32, cg.N()),
-		inPort:   make([]int32, cg.NumChannels()),
-	}
 	for v := 0; v < cg.N(); v++ {
 		if f.Ports(v) != len(cg.Out[v]) {
 			return nil, fmt.Errorf("fib: switch %d has %d FIB ports, %d graph ports",
 				v, f.Ports(v), len(cg.Out[v]))
 		}
-		r.portChan[v] = make([]int32, len(cg.Out[v]))
 		for k, c := range cg.Out[v] {
 			if f.Neighbor(v, k) != cg.Channels[c].To {
 				return nil, fmt.Errorf("fib: switch %d port %d neighbor mismatch", v, k)
 			}
-			r.portChan[v][k] = int32(c)
-		}
-		for k, c := range cg.In[v] {
-			r.inPort[c] = int32(k)
 		}
 	}
-	return r, nil
+	// A decoded FIB's tables have the length of its port counts, which
+	// match the graph's, so they are laid out as Table.Rows describes.
+	return &Router{tb: routing.TableFromRows(cg, f.algorithm, f.table)}, nil
 }
 
-// NextChannels implements routing.PathSource via FIB lookups.
+// NextChannels implements routing.PathSource: Table.NextChannels over the
+// FIB's masks.
 func (r *Router) NextChannels(dst, state int, buf []int) []int {
-	var v, in int
-	if state < 0 {
-		v, in = ^state, InjectionPort
-	} else {
-		v, in = r.cg.Channels[state].To, int(r.inPort[state])
-	}
-	if v == dst {
-		return buf
-	}
-	mask := r.fib.Lookup(v, in, dst)
-	for k := 0; mask != 0; k++ {
-		if mask&1 != 0 {
-			buf = append(buf, int(r.portChan[v][k]))
-		}
-		mask >>= 1
-	}
-	return buf
+	return r.tb.NextChannels(dst, state, buf)
 }
 
-// AppendPath implements routing.PathSource by walking FIB lookups
-// (routing.AppendWalk, the walk Table.AppendPath takes), so it draws the
-// same channels from the same rng as the table the FIB was compiled from.
-// A FIB whose masks loop fails after more hops than the graph has
-// channels.
+// AppendPath implements routing.PathSource: Table.AppendPath over the
+// FIB's masks, so it draws the same channels from the same rng as the
+// table the FIB was compiled from. A FIB whose masks loop fails after more
+// hops than the graph has channels.
 func (r *Router) AppendPath(path []int32, src, dst int, rnd *rng.Rng) ([]int32, error) {
-	return routing.AppendWalk(path, r, r.cg, routing.InjectionState(src), dst, rnd)
+	return r.tb.AppendPath(path, src, dst, rnd)
 }
 
 // FixedPath returns AppendPath(nil, src, dst, nil) for the repository
 // benchmark's check against Table.FixedPath; everything else calls
 // AppendPath.
-func (r *Router) FixedPath(src, dst int) ([]int32, error) { return r.AppendPath(nil, src, dst, nil) }
+func (r *Router) FixedPath(src, dst int) ([]int32, error) { return r.tb.FixedPath(src, dst) }
 
 var _ routing.PathSource = (*Router)(nil)

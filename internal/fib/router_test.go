@@ -3,6 +3,7 @@ package fib
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -13,41 +14,59 @@ import (
 	"repro/internal/wormsim"
 )
 
-func TestRouterMatchesTableNextChannels(t *testing.T) {
-	tb := buildTable(t, 21, 24, 4, core.DownUp{})
-	f, err := Compile(tb)
+// TestRouterMatchesReference checks the router of a serialized and
+// decoded FIB against the queue-BFS reference: for every destination and
+// routing state, NextChannels returns the channels on the reference mask's
+// ports, in port order, and nothing at the destination.
+func TestRouterMatchesReference(t *testing.T) {
+	fn := buildFunction(t, 21, 24, 4, core.DownUp{})
+	want := referenceCompile(fn)
+	cg := fn.CG()
+	r, err := NewRouter(roundTrip(t, fn), cg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := tb.Function().CG()
-	r, err := NewRouter(f, cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []int
+	var got, w []int
 	for dst := 0; dst < cg.N(); dst++ {
 		for state := -cg.N(); state < cg.NumChannels(); state++ {
-			a = tb.NextChannels(dst, state, a[:0])
-			b = r.NextChannels(dst, state, b[:0])
-			if len(a) != len(b) {
-				t.Fatalf("dst %d state %d: %v vs %v", dst, state, a, b)
+			v, in := ^state, InjectionPort
+			if state >= 0 {
+				v, in = cg.Channels[state].To, slices.Index(cg.In[cg.Channels[state].To], state)
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("dst %d state %d: %v vs %v", dst, state, a, b)
+			w = w[:0]
+			for k, c := range cg.Out[v] {
+				if v != dst && want.Lookup(v, in, dst)>>k&1 != 0 {
+					w = append(w, c)
 				}
+			}
+			if got = r.NextChannels(dst, state, got[:0]); !slices.Equal(got, w) {
+				t.Fatalf("dst %d state %d: %v, reference %v", dst, state, got, w)
 			}
 		}
 	}
 }
 
-func TestRouterSamplePathMatchesTable(t *testing.T) {
-	tb := buildTable(t, 23, 20, 4, routing.LTurn{})
-	f, err := Compile(tb)
+// roundTrip compiles fn and returns the FIB decoded from its encoding.
+func roundTrip(t *testing.T, fn *routing.Function) *FIB {
+	t.Helper()
+	f, err := CompileFunction(fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(f, tb.Function().CG())
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+func TestRouterSamplePathMatchesTable(t *testing.T) {
+	tb := buildTable(t, 23, 20, 4, routing.LTurn{})
+	r, err := NewRouter(roundTrip(t, tb.Function()), tb.Function().CG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +126,15 @@ func TestRouterRejectsForwardingLoop(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "did not terminate") {
 			t.Fatalf("looping FIB: path %v, err %v", p, err)
 		}
+	}
+	// The distances a table derives from these masks end as well: u
+	// cannot reach dst.
+	tb = routing.TableFromRows(cg, f.Algorithm(), f.table)
+	if d := tb.Distance(u, dst); d != -1 {
+		t.Fatalf("looping FIB: Distance(%d, %d) = %d, want -1", u, dst, d)
+	}
+	if err := tb.FullyConnected(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" -> %d", dst)) {
+		t.Fatalf("looping FIB: FullyConnected returned %v, want a pair toward %d", err, dst)
 	}
 }
 

@@ -34,48 +34,43 @@ const CountCap = 1e12
 
 // PathDiversity counts shortest legal paths for every ordered pair by
 // dynamic programming over the routing state graph: the number of shortest
-// paths from a state is the sum over distance-decreasing successors of
-// their counts. States are processed in increasing distance-to-destination
-// order, so each count is final when read.
+// paths from a state is the sum over its continuations of their counts.
+// States are processed in increasing distance-to-destination order, so
+// each count is final when read, and at least one (the first continuation
+// is one nearer).
 func (t *Table) PathDiversity() (*Diversity, error) {
-	cg := t.f.Sys.CG
-	n := t.n
+	n, numCh := t.n, len(t.inPort)
+	states := numCh + n
 	div := &Diversity{}
-	counts := make([]float64, t.stride)
-	order := make([]int32, 0, t.stride)
+	counts := make([]float64, states)
+	var buckets [][]int32 // buckets[d] holds the states at distance d
+	m := t.newDistMemo()
 	var logSum float64
 
 	for dst := 0; dst < n; dst++ {
-		order = order[:0]
-		for s := 0; s < t.stride; s++ {
-			if t.entry(dst, s) != 0 {
-				order = append(order, int32(s))
+		m.reset(dst)
+		for d := range buckets {
+			buckets[d] = buckets[d][:0]
+		}
+		for s := 0; s < states; s++ {
+			if d := m.of(s); d >= 0 {
+				for len(buckets) <= d {
+					buckets = append(buckets, nil)
+				}
+				buckets[d] = append(buckets[d], int32(s))
 			}
 		}
-		// Sort states by distance (counting sort over small distances); a
-		// reached state's entry is its distance plus one.
-		maxD := 0
-		for _, s := range order {
-			maxD = max(maxD, int(t.entry(dst, int(s)))-1)
-		}
-		buckets := make([][]int32, maxD+1)
-		for _, s := range order {
-			d := t.entry(dst, int(s)) - 1
-			buckets[d] = append(buckets[d], s)
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
+		clear(counts)
 		// Distance 0: arrival states.
 		for _, s := range buckets[0] {
 			counts[s] = 1
 		}
 		var buf []int
-		for d := 1; d <= maxD; d++ {
+		for d := 1; d < len(buckets); d++ {
 			for _, s := range buckets[d] {
 				state := int(s)
-				if state >= t.numCh {
-					state = InjectionState(int(s) - t.numCh)
+				if state >= numCh {
+					state = InjectionState(int(s) - numCh)
 				}
 				buf = t.NextChannels(dst, state, buf[:0])
 				var c float64
@@ -85,9 +80,6 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 				if c > CountCap {
 					c = CountCap
 				}
-				if c == 0 {
-					return nil, fmt.Errorf("routing: state %d for dst %d has distance %d but no continuation", s, dst, d)
-				}
 				counts[s] = c
 			}
 		}
@@ -95,7 +87,7 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 			if src == dst {
 				continue
 			}
-			c := counts[t.numCh+src]
+			c := counts[numCh+src]
 			if c < 1 {
 				return nil, fmt.Errorf("routing: no path counted for %d -> %d", src, dst)
 			}
@@ -112,6 +104,5 @@ func (t *Table) PathDiversity() (*Diversity, error) {
 	if div.Pairs > 0 {
 		div.MeanPaths = math.Exp(logSum / float64(div.Pairs))
 	}
-	_ = cg
 	return div, nil
 }

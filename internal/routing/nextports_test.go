@@ -1,64 +1,53 @@
 package routing
 
 import (
-	"encoding/binary"
 	"testing"
-
-	"repro/internal/ctree"
-	"repro/internal/topology"
-	"repro/internal/turnmodel"
 )
 
-// checkNextPorts compares, for every destination and routing state, the
-// next-port mask NextPorts.Fill reports with the port set of
-// Table.NextChannels, at every worker count in tableWorkers.
+// checkNextPorts decodes, for every destination and routing state, the
+// next-port mask of Table.Rows by the layout Rows documents (row 0 of node
+// v its injection state, row k+1 its input port k, one little-endian mask
+// per destination) and compares it with the port set of
+// Table.NextChannels, at every worker count in tableWorkers. A node's own
+// states must hold 0.
 func checkNextPorts(t *testing.T, f *Function) {
 	t.Helper()
-	np, err := NewNextPorts(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := NewTable(f)
 	cg := f.Sys.CG
-	n, numCh, states := cg.N(), cg.NumChannels(), np.States()
-	if states != tb.stride {
-		t.Fatalf("%s: %d states, table stride %d", f.AlgorithmName, states, tb.stride)
-	}
-	port := make([]int, numCh)
+	n := cg.N()
+	port := make([]int, cg.NumChannels())
 	for _, out := range cg.Out {
 		for k, c := range out {
 			port[c] = k
 		}
 	}
-	want := make([]uint16, n*states)
 	var buf []int
-	for dst := 0; dst < n; dst++ {
-		for s := 0; s < states; s++ {
-			state := s
-			if s >= numCh {
-				state = InjectionState(s - numCh)
-			}
-			for _, c := range tb.NextChannels(dst, state, buf[:0]) {
-				want[dst*states+s] |= 1 << port[c]
-			}
-		}
-	}
 	for _, workers := range tableWorkers {
-		got := make([]uint16, n*states)
-		rows := make([][]byte, states)
-		for s := range rows {
-			rows[s] = make([]byte, 2*n)
-		}
-		np.Fill(workers, rows)
-		for s, row := range rows {
-			for dst := 0; dst < n; dst++ {
-				got[dst*states+s] = binary.LittleEndian.Uint16(row[2*dst:])
-			}
-		}
-		for i, w := range want {
-			if got[i] != w {
-				t.Fatalf("%s, %d workers: dst %d state %d: mask %#x, NextChannels ports %#x",
-					f.AlgorithmName, workers, i/states, i%states, got[i], w)
+		tb := newTableN(f, workers)
+		rows, width := tb.Rows(), tb.width
+		for v := 0; v < n; v++ {
+			for r := 0; r <= len(cg.In[v]); r++ {
+				state := InjectionState(v)
+				if r > 0 {
+					state = cg.In[v][r-1]
+				}
+				for dst := 0; dst < n; dst++ {
+					var got, want uint64
+					mask := rows[v][width*(r*n+dst) : width*(r*n+dst+1)]
+					for i, b := range mask {
+						got |= uint64(b) << (8 * i)
+					}
+					for _, c := range tb.NextChannels(dst, state, buf[:0]) {
+						want |= 1 << port[c]
+					}
+					if v == dst && got != 0 {
+						t.Fatalf("%s, %d workers: node %d row %d: mask %#x toward itself, want 0",
+							f.AlgorithmName, workers, v, r, got)
+					}
+					if got != want {
+						t.Fatalf("%s, %d workers: node %d row %d dst %d: mask %#x, NextChannels ports %#x",
+							f.AlgorithmName, workers, v, r, dst, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -67,7 +56,8 @@ func checkNextPorts(t *testing.T, f *Function) {
 // TestNextPortsMatchNextChannels pins the mask rule at its source: over
 // every function the table differential covers — disconnected, cyclic
 // (the all-turns eight-direction FromMask set) and U-turn systems among
-// them — each BFS mask is exactly Table.NextChannels' port set.
+// them — each next-port mask of Table.Rows, read by its documented layout,
+// is exactly Table.NextChannels' port set.
 func TestNextPortsMatchNextChannels(t *testing.T) {
 	var cyclic, disconnected, uturn int
 	for _, f := range differentialFunctions(t) {
@@ -85,22 +75,5 @@ func TestNextPortsMatchNextChannels(t *testing.T) {
 	if cyclic == 0 || disconnected == 0 || uturn == 0 {
 		t.Fatalf("function set too narrow: %d cyclic, %d disconnected, %d with U-turns",
 			cyclic, disconnected, uturn)
-	}
-}
-
-// TestNextPortsRejectsWideNodes pins the mask width: a node with 17
-// output channels cannot have uint16 masks, and NewNextPorts says so.
-func TestNextPortsRejectsWideNodes(t *testing.T) {
-	g, err := topology.FullMesh(18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := buildCG(t, g, ctree.M1, nil)
-	np, err := NewNextPorts(FromMask(cg, turnmodel.UpDownDir{}, turnmodel.NewMask(2, nil), ""))
-	if err == nil || np != nil {
-		t.Fatalf("NewNextPorts of a 17-port network returned (%v, %v), want (nil, error)", np, err)
-	}
-	if want := "routing: node 0 has 17 output channels; next-port masks hold 16"; err.Error() != want {
-		t.Fatalf("error %q, want %q", err, want)
 	}
 }

@@ -4,7 +4,10 @@
 // shortest possible paths between all pairs of source and destination nodes
 // ... For any two nodes, it is possible that more than one shortest possible
 // path exist. For this case, one of them is selected randomly"), and exposes
-// the per-hop candidate sets an adaptive router needs.
+// the per-hop candidate sets an adaptive router needs. A Table holds those
+// sets as next-port masks, one per routing state and destination, in the
+// byte layout of package fib's forwarding tables, which share its rows;
+// distances are derived from the masks.
 //
 // The package also implements the baseline algorithms the DOWN/UP routing is
 // compared against — the reconstructed L-turn routing, the classic

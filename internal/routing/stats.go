@@ -40,7 +40,7 @@ func (t *Table) Stats(pathSamples int, r *rng.Rng) (*PathStats, error) {
 	if pathSamples < 0 {
 		return nil, fmt.Errorf("routing: negative sample count")
 	}
-	cg := t.f.Sys.CG
+	cg := t.cg
 	n := t.n
 	st := &PathStats{}
 
@@ -49,6 +49,12 @@ func (t *Table) Stats(pathSamples int, r *rng.Rng) (*PathStats, error) {
 	for src := 0; src < n; src++ {
 		topo[src] = bfsHops(cg, src)
 	}
+	// Legal distances, legal[src*n+dst].
+	legal := make([]int32, n*n)
+	t.eachPair(func(src, dst, d int) bool {
+		legal[src*n+dst] = int32(d)
+		return true
+	})
 
 	var sumLen, sumStretch float64
 	pairs := 0
@@ -57,9 +63,9 @@ func (t *Table) Stats(pathSamples int, r *rng.Rng) (*PathStats, error) {
 			if src == dst {
 				continue
 			}
-			d := t.Distance(src, dst)
+			d := int(legal[src*n+dst])
 			if d < 0 {
-				return nil, fmt.Errorf("routing: %s cannot route %d -> %d", t.f.AlgorithmName, src, dst)
+				return nil, fmt.Errorf("routing: %s cannot route %d -> %d", t.name, src, dst)
 			}
 			for len(st.LengthHistogram) <= d {
 				st.LengthHistogram = append(st.LengthHistogram, 0)
@@ -128,7 +134,7 @@ func bfsHops(cg *cgraph.CG, src int) []int32 {
 	return dist
 }
 
-// FormatStats renders PathStats for CLI output.
+// Format renders the statistics for CLI output.
 func (st *PathStats) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mean path length  %.3f channels (max %d)\n", st.MeanLength, st.MaxLength)

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cgraph"
@@ -15,11 +17,11 @@ import (
 // reach the destination.
 const refUnreachable = math.MaxInt32
 
-// referenceDist is the plain backward BFS NewTable replaced: it asks
-// Sys.TurnAllowed for every (in-channel, channel) pair it relaxes, one
-// destination at a time, instead of walking the precomputed dependency
-// lists 64 destinations at a time. It is the oracle the block BFS is
-// compared against. dist[dst*stride+s] is state s's distance to dst.
+// referenceDist is a plain backward BFS: it asks Sys.TurnAllowed for
+// every (in-channel, channel) pair it relaxes, one destination at a time,
+// instead of walking the precomputed dependency lists 64 destinations at a
+// time. It is the oracle the block BFS is compared against (see refTable).
+// dist[dst*stride+s] is state s's distance to dst.
 func referenceDist(f *Function) []int32 {
 	cg := f.Sys.CG
 	numCh, n := cg.NumChannels(), cg.N()
@@ -54,44 +56,303 @@ func referenceDist(f *Function) []int32 {
 	return dist
 }
 
+// refTable answers from referenceDist with the distance-comparison rule
+// NewTable's masks replaced: a channel continues a shortest legal path when
+// it is one channel nearer and the turn onto it is allowed. It is the
+// reference every mask, path and derived figure of a Table is compared
+// against.
+type refTable struct {
+	f      *Function
+	dist   []int32
+	stride int
+}
+
+func newRefTable(f *Function) *refTable {
+	cg := f.Sys.CG
+	return &refTable{f: f, dist: referenceDist(f), stride: cg.NumChannels() + cg.N()}
+}
+
+// distFrom returns state's distance to dst, refUnreachable if it has none.
+// state is a channel id or InjectionState(v).
+func (r *refTable) distFrom(dst, state int) int32 {
+	if state < 0 {
+		state = r.f.Sys.CG.NumChannels() + ^state
+	}
+	return r.dist[dst*r.stride+state]
+}
+
+func (r *refTable) NextChannels(dst, state int, buf []int) []int {
+	cg := r.f.Sys.CG
+	here := ^state
+	if state >= 0 {
+		here = cg.Channels[state].To
+	}
+	d := r.distFrom(dst, state)
+	if here == dst || d == refUnreachable {
+		return buf
+	}
+	for _, c := range cg.Out[here] {
+		if r.distFrom(dst, c) == d-1 && (state < 0 || r.f.Sys.TurnAllowed(state, c)) {
+			buf = append(buf, c)
+		}
+	}
+	return buf
+}
+
+func (r *refTable) AppendPath(path []int32, src, dst int, rnd *rng.Rng) ([]int32, error) {
+	return AppendWalk(path, r, r.f.Sys.CG, InjectionState(src), dst, rnd)
+}
+
+// pairDistance is Distance over the reference: -1 if unreachable.
+func (r *refTable) pairDistance(src, dst int) int {
+	if d := r.distFrom(dst, InjectionState(src)); d != refUnreachable {
+		return int(d)
+	}
+	return -1
+}
+
+func (r *refTable) avgPathLength() float64 {
+	n := r.f.Sys.CG.N()
+	sum, cnt := 0.0, 0
+	for dst := 0; dst < n; dst++ {
+		for src := 0; src < n; src++ {
+			if d := r.pairDistance(src, dst); src != dst && d >= 0 {
+				sum += float64(d)
+				cnt++
+			}
+		}
+	}
+	if cnt == 0 {
+		return 0
+	}
+	return sum / float64(cnt)
+}
+
+func (r *refTable) fullyConnected() error {
+	n := r.f.Sys.CG.N()
+	for dst := 0; dst < n; dst++ {
+		for src := 0; src < n; src++ {
+			if src != dst && r.pairDistance(src, dst) < 0 {
+				return fmt.Errorf("routing: %s cannot route %d -> %d", r.f.AlgorithmName, src, dst)
+			}
+		}
+	}
+	return nil
+}
+
+// pathDiversity counts paths state by state in increasing reference
+// distance.
+func (r *refTable) pathDiversity() (*Diversity, error) {
+	cg := r.f.Sys.CG
+	numCh, n := cg.NumChannels(), cg.N()
+	div := &Diversity{}
+	var logSum float64
+	for dst := 0; dst < n; dst++ {
+		var buckets [][]int
+		for s := 0; s < r.stride; s++ {
+			if d := r.dist[dst*r.stride+s]; d != refUnreachable {
+				for len(buckets) <= int(d) {
+					buckets = append(buckets, nil)
+				}
+				buckets[d] = append(buckets[d], s)
+			}
+		}
+		counts := make([]float64, r.stride)
+		for d, states := range buckets {
+			for _, s := range states {
+				if d == 0 {
+					counts[s] = 1
+					continue
+				}
+				state := s
+				if s >= numCh {
+					state = InjectionState(s - numCh)
+				}
+				for _, c := range r.NextChannels(dst, state, nil) {
+					counts[s] += counts[c]
+				}
+				counts[s] = min(counts[s], CountCap)
+			}
+		}
+		for src := 0; src < n; src++ {
+			if src == dst {
+				continue
+			}
+			c := counts[numCh+src]
+			if c < 1 {
+				return nil, fmt.Errorf("routing: no path counted for %d -> %d", src, dst)
+			}
+			div.Pairs++
+			if c >= 2 {
+				div.MultiPathPairs++
+			}
+			div.MaxPaths = max(div.MaxPaths, c)
+			logSum += math.Log(c)
+		}
+	}
+	if div.Pairs > 0 {
+		div.MeanPaths = math.Exp(logSum / float64(div.Pairs))
+	}
+	return div, nil
+}
+
 // tableWorkers are the worker counts every differential check runs.
 var tableWorkers = []int{1, 2, 3, 8}
 
-// checkTableMatchesReference compares, element by element, the distances
-// of newTableN at every worker count in tableWorkers with referenceDist.
+// checkTableMatchesReference runs checkTableAt at every worker count in
+// tableWorkers.
 func checkTableMatchesReference(t *testing.T, f *Function) {
 	t.Helper()
 	checkTableAt(t, f, tableWorkers)
 }
 
-// checkTableAt compares the distances of newTableN at each worker count
-// with referenceDist, decoding each stored entry (the distance plus one, 0
-// for unreachable).
+// checkTableAt compares newTableN at each worker count with the reference:
+// the row layout, and every mask and NextChannels answer. It then compares,
+// for the last table, every derived figure: Distance for every pair, the
+// memoised distance of every state, FullyConnected, AvgPathLength,
+// PathDiversity, the lengths and stretch of Stats, and both AppendPath
+// modes for every pair, drawn from the same seed.
 func checkTableAt(t *testing.T, f *Function, workerCounts []int) {
 	t.Helper()
-	want := referenceDist(f)
-	for _, workers := range workerCounts {
-		got := newTableN(f, workers)
-		blocks := (got.n + blockSize - 1) / blockSize
-		if len(want) != got.n*got.stride || len(got.dist) != blocks {
-			t.Fatalf("%s, %d workers: %d blocks of %d states, want %d; reference has %d entries",
-				f.AlgorithmName, workers, len(got.dist), got.stride, blocks, len(want))
+	ref := newRefTable(f)
+	cg := f.Sys.CG
+	n, numCh := cg.N(), cg.NumChannels()
+	ports := 0
+	for _, out := range cg.Out {
+		ports = max(ports, len(out))
+	}
+	width := max(2, (ports+7)/8)
+	port := make([]int, numCh)
+	for _, out := range cg.Out {
+		for k, c := range out {
+			port[c] = k
 		}
-		for k, block := range got.dist {
-			if len(block) != blockSize*got.stride {
-				t.Fatalf("%s, %d workers: block %d has %d entries, want %d",
-					f.AlgorithmName, workers, k, len(block), blockSize*got.stride)
+	}
+	var got *Table
+	var buf, want []int
+	for _, workers := range workerCounts {
+		got = newTableN(f, workers)
+		name := fmt.Sprintf("%s, %d workers", f.AlgorithmName, workers)
+		if got.width != width || len(got.Rows()) != n {
+			t.Fatalf("%s: %d rows of %d-byte masks, want %d of %d", name, len(got.Rows()), got.width, n, width)
+		}
+		for v, row := range got.Rows() {
+			if len(row) != width*(len(cg.In[v])+1)*n {
+				t.Fatalf("%s: node %d has %d mask bytes, want %d", name, v, len(row), width*(len(cg.In[v])+1)*n)
 			}
 		}
-		for dst := 0; dst < got.n; dst++ {
-			for s := 0; s < got.stride; s++ {
-				d := int32(got.entry(dst, s)) - 1
-				if d < 0 {
-					d = refUnreachable
+		for dst := 0; dst < n; dst++ {
+			for state := -n; state < numCh; state++ {
+				want = ref.NextChannels(dst, state, want[:0])
+				wantMask := make([]byte, width)
+				for _, c := range want {
+					wantMask[port[c]>>3] |= 1 << (port[c] & 7)
 				}
-				if w := want[dst*got.stride+s]; d != w {
-					t.Fatalf("%s, %d workers: dst %d state %d: distance %d, reference %d",
-						f.AlgorithmName, workers, dst, s, d, w)
+				_, mask := got.mask(dst, state)
+				buf = got.NextChannels(dst, state, buf[:0])
+				if !slices.Equal(mask, wantMask) || !slices.Equal(buf, want) {
+					t.Fatalf("%s: dst %d state %d: mask %x, NextChannels %v; reference %x, %v",
+						name, dst, state, mask, buf, wantMask, want)
+				}
+			}
+		}
+	}
+
+	m := got.newDistMemo()
+	for dst := 0; dst < n; dst++ {
+		m.reset(dst)
+		for s := 0; s < ref.stride; s++ {
+			d, w := m.of(s), ref.dist[dst*ref.stride+s]
+			if w == refUnreachable {
+				w = -1
+			}
+			if d != int(w) {
+				t.Fatalf("%s: dst %d state %d: derived distance %d, reference %d", f.AlgorithmName, dst, s, d, w)
+			}
+		}
+		for src := 0; src < n; src++ {
+			if d, w := got.Distance(src, dst), ref.pairDistance(src, dst); d != w {
+				t.Fatalf("%s: Distance(%d, %d) = %d, reference %d", f.AlgorithmName, src, dst, d, w)
+			}
+		}
+	}
+	if err, w := got.FullyConnected(), ref.fullyConnected(); fmt.Sprint(err) != fmt.Sprint(w) {
+		t.Fatalf("%s: FullyConnected %v, reference %v", f.AlgorithmName, err, w)
+	}
+	if a, w := got.AvgPathLength(), ref.avgPathLength(); a != w {
+		t.Fatalf("%s: AvgPathLength %v, reference %v", f.AlgorithmName, a, w)
+	}
+	div, err := got.PathDiversity()
+	wdiv, werr := ref.pathDiversity()
+	if fmt.Sprint(err) != fmt.Sprint(werr) || (err == nil && *div != *wdiv) {
+		t.Fatalf("%s: PathDiversity %+v, %v; reference %+v, %v", f.AlgorithmName, div, err, wdiv, werr)
+	}
+	checkStats(t, got, ref)
+	checkPaths(t, got, ref)
+}
+
+// checkStats compares the distance figures of Stats with the reference's,
+// summed in the same order: source-major over ordered pairs.
+func checkStats(t *testing.T, tb *Table, ref *refTable) {
+	t.Helper()
+	st, err := tb.Stats(0, rng.New(1))
+	n := tb.n
+	var hist []int
+	var sumLen, sumStretch float64
+	maxLen, stretched := 0, 0
+	for src := 0; src < n; src++ {
+		base := bfsHops(tb.cg, src)
+		for dst := 0; dst < n; dst++ {
+			d := ref.pairDistance(src, dst)
+			if src == dst {
+				continue
+			}
+			if d < 0 {
+				want := fmt.Sprintf("routing: %s cannot route %d -> %d", ref.f.AlgorithmName, src, dst)
+				if err == nil || err.Error() != want {
+					t.Fatalf("%s: Stats error %v, want %q", ref.f.AlgorithmName, err, want)
+				}
+				return
+			}
+			for len(hist) <= d {
+				hist = append(hist, 0)
+			}
+			hist[d]++
+			maxLen = max(maxLen, d)
+			sumLen += float64(d)
+			sumStretch += float64(d) / float64(base[dst])
+			if int32(d) > base[dst] {
+				stretched++
+			}
+		}
+	}
+	if err != nil {
+		t.Fatalf("%s: Stats: %v", ref.f.AlgorithmName, err)
+	}
+	pairs := float64(n * (n - 1))
+	if !slices.Equal(st.LengthHistogram, hist) || st.MaxLength != maxLen || st.StretchedPairs != stretched ||
+		(pairs > 0 && (st.MeanLength != sumLen/pairs || st.MeanStretch != sumStretch/pairs)) {
+		t.Fatalf("%s: Stats %+v, reference histogram %v, max %d, %d stretched, sums %v and %v over %v pairs",
+			ref.f.AlgorithmName, st, hist, maxLen, stretched, sumLen, sumStretch, pairs)
+	}
+}
+
+// checkPaths compares AppendPath with the reference's for every ordered
+// pair, seeded alike and with no rng, errors included.
+func checkPaths(t *testing.T, tb *Table, ref *refTable) {
+	t.Helper()
+	for src := 0; src < tb.n; src++ {
+		for dst := 0; dst < tb.n; dst++ {
+			for _, seeded := range []bool{true, false} {
+				var ra, rb *rng.Rng
+				if seeded {
+					ra, rb = rng.New(uint64(src*tb.n+dst)), rng.New(uint64(src*tb.n+dst))
+				}
+				p, err := tb.AppendPath(nil, src, dst, ra)
+				w, werr := ref.AppendPath(nil, src, dst, rb)
+				if !slices.Equal(p, w) || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("%s: %d->%d (seeded %v): path %v, %v; reference %v, %v",
+						ref.f.AlgorithmName, src, dst, seeded, p, err, w, werr)
 				}
 			}
 		}
@@ -161,11 +422,52 @@ func disconnectingMask(t *testing.T, cg *cgraph.CG) *Function {
 	return f
 }
 
-// TestNewTableMatchesReference pins the dependency-CSR BFS to the plain
-// TurnAllowed BFS it replaced, for every function family and worker count.
+// TestNewTableMatchesReference pins the block BFS's masks, and everything
+// derived from them, to the plain TurnAllowed BFS and its distance rule,
+// for every function family and worker count. The set must hold cyclic
+// (the all-turns eight-direction FromMask set), disconnected and U-turn
+// systems.
 func TestNewTableMatchesReference(t *testing.T) {
+	var cyclic, disconnected, uturn int
 	for _, f := range differentialFunctions(t) {
+		switch {
+		case f.Sys.FindTurnCycle() != nil:
+			cyclic++
+		case f.Verify() != nil:
+			disconnected++
+		}
+		if f.Sys.AllowUTurn {
+			uturn++
+		}
 		checkTableMatchesReference(t, f)
+	}
+	if cyclic == 0 || disconnected == 0 || uturn == 0 {
+		t.Fatalf("function set too narrow: %d cyclic, %d disconnected, %d with U-turns",
+			cyclic, disconnected, uturn)
+	}
+}
+
+// TestTableAbove16Ports pins tables wider than the FIB format's masks: on
+// a full mesh of 18 switches (17 ports) and a complete graph of 20 (19),
+// a mask takes 3 bytes, and every mask, distance and path of both
+// AppendPath modes matches the reference.
+func TestTableAbove16Ports(t *testing.T) {
+	mesh, err := topology.FullMesh(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topology.Graph{mesh, topology.Complete(20)} {
+		cg := buildCG(t, g, ctree.M1, nil)
+		for _, alg := range []Algorithm{FullMeshVCFree{}, UpDown{}} {
+			f, err := alg.Build(cg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := NewTable(f).width; w != 3 {
+				t.Fatalf("%s on %d switches: %d-byte masks, want 3", f.AlgorithmName, g.N(), w)
+			}
+			checkTableMatchesReference(t, f)
+		}
 	}
 }
 
@@ -185,8 +487,9 @@ var fuzzSchemes = []struct {
 // input — network size (1 to 200 switches) and seed, direction scheme,
 // prohibited turns (chosen's bits over the scheme's turns, added to its
 // base set when extend is set) and U-turn permission — and requires every
-// NewTable entry, at 1, 2 and 3 workers, to equal referenceDist's, whether
-// or not the function is deadlock-free or connected.
+// NewTable mask, at 1, 2 and 3 workers, and every figure derived from them
+// to equal the reference's (checkTableAt), whether or not the function is
+// deadlock-free or connected.
 func FuzzNewTable(f *testing.F) {
 	f.Add(uint64(1), uint8(62), uint8(2), uint8(0), uint64(0), false, true)
 	f.Add(uint64(2), uint8(63), uint8(3), uint8(1), uint64(0x5a5a), true, true)

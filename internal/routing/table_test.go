@@ -40,8 +40,9 @@ func TestDistanceLineUpDown(t *testing.T) {
 }
 
 // TestNewTableParallelIdentical pins that the goroutine count NewTable
-// fans destinations across never changes the table: every row is computed
-// in isolation, so one worker and many must produce identical dist arrays.
+// fans destinations across never changes the table: every block is
+// computed in isolation, so one worker and many must produce identical
+// masks.
 func TestNewTableParallelIdentical(t *testing.T) {
 	cg := randomCG(t, 7, 60, 4)
 	for _, alg := range []Algorithm{UpDown{}, LTurn{}} {
@@ -52,47 +53,10 @@ func TestNewTableParallelIdentical(t *testing.T) {
 		seq := newTableN(f, 1)
 		for _, workers := range []int{2, 8, 128} {
 			par := newTableN(f, workers)
-			if !reflect.DeepEqual(seq.dist, par.dist) {
+			if !reflect.DeepEqual(seq.rows, par.rows) {
 				t.Fatalf("%s: table with %d workers differs from sequential", f.AlgorithmName, workers)
 			}
 		}
-	}
-}
-
-// TestBlockBFSPanicsAtLimit pins the uint16 bound: the block BFS panics,
-// naming the bound, rather than record a distance at its limit (0xFFFF in
-// NewTable, whose entry, the distance plus one, would wrap to 0, the
-// unreachable marker). A line of 6 switches has distances up to 5, so a
-// limit of 5 panics and 6 does not, and the panic comes before any entry
-// of distance 5 (stored as 6) is written.
-func TestBlockBFSPanicsAtLimit(t *testing.T) {
-	f, err := UpDown{}.Build(buildCG(t, topology.Line(6), ctree.M1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := f.Sys.CG
-	run := func(limit int) (dist []uint16, msg any) {
-		dist = make([]uint16, (cg.NumChannels()+cg.N())*blockSize)
-		defer func() { msg = recover() }()
-		b := newBlockBFS(newDepGraph(f), cg.In, nil)
-		b.limit = limit
-		b.run(0, cg.N(), dist, nil)
-		return dist, nil
-	}
-	dist, msg := run(6)
-	if msg != nil {
-		t.Fatalf("limit 6 panicked: %v", msg)
-	}
-	if !slices.Contains(dist, 5+1) {
-		t.Fatal("limit 6: no entry of distance 5")
-	}
-	want := "routing: a shortest legal path needs 5 or more channels; table entries hold at most 4"
-	dist, msg = run(5)
-	if msg != want {
-		t.Fatalf("limit 5: recovered %v, want panic %q", msg, want)
-	}
-	if i := slices.Index(dist, 5+1); i >= 0 {
-		t.Fatalf("limit 5: entry %d holds distance 5, written before the panic", i)
 	}
 }
 
@@ -256,9 +220,9 @@ func TestNextChannelsConsistency(t *testing.T) {
 			if len(buf) == 0 {
 				t.Fatalf("dead end %d->%d at %d", src, dst, here)
 			}
-			d := tb.distFrom(dst, state)
+			d := distFrom(tb, dst, state)
 			for _, c := range buf {
-				if tb.distFrom(dst, c) != d-1 {
+				if distFrom(tb, dst, c) != d-1 {
 					t.Fatalf("candidate does not decrease distance")
 				}
 			}
@@ -269,6 +233,17 @@ func TestNextChannelsConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// distFrom returns a routing state's distance to dst as the table derives
+// it.
+func distFrom(tb *Table, dst, state int) int {
+	m := tb.newDistMemo()
+	m.reset(dst)
+	if state < 0 {
+		state = len(tb.inPort) + ^state
+	}
+	return m.of(state)
 }
 
 func TestAvgPathLengthOrdering(t *testing.T) {
@@ -331,7 +306,7 @@ func TestSamplePathErrorOnUnreachable(t *testing.T) {
 }
 
 // Property: for random networks, sampled paths under any baseline are valid
-// and match the distance table.
+// and as long as Distance.
 func TestSamplePathProperty(t *testing.T) {
 	f := func(seed uint64, algRaw uint8) bool {
 		r := rng.New(seed)

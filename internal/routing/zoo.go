@@ -150,7 +150,7 @@ type Valiant struct {
 // NewValiant wraps a routing function's table in a Valiant non-minimal
 // path source.
 func NewValiant(t *Table) *Valiant {
-	return &Valiant{t: t, n: t.f.Sys.CG.N()}
+	return &Valiant{t: t, n: t.n}
 }
 
 // valiantTries bounds how many intermediates a single path sampling may
@@ -181,7 +181,7 @@ func (v *Valiant) AppendPath(path []int32, src, dst int, r *rng.Rng) ([]int32, e
 		}
 		// A junction that cannot reach dst fails the walk; the next try
 		// appends to path, the caller's prefix, again.
-		if full, err := AppendWalk(leg, v.t, v.t.f.Sys.CG, int(leg[len(leg)-1]), dst, r); err == nil {
+		if full, err := AppendWalk(leg, v.t, v.t.cg, int(leg[len(leg)-1]), dst, r); err == nil {
 			return full, nil
 		}
 	}

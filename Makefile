@@ -44,8 +44,8 @@ bench:
 benchall:
 	$(GO) test -bench=. -benchmem ./...
 
-# Godoc gate: every exported symbol in the documented core packages must
-# carry a doc comment (see cmd/doclint).
+# Godoc gate: every package of the module, and every exported symbol in
+# it, must carry a doc comment (see cmd/doclint).
 lint-docs:
 	$(GO) run ./cmd/doclint
 
@@ -109,16 +109,16 @@ servebench:
 	@cat results/BENCH_netd.jsonl
 
 # The full paper-scale evaluation; writes text, CSV, and SVG into results/.
-# The sweep takes about a minute on two cores; the checkpoint makes it
-# crash-safe: completed simulations are recorded as they finish, and
-# rerunning `make paper` after an interruption resumes instead of
-# restarting (delete the checkpoint, or `make clean`, to force a fresh
-# run). -keepgoing degrades individual failed simulations to an explicit
-# skipped section.
+# The checkpoint makes the sweep crash-safe: completed simulations are
+# recorded as they finish, and rerunning `make paper` after an interruption
+# resumes instead of restarting (delete the checkpoint, or `make clean`, to
+# force a fresh run). It lives in the results/.bin/ scratch directory, so
+# results/ holds only the tracked artifacts. -keepgoing degrades individual
+# failed simulations to an explicit skipped section.
 paper:
-	mkdir -p results
+	mkdir -p results/.bin
 	$(GO) run ./cmd/irexp -exp all -scale paper -keepgoing \
-		-checkpoint results/paper_checkpoint.jsonl \
+		-checkpoint results/.bin/paper_checkpoint.jsonl \
 		-csv results/paper_results.csv -svg results > results/paper_output.txt
 
 # Quick-scale version of the full evaluation (seconds).
@@ -160,12 +160,10 @@ recovery:
 # collectives (ring all-reduce, tree reduce+broadcast, all-gather,
 # all-to-all, incast) across {DOWN/UP, L-turn, up*/down*} × M1/M2/M3 at
 # 128 switches, 4- and 8-port. Regenerating reproduces
-# results/collective_sweep.txt and results/BENCH_collective.json byte for
-# byte.
+# results/collective_sweep.txt byte for byte.
 collectives:
 	mkdir -p results
-	$(GO) run ./cmd/irexp -exp collective -scale paper \
-		-json results/BENCH_collective.json > results/collective_sweep.txt
+	$(GO) run ./cmd/irexp -exp collective -scale paper > results/collective_sweep.txt
 	@cat results/collective_sweep.txt
 
 # The deterministic minimal prohibited-turn-set study: a 500-case oracle
@@ -173,22 +171,19 @@ collectives:
 # wormsim) followed by the paper-scale search sweep (128 switches, 4- and
 # 8-port, M1/M2/M3) with head-to-head simulations of each smallest found
 # set against DOWN/UP. Regenerating reproduces results/turnsearch_sweep.txt
-# and results/BENCH_turnsearch.json byte for byte.
+# byte for byte.
 turns:
 	mkdir -p results
-	$(GO) run ./cmd/irexp -exp turns -scale paper -differential 500 \
-		-json results/BENCH_turnsearch.json > results/turnsearch_sweep.txt
+	$(GO) run ./cmd/irexp -exp turns -scale paper -differential 500 > results/turnsearch_sweep.txt
 	@cat results/turnsearch_sweep.txt
 
 # The cross-family routing shootout: every topology-zoo family under the
 # tree-based algorithms and its structure-aware native router, each
-# certified deadlock-free before simulation (results/zoo_sweep.txt,
-# results/BENCH_zoo.json). Byte-deterministic across reruns, engines, and
-# worker counts.
+# certified deadlock-free before simulation (results/zoo_sweep.txt).
+# Byte-deterministic across reruns, engines, and worker counts.
 zoo:
 	mkdir -p results
-	$(GO) run ./cmd/irexp -exp zoo -scale paper \
-		-json results/BENCH_zoo.json > results/zoo_sweep.txt
+	$(GO) run ./cmd/irexp -exp zoo -scale paper > results/zoo_sweep.txt
 	@cat results/zoo_sweep.txt
 
 # Short fuzzing passes over the parsers, the simulator config surface, and
@@ -212,4 +207,4 @@ fuzz:
 # Removes regenerable outputs. results/TREND.jsonl is append-only history,
 # not a regenerable artifact, so clean leaves it alone.
 clean:
-	rm -f results/*.svg results/*.csv results/*.txt results/paper_checkpoint.jsonl
+	rm -f results/*.svg results/*.csv results/*.txt results/.bin/paper_checkpoint.jsonl

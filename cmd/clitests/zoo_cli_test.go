@@ -12,10 +12,8 @@ import (
 )
 
 func TestIrzooSmoke(t *testing.T) {
-	dir := t.TempDir()
-	jsonFile := filepath.Join(dir, "zoo.json")
 	args := []string{"-exp", "zoo", "-quiet", "-scale", "quick", "-warmup", "200", "-measure", "600",
-		"-sat-iters", "2", "-json", jsonFile}
+		"-sat-iters", "2"}
 	out := run(t, "irexp", args...)
 	for _, want := range []string{
 		"Cross-family routing shootout",
@@ -34,28 +32,9 @@ func TestIrzooSmoke(t *testing.T) {
 	if strings.Contains(out, "witness:") || strings.Contains(out, " NO ") {
 		t.Fatalf("irexp -exp zoo quick study has uncertified rows:\n%s", out)
 	}
-	data, err := os.ReadFile(jsonFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"schema": 1`, `"families"`, `"native_over_downup_sat"`, `"certified": true`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("irexp -exp zoo -json missing %q", want)
-		}
-	}
-
 	// Determinism across engines, through the real binary.
-	json2 := filepath.Join(dir, "zoo2.json")
-	again := run(t, "irexp", append(args[:len(args)-1], json2, "-engine", "scan")...)
-	if again != out {
+	if again := run(t, "irexp", append(args, "-engine", "scan")...); again != out {
 		t.Fatalf("irexp -exp zoo output not deterministic across engines:\n%s\n---\n%s", out, again)
-	}
-	data2, err := os.ReadFile(json2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Fatal("irexp -exp zoo JSON artifact differs across engines")
 	}
 }
 

@@ -1,21 +1,18 @@
-// Command doclint enforces the godoc contract on the packages whose docs
-// the repository guarantees: every listed package must have a package doc
-// comment (staticcheck ST1000) and every exported symbol — types, funcs,
-// methods on exported types, consts, vars — must carry a doc comment
-// (ST1020/ST1021-class). It is a tiny stdlib-only stand-in for those
-// staticcheck checks so the gate also runs where staticcheck cannot be
-// installed.
+// Command doclint enforces the godoc contract: every checked package must
+// have a package doc comment (staticcheck ST1000) and every exported
+// symbol — types, funcs, methods on exported types, consts, vars — must
+// carry a doc comment (ST1020/ST1021-class). It is a tiny stdlib-only
+// stand-in for those staticcheck checks so the gate also runs where
+// staticcheck cannot be installed.
 //
 // Usage:
 //
 //	doclint [package-dir ...]
 //
-// With no arguments it checks the repository's documented core:
-// internal/wormsim, internal/harness, internal/metrics, internal/traffic,
-// internal/workload, internal/chaos, internal/netdclient,
-// internal/turnsearch, internal/cosim, internal/trend, internal/topology,
-// internal/turnmodel, internal/routing, and the root irnet package. Exits
-// non-zero listing every violation.
+// With no arguments it checks every package directory of the module rooted
+// at the working directory, skipping what the go tool skips (testdata and
+// names starting with "." or "_") and nested modules such as benchmark/.
+// Exits non-zero listing every violation.
 package main
 
 import (
@@ -23,35 +20,22 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 )
 
-var defaultDirs = []string{
-	".",
-	"internal/wormsim",
-	"internal/harness",
-	"internal/metrics",
-	"internal/traffic",
-	"internal/workload",
-	"internal/chaos",
-	"internal/netdclient",
-	"internal/turnsearch",
-	"internal/cosim",
-	"internal/trend",
-	"internal/topology",
-	"internal/turnmodel",
-	"internal/routing",
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("doclint: ")
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
-		dirs = defaultDirs
+		var err error
+		if dirs, err = moduleDirs("."); err != nil {
+			log.Fatal(err)
+		}
 	}
 	bad := 0
 	for _, dir := range dirs {
@@ -67,6 +51,30 @@ func main() {
 	if bad > 0 {
 		log.Fatalf("%d undocumented exported symbols", bad)
 	}
+}
+
+// moduleDirs returns every directory of the module rooted at root, skipping
+// testdata, names starting with "." or "_", and nested modules. lintDir
+// finds nothing to check in a directory without Go files.
+func moduleDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	return dirs, err
 }
 
 // lintDir parses one directory (tests excluded) and returns one formatted

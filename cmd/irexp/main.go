@@ -1,7 +1,7 @@
 // Command irexp runs the repository's studies: the paper's evaluation
-// (Figure 8(a)/(b), Tables 1-4 and an ablation) and six more — hot spots,
-// closed-loop collectives, fault recovery, immediate reconfiguration, the
-// minimal prohibited-turn-set search and the cross-family topology zoo.
+// (Figure 8(a)/(b) and Tables 1-4) and six more — hot spots, closed-loop
+// collectives, fault recovery, immediate reconfiguration, the minimal
+// prohibited-turn-set search and the cross-family topology zoo.
 //
 // Usage:
 //
@@ -9,25 +9,24 @@
 //	irexp -exp all -scale paper          # the full 128-switch evaluation
 //	irexp -exp figure8 -ports 4
 //	irexp -exp tables -csv results.csv
-//	irexp -exp ablation
 //	irexp -exp all -scale paper -checkpoint ck.jsonl -keepgoing
 //	irexp -exp hotspot
-//	irexp -exp collective -scale paper -json out.json
+//	irexp -exp collective -scale paper
 //	irexp -exp fault -links 0,1,2,4 -recovery drain,drop
 //	irexp -exp recovery
-//	irexp -exp turns -scale paper -differential 500 -json out.json
-//	irexp -exp zoo -scale paper -json out.json
+//	irexp -exp turns -scale paper -differential 500
+//	irexp -exp zoo -scale paper
 //
-// -exp picks the study (all, figure8, tables and ablation are views of the
-// paper's evaluation). Each study starts from its own defaults at the
-// chosen -scale (fault and recovery have one scale), and a flag given on
-// the command line overrides one default. -ports, -policies and -rates take
+// -exp picks the study (all, figure8 and tables are views of the paper's
+// evaluation). Each study starts from its own defaults at the chosen
+// -scale (fault and recovery have one scale), and a flag given on the
+// command line overrides one default. -ports, -policies and -rates take
 // comma-separated lists; a study that takes a single value accepts exactly
 // one entry, and no list may name a value twice. A flag the chosen study
 // does not read is a usage error (exit 2), reported before any work
 // starts. Results go to stdout; progress and timing go to stderr unless
-// -quiet; -csv, -svg and -json also write files. Every study is
-// deterministic in its flags.
+// -quiet; -csv and -svg also write files. Every study is deterministic in
+// its flags.
 //
 // The paper's evaluation can be hardened for long runs: -checkpoint records
 // every completed simulation in a JSONL file so an interrupted run resumes
@@ -63,7 +62,7 @@ import (
 )
 
 var (
-	exp      = flag.String("exp", "all", "study: all, figure8, tables, ablation, hotspot, collective, fault, recovery, turns, or zoo")
+	exp      = flag.String("exp", "all", "study: all, figure8, tables, hotspot, collective, fault, recovery, turns, or zoo")
 	scale    = flag.String("scale", "quick", "quick (small networks) or paper (full scale)")
 	seed     = flag.Uint64("seed", 0, "override the study's seed")
 	samples  = flag.Int("samples", 0, "override the sample count")
@@ -75,7 +74,6 @@ var (
 	warmup   = flag.Int("warmup", 0, "override the warmup cycles (0 = none)")
 	measure  = flag.Int("measure", 0, "override the measurement cycles")
 	engine   = flag.String("engine", "event", "simulation engine: event (fast path) or scan (baseline); results are byte-identical")
-	jsonPath = flag.String("json", "", "also write the study's machine-readable report to this file")
 	quiet    = flag.Bool("quiet", false, "suppress progress and timing lines")
 
 	adaptive   = flag.Bool("adaptive", false, "use per-hop adaptive routing")
@@ -91,9 +89,6 @@ var (
 	algName  = flag.String("alg", "", "routing algorithm rebuilt after every failure (fault, recovery)")
 	links    = flag.String("links", "", "override the sweep of link-failure counts (comma-separated)")
 	recovery = flag.String("recovery", "", "recovery policies of the fault study (drain, drop, immediate; comma-separated)")
-	detect   = flag.Int("detect-interval", 0, "online detector scan period of the recovery study (0 = default)")
-	retries  = flag.Int("max-retries", 0, "abort/re-inject bound per packet of the recovery study (0 = default)")
-	backoff  = flag.Int("backoff", 0, "base re-injection backoff of the recovery study (0 = default)")
 
 	restarts = flag.Int("restarts", 0, "override the greedy search restarts per network")
 	diff     = flag.Int("differential", 0, "first run an oracle-agreement differential over this many random configurations (0 = skip)")
@@ -114,13 +109,12 @@ var studies = map[string]struct {
 	"all":        {paperFlags, runPaper},
 	"figure8":    {paperFlags, runPaper},
 	"tables":     {paperFlags, runPaper},
-	"ablation":   {paperFlags, runPaper},
 	"hotspot":    {"scale switches samples ports rates warmup measure", runHotspot},
-	"collective": {"scale switches samples ports policies engine adaptive json collectives msgpackets", runCollective},
+	"collective": {"scale switches samples ports policies engine adaptive collectives msgpackets", runCollective},
 	"fault":      {"switches samples ports policies rates warmup measure alg links recovery", runFault},
-	"recovery":   {"switches samples ports policies rates warmup measure alg links detect-interval max-retries backoff", runRecovery},
-	"turns":      {"scale switches samples ports policies rates warmup measure json restarts differential sim-every", runTurns},
-	"zoo":        {"scale rates warmup measure engine json collectives msgpackets sat-iters", runZoo},
+	"recovery":   {"switches samples ports policies rates warmup measure alg links", runRecovery},
+	"turns":      {"scale switches samples ports policies rates warmup measure restarts differential sim-every", runTurns},
+	"zoo":        {"scale rates warmup measure engine collectives msgpackets sat-iters", runZoo},
 }
 
 var (
@@ -257,12 +251,6 @@ func runPaper() {
 	o.CellDeadline = *deadline
 	o.Checkpoint = *checkpoint
 	o.KeepGoing = *keepGoing
-	if *exp == "ablation" {
-		o.Algorithms = []routing.Algorithm{
-			core.DownUp{}, core.DownUp{DisableRelease: true},
-			routing.LTurn{}, routing.UpDown{}, routing.RightLeft{},
-		}
-	}
 	res, err := harness.Run(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
@@ -282,7 +270,7 @@ func runPaper() {
 			fmt.Println(harness.FormatTable(res, m))
 		}
 	}
-	if *exp == "ablation" || *exp == "all" {
+	if *exp == "all" {
 		fmt.Println(harness.FormatSummary(res))
 	}
 	if skipped := harness.FormatSkipped(res); skipped != "" {
@@ -341,13 +329,6 @@ func runCollective() {
 		cliutil.Fatal("irexp", err)
 	}
 	fmt.Print(harness.FormatCollectives(res))
-	if *jsonPath != "" {
-		js, err := harness.CollectiveJSON(res)
-		if err != nil {
-			cliutil.Fatal("irexp", err)
-		}
-		writeFile(*jsonPath, append(js, '\n'))
-	}
 }
 
 func runFault() {
@@ -409,7 +390,6 @@ func runRecovery() {
 	if set["alg"] {
 		o.Algorithm = algorithm()
 	}
-	o.DetectInterval, o.MaxRetries, o.RetryBackoff = *detect, *retries, *backoff
 	res, err := harness.RecoveryStudy(o)
 	if err != nil {
 		cliutil.Fatal("irexp", err)
@@ -447,13 +427,6 @@ func runTurns() {
 		cliutil.Fatal("irexp", err)
 	}
 	fmt.Print(harness.FormatTurnSearch(res))
-	if *jsonPath != "" {
-		js, err := harness.TurnSearchJSON(res)
-		if err != nil {
-			cliutil.Fatal("irexp", err)
-		}
-		writeFile(*jsonPath, js)
-	}
 }
 
 func runZoo() {
@@ -476,13 +449,6 @@ func runZoo() {
 		cliutil.Fatal("irexp", err)
 	}
 	fmt.Print(harness.FormatZoo(res))
-	if *jsonPath != "" {
-		js, err := harness.ZooJSON(res)
-		if err != nil {
-			cliutil.Fatal("irexp", err)
-		}
-		writeFile(*jsonPath, js)
-	}
 }
 
 // override sets *dst to v when the named flag was given.

@@ -15,7 +15,6 @@
 //	       [-snapshot FILE] [-recompute-delay 0]
 //	       [-max-inflight 512] [-request-timeout 2s] [-write-timeout 5s]
 //	       [-retry-after 1s]
-//	       [-chaos 0.0] [-chaos-seed 1]
 //
 // Robustness machinery:
 //
@@ -28,10 +27,6 @@
 //     bound the HTTP front end: excess requests are shed with 429 and a
 //     Retry-After hint, stuck handlers are cancelled, slow readers cannot
 //     hold connections open forever.
-//   - -chaos LEVEL (0..1) injects deterministic faults — request delays,
-//     503 bursts, connection kills — for resilience testing. Never set it
-//     in production; it exists so the storm benchmarks and CI chaos jobs
-//     exercise the same binary they ship.
 //
 // SIGTERM or SIGINT drains gracefully: /readyz flips to 503, open requests
 // complete (up to -drain), and the process exits 0 after printing
@@ -46,7 +41,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cliutil"
 	"repro/internal/fib"
 	"repro/internal/netd"
@@ -61,8 +55,6 @@ func main() {
 
 		snapPath       = flag.String("snapshot", "", "persist every published snapshot to this file and restore it on boot (crash recovery)")
 		recomputeDelay = flag.Duration("recompute-delay", 0, "wait this long after a stale restore before the background recompute")
-		chaosLevel     = flag.Float64("chaos", 0, "fault-injection intensity 0..1 (testing only)")
-		chaosSeed      = flag.Uint64("chaos-seed", 1, "seed for the chaos fault schedule")
 	)
 	flag.Parse()
 	daemon.Check("irnetd")
@@ -96,15 +88,7 @@ func main() {
 		cliutil.Fatal("irnetd", err)
 	}
 
-	// Overload protection wraps everything; chaos (testing only) sits
-	// between it and the service so shedding still wins under injection.
-	inner := svc.Handler()
-	chaosCfg := chaos.Intensity(*chaosLevel, *chaosSeed)
-	if chaosCfg.Active() {
-		fmt.Printf("irnetd: %s\n", chaosCfg)
-		inner = chaos.NewInjector(chaosCfg).Wrap(inner)
-	}
-	handler := svc.Protect(inner, daemon.Protect)
+	handler := svc.Protect(svc.Handler(), daemon.Protect)
 	if *withProf {
 		outer := http.NewServeMux()
 		outer.HandleFunc("/debug/pprof/", pprof.Index)
@@ -117,9 +101,6 @@ func main() {
 	}
 
 	ln := daemon.Listen("irnetd")
-	if chaosCfg.Active() {
-		ln = chaos.WrapListener(ln, chaosCfg)
-	}
 	sn := svc.Snapshot()
 	mode := ""
 	if sn.Stale {

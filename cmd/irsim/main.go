@@ -6,8 +6,7 @@
 //	irsim [-topo random] [-switches 128] [-ports 4] [-seed 1] [-policy M1]
 //	      [-alg DOWN/UP] [-rate 0.1] [-plen 128] [-warmup 4000]
 //	      [-measure 16000] [-mode source] [-pattern uniform] [-util]
-//	      [-recover] [-detect-interval 512] [-max-retries 4] [-backoff 64]
-//	      [-livelock 0] [-engine event]
+//	      [-recover] [-livelock 0] [-engine event]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -engine selects the cycle-loop implementation: the event-driven fast
@@ -63,9 +62,6 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (taken after the simulation) to this file")
 		recovered  = flag.Bool("recover", false, "enable online deadlock recovery (abort-and-retry); also permits simulating unverified routing functions")
-		detect     = flag.Int("detect-interval", 0, "online detector scan period in cycles (0 = default)")
-		maxRetries = flag.Int("max-retries", 0, "abort/re-inject attempts per packet before discarding (0 = default)")
-		backoff    = flag.Int("backoff", 0, "base re-injection backoff in cycles, doubled per retry (0 = default)")
 		livelock   = flag.Int("livelock", 0, "livelock age bound in cycles (0 = default policy, -1 = disabled)")
 	)
 	flag.Parse()
@@ -84,9 +80,6 @@ func main() {
 		MeasureCycles:     *measure,
 		Seed:              spec.Seed,
 		RecoverDeadlocks:  *recovered,
-		DetectInterval:    *detect,
-		MaxRetries:        *maxRetries,
-		RetryBackoff:      *backoff,
 		LivelockThreshold: *livelock,
 	}
 	if *warmup == 0 {

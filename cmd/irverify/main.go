@@ -17,11 +17,9 @@
 //
 //	irverify [-trials 100] [-switches 64] [-ports 4] [-seed 1] [-fixed]
 //	         [-certify base|existence|both] [-stats] [-stats-all]
-//	         [-json results.json]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,31 +36,6 @@ import (
 	"repro/internal/wormsim"
 )
 
-// record is one routing function's structured result, for -json consumers
-// (CI and scripts grep the text; tools parse this).
-type record struct {
-	// Label identifies the topology ("random[3]" or a fixed spec).
-	Label string `json:"label"`
-	// Trial is the random-network index (0 for fixed topologies).
-	Trial int `json:"trial"`
-	// Policy and Algorithm identify the combination.
-	Policy    string `json:"policy"`
-	Algorithm string `json:"algorithm"`
-	// Verified is the Verify() outcome (deadlock freedom + connectivity by
-	// construction-level checks).
-	Verified bool `json:"verified"`
-	// Certified is the base-certificate outcome; omitted when the base
-	// certificate was not run (existence-only mode, or DOWN/UP(auto) whose
-	// per-topology set a universal certificate cannot cover).
-	Certified *bool `json:"certified,omitempty"`
-	// ExistenceFree and ExistenceConnected are the exact existence-check
-	// verdicts; omitted in base-only mode.
-	ExistenceFree      *bool `json:"existence_free,omitempty"`
-	ExistenceConnected *bool `json:"existence_connected,omitempty"`
-	// Failures lists everything that went wrong, empty on full pass.
-	Failures []string `json:"failures,omitempty"`
-}
-
 func main() {
 	var (
 		trials   = flag.Int("trials", 50, "random networks to verify")
@@ -73,7 +46,6 @@ func main() {
 		certify  = flag.String("certify", "base", "certification mode: base, existence, or both")
 		stats    = flag.Bool("stats", false, "print path statistics per algorithm (first trial, M1 only)")
 		statsAll = flag.Bool("stats-all", false, "print path statistics for every trial and policy")
-		jsonPath = flag.String("json", "", "write structured per-combination records to this file")
 	)
 	flag.Parse()
 	doBase, doExist := false, false
@@ -90,7 +62,6 @@ func main() {
 
 	algs := append(core.Algorithms(), core.DownUp{DisableRelease: true}, core.AutoDownUp{})
 	checked, failed := 0, 0
-	var records []record
 
 	verify := func(label string, g *topology.Graph, trial int) {
 		for _, pol := range ctree.Policies {
@@ -98,47 +69,36 @@ func main() {
 			if err != nil {
 				failed++
 				fmt.Printf("FAIL %s policy=%s: %v\n", label, pol, err)
-				records = append(records, record{Label: label, Trial: trial, Policy: pol.String(),
-					Failures: []string{err.Error()}})
 				continue
 			}
 			cg := cgraph.Build(tr)
 			for _, alg := range algs {
-				rec := record{Label: label, Trial: trial, Policy: pol.String(), Algorithm: alg.Name()}
-				fn, err := alg.Build(cg)
-				if err != nil {
-					failed++
-					checked++
-					fmt.Printf("FAIL %s policy=%s alg=%s: %v\n", label, pol, alg.Name(), err)
-					rec.Failures = append(rec.Failures, err.Error())
-					records = append(records, rec)
-					continue
-				}
 				checked++
+				fails := 0 // of this routing function
 				fail := func(kind string, err error) {
 					fmt.Printf("%s %s policy=%s alg=%s: %v\n", kind, label, pol, alg.Name(), err)
-					rec.Failures = append(rec.Failures, err.Error())
+					fails++
+				}
+				fn, err := alg.Build(cg)
+				if err != nil {
+					fail("FAIL", err)
+					failed++
+					continue
 				}
 				if err := fn.Verify(); err != nil {
 					fail("FAIL", err)
-				} else {
-					rec.Verified = true
 				}
 				// Topology-independent certification applies to every fixed
 				// prohibited set; DOWN/UP(auto) derives a per-topology set,
 				// which is exactly the thing a universal certificate cannot
 				// cover.
 				if doBase && alg.Name() != "DOWN/UP(auto)" {
-					ok := fn.CertifyBase() == nil
-					rec.Certified = &ok
-					if !ok {
-						fail("FAIL-CERT", fn.CertifyBase())
+					if err := fn.CertifyBase(); err != nil {
+						fail("FAIL-CERT", err)
 					}
 				}
 				if doExist {
 					ec := turnmodel.ExistenceCheck(fn.Sys)
-					rec.ExistenceFree = &ec.DeadlockFree
-					rec.ExistenceConnected = &ec.Connected
 					// The exact check must agree with Verify: every shipped
 					// algorithm is deadlock-free and connected, so a negative
 					// verdict here is a real disagreement between the oracles.
@@ -159,7 +119,7 @@ func main() {
 						fail("FAIL-EXIST", err)
 					}
 				}
-				if len(rec.Failures) > 0 {
+				if fails > 0 {
 					failed++
 				} else if *statsAll || (*stats && trial == 0 && pol == ctree.M1) {
 					tb := routing.NewTable(fn)
@@ -171,7 +131,6 @@ func main() {
 						fmt.Printf("--- %s on %s policy=%s ---\n%s", alg.Name(), label, pol, st.Format())
 					}
 				}
-				records = append(records, rec)
 			}
 		}
 	}
@@ -194,22 +153,11 @@ func main() {
 		if err != nil {
 			failed++
 			fmt.Printf("FAIL random[%d]: %v\n", trial, err)
-			records = append(records, record{Label: fmt.Sprintf("random[%d]", trial), Trial: trial,
-				Failures: []string{err.Error()}})
 			continue
 		}
 		verify(fmt.Sprintf("random[%d]", trial), g, trial)
 	}
 
-	if *jsonPath != "" {
-		out, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			cliutil.Fatal("irverify", err)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			cliutil.Fatal("irverify", err)
-		}
-	}
 	fmt.Printf("verified %d routing functions: %d failures\n", checked, failed)
 	if failed > 0 {
 		os.Exit(1)

@@ -45,6 +45,7 @@ const (
 	RightDown
 )
 
+// String names the relation, e.g. "left-up".
 func (r Relation) String() string {
 	switch r {
 	case LeftUp:
@@ -119,6 +120,7 @@ const (
 	NumDirections = 8
 )
 
+// String names the direction as the paper writes it, e.g. "LU_TREE".
 func (d Direction) String() string {
 	switch d {
 	case LUTree:

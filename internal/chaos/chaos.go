@@ -79,16 +79,6 @@ func Intensity(level float64, seed uint64) Config {
 	}
 }
 
-// String renders the mix for logs.
-func (c Config) String() string {
-	if !c.Active() {
-		return "chaos: off"
-	}
-	return fmt.Sprintf("chaos: seed=%d latency=%.3f(max %s) err=%.3f(burst %d) reset=%.3f partial=%.3f",
-		c.Seed, c.LatencyProb, c.maxLatency(), c.ErrorProb, c.errorBurst(),
-		c.ResetProb, c.PartialWriteProb)
-}
-
 func (c Config) maxLatency() time.Duration {
 	if c.MaxLatency > 0 {
 		return c.MaxLatency

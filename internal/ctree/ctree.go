@@ -46,6 +46,7 @@ func (p Policy) Source(seed uint64) *rng.Rng {
 	return rng.New(seed)
 }
 
+// String names the policy: "M1", "M2" or "M3".
 func (p Policy) String() string {
 	switch p {
 	case M1:

@@ -35,6 +35,7 @@ const (
 	Immediate
 )
 
+// String names the policy: "drain", "drop" or "immediate".
 func (p RecoveryPolicy) String() string {
 	switch p {
 	case Drop:

@@ -37,6 +37,7 @@ const (
 	SwitchDown
 )
 
+// String names the kind: "link-down" or "switch-down".
 func (k Kind) String() string {
 	switch k {
 	case SwitchDown:
@@ -57,6 +58,7 @@ type Event struct {
 	U, V int
 }
 
+// String renders the event, e.g. "cycle 900: link 3-7 down".
 func (e Event) String() string {
 	if e.Kind == SwitchDown {
 		return fmt.Sprintf("cycle %d: switch %d down", e.Cycle, e.U)

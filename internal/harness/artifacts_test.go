@@ -1,14 +1,13 @@
 package harness
 
-// Study artifact pins. The studies behind results/*_sweep.txt and
-// results/BENCH_*.json regenerate those files byte for byte from their
-// default options (the Makefile targets faults, recovery, turns and zoo);
-// this test reruns them and compares. The collective study and the paper
-// sweep are too slow at paper scale for Tier-1, so their quick-scale
-// renderings, with the hot-spot study's default output, are pinned as
-// SHA-256 digests in testdata/study_digests.txt instead. A difference is a
-// change to what a study computes; regenerate the digests only for an
-// intended change, with
+// Study artifact pins. The studies behind results/*_sweep.txt regenerate
+// those files byte for byte from their default options (the Makefile
+// targets faults, recovery, turns and zoo); this test reruns them and
+// compares. The collective study and the paper sweep are too slow at paper
+// scale for Tier-1, so their quick-scale renderings, with the hot-spot
+// study's default output, are pinned as SHA-256 digests in
+// testdata/study_digests.txt instead. A difference is a change to what a
+// study computes; regenerate the digests only for an intended change, with
 //
 //	IRNET_UPDATE_GOLDEN=1 go test -run TestStudyArtifacts ./internal/harness/
 
@@ -21,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,14 +29,20 @@ import (
 
 const digestFile = "testdata/study_digests.txt"
 
-// compareResult fails the test unless got equals the checked-in file.
-func compareResult(t *testing.T, name, got string) {
+// readResult returns the checked-in results/<name>.
+func readResult(t *testing.T, name string) string {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
+	return string(data)
+}
+
+// compareResult fails the test unless got equals the checked-in file.
+func compareResult(t *testing.T, name, got string) {
+	t.Helper()
+	if got != readResult(t, name) {
 		t.Errorf("results/%s differs from the regenerated artifact:\n%s", name, got)
 	}
 }
@@ -72,11 +78,6 @@ func TestStudyArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareResult(t, "turnsearch_sweep.txt", rep.String()+"\n\n"+FormatTurnSearch(res))
-		js, err := TurnSearchJSON(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResult(t, "BENCH_turnsearch.json", string(js))
 	})
 	t.Run("zoo", func(t *testing.T) {
 		if testing.Short() {
@@ -87,11 +88,6 @@ func TestStudyArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareResult(t, "zoo_sweep.txt", FormatZoo(res))
-		js, err := ZooJSON(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResult(t, "BENCH_zoo.json", string(js))
 	})
 	t.Run("digests", func(t *testing.T) {
 		got := studyDigests(t)
@@ -159,11 +155,11 @@ func studyDigests(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	put("collective-quick.txt", FormatCollectives(col))
-	js, err := CollectiveJSON(col)
+	colCells, err := json.Marshal(col.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	put("collective-quick.json", string(js))
+	put("collective-quick.json", string(colCells))
 
 	hot, err := HotspotStudy(DefaultHotspotOptions())
 	if err != nil {
@@ -173,44 +169,21 @@ func studyDigests(t *testing.T) map[string]string {
 	return out
 }
 
-// decodeResult decodes results/<name> into v, the type that writes it.
-func decodeResult(t *testing.T, name string, v any) {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", "results", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		t.Fatalf("results/%s: %v", name, err)
-	}
-}
-
-// TestStudyArtifactBounds holds the checked-in study artifacts to the
-// bounds their studies established, decoding each file with the harness
-// type that writes it. TestStudyArtifacts proves the files are what the
-// studies compute; this test says what they must show. Each bound must
-// match at least one row, so a renamed field or row cannot pass it.
+// TestStudyArtifactBounds holds the checked-in study sweeps to the bounds
+// their studies established, reading the tables the studies print.
+// TestStudyArtifacts proves the files are what the studies compute; this
+// test says what they must show. Each bound must match at least one row,
+// so a renamed column or row cannot pass it.
 func TestStudyArtifactBounds(t *testing.T) {
-	var turns TurnSearchResults
-	decodeResult(t, "BENCH_turnsearch.json", &turns)
-	var col collectiveReport
-	decodeResult(t, "BENCH_collective.json", &col)
-	var zoo ZooResults
-	decodeResult(t, "BENCH_zoo.json", &zoo)
-	for name, schema := range map[string]int{
-		"BENCH_turnsearch.json": turns.Schema, "BENCH_collective.json": col.Schema, "BENCH_zoo.json": zoo.Schema,
-	} {
-		if schema != artifactSchema {
-			t.Errorf("results/%s: schema %d, want %d", name, schema, artifactSchema)
-		}
-	}
-
-	// within checks one row against [lo, hi] and counts the rows checked
-	// per bound.
+	// within checks one row's field against [lo, hi] and counts the rows
+	// checked per bound.
 	checked := map[string]int{}
-	within := func(bound, row string, v, lo, hi float64) {
+	within := func(bound, row, field string, lo, hi float64) {
 		checked[bound]++
-		if v < lo || v > hi {
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			t.Errorf("%s: %q is not a number: %s", row, field, bound)
+		} else if v < lo || v > hi {
 			t.Errorf("%s = %g outside [%g, %g]: %s", row, v, lo, hi, bound)
 		}
 	}
@@ -220,24 +193,24 @@ func TestStudyArtifactBounds(t *testing.T) {
 		dragonfly = "zoo shootout: minimal dragonfly routing beats DOWN/UP by ≥5% saturation throughput on its home topology (checked-in ~1.11)"
 		certified = "zoo shootout: every simulated routing function passed the exact existence check with a verified witness"
 	)
-	for _, p := range turns.Points {
-		within(minTurns, fmt.Sprintf("%d-port/%s min_turns_best", p.Ports, p.Policy), float64(p.MinTurnsBest), math.Inf(-1), 18)
+	for _, r := range sweepTable(t, "turnsearch_sweep.txt", "ports") {
+		within(minTurns, r["ports"]+"-port/"+r["policy"]+" bestMin", r["bestMin"], math.Inf(-1), 18)
 	}
-	for _, c := range col.Cells {
-		if c.Collective == "incast" {
-			within(incast, fmt.Sprintf("%d-port/%s/%s/incast makespan", c.Ports, c.Policy, c.Algorithm), c.Makespan, 7000, 10000)
+	for _, r := range sweepTable(t, "collective_sweep.txt", "algorithm") {
+		if r["collective"] == "incast" {
+			within(incast, r["block"]+"/"+r["algorithm"]+"/incast makespan", r["makespan"], 7000, 10000)
 		}
 	}
-	for _, f := range zoo.Families {
-		if f.Family == "dragonfly" {
-			within(dragonfly, "dragonfly native_over_downup_sat", f.NativeOverDownUpSat, 1.05, math.Inf(1))
+	_, ratios, _ := strings.Cut(readResult(t, "zoo_sweep.txt"), "native router vs DOWN/UP at saturation (accepted-traffic ratio):\n")
+	for _, line := range strings.Split(ratios, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "dragonfly" {
+			within(dragonfly, "dragonfly native/DOWN-UP saturation ratio", f[1], 1.05, math.Inf(1))
 		}
-		for _, p := range f.Points {
-			ok := 0.0
-			if p.Certified {
-				ok = 1
-			}
-			within(certified, f.Family+"/"+p.Router+" certified", ok, 1, 1)
+	}
+	for _, r := range sweepTable(t, "zoo_sweep.txt", "router") {
+		checked[certified]++
+		if r["certified"] != "yes" {
+			t.Errorf("%s/%s certified = %q: %s", r["block"], r["router"], r["certified"], certified)
 		}
 	}
 	for _, bound := range []string{minTurns, incast, dragonfly, certified} {
@@ -245,6 +218,36 @@ func TestStudyArtifactBounds(t *testing.T) {
 			t.Errorf("no row to check: %s", bound)
 		}
 	}
+}
+
+// sweepTable returns the rows of every table in results/<name> whose header
+// line starts with the column name first. Each row maps the header's
+// column names to its fields, and "block" to the line above the header.
+// Indented lines inside a table are skipped; a blank line ends it.
+func sweepTable(t *testing.T, name, first string) []map[string]string {
+	t.Helper()
+	var rows []map[string]string
+	var cols []string
+	block, prev := "", ""
+	for _, line := range strings.Split(readResult(t, name), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 0 && f[0] == first:
+			cols, block = f, prev
+		case len(f) == 0:
+			cols = nil
+		case cols != nil && !strings.HasPrefix(line, " "):
+			row := map[string]string{"block": block}
+			for i, c := range cols {
+				if i < len(f) {
+					row[c] = f[i]
+				}
+			}
+			rows = append(rows, row)
+		}
+		prev = line
+	}
+	return rows
 }
 
 func sortedKeys(m map[string]string) []string {

@@ -8,7 +8,6 @@ package harness
 // open-loop setup cannot express.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -263,82 +262,6 @@ func sortCollectiveCells(cells []CollectiveCell) {
 		}
 		return a.Collective < b.Collective
 	})
-}
-
-// collectiveCellJSON is one serialized study cell.
-type collectiveCellJSON struct {
-	Ports             int       `json:"ports"`
-	Policy            string    `json:"policy"`
-	Algorithm         string    `json:"algorithm"`
-	Collective        string    `json:"collective"`
-	Messages          int       `json:"messages"`
-	Packets           int       `json:"packets"`
-	Makespan          float64   `json:"makespan"`
-	MakespanStd       float64   `json:"makespan_std"`
-	AvgMessageLatency float64   `json:"avg_message_latency"`
-	MaxMessageLatency float64   `json:"max_message_latency"`
-	Accepted          float64   `json:"accepted"`
-	StepCompletion    []float64 `json:"step_completion"`
-}
-
-// collectiveReport is the serializable form of CollectiveResults: options
-// flattened to plain values and cell keys rendered as strings, so the JSON
-// artifact is stable and readable.
-type collectiveReport struct {
-	Schema         int                  `json:"schema"` // artifact schema version (artifactSchema)
-	Study          string               `json:"study"`
-	Switches       int                  `json:"switches"`
-	Ports          []int                `json:"ports"`
-	Samples        int                  `json:"samples"`
-	Policies       []string             `json:"policies"`
-	Algorithms     []string             `json:"algorithms"`
-	Collectives    []string             `json:"collectives"`
-	MessagePackets int                  `json:"message_packets"`
-	PacketLength   int                  `json:"packet_length"`
-	Mode           string               `json:"mode"`
-	Seed           uint64               `json:"seed"`
-	Cells          []collectiveCellJSON `json:"cells"`
-}
-
-// CollectiveJSON renders the study as deterministic, indented JSON — the
-// results/BENCH_collective.json artifact.
-func CollectiveJSON(r *CollectiveResults) ([]byte, error) {
-	rep := collectiveReport{
-		Schema:         artifactSchema,
-		Study:          "collective",
-		Switches:       r.Options.Switches,
-		Ports:          r.Options.Ports,
-		Samples:        r.Options.Samples,
-		Collectives:    r.Options.Collectives,
-		MessagePackets: r.Options.MessagePackets,
-		PacketLength:   r.Options.PacketLength,
-		Mode:           r.Options.Mode.String(),
-		Seed:           r.Options.Seed,
-	}
-	for _, p := range r.Options.Policies {
-		rep.Policies = append(rep.Policies, p.String())
-	}
-	for _, a := range r.Options.Algorithms {
-		rep.Algorithms = append(rep.Algorithms, a.Name())
-	}
-	rep.Cells = make([]collectiveCellJSON, len(r.Cells))
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		rc := &rep.Cells[i]
-		rc.Ports = c.Key.Ports
-		rc.Policy = c.Key.Policy.String()
-		rc.Algorithm = c.Key.Algorithm
-		rc.Collective = c.Key.Collective
-		rc.Messages = c.Messages
-		rc.Packets = c.Packets
-		rc.Makespan = c.Makespan
-		rc.MakespanStd = c.MakespanStd
-		rc.AvgMessageLatency = c.AvgMessageLatency
-		rc.MaxMessageLatency = c.MaxMessageLatency
-		rc.Accepted = c.Accepted
-		rc.StepCompletion = c.StepCompletion
-	}
-	return json.MarshalIndent(rep, "", "  ")
 }
 
 // FormatCollectives renders the study as a text table, one block per port

@@ -54,11 +54,6 @@ type RecoveryOptions struct {
 	// after the warm-up as the simulator resolves it.
 	WarmupCycles  int
 	MeasureCycles int
-	// DetectInterval, MaxRetries, and RetryBackoff are the recovery knobs
-	// (0 = simulator defaults).
-	DetectInterval int
-	MaxRetries     int
-	RetryBackoff   int
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -200,9 +195,6 @@ func recoveryRun(opts RecoveryOptions, si, fi int) (*fault.Result, error) {
 		MeasureCycles:    opts.MeasureCycles,
 		Seed:             deriveSeed(opts.Seed, uint64(si), uint64(fi)+1, 4, 0, 0),
 		RecoverDeadlocks: true,
-		DetectInterval:   opts.DetectInterval,
-		MaxRetries:       opts.MaxRetries,
-		RetryBackoff:     opts.RetryBackoff,
 	}
 	// One switch loss per three link losses: switch deaths reshape the
 	// tree far more than link deaths, and reshaping is what makes route

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -78,54 +77,49 @@ func QuickTurnSearchOptions() TurnSearchOptions {
 // comparison, averaged over the combination's samples.
 type TurnSearchSide struct {
 	// Accepted is mean accepted traffic in flits/clock/node.
-	Accepted float64 `json:"accepted"`
+	Accepted float64
 	// AvgLatency is mean packet latency in cycles.
-	AvgLatency float64 `json:"avg_latency"`
+	AvgLatency float64
 	// MeanPaths is the mean count of distinct shortest legal paths per
 	// routable pair (routing.Diversity) — the adaptivity a smaller
 	// prohibited set buys.
-	MeanPaths float64 `json:"mean_paths"`
+	MeanPaths float64
 	// AvgPathLength is the mean shortest legal path length in hops.
-	AvgPathLength float64 `json:"avg_path_length"`
+	AvgPathLength float64
 }
 
 // TurnSearchPoint is one (ports, policy) aggregate of the study.
 type TurnSearchPoint struct {
 	// Ports and Policy identify the combination.
-	Ports  int    `json:"ports"`
-	Policy string `json:"policy"`
+	Ports  int
+	Policy string
 	// Samples is the number of random topologies aggregated.
-	Samples int `json:"samples"`
+	Samples int
 	// PaperTurns is the size of the paper's hand-derived prohibited set
 	// (18), the baseline the search competes with.
-	PaperTurns int `json:"paper_turns"`
+	PaperTurns int
 	// MinTurnsMean and MinTurnsBest summarize the searched minimal
 	// prohibited-set sizes across samples (mean and smallest).
-	MinTurnsMean float64 `json:"min_turns_mean"`
-	MinTurnsBest int     `json:"min_turns_best"`
+	MinTurnsMean float64
+	MinTurnsBest int
 	// BestTurnSet renders the smallest found set in direction names.
-	BestTurnSet string `json:"best_turn_set"`
+	BestTurnSet string
 	// Evaluations is the total number of exact acyclicity decisions the
 	// searches spent on this combination.
-	Evaluations int `json:"evaluations"`
+	Evaluations int
 	// DownUp and Searched are the two halves of the head-to-head.
-	DownUp   TurnSearchSide `json:"downup"`
-	Searched TurnSearchSide `json:"searched"`
+	DownUp   TurnSearchSide
+	Searched TurnSearchSide
 	// ThroughputDeltaPct is (Searched.Accepted - DownUp.Accepted) /
 	// DownUp.Accepted × 100 — the study's headline number per combination.
-	ThroughputDeltaPct float64 `json:"throughput_delta_pct"`
+	ThroughputDeltaPct float64
 }
 
 // TurnSearchResults is the study's output.
 type TurnSearchResults struct {
-	Options TurnSearchOptions `json:"-"`
-	// Schema is the artifact schema version, stamped by TurnSearchJSON
-	// (artifactSchema).
-	Schema int `json:"schema"`
-	// Switches echoes the network size into the JSON artifact.
-	Switches int `json:"switches"`
+	Options TurnSearchOptions
 	// Points holds one aggregate per (ports, policy), in sweep order.
-	Points []TurnSearchPoint `json:"points"`
+	Points []TurnSearchPoint
 }
 
 // TurnSearchStudy runs the sweep, one (ports, policy, sample) network per
@@ -214,7 +208,7 @@ func TurnSearchStudy(opts TurnSearchOptions) (*TurnSearchResults, error) {
 		return nil, err
 	}
 
-	res := &TurnSearchResults{Options: opts, Switches: opts.Switches}
+	res := &TurnSearchResults{Options: opts}
 	paperTurns := len(core.ProhibitedTurns())
 	for c := 0; c < len(samples); c += ns {
 		pt := TurnSearchPoint{
@@ -276,15 +270,4 @@ func FormatTurnSearch(r *TurnSearchResults) string {
 		fmt.Fprintf(&b, "  %d-port %-3s (%2d turns): %s\n", p.Ports, p.Policy, p.MinTurnsBest, p.BestTurnSet)
 	}
 	return b.String()
-}
-
-// TurnSearchJSON renders the machine-readable artifact
-// (results/BENCH_turnsearch.json), byte-deterministic across reruns.
-func TurnSearchJSON(r *TurnSearchResults) ([]byte, error) {
-	r.Schema = artifactSchema
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

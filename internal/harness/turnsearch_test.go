@@ -1,15 +1,16 @@
 package harness
 
 import (
-	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestTurnSearchStudyQuick runs the quick sweep end to end and pins byte
-// determinism of both artifacts plus the acceptance-critical invariants:
-// every point finds a set strictly smaller than the paper's 18 turns and
-// the searched routing routes at least as many paths as DOWN/UP.
+// TestTurnSearchStudyQuick runs the quick sweep twice and pins its
+// determinism (identical points, byte-identical text) plus the
+// acceptance-critical invariants: every point finds a set strictly smaller
+// than the paper's 18 turns and the searched routing routes at least as
+// many paths as DOWN/UP.
 func TestTurnSearchStudyQuick(t *testing.T) {
 	opts := QuickTurnSearchOptions()
 	a, err := TurnSearchStudy(opts)
@@ -20,16 +21,8 @@ func TestTurnSearchStudyQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, err := TurnSearchJSON(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := TurnSearchJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(aj, bj) {
-		t.Fatal("JSON artifact differs across reruns")
+	if !reflect.DeepEqual(a.Points, b.Points) {
+		t.Fatal("points differ across reruns")
 	}
 	if FormatTurnSearch(a) != FormatTurnSearch(b) {
 		t.Fatal("text artifact differs across reruns")

@@ -13,7 +13,6 @@ package harness
 // connected is reported with its witness and simulated not at all.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -167,64 +166,58 @@ func (o ZooOptions) validate() error {
 type ZooPoint struct {
 	// Router names the routing function; Native marks the family's
 	// structure-aware scheme (and its Valiant variant).
-	Router string `json:"router"`
-	Native bool   `json:"native"`
+	Router string
+	Native bool
 	// Certified reports that turnmodel.ExistenceCheck proved the
 	// configuration deadlock-free and connected, with the witness
 	// re-verified. When false, Witness carries the diagnostic and every
 	// simulation metric below is zero — uncertified functions are not
 	// simulated.
-	Certified bool   `json:"certified"`
-	Witness   string `json:"witness,omitempty"`
+	Certified bool
+	Witness   string
 	// Released counts per-node Phase 3-style turn releases (0 for uniform
 	// configurations).
-	Released int `json:"released"`
+	Released int
 	// AvgPathLength is the mean deterministic path length in hops under
 	// the row's path source (minimal for tables, detoured for Valiant).
-	AvgPathLength float64 `json:"avg_path_length"`
+	AvgPathLength float64
 	// SatRate and SatAccepted locate the saturation peak: offered rate and
 	// accepted traffic in flits/clock/node.
-	SatRate     float64 `json:"sat_rate"`
-	SatAccepted float64 `json:"sat_accepted"`
+	SatRate     float64
+	SatAccepted float64
 	// SatProbes counts the simulations the saturation search spent.
-	SatProbes int `json:"sat_probes"`
+	SatProbes int
 	// AvgLatency is mean packet latency in cycles at LatencyRate.
-	AvgLatency float64 `json:"avg_latency"`
+	AvgLatency float64
 	// Makespan and CollectiveAccepted summarize the closed-loop collective
 	// leg: completion time in cycles and delivered flits per cycle per
 	// node over the makespan.
-	Makespan           float64 `json:"makespan"`
-	CollectiveAccepted float64 `json:"collective_accepted"`
+	Makespan           float64
+	CollectiveAccepted float64
 }
 
 // ZooFamily is one topology family's block of the shootout.
 type ZooFamily struct {
 	// Family is the zoo label ("random-irregular", "dragonfly", ...).
-	Family string `json:"family"`
+	Family string
 	// Instance describes the concrete generated instance.
-	Instance string `json:"instance"`
+	Instance string
 	// Switches, Links, and MaxDegree summarize the graph.
-	Switches  int `json:"switches"`
-	Links     int `json:"links"`
-	MaxDegree int `json:"max_degree"`
+	Switches  int
+	Links     int
+	MaxDegree int
 	// Points holds one row per router, in study order.
-	Points []ZooPoint `json:"points"`
+	Points []ZooPoint
 	// NativeOverDownUpSat is the family's headline ratio: native-router
 	// saturation throughput over DOWN/UP's (0 when either is uncertified).
-	NativeOverDownUpSat float64 `json:"native_over_downup_sat"`
+	NativeOverDownUpSat float64
 }
 
 // ZooResults is the shootout's output.
 type ZooResults struct {
-	Options ZooOptions `json:"-"`
-	// Schema is the artifact schema version, stamped by ZooJSON.
-	Schema int `json:"schema"`
-	// Collective echoes the closed-loop workload name.
-	Collective string `json:"collective"`
-	// Seed echoes the master seed.
-	Seed uint64 `json:"seed"`
+	Options ZooOptions
 	// Families holds one block per topology family, in study order.
-	Families []ZooFamily `json:"families"`
+	Families []ZooFamily
 }
 
 // zooRow is one planned (routing function, path source) run.
@@ -276,7 +269,7 @@ func ZooStudy(opts ZooOptions) (*ZooResults, error) {
 			}},
 	}
 
-	res := &ZooResults{Options: opts, Collective: opts.Collective, Seed: opts.Seed}
+	res := &ZooResults{Options: opts}
 	type rowTask struct {
 		fi, ri int
 		g      *topology.Graph
@@ -462,7 +455,7 @@ func zooAvgPathLength(ps routing.PathSource, n int) float64 {
 func FormatZoo(r *ZooResults) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cross-family routing shootout: %d-flit packets, %s collective, seed %d\n",
-		r.Options.PacketLength, r.Collective, r.Seed)
+		r.Options.PacketLength, r.Options.Collective, r.Options.Seed)
 	b.WriteString("certified = exact existence check (deadlock-free + connected) with verified witness; uncertified rows are not simulated\n")
 	for i := range r.Families {
 		f := &r.Families[i]
@@ -489,15 +482,4 @@ func FormatZoo(r *ZooResults) string {
 		fmt.Fprintf(&b, "  %-20s %.3f\n", f.Family, f.NativeOverDownUpSat)
 	}
 	return b.String()
-}
-
-// ZooJSON renders the machine-readable artifact (results/BENCH_zoo.json),
-// byte-deterministic across reruns, engines, and worker counts.
-func ZooJSON(r *ZooResults) ([]byte, error) {
-	r.Schema = artifactSchema
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

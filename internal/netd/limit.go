@@ -73,7 +73,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // Protect wraps inner with the configured overload bounds and registers
 // the shed/served/failed counters plus an in-flight gauge on the service's
 // registry. Wrap the outermost layer of the real serving stack with it —
-// in cmd/irnetd it sits outside even the chaos injector, because shedding
+// TestChaosStorm puts it outside even the chaos injector, because shedding
 // must win over everything else when the ceiling is hit.
 func (s *Service) Protect(inner http.Handler, cfg ProtectConfig) http.Handler {
 	return ProtectHandler(s.reg, inner, cfg, "irnetd")

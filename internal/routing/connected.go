@@ -17,8 +17,9 @@ import (
 // every channel comes after all of its continuations (sinks first), each
 // r[c] is complete before it is ORed into the channels that may precede c.
 // Destinations go 64 at a time, one bit each in a uint64 per channel, so
-// the check costs O(E·n/64) time and numCh words; a Table holds
-// n·(numCh+n) distances.
+// the check costs O(E·n/64) time and numCh words; a Table holds a
+// width-byte next-port mask per (routing state, destination), so
+// width·(numCh+n)·n bytes.
 func checkConnected(f *Function) error {
 	cg := f.Sys.CG
 	n := cg.N()

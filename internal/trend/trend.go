@@ -8,10 +8,7 @@
 // line, with one encoder and one decoder. cmd/irperf writes
 // results/BENCH_wormsim.jsonl (engine speed) and cmd/irbench
 // BENCH_netd.jsonl (control-plane serving) through WriteArtifact;
-// results/README.md lists their records. The studies'
-// BENCH_collective.json, BENCH_turnsearch.json and BENCH_zoo.json are
-// deterministic study outputs, not measurements: only internal/harness,
-// which writes them, decodes them, and its tests hold them to their bounds.
+// results/README.md lists their records. The tracker reads no other file.
 // Every record carries a "schema" version: a record of an unknown version
 // is kept with a warning, never a failure, so an old irtrend does not
 // block a newer artifact.

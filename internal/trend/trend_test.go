@@ -139,9 +139,7 @@ func TestUnknownSchemaWarnsNotFails(t *testing.T) {
 }
 
 // TestUnrecognizedArtifactIsError: the tracker reads the two measurement
-// artifacts and nothing else, even a file that holds records. The study
-// artifacts are among the rest: only the harness that writes them decodes
-// them.
+// artifacts and nothing else, even a file that holds records.
 func TestUnrecognizedArtifactIsError(t *testing.T) {
 	dir := t.TempDir()
 	line := `{"schema":1,"source":"wormsim","metric":"speedup_event_scan","scenario":"128sw/4port/r0.1","value":9}` + "\n"

@@ -2,7 +2,9 @@ package wormsim
 
 import (
 	"errors"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -99,6 +101,50 @@ func TestPacketTrace(t *testing.T) {
 	fields := strings.Split(lines[1], ",")
 	if len(fields) != 7 {
 		t.Fatalf("trace line %q", lines[1])
+	}
+}
+
+// TestTraceMatchesResult reads a DOWN/UP run's trace back and checks it
+// against the run's Result: one record per delivered packet, and the mean,
+// P50, P95 and maximum of creation-to-delivery latency.
+func TestTraceMatchesResult(t *testing.T) {
+	f, tb := randomFn(t, 3, 24, 4, core.DownUp{})
+	var sb strings.Builder
+	res := run(t, f, tb, Config{
+		PacketLength:  16,
+		InjectionRate: 0.1,
+		WarmupCycles:  500,
+		MeasureCycles: 4000,
+		Seed:          9,
+		Trace:         &sb,
+	})
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")[1:]
+	if len(lines) != res.PacketsDelivered {
+		t.Fatalf("%d records for %d delivered packets", len(lines), res.PacketsDelivered)
+	}
+	lats := make([]int, len(lines))
+	sum := 0.0
+	for i, line := range lines {
+		fields := strings.Split(line, ",")
+		created, err1 := strconv.Atoi(fields[3])
+		delivered, err2 := strconv.Atoi(fields[5])
+		if len(fields) != 7 || err1 != nil || err2 != nil {
+			t.Fatalf("trace line %q", line)
+		}
+		lats[i] = delivered - created
+		sum += float64(lats[i])
+	}
+	slices.Sort(lats)
+	pct := func(p float64) int { return lats[int(p*float64(len(lats)-1))] }
+	if mean := sum / float64(len(lats)); math.Abs(mean-res.AvgLatency) > 1e-9 {
+		t.Fatalf("trace mean %.4f != result mean %.4f", mean, res.AvgLatency)
+	}
+	if pct(0.50) != res.P50Latency || pct(0.95) != res.P95Latency {
+		t.Fatalf("trace percentiles (%d,%d) != result (%d,%d)",
+			pct(0.50), pct(0.95), res.P50Latency, res.P95Latency)
+	}
+	if max := lats[len(lats)-1]; max != res.MaxLatency {
+		t.Fatalf("trace max %d != result max %d", max, res.MaxLatency)
 	}
 }
 
